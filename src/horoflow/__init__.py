@@ -20,13 +20,14 @@ from .dichotomy import (ConvergenceVerdict, DiagnosticsReport, DichotomyVerdict,
                         SequenceCandidate, check_coefficient_asymptotics,
                         find_bounded_escaping_sequence, run_dichotomy,
                         synthetic_candidate, test_recurrence, test_return_time)
-from .errors import (BallTooLarge, DegeneratePoints, EllipticElement,
-                     EmptyBall, HoroflowError, InvalidGenerator, NegativeTime,
-                     NoIntersection, NoSequenceFound, ParseError)
+from .errors import (BallTooLarge, CoefficientOverflow, DegeneratePoints,
+                     EllipticElement, EmptyBall, HoroflowError, InvalidGenerator,
+                     InvalidPoint, NegativeTime, NoIntersection, NoSequenceFound,
+                     ParseError)
 from .flows import (BASE_TANGENT, RayProfile, UnitTangent, geodesic_flow,
                     horocycle_flow, injectivity_profile, orbit_points,
                     ray_point)
-from .group import (GroupElement, GroupSpec, IsometryClass, ball_coefficients,
+from .group import (Ball, GroupElement, GroupSpec, IsometryClass, ball_arrays,
                     check_elliptic_free, classify_isometry, conjugate_spec,
                     cyclic_hyperbolic, cyclic_parabolic, enumerate_ball,
                     fixed_points, hyperbolic_element, isometric_circle,
@@ -43,15 +44,15 @@ from .verify import VerificationReport, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASE_TANGENT", "BallTooLarge", "BoundaryPoint", "ConvergenceVerdict",
-    "DegeneratePoints", "DiagnosticsReport", "DichotomyVerdict",
+    "BASE_TANGENT", "Ball", "BallTooLarge", "BoundaryPoint", "CoefficientOverflow",
+    "ConvergenceVerdict", "DegeneratePoints", "DiagnosticsReport", "DichotomyVerdict",
     "EllipticElement", "EmptyBall", "Geodesic", "GroupElement", "GroupSpec",
-    "Horocycle", "HoroflowError", "INFINITY", "InvalidGenerator",
+    "Horocycle", "HoroflowError", "INFINITY", "InvalidGenerator", "InvalidPoint",
     "IsometryClass", "LimitPointEvidence", "LimitVerdict", "Mobius",
     "NegativeTime", "NoIntersection", "NoSequenceFound", "POINT_I",
     "ParseError", "PointH", "RayProfile", "SequenceCandidate", "UnitTangent",
     "VerificationReport", "angle_between", "apply", "apply_boundary",
-    "ball_coefficients", "bp", "busemann", "check_coefficient_asymptotics",
+    "ball_arrays", "bp", "busemann", "check_coefficient_asymptotics",
     "check_elliptic_free", "classify_boundary_point", "classify_isometry",
     "conjugate_spec", "cross_ratio", "cyclic_hyperbolic", "cyclic_parabolic",
     "dist", "dump_group_spec", "enumerate_ball", "find_bounded_escaping_sequence",

@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import NoSequenceFound
 from .flows import BASE_TANGENT, UnitTangent
-from .group import (DEDUP_TOL, GroupElement, GroupSpec, _dedup_key,
-                    ball_arrays, conjugate_spec, enumerate_ball,
-                    word_sort_key)
+from .group import (DEDUP_TOL, GroupElement, GroupSpec, _unwrap, ball_arrays,
+                    conjugate_spec, dedup_keys)
 from .halfplane import (INFINITY, POINT_I, BoundaryPoint, Mobius, PointH,
                         apply, apply_boundary, busemann, dist)
 
@@ -84,14 +83,17 @@ class ConvergenceVerdict:
 
     ``residuals`` is the elementwise max of the two streams' residuals (the
     endpoint residual against its target, and the consecutive differences of
-    the Busemann values); ``values`` keeps the Busemann stream itself. The
-    limit is reported only when both streams settled.
+    the Busemann values); ``values`` keeps the Busemann stream itself;
+    ``unsettled`` names the streams ("endpoint", "Busemann") that missed eps
+    over the trailing window. The limit is reported only when both streams
+    settled.
     """
 
     converged: bool
     limit: float | None
     residuals: tuple[float, ...]
     values: tuple[float, ...] | None = None
+    unsettled: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -195,15 +197,16 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     m, M = band
     if not (0.0 < m < M):
         raise ValueError(f"height band needs 0 < m < M, got ({m}, {M})")
-    ball = enumerate_ball(spec, depth)
-    arrs = ball_arrays(spec, depth if depth is not None else spec.max_word_length)
-    w = (1j * arrs.a + arrs.b) / (1j * arrs.c + arrs.d)
-    heights = w.imag
-    moduli = np.abs(w)
-    idx = [int(i) for i in np.nonzero((heights >= m) & (heights <= M))[0]]
-    idx.sort(key=lambda i: (moduli[i], word_sort_key(ball[i].word)))
-    lengths = arrs.word_lengths
-    chain = _longest_escaping_chain(idx, moduli, lengths)
+    ball = ball_arrays(spec, depth)
+    heights = ball.orbit_of_i.imag
+    rows = np.nonzero((heights >= m) & (heights <= M))[0]
+    moduli = np.abs(ball.orbit_of_i[rows])
+    # ball rows already run in word order, so a stable sort breaks modulus ties
+    order = np.argsort(moduli, kind="stable")
+    rows = rows[order]
+    chain = _longest_escaping_chain(list(range(rows.size)), moduli[order].tolist(),
+                                    ball.word_lengths[rows].tolist())
+    chain = rows[chain].tolist()
     hs = [float(heights[i]) for i in chain]
     if len(set(hs)) > 1:
         while len(hs) >= 2 and hs[0] == hs[1]:
@@ -214,7 +217,7 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
             f"only {len(chain)} qualifying elements (need {min_len}) "
             f"in the depth-{depth if depth is not None else spec.max_word_length} ball",
             found=len(chain))
-    elements = tuple(ball[i] for i in chain)
+    elements = tuple(ball.element(i) for i in chain)
     return SequenceCandidate(
         elements=elements,
         heights=tuple(hs),
@@ -297,10 +300,6 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
 # convergence tests
 
 
-def _unwrap(g) -> Mobius:
-    return g.mobius if isinstance(g, GroupElement) else g
-
-
 def _residual_to(p: BoundaryPoint, target: BoundaryPoint) -> float:
     """Distance-like residual of p against a boundary target; convergence to
     infinity is measured by 1/|p| falling below eps."""
@@ -333,26 +332,40 @@ def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
     settled value is the candidate time. Converged means both streams sit
     below eps over the trailing window.
     """
+    return _return_time(_sequence_orbit(u, seq), alpha, eps, window)
+
+
+def _sequence_orbit(u: UnitTangent, seq):
+    """The part of the settle test that does not depend on alpha: u(inf),
+    the boundary images g_n(u(inf)) and the points g_n^{-1}(i)."""
     ms = _sequence_elements(seq)
     if not ms:
         raise ValueError("sequence is empty")
-    keys = {_dedup_key(m, DEDUP_TOL) for m in ms}
-    if len(keys) != len(ms):
+    keys = dedup_keys(np.array([(m.a, m.b, m.c, m.d) for m in ms]).T, DEDUP_TOL)
+    if np.unique(keys).size != len(ms):
         raise ValueError("sequence elements must be pairwise distinct")
-    am = _unwrap(alpha)
     u_inf = u.forward_endpoint()
+    return (u_inf, [apply_boundary(m, u_inf) for m in ms],
+            [apply(m.inverse(), POINT_I) for m in ms])
+
+
+def _return_time(orbit, alpha, eps: float, window: int) -> ConvergenceVerdict:
+    u_inf, images, points = orbit
+    am = _unwrap(alpha)
     target = apply_boundary(am, u_inf)
-    s1 = [_residual_to(apply_boundary(m, u_inf), target) for m in ms]
+    s1 = [_residual_to(p, target) for p in images]
     ainv_i = apply(am.inverse(), POINT_I)
-    values = [busemann(u_inf, apply(m.inverse(), POINT_I), ainv_i) for m in ms]
+    values = [busemann(u_inf, p, ainv_i) for p in points]
     s2 = [math.inf] + [abs(v1 - v0) for v0, v1 in zip(values, values[1:])]
-    converged = _settled(s1, eps, window) and _settled(s2, eps, window)
+    unsettled = tuple(name for name, s in (("endpoint", s1), ("Busemann", s2))
+                      if not _settled(s, eps, window))
     residuals = tuple(max(r1, r2) for r1, r2 in zip(s1, s2))
     return ConvergenceVerdict(
-        converged=converged,
-        limit=values[-1] if converged else None,
+        converged=not unsettled,
+        limit=None if unsettled else values[-1],
         residuals=residuals,
         values=tuple(values),
+        unsettled=unsettled,
     )
 
 
@@ -414,6 +427,7 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     coeffs = check_coefficient_asymptotics(seq, eps=eps, window=window)
     inv = _inverse_elements(seq)
     main = test_recurrence(u, inv, eps=eps, window=window)
+    note = None
     if main.converged:
         if abs(main.limit) < eps:
             verdict = DichotomyVerdict(RECURRENCE, main.limit)
@@ -421,9 +435,15 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
             verdict = DichotomyVerdict(NON_MINIMALITY, main.limit)
     else:
         verdict = DichotomyVerdict(INCONCLUSIVE)
+        streams = " and ".join(main.unsettled)
+        note = (f"the {streams} stream{'s' if len(main.unsettled) > 1 else ''} of the "
+                f"{len(inv)}-term sequence did not stay below eps={eps:g} "
+                f"over the trailing {window} terms")
     times = []
-    for e in enumerate_ball(spec, min(alpha_depth, spec.max_word_length)):
-        v = test_return_time(u, e, inv, eps=eps, window=window)
+    alpha_ball = ball_arrays(spec, min(alpha_depth, spec.max_word_length))
+    orbit = _sequence_orbit(u, inv)
+    for i in range(len(alpha_ball)):
+        v = _return_time(orbit, alpha_ball.element(i), eps, window)
         if v.converged and abs(v.limit) >= eps:
             times.append(v.limit)
     times.sort()
@@ -433,5 +453,5 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
             deduped.append(t)
     return DiagnosticsReport(
         sequence=seq, coefficients=coeffs, busemann_limit=main,
-        candidate_times=tuple(deduped), verdict=verdict,
+        candidate_times=tuple(deduped), verdict=verdict, note=note,
     )

@@ -21,6 +21,10 @@ class BallTooLarge(HoroflowError):
     """Word-ball enumeration exceeded the configured element cap."""
 
 
+class CoefficientOverflow(HoroflowError, ValueError):
+    """Word-ball coefficients or their dedup keys left the finite float range."""
+
+
 class InvalidGenerator(HoroflowError, ValueError):
     """A generator matrix is not admissible (bad determinant, or the identity)."""
 
@@ -46,3 +50,7 @@ class EmptyBall(HoroflowError):
 
 class ParseError(HoroflowError, ValueError):
     """A group-spec JSON document is malformed or violates the schema."""
+
+
+class InvalidPoint(HoroflowError, ValueError):
+    """A point coordinate is not a number."""

@@ -20,7 +20,7 @@ from .halfplane import INFINITY, POINT_I, BoundaryPoint, Mobius, PointH, apply, 
 
 TAIL_FRACTION = 0.25  # share of trailing samples feeding the liminf estimate
 
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 512  # rows per kernel slice; its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -86,26 +86,35 @@ class RayProfile:
     liminf_estimate: float
 
 
-def _dist_to_images(z: np.ndarray, a, b, c, d) -> np.ndarray:
-    """Min over the given elements of dist(z_t, g(z_t)), vectorized over t."""
-    za = z[None, :]
-    w = (a[:, None] * za + b[:, None]) / (c[:, None] * za + d[:, None])
-    disp = 2.0 * np.arcsinh(np.abs(za - w) / (2.0 * np.sqrt(z.imag[None, :] * w.imag)))
-    return disp.min(axis=0)
+@np.errstate(over="ignore")  # an overflowed square is redone below
+def _min_sinh(z: np.ndarray, a, b, c, d) -> np.ndarray:
+    """Min over the given elements of |c z^2 + (d - a) z - b| / (2 Im z), which
+    is sinh(dist(z, g z) / 2) for det g = 1, per sample z."""
+    w = z / (2.0 * z.imag)
+    wz = w * z
+    dma = (d - a)[:, None]
+    xr = c[:, None] * wz.real + dma * w.real - b[:, None] * (0.5 / z.imag)
+    xi = c[:, None] * wz.imag + dma * w.imag
+    x = np.sqrt((xr * xr + xi * xi).min(axis=0))
+    over = np.isinf(x)
+    if over.any():
+        x[over] = np.hypot(xr[:, over], xi[:, over]).min(axis=0)
+    return x
 
 
-def _min_displacements(z: np.ndarray, coeffs) -> np.ndarray:
-    a, b, c, d = coeffs[0], coeffs[1], coeffs[2], coeffs[3]
+def _min_displacements(z: np.ndarray, ball) -> np.ndarray:
+    # asinh is increasing, so it is taken once per sample, after the min
+    a, b, c, d = ball.a, ball.b, ball.c, ball.d
     chunks = [(i, min(i + _CHUNK_ROWS, a.size)) for i in range(0, a.size, _CHUNK_ROWS)]
     workers = worker_count()
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
-                lambda ij: _dist_to_images(z, a[ij[0]:ij[1]], b[ij[0]:ij[1]],
-                                           c[ij[0]:ij[1]], d[ij[0]:ij[1]]), chunks))
+                lambda ij: _min_sinh(z, a[ij[0]:ij[1]], b[ij[0]:ij[1]],
+                                     c[ij[0]:ij[1]], d[ij[0]:ij[1]]), chunks))
     else:
-        parts = [_dist_to_images(z, a[i:j], b[i:j], c[i:j], d[i:j]) for i, j in chunks]
-    return np.minimum.reduce(parts)
+        parts = [_min_sinh(z, a[i:j], b[i:j], c[i:j], d[i:j]) for i, j in chunks]
+    return 2.0 * np.arcsinh(np.minimum.reduce(parts))
 
 
 def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
@@ -120,15 +129,15 @@ def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     """
     if not (t_max >= 0.0 and step > 0.0):
         raise ValueError(f"need t_max >= 0 and step > 0, got {t_max}, {step}")
-    coeffs = ball_arrays(spec, depth)
-    if coeffs.a.size == 0:
+    ball = ball_arrays(spec, depth)
+    if len(ball) == 0:
         raise EmptyBall("injectivity profile needs a non-empty word ball")
     n = int(math.floor(t_max / step + 1e-9)) + 1
     times = step * np.arange(n)
     m = u.frame
     z0 = 1j * np.exp(times)
     z = (m.a * z0 + m.b) / (m.c * z0 + m.d)
-    inj = 0.5 * _min_displacements(z, coeffs)
+    inj = 0.5 * _min_displacements(z, ball)
     tail = max(1, int(math.ceil(tail_fraction * n)))
     return RayProfile(times=times, inj_estimates=inj,
                       liminf_estimate=float(inj[-tail:].min()))

@@ -12,12 +12,11 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BallTooLarge, EllipticElement, InvalidGenerator
-from .halfplane import INFINITY, BoundaryPoint, Mobius
+from .errors import BallTooLarge, CoefficientOverflow, EllipticElement, InvalidGenerator
+from .halfplane import DET_TOL, INFINITY, SIGN_TOL, BoundaryPoint, Mobius
 
 DEDUP_TOL = 1e-9      # rounding grid for element deduplication
 CLASS_TOL = 1e-9      # tolerance on |trace| - 2 for the isometry trichotomy
@@ -72,116 +71,167 @@ class GroupSpec:
             raise InvalidGenerator("dedup_tol must be positive")
 
 
-def _letter_token(letter: int) -> int:
-    # +1 < -1 < +2 < -2 < ... ; used for deterministic lexicographic order
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
+def dedup_keys(coeffs: np.ndarray, tol: float) -> np.ndarray:
+    """One 32-byte key per column (a, b, c, d) of ``coeffs``: its cell on the
+    dedup grid of spacing ``tol``. Elements merge exactly when keys are equal.
 
-
-def word_sort_key(word: tuple[int, ...]) -> tuple:
-    return (len(word), tuple(_letter_token(l) for l in word))
-
-
-def _dedup_key(m: Mobius, tol: float) -> tuple[int, int, int, int]:
-    return (round(m.a / tol), round(m.b / tol), round(m.c / tol), round(m.d / tol))
-
-
-def enumerate_ball(spec: GroupSpec, depth: int | None = None,
-                   max_elements: int = ENUM_CAP) -> tuple[GroupElement, ...]:
-    """All non-identity elements of word length <= depth, breadth-first.
-
-    Elements equal up to sign and the rounding grid are merged, keeping the
-    first witness found (shortest word length, then lexicographically
-    smallest word). Raises BallTooLarge past ``max_elements``. Results for
-    the default cap are memoized per (spec, depth).
+    Raises CoefficientOverflow when an entry or its cell is not finite, since
+    such columns would merge with each other.
     """
-    if depth is None:
-        depth = spec.max_word_length
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if max_elements == ENUM_CAP:
-        return _enumerate_ball_cached(spec, depth)
-    return _enumerate_ball_impl(spec, depth, max_elements)
+    keys = np.round(coeffs.T / tol) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if not np.isfinite(keys).all():
+        raise CoefficientOverflow(f"a word-ball coefficient overflows the dedup grid "
+                                  f"of spacing {tol:g}; use a smaller depth")
+    return np.ascontiguousarray(keys).view(np.dtype((np.void, 32))).ravel()
 
 
-@functools.lru_cache(maxsize=64)
-def _enumerate_ball_cached(spec: GroupSpec, depth: int) -> tuple[GroupElement, ...]:
-    return _enumerate_ball_impl(spec, depth, ENUM_CAP)
+def _canonical_signs(p: np.ndarray) -> np.ndarray:
+    # The Mobius sign rule per column: the first entry above SIGN_TOL is positive.
+    big = np.abs(p) > SIGN_TOL
+    lead = np.where(big, p, 0.0)[big.argmax(axis=0), np.arange(p.shape[1])]
+    return np.where(lead < 0.0, -p, p)
 
 
-def _enumerate_ball_impl(spec: GroupSpec, depth: int,
-                         max_elements: int) -> tuple[GroupElement, ...]:
-    letters: list[tuple[int, Mobius]] = []
-    for i, g in enumerate(spec.generators):
-        letters.append((i + 1, g))
-        letters.append((-(i + 1), g.inverse()))
-    seen = {_dedup_key(Mobius.identity(), spec.dedup_tol)}
-    ball: list[GroupElement] = []
-    frontier: list[tuple[tuple[int, ...], Mobius]] = [((), Mobius.identity())]
-    for _ in range(depth):
-        nxt: list[tuple[tuple[int, ...], Mobius]] = []
-        for word, m in frontier:
-            last = word[-1] if word else 0
-            for letter, g in letters:
-                if letter == -last:
-                    continue
-                m2 = m @ g
-                key = _dedup_key(m2, spec.dedup_tol)
-                if key in seen:
-                    continue
-                seen.add(key)
-                w2 = word + (letter,)
-                ball.append(GroupElement(m2, w2))
-                if len(ball) > max_elements:
-                    raise BallTooLarge(
-                        f"word ball exceeds the cap of {max_elements} elements")
-                nxt.append((w2, m2))
-        frontier = nxt
-    return tuple(ball)
+def _check_det(p: np.ndarray) -> None:
+    # The Mobius determinant check per column.
+    a, b, c, d = p
+    det = a * d - b * c
+    scale = np.maximum(1.0, np.maximum(np.abs(a * d), np.abs(b * c)))
+    bad = ~(np.abs(det - 1.0) <= DET_TOL * scale)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"matrix {tuple(p[:, i].tolist())} has det {float(det[i])}, not 1")
 
 
-def ball_coefficients(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack the (a, b, c, d) coefficients of a list of elements into arrays."""
-    n = len(elements)
-    a = np.empty(n)
-    b = np.empty(n)
-    c = np.empty(n)
-    d = np.empty(n)
-    for i, e in enumerate(elements):
-        m = e.mobius if isinstance(e, GroupElement) else e
-        a[i], b[i], c[i], d[i] = m.a, m.b, m.c, m.d
-    return a, b, c, d
+@dataclass(frozen=True, eq=False)
+class Ball:
+    """A word ball as read-only arrays, one row per non-identity element.
 
-
-class BallArrays(NamedTuple):
-    """Read-only coefficient and word-length arrays of a word ball."""
+    Row i has coefficients (a[i], b[i], c[i], d[i]) and the word of row
+    parent[i] (the empty word for -1) followed by letter[i], a signed 1-based
+    generator index (+k for the k-th generator, -k for its inverse). Rows run
+    by word length, then lexicographically by word with +1 < -1 < +2 < -2 < ...
+    Of elements equal up to sign on the dedup grid only the first is kept.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
     word_lengths: np.ndarray
+    parent: np.ndarray
+    letter: np.ndarray
+
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.a.size
+
+    @functools.cached_property
+    def orbit_of_i(self) -> np.ndarray:
+        """The orbit points g(i), one complex number per row, computed once."""
+        w = (1j * self.a + self.b) / (1j * self.c + self.d)
+        w.flags.writeable = False
+        return w
+
+    def word(self, i: int) -> tuple[int, ...]:
+        w = []
+        while i >= 0:
+            w.append(int(self.letter[i]))
+            i = int(self.parent[i])
+        return tuple(reversed(w))
+
+    def element(self, i: int) -> GroupElement:
+        m = Mobius(float(self.a[i]), float(self.b[i]), float(self.c[i]), float(self.d[i]))
+        return GroupElement(m, self.word(i))
+
+    def elements(self) -> tuple[GroupElement, ...]:
+        words: list[tuple[int, ...]] = []
+        for p, l in zip(self.parent.tolist(), self.letter.tolist()):
+            words.append((words[p] if p >= 0 else ()) + (l,))
+        return tuple(GroupElement(Mobius(a, b, c, d), w) for a, b, c, d, w in zip(
+            self.a.tolist(), self.b.tolist(), self.c.tolist(), self.d.tolist(), words))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # dedup_keys checks overflow
+def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
+    # Breadth-first, level by level, in slices of frontier rows: each row
+    # times every letter but the one undoing its last letter, in row-major
+    # order, so that rows come out in word order.
+    gens = [m for g in spec.generators for m in (g, g.inverse())]
+    ga, gb, gc, gd = np.array([(g.a, g.b, g.c, g.d) for g in gens]).T
+    codes = np.array([s * (k + 1) for k in range(len(spec.generators)) for s in (1, -1)])
+    step = max(1, max_elements // codes.size)  # products per slice <= max_elements
+    identity = np.array([[1.0], [0.0], [0.0], [1.0]])
+    seen = dedup_keys(identity, spec.dedup_tol)
+    front = (identity, np.full(1, -1), np.zeros(1, dtype=int))  # coefficients, rows, letters
+    levels = [(np.empty((4, 0)), np.empty(0, dtype=int), np.empty(0, dtype=int))]  # length 0
+    total = 0
+    for _ in range(depth):
+        coeffs, rows, last = front
+        level = []
+        for s in range(0, rows.size, step):
+            sl = slice(s, s + step)
+            a, b, c, d = coeffs[:, sl, None]
+            mask = codes != -last[sl, None]
+            p = np.stack([a * ga + b * gc, a * gb + b * gd,
+                          c * ga + d * gc, c * gb + d * gd])[:, mask]
+            p = _canonical_signs(p)
+            keys = dedup_keys(p, spec.dedup_tol)
+            _check_det(p)
+            offset = seen.size
+            seen, first = np.unique(np.concatenate([seen, keys]), return_index=True)
+            new = np.sort(first[first >= offset]) - offset
+            parent = np.broadcast_to(rows[sl, None], mask.shape)[mask]
+            letter = np.broadcast_to(codes, mask.shape)[mask]
+            level.append((p[:, new], parent[new], letter[new]))
+            total += new.size
+            if total > max_elements:
+                raise BallTooLarge(f"word ball exceeds the cap of {max_elements} elements")
+        if not level:
+            break
+        levels.append(tuple(np.concatenate(x, axis=-1) for x in zip(*level)))
+        front = (levels[-1][0], np.arange(total - levels[-1][2].size, total), levels[-1][2])
+    coeffs, parent, letter = (np.concatenate(x, axis=-1) for x in zip(*levels))
+    lengths = np.repeat(np.arange(len(levels)), [lv[2].size for lv in levels])
+    return Ball(*coeffs, lengths, parent, letter)
 
 
 @functools.lru_cache(maxsize=64)
-def _ball_arrays_cached(spec: GroupSpec, depth: int) -> BallArrays:
-    ball = _enumerate_ball_cached(spec, depth)
-    a, b, c, d = ball_coefficients(ball)
-    lengths = np.array([len(e.word) for e in ball], dtype=int)
-    for arr in (a, b, c, d, lengths):
-        arr.flags.writeable = False
-    return BallArrays(a, b, c, d, lengths)
+def _cached_ball(spec: GroupSpec, depth: int) -> Ball:
+    return _build_ball(spec, depth, ENUM_CAP)
 
 
-def ball_arrays(spec: GroupSpec, depth: int | None = None) -> BallArrays:
-    """Coefficient/length arrays of the ball, memoized per (spec, depth).
-
-    The arrays are shared between callers and therefore read-only.
-    """
+def _check_depth(spec: GroupSpec, depth: int | None) -> int:
     if depth is None:
         depth = spec.max_word_length
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return _ball_arrays_cached(spec, depth)
+    return depth
+
+
+def ball_arrays(spec: GroupSpec, depth: int | None = None) -> Ball:
+    """The ball of word length <= depth (default: the spec's), memoized per
+    (spec, depth) and shared between callers. Raises BallTooLarge past
+    ENUM_CAP elements."""
+    return _cached_ball(spec, _check_depth(spec, depth))
+
+
+def enumerate_ball(spec: GroupSpec, depth: int | None = None,
+                   max_elements: int = ENUM_CAP) -> tuple[GroupElement, ...]:
+    """The ball's elements as GroupElements, in :class:`Ball` order. Raises
+    BallTooLarge past ``max_elements``.
+
+    Builds one Python object per element on every call; code that scans a
+    ball uses :func:`ball_arrays` and builds only the elements it reports.
+    """
+    depth = _check_depth(spec, depth)
+    if max_elements == ENUM_CAP:
+        return _cached_ball(spec, depth).elements()
+    return _build_ball(spec, depth, max_elements).elements()
 
 
 def _unwrap(g) -> Mobius:
@@ -203,6 +253,18 @@ def classify_isometry(g, class_tol: float = CLASS_TOL) -> IsometryClass:
     if t > 2.0:
         return IsometryClass.HYPERBOLIC
     return IsometryClass.ELLIPTIC
+
+
+def isometry_rows(ball: Ball, class_tol: float = CLASS_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (parabolic, elliptic) of the ball, as classify_isometry
+    sorts them: the trace picks the few candidates, then the identity test."""
+    t = np.abs(ball.a + ball.d)
+    parabolic = np.abs(t - 2.0) <= class_tol
+    rows = np.nonzero(parabolic | ~(t > 2.0))[0]
+    a, b, c, d = ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows]
+    rows = rows[~((np.abs(a - 1.0) <= class_tol) & (np.abs(b) <= class_tol)
+                  & (np.abs(c) <= class_tol) & (np.abs(d - 1.0) <= class_tol))]
+    return rows[parabolic[rows]], rows[~parabolic[rows]]
 
 
 def fixed_points(g, class_tol: float = CLASS_TOL) -> tuple[BoundaryPoint, BoundaryPoint]:
@@ -261,8 +323,8 @@ def _polish_root(a: float, b: float, c: float, d: float, x: float) -> float:
 def check_elliptic_free(spec: GroupSpec, depth: int | None = None,
                         class_tol: float = CLASS_TOL) -> list[GroupElement]:
     """Elliptic elements found in the word ball; empty means none detected."""
-    return [e for e in enumerate_ball(spec, depth)
-            if classify_isometry(e, class_tol) is IsometryClass.ELLIPTIC]
+    ball = ball_arrays(spec, depth)
+    return [ball.element(i) for i in isometry_rows(ball, class_tol)[1].tolist()]
 
 
 def conjugate_spec(spec: GroupSpec, h: Mobius) -> GroupSpec:

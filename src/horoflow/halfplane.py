@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegeneratePoints, NoIntersection
+from .errors import DegeneratePoints, InvalidPoint, NoIntersection
 
 DET_TOL = 1e-12       # relative determinant tolerance for Moebius values
 SIGN_TOL = 1e-12      # magnitude threshold for the sign canonicalization
@@ -80,7 +80,10 @@ def bp(x) -> BoundaryPoint:
         return x
     if x is None or x == math.inf or x == -math.inf or x == "inf":
         return INFINITY
-    return BoundaryPoint(float(x))
+    v = float(x)
+    if math.isnan(v):
+        raise InvalidPoint("a boundary point must be a real number or inf, got nan")
+    return BoundaryPoint(v)
 
 
 @dataclass(frozen=True)

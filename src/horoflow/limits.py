@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import (CLASS_TOL, GroupElement, GroupSpec, IsometryClass,
-                    ball_arrays, classify_isometry, enumerate_ball)
-from .halfplane import GEOM_TOL, BoundaryPoint, apply_boundary, bp
+from .group import GroupElement, GroupSpec, ball_arrays, isometry_rows
+from .halfplane import GEOM_TOL, BoundaryPoint, Mobius, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
 UNBOUNDED_RUN = 3        # consecutive strictly-increasing depth steps required
@@ -48,27 +47,20 @@ class LimitPointEvidence:
     verdict: LimitVerdict
 
 
-def _orbit_heights_raw(arrs, xi: BoundaryPoint) -> np.ndarray:
-    # Orbit points of deep words can degenerate in float arithmetic (their
-    # imaginary part underflows while they collide with xi); such samples are
-    # returned as nan for the callers to drop rather than treated as signal.
-    a, b, c, d = arrs.a, arrs.b, arrs.c, arrs.d
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore",
-                     under="ignore"):
-        w = (1j * a + b) / (1j * c + d)
-        if xi.is_infinity:
-            h = w.imag.copy()
-        else:
-            dz = w - xi.value
-            h = w.imag / (dz.real * dz.real + dz.imag * dz.imag)
-    h[~np.isfinite(h)] = np.nan
-    return h
-
-
-def _identity_height(xi: BoundaryPoint) -> float:
+def _orbit_heights_raw(ball, xi: BoundaryPoint):
+    # height_xi(g(i)) = 1/((a - xi c)^2 + (b - xi d)^2) for det g = 1, and
+    # 1/(c^2 + d^2) at infinity: no ad - bc cancellation, unlike Im g(i).
+    # xi is split into a 26-bit head and a tail (Dekker), so that head * c is
+    # exact for entries below 2^27, as in integer groups, and a - xi c keeps
+    # its digits where it cancels. ``ball`` is a Ball, or one Mobius value.
     if xi.is_infinity:
-        return 1.0
-    return 1.0 / (xi.value * xi.value + 1.0)
+        return 1.0 / (ball.c * ball.c + ball.d * ball.d)
+    t = 134217729.0 * xi.value
+    head = t - (t - xi.value)
+    tail = xi.value - head
+    u = (ball.a - head * ball.c) - tail * ball.c
+    v = (ball.b - head * ball.d) - tail * ball.d
+    return 1.0 / (u * u + v * v)
 
 
 def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
@@ -82,8 +74,8 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
     if depth > spec.max_word_length:
         raise ValueError(f"depth {depth} exceeds the spec's max_word_length {spec.max_word_length}")
     h = np.append(_orbit_heights_raw(ball_arrays(spec, depth), xi),
-                  _identity_height(xi))
-    return np.sort(h[~np.isnan(h)])[::-1]
+                  _orbit_heights_raw(Mobius.identity(), xi))
+    return np.sort(h)[::-1]
 
 
 def _find_cluster(heights: np.ndarray) -> float | None:
@@ -95,8 +87,7 @@ def _find_cluster(heights: np.ndarray) -> float | None:
     above any floor, and a relative one is also invariant under the global
     rescaling that moving the base point of the height function causes.
     """
-    vals = np.unique(heights)
-    vals = vals[vals >= ACCUM_FLOOR]
+    vals = np.unique(heights[heights >= ACCUM_FLOOR])
     if vals.size < ACCUM_COUNT:
         return None
     for i in range(vals.size - ACCUM_COUNT + 1):
@@ -126,31 +117,29 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     if not (1 <= depth <= spec.max_word_length):
         raise ValueError(
             f"depth must lie in [1, {spec.max_word_length}], got {depth}")
-    arrs = ball_arrays(spec, depth)
-    heights = np.append(_orbit_heights_raw(arrs, xi), _identity_height(xi))
-    lengths = np.append(arrs.word_lengths, 0)
-    finite = ~np.isnan(heights)
-    heights, lengths = heights[finite], lengths[finite]
+    ball = ball_arrays(spec, depth)
+    heights = np.append(_orbit_heights_raw(Mobius.identity(), xi),
+                        _orbit_heights_raw(ball, xi))
     sup_height = float(heights.max())
 
-    # parabolic candidates by the vectorized trace test, then exact checks
-    near_parabolic = np.abs(np.abs(arrs.a + arrs.d) - 2.0) <= CLASS_TOL
-    if near_parabolic.any():
-        ball = enumerate_ball(spec, depth)
-        for i in np.nonzero(near_parabolic)[0]:
-            e = ball[i]
-            if classify_isometry(e) is not IsometryClass.PARABOLIC:
-                continue
-            img = apply_boundary(e.mobius, xi)
-            if xi.is_infinity:
-                fixed = img.is_infinity
-            else:
-                fixed = (not img.is_infinity) and abs(img.value - xi.value) <= tol
-            if fixed:
-                return LimitPointEvidence(xi, depth, sup_height, None, e,
-                                          LimitVerdict.PARABOLIC)
+    # the first parabolic element fixing xi
+    rows, _ = isometry_rows(ball)
+    a, b, c, d = ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows]
+    if xi.is_infinity:
+        fixed = c == 0.0
+    else:
+        x = xi.value
+        den = c * x + d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fixed = (den != 0.0) & (np.abs((a * x + b) / den - x) <= tol)
+    if fixed.any():
+        return LimitPointEvidence(xi, depth, sup_height, None,
+                                  ball.element(int(rows[fixed.argmax()])),
+                                  LimitVerdict.PARABOLIC)
 
-    sup_by_depth = [float(heights[lengths <= k].max()) for k in range(1, depth + 1)]
+    # ball rows run by word length, after the identity at position 0
+    ends = np.searchsorted(ball.word_lengths, np.arange(1, depth + 1), side="right")
+    sup_by_depth = np.maximum.accumulate(heights)[ends].tolist()
 
     if depth >= UNBOUNDED_RUN + 1:
         rising = all(sup_by_depth[-j] > sup_by_depth[-j - 1]

@@ -119,6 +119,17 @@ def test_dichotomy_inconclusive_without_sequence(hyperbolic_spec):
     assert "no qualifying sequence" in report.note
 
 
+def test_dichotomy_unsettled_sequence_has_a_note():
+    # Gamma(2) at depth 10 finds a sequence in this band whose endpoint
+    # images stay put instead of escaping to infinity.
+    gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)))
+    report = hf.run_dichotomy(gamma2, band=(0.1, 10.0))
+    assert report.verdict.kind == "inconclusive"
+    assert report.sequence is not None
+    assert report.busemann_limit.unsettled == ("endpoint",)
+    assert "endpoint stream" in report.note
+
+
 def test_dichotomy_non_minimality_on_synthetic(hyperbolic_spec):
     sc = hf.synthetic_candidate(_synthetic_matrices(), (0.1, 2.0))
     report = hf.run_dichotomy(hyperbolic_spec, candidate=sc, band=(0.1, 2.0))

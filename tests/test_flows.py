@@ -115,3 +115,23 @@ def test_profile_thread_count_does_not_change_bytes(schottky_spec, monkeypatch):
     four = hf.injectivity_profile(schottky_spec, t_max=3.0, depth=5)
     assert one.inj_estimates.tobytes() == four.inj_estimates.tobytes()
     assert one.liminf_estimate == four.liminf_estimate
+
+
+def test_profile_matches_scalar_distances(schottky_spec, monkeypatch):
+    # several kernel slices, split over two threads
+    monkeypatch.setenv("HOROFLOW_THREADS", "2")
+    u = hf.UnitTangent(hf.Mobius(1.0, 0.3, 0.0, 1.0))
+    p = hf.injectivity_profile(schottky_spec, u, t_max=4.0, step=1.0, depth=7)
+    ball = hf.enumerate_ball(schottky_spec, 7)
+    for t, v in zip(p.times, p.inj_estimates):
+        z = hf.ray_point(u, t)
+        want = 0.5 * min(hf.dist(z, hf.apply(e.mobius, z)) for e in ball)
+        assert v == pytest.approx(want, rel=1e-12)
+
+
+def test_profile_survives_squares_past_the_float_range(schottky_spec):
+    # At t = 700 the kernel's squared sinh overflows and its hypot fallback
+    # takes over; the displacement of a ray escaping to infinity grows like 2t.
+    p = hf.injectivity_profile(schottky_spec, t_max=700.0, step=350.0, depth=6)
+    assert np.all(np.isfinite(p.inj_estimates))
+    assert p.inj_estimates[2] - p.inj_estimates[1] == pytest.approx(350.0, abs=1e-6)

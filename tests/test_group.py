@@ -77,6 +77,87 @@ def test_ball_too_large():
         hf.enumerate_ball(spec, max_elements=100)
 
 
+M = hf.Mobius
+GAMMA2 = hf.GroupSpec((M(1, 2, 0, 1), M(1, 0, 2, 1)))
+PSL2Z = hf.GroupSpec((M(0, -1, 1, 0), M(1, 1, 0, 1)), max_word_length=20)
+DUPLICATE = hf.GroupSpec((M(1, 1, 0, 1), M(1, 1, 0, 1)))
+
+
+def _scalar_ball(spec, depth):
+    """Reference: breadth-first over reduced words, one Mobius product each,
+    deduplicated on Python-int grid cells, first witness kept."""
+    letters = []
+    for k, g in enumerate(spec.generators):
+        letters += [(k + 1, g), (-(k + 1), g.inverse())]
+
+    def cell(m):
+        return tuple(round(x / spec.dedup_tol) for x in (m.a, m.b, m.c, m.d))
+
+    seen = {cell(hf.Mobius.identity())}
+    ball, frontier = [], [((), hf.Mobius.identity())]
+    for _ in range(depth):
+        level = []
+        for word, m in frontier:
+            for letter, g in letters:
+                if word and letter == -word[-1]:
+                    continue
+                m2 = m @ g
+                if cell(m2) not in seen:
+                    seen.add(cell(m2))
+                    level.append((word + (letter,), m2))
+        ball += level
+        frontier = level
+    return ball
+
+
+def _word_sort_key(word):
+    # length first, then lexicographic with +1 < -1 < +2 < -2 < ...
+    return (len(word), [2 * (abs(l) - 1) + (l < 0) for l in word])
+
+
+@pytest.mark.parametrize("spec, depth", [
+    (hf.schottky_pair(), 6), (hf.truncated_flute(), 4), (GAMMA2, 6), (PSL2Z, 12),
+    (DUPLICATE, 6),
+], ids=["schottky", "flute", "gamma2", "psl2z", "duplicate"])
+def test_ball_matches_scalar_breadth_first(spec, depth):
+    ref = _scalar_ball(spec, depth)
+    ball = ball_arrays(spec, depth)
+    want = np.array([(m.a, m.b, m.c, m.d) for _, m in ref]).T
+    got = np.stack([ball.a, ball.b, ball.c, ball.d])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    words = [ball.word(i) for i in range(len(ball))]
+    assert words == [w for w, _ in ref]
+    assert words == sorted(words, key=_word_sort_key)
+    assert list(ball.word_lengths) == [len(w) for w in words]
+    assert [e.word for e in hf.enumerate_ball(spec, depth)] == words
+    e = ball.element(len(ball) - 1)
+    assert e.word == words[-1] and e.mobius == ref[-1][1]
+
+
+def test_ball_too_large_counts_deduped_elements():
+    # PSL(2,Z) merges about half of its candidate products; the cap counts
+    # the kept elements only.
+    n = len(ball_arrays(PSL2Z, 12))
+    assert len(hf.enumerate_ball(PSL2Z, 12, max_elements=n)) == n
+    with pytest.raises(hf.BallTooLarge):
+        hf.enumerate_ball(PSL2Z, 12, max_elements=n - 1)
+
+
+def test_elliptic_scan_matches_scalar_classification():
+    # PSL(2,Z) has the elliptic S (order 2) and ST (order 3)
+    ball = hf.enumerate_ball(PSL2Z, 6)
+    want = [e for e in ball if hf.classify_isometry(e) is hf.IsometryClass.ELLIPTIC]
+    assert hf.check_elliptic_free(PSL2Z, 6) == want
+    assert (1,) in [e.word for e in want]
+
+
+def test_overflowing_coefficients_raise_domain_error():
+    # (1e30)^10 = 1e300 is finite, but its dedup cell 1e309 is not.
+    with pytest.raises(hf.CoefficientOverflow):
+        hf.enumerate_ball(hf.cyclic_hyperbolic(1e60), 10)
+    assert issubclass(hf.CoefficientOverflow, ValueError)
+
+
 def test_depth_validation(parabolic_spec):
     assert hf.enumerate_ball(parabolic_spec, 0) == ()
     with pytest.raises(ValueError):
@@ -88,15 +169,9 @@ def test_ball_arrays_cached_and_read_only(schottky_spec):
     assert arrs is ball_arrays(schottky_spec, 3)
     assert arrs.a.shape == (52,)
     assert arrs.word_lengths.max() == 3
-    with pytest.raises(ValueError):
-        arrs.a[0] = 99.0
-
-
-def test_ball_coefficients_match_elements(parabolic_spec):
-    ball = hf.enumerate_ball(parabolic_spec, 2)
-    a, b, c, d = hf.ball_coefficients(ball)
-    assert list(b) == [e.mobius.b for e in ball]
-    assert np.all(a == 1.0) and np.all(c == 0.0) and np.all(d == 1.0)
+    for arr in (arrs.a, arrs.word_lengths, arrs.parent, arrs.letter):
+        with pytest.raises(ValueError):
+            arr[0] = 9
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,20 @@ def test_cli_exit_codes(group_files, tmp_path):
     assert _cli().returncode == 2
 
 
+def test_cli_overflowing_family_is_a_domain_error(tmp_path):
+    p = _write_family(tmp_path / "huge.json", "cyclic-hyperbolic", **{"lambda": 1e60})
+    r = _cli("classify", "--group", p, "--point", "inf")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr and "overflows" in r.stderr
+
+
+def test_cli_rejects_nan_point(group_files):
+    r = _cli("classify", "--group", group_files["parabolic"], "--point", "nan")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr and "zero-size" not in r.stderr
+    assert "nan" in r.stderr
+
+
 def test_cli_version_runs():
     r = _cli("--version")
     assert r.returncode == 0

@@ -1,10 +1,13 @@
 """Orbit heights and finite-depth limit-point classification."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import horoflow as hf
-from horoflow.limits import LimitVerdict
+from horoflow.group import ball_arrays
+from horoflow.limits import LimitVerdict, _orbit_heights_raw
 
 
 def test_orbit_heights_translation_orbit(parabolic_spec):
@@ -32,6 +35,44 @@ def test_orbit_heights_conjugation_scales_uniformly(hyperbolic_spec):
     h1 = hf.orbit_heights(hyperbolic_spec, hf.INFINITY, depth=6)
     h2 = hf.orbit_heights(conj, hf.apply_boundary(h, hf.INFINITY), depth=6)
     assert np.allclose(h2 / h2[0], h1 / h1[0], rtol=1e-9)
+
+
+@pytest.mark.parametrize("xi", [hf.INFINITY, hf.bp(0.0)])
+def test_orbit_heights_match_exact_composition(flute_spec, xi):
+    # Compose the float generators exactly and compare height_xi(g(i)) =
+    # det / ((a - xi c)^2 + (b - xi d)^2) on a sample of the depth-6 ball.
+    letters = {}
+    for k, g in enumerate(flute_spec.generators):
+        for sign, m in ((1, g), (-1, g.inverse())):
+            letters[sign * (k + 1)] = [Fraction(v) for v in (m.a, m.b, m.c, m.d)]
+    ball = ball_arrays(flute_spec, 6)
+    heights = _orbit_heights_raw(ball, xi)
+    rows = np.random.default_rng(6).choice(len(ball), 300, replace=False)
+    for i in rows.tolist() + [len(ball) - 1]:
+        a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+        for letter in ball.word(i):
+            p, q, r, s = letters[letter]
+            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        if xi.is_infinity:
+            exact = (a * d - b * c) / (c * c + d * d)
+        else:
+            x = Fraction(xi.value)
+            exact = (a * d - b * c) / ((a - x * c) ** 2 + (b - x * d) ** 2)
+        assert abs(Fraction(float(heights[i])) - exact) <= Fraction(1, 10 ** 12) * exact
+
+
+@pytest.mark.parametrize("x", [2 ** 0.5 - 1, (5 ** 0.5 - 1) / 2])
+def test_orbit_heights_keep_digits_near_an_irrational(x):
+    # On Gamma(2) the highest orbit points sit close to x, where a - x c
+    # cancels; the integer entries make the exact heights computable.
+    gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)))
+    ball = ball_arrays(gamma2)
+    heights = _orbit_heights_raw(ball, hf.bp(x))
+    X = Fraction(x)
+    for i in np.argsort(heights)[-20:].tolist():
+        a, b, c, d = (Fraction(float(v[i])) for v in (ball.a, ball.b, ball.c, ball.d))
+        exact = 1 / ((a - X * c) ** 2 + (b - X * d) ** 2)
+        assert abs(Fraction(float(heights[i])) - exact) <= Fraction(1, 10 ** 14) * exact
 
 
 # ---------------------------------------------------------------------------
@@ -119,3 +160,23 @@ def test_geometrically_finite_presets_never_irregular(
 def test_classification_depth_guard(parabolic_spec):
     with pytest.raises(ValueError):
         hf.classify_boundary_point(parabolic_spec, hf.INFINITY, depth=-1)
+
+
+def test_nan_point_is_rejected(parabolic_spec):
+    with pytest.raises(hf.InvalidPoint):
+        hf.classify_boundary_point(parabolic_spec, float("nan"))
+    assert issubclass(hf.InvalidPoint, hf.HoroflowError)
+    assert issubclass(hf.InvalidPoint, ValueError)
+
+
+def test_parabolic_witness_is_the_first_in_word_order():
+    # Gamma(2) has cusps at inf, 0 and 1.
+    gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)), max_word_length=4)
+    ball = hf.enumerate_ball(gamma2)
+    for x in (hf.INFINITY, hf.bp(0.0), hf.bp(1.0)):
+        fixing = [e for e in ball
+                  if hf.classify_isometry(e) is hf.IsometryClass.PARABOLIC
+                  and hf.apply_boundary(e.mobius, x) == x]
+        ev = hf.classify_boundary_point(gamma2, x)
+        assert ev.verdict is LimitVerdict.PARABOLIC
+        assert ev.parabolic_witness == fixing[0]
