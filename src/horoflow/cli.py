@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dichotomy import EPS, MIN_SEQ_LEN, WINDOW, run_dichotomy
 from .errors import HoroflowError
-from .flows import BASE_TANGENT, injectivity_profile, orbit_points
+from .flows import BASE_TANGENT, injectivity_profile, orbit_points, sample_count
 from .groupio import load_group_spec
 from .halfplane import GEOM_TOL, BoundaryPoint, bp
 from .limits import classify_boundary_point
@@ -147,7 +147,7 @@ def _cmd_classify(args) -> int:
 def _cmd_orbit(args) -> int:
     if not (args.start < args.end and args.step > 0):
         raise ValueError("need start < end and step > 0")
-    n = int(math.floor((args.end - args.start) / args.step + 1e-9)) + 1
+    n = sample_count(args.end - args.start, args.step)
     times = args.start + args.step * np.arange(n)
     pts = orbit_points(BASE_TANGENT, args.flow, times)
     lines = ["s_or_t,re,im"]

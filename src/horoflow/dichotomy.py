@@ -22,9 +22,8 @@ import numpy as np
 from .errors import NoSequenceFound
 from .flows import BASE_TANGENT, UnitTangent
 from .group import (DEDUP_TOL, GroupElement, GroupSpec, _unwrap, ball_arrays,
-                    conjugate_spec, dedup_keys)
-from .halfplane import (INFINITY, POINT_I, BoundaryPoint, Mobius, PointH,
-                        apply, apply_boundary, busemann, dist)
+                    conjugate_spec, dedup_keys, orbit_height)
+from .halfplane import INFINITY, BoundaryPoint, Mobius, PointH, apply, apply_boundary, dist
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
 WINDOW = 5          # trailing terms that must sit below eps to settle
@@ -63,7 +62,8 @@ class SequenceCandidate:
         for h in self.heights:
             if not (m - slack <= h <= M + slack):
                 raise ValueError(f"height {h} falls outside the band ({m}, {M})")
-        moduli = [abs(apply(e.mobius, POINT_I).z) for e in self.elements]
+        moduli = [_modulus_sq(e.mobius.a, e.mobius.b, e.mobius.c, e.mobius.d)
+                  for e in self.elements]
         for r0, r1 in zip(moduli, moduli[1:]):
             if not r1 > r0:
                 raise ValueError("moduli |g(i)| must strictly increase")
@@ -140,6 +140,12 @@ class DiagnosticsReport:
 # sequence search
 
 
+def _modulus_sq(a, b, c, d):
+    # |g(i)|^2 = (a^2 + b^2) / (c^2 + d^2): one rounding of the quotient, so
+    # equal moduli stay equal on integer groups
+    return (a * a + b * b) / (c * c + d * d)
+
+
 def _longest_escaping_chain(order, moduli, lengths):
     """Longest subsequence of ``order`` strictly increasing in both modulus
     and word length; earliest such chain in the given order."""
@@ -197,10 +203,12 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     m, M = band
     if not (0.0 < m < M):
         raise ValueError(f"height band needs 0 < m < M, got ({m}, {M})")
+    if min_len < 1:
+        raise ValueError(f"min_len must be at least 1, got {min_len}")
     ball = ball_arrays(spec, depth)
-    heights = ball.orbit_of_i.imag
+    heights = orbit_height(ball, INFINITY)
     rows = np.nonzero((heights >= m) & (heights <= M))[0]
-    moduli = np.abs(ball.orbit_of_i[rows])
+    moduli = _modulus_sq(ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
     # ball rows already run in word order, so a stable sort breaks modulus ties
     order = np.argsort(moduli, kind="stable")
     rows = rows[order]
@@ -233,7 +241,7 @@ def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidat
     """Wrap explicit Moebius values as an injected sequence (words unknown)."""
     ms = [m if isinstance(m, Mobius) else Mobius.from_matrix(m) for m in matrices]
     elements = tuple(GroupElement(m, None) for m in ms)
-    hs = tuple(apply(m, POINT_I).im for m in ms)
+    hs = tuple(orbit_height(m, INFINITY) for m in ms)
     return SequenceCandidate(
         elements=elements,
         heights=hs,
@@ -337,7 +345,7 @@ def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
 
 def _sequence_orbit(u: UnitTangent, seq):
     """The part of the settle test that does not depend on alpha: u(inf),
-    the boundary images g_n(u(inf)) and the points g_n^{-1}(i)."""
+    the boundary images g_n(u(inf)) and the log heights of g_n^{-1}(i)."""
     ms = _sequence_elements(seq)
     if not ms:
         raise ValueError("sequence is empty")
@@ -346,16 +354,17 @@ def _sequence_orbit(u: UnitTangent, seq):
         raise ValueError("sequence elements must be pairwise distinct")
     u_inf = u.forward_endpoint()
     return (u_inf, [apply_boundary(m, u_inf) for m in ms],
-            [apply(m.inverse(), POINT_I) for m in ms])
+            [math.log(orbit_height(m.inverse(), u_inf)) for m in ms])
 
 
 def _return_time(orbit, alpha, eps: float, window: int) -> ConvergenceVerdict:
-    u_inf, images, points = orbit
+    u_inf, images, log_heights = orbit
     am = _unwrap(alpha)
     target = apply_boundary(am, u_inf)
     s1 = [_residual_to(p, target) for p in images]
-    ainv_i = apply(am.inverse(), POINT_I)
-    values = [busemann(u_inf, p, ainv_i) for p in points]
+    # B_xi(z, w) = ln height_xi(w) - ln height_xi(z)
+    log_alpha = math.log(orbit_height(am.inverse(), u_inf))
+    values = [log_alpha - h for h in log_heights]
     s2 = [math.inf] + [abs(v1 - v0) for v0, v1 in zip(values, values[1:])]
     unsettled = tuple(name for name, s in (("endpoint", s1), ("Busemann", s2))
                       if not _settled(s, eps, window))
@@ -374,6 +383,11 @@ def test_recurrence(u: UnitTangent, seq, eps: float = EPS,
     """Return-time test with alpha = identity; recurrence evidence needs the
     settled value to be 0 within eps on top of convergence."""
     return test_return_time(u, Mobius.identity(), seq, eps, window)
+
+
+# library functions, not tests, for pytest modules that import them
+test_return_time.__test__ = False
+test_recurrence.__test__ = False
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +417,10 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     0 -> non-minimality-evidence(t), anything unsettled -> inconclusive.
     ``candidate`` injects a prebuilt sequence in place of the ball search.
     """
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     u_inf = u.forward_endpoint()
     if not u_inf.is_infinity:
         if candidate is not None:

@@ -8,12 +8,10 @@ multiplication of the frame, so they commute with the group acting on the left.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import worker_count
 from .errors import EmptyBall, NegativeTime
 from .group import GroupSpec, ball_arrays
 from .halfplane import INFINITY, POINT_I, BoundaryPoint, Mobius, PointH, apply, apply_boundary
@@ -21,6 +19,20 @@ from .halfplane import INFINITY, POINT_I, BoundaryPoint, Mobius, PointH, apply, 
 TAIL_FRACTION = 0.25  # share of trailing samples feeding the liminf estimate
 
 _CHUNK_ROWS = 512  # rows per kernel slice; its temporaries stay in cache
+MAX_SAMPLES = 2_000_000  # longest sample grid of a profile or an orbit table
+
+
+def sample_count(span: float, step: float) -> int:
+    """Points of the inclusive grid 0, step, 2 step, ... up to ``span``.
+
+    Raises ValueError, before anything is allocated, when the count is not
+    finite or exceeds MAX_SAMPLES.
+    """
+    x = span / step + 1e-9
+    if not x < MAX_SAMPLES:
+        raise ValueError(f"a span of {span} at step {step} needs more than "
+                         f"{MAX_SAMPLES} samples")
+    return int(math.floor(x)) + 1
 
 
 @dataclass(frozen=True)
@@ -106,14 +118,7 @@ def _min_displacements(z: np.ndarray, ball) -> np.ndarray:
     # asinh is increasing, so it is taken once per sample, after the min
     a, b, c, d = ball.a, ball.b, ball.c, ball.d
     chunks = [(i, min(i + _CHUNK_ROWS, a.size)) for i in range(0, a.size, _CHUNK_ROWS)]
-    workers = worker_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda ij: _min_sinh(z, a[ij[0]:ij[1]], b[ij[0]:ij[1]],
-                                     c[ij[0]:ij[1]], d[ij[0]:ij[1]]), chunks))
-    else:
-        parts = [_min_sinh(z, a[i:j], b[i:j], c[i:j], d[i:j]) for i, j in chunks]
+    parts = [_min_sinh(z, a[i:j], b[i:j], c[i:j], d[i:j]) for i, j in chunks]
     return 2.0 * np.arcsinh(np.minimum.reduce(parts))
 
 
@@ -132,7 +137,7 @@ def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     ball = ball_arrays(spec, depth)
     if len(ball) == 0:
         raise EmptyBall("injectivity profile needs a non-empty word ball")
-    n = int(math.floor(t_max / step + 1e-9)) + 1
+    n = sample_count(t_max, step)
     times = step * np.arange(n)
     m = u.frame
     z0 = 1j * np.exp(times)

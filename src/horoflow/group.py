@@ -65,7 +65,8 @@ class GroupSpec:
                 raise InvalidGenerator(f"generator {g!r} is not a Mobius value")
             if g.is_identity(self.dedup_tol):
                 raise InvalidGenerator("the identity is not an admissible generator")
-        if not (isinstance(self.max_word_length, int) and self.max_word_length >= 1):
+        if not (isinstance(self.max_word_length, int) and not isinstance(self.max_word_length, bool)
+                and self.max_word_length >= 1):
             raise InvalidGenerator(f"max_word_length must be a positive integer, got {self.max_word_length}")
         if not self.dedup_tol > 0.0:
             raise InvalidGenerator("dedup_tol must be positive")
@@ -129,13 +130,6 @@ class Ball:
 
     def __len__(self) -> int:
         return self.a.size
-
-    @functools.cached_property
-    def orbit_of_i(self) -> np.ndarray:
-        """The orbit points g(i), one complex number per row, computed once."""
-        w = (1j * self.a + self.b) / (1j * self.c + self.d)
-        w.flags.writeable = False
-        return w
 
     def word(self, i: int) -> tuple[int, ...]:
         w = []
@@ -232,6 +226,25 @@ def enumerate_ball(spec: GroupSpec, depth: int | None = None,
     if max_elements == ENUM_CAP:
         return _cached_ball(spec, depth).elements()
     return _build_ball(spec, depth, max_elements).elements()
+
+
+def orbit_height(g, xi: BoundaryPoint):
+    """height_xi(g(i)) = 1/((a - xi c)^2 + (b - xi d)^2), which is 1/(c^2 + d^2)
+    at infinity, for one Mobius g or per row of a Ball.
+
+    Unlike Im g(i) after a complex division, the closed form has no ad - bc
+    to cancel. xi is split into a 26-bit head and a tail (Dekker), so that
+    head * c is exact for entries below 2^27, as in integer groups, and
+    a - xi c keeps its digits where it cancels.
+    """
+    if xi.is_infinity:
+        return 1.0 / (g.c * g.c + g.d * g.d)
+    t = 134217729.0 * xi.value
+    head = t - (t - xi.value)
+    tail = xi.value - head
+    u = (g.a - head * g.c) - tail * g.c
+    v = (g.b - head * g.d) - tail * g.d
+    return 1.0 / (u * u + v * v)
 
 
 def _unwrap(g) -> Mobius:

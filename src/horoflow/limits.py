@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, GroupSpec, ball_arrays, isometry_rows
+from .group import GroupElement, GroupSpec, ball_arrays, isometry_rows, orbit_height
 from .halfplane import GEOM_TOL, BoundaryPoint, Mobius, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
@@ -47,22 +47,6 @@ class LimitPointEvidence:
     verdict: LimitVerdict
 
 
-def _orbit_heights_raw(ball, xi: BoundaryPoint):
-    # height_xi(g(i)) = 1/((a - xi c)^2 + (b - xi d)^2) for det g = 1, and
-    # 1/(c^2 + d^2) at infinity: no ad - bc cancellation, unlike Im g(i).
-    # xi is split into a 26-bit head and a tail (Dekker), so that head * c is
-    # exact for entries below 2^27, as in integer groups, and a - xi c keeps
-    # its digits where it cancels. ``ball`` is a Ball, or one Mobius value.
-    if xi.is_infinity:
-        return 1.0 / (ball.c * ball.c + ball.d * ball.d)
-    t = 134217729.0 * xi.value
-    head = t - (t - xi.value)
-    tail = xi.value - head
-    u = (ball.a - head * ball.c) - tail * ball.c
-    v = (ball.b - head * ball.d) - tail * ball.d
-    return 1.0 / (u * u + v * v)
-
-
 def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
     """Orbit heights height_xi(g(i)) over the depth ball, descending.
 
@@ -73,8 +57,8 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
         depth = spec.max_word_length
     if depth > spec.max_word_length:
         raise ValueError(f"depth {depth} exceeds the spec's max_word_length {spec.max_word_length}")
-    h = np.append(_orbit_heights_raw(ball_arrays(spec, depth), xi),
-                  _orbit_heights_raw(Mobius.identity(), xi))
+    h = np.append(orbit_height(ball_arrays(spec, depth), xi),
+                  orbit_height(Mobius.identity(), xi))
     return np.sort(h)[::-1]
 
 
@@ -118,8 +102,8 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
         raise ValueError(
             f"depth must lie in [1, {spec.max_word_length}], got {depth}")
     ball = ball_arrays(spec, depth)
-    heights = np.append(_orbit_heights_raw(Mobius.identity(), xi),
-                        _orbit_heights_raw(ball, xi))
+    heights = np.append(orbit_height(Mobius.identity(), xi),
+                        orbit_height(ball, xi))
     sup_height = float(heights.max())
 
     # the first parabolic element fixing xi

@@ -1,6 +1,7 @@
 """Bounded escaping sequences, return-time evidence, the dichotomy driver."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -63,8 +64,46 @@ def test_finder_band_validation(hyperbolic_spec):
         hf.find_bounded_escaping_sequence(hyperbolic_spec, (0.0, 1.0))
 
 
+def test_sequence_heights_and_busemann_values_match_exact_composition(schottky_spec):
+    # Compose each word of the float generators exactly: the heights are
+    # 1/(c^2 + d^2) and the Busemann values ln(c^2 + d^2) of the sequence.
+    report = hf.run_dichotomy(schottky_spec, band=(1e-6, 1e6))
+    seq = report.sequence
+    assert len(seq) >= 8
+    letters = {}
+    for k, g in enumerate(schottky_spec.generators):
+        for sign, m in ((1, g), (-1, g.inverse())):
+            letters[sign * (k + 1)] = [Fraction(v) for v in (m.a, m.b, m.c, m.d)]
+    for e, h, v in zip(seq.elements, seq.heights, report.busemann_limit.values):
+        a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+        for letter in e.word:
+            p, q, r, s = letters[letter]
+            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        norm = c * c + d * d
+        assert abs(Fraction(h) * norm - 1) <= Fraction(1, 10 ** 14)
+        assert abs(v - math.log(norm)) <= 1e-13
+
+
+@pytest.mark.parametrize("kwargs", [{"min_len": 0}, {"window": 0}, {"eps": math.nan},
+                                    {"eps": math.inf}, {"eps": 0.0}, {"eps": -1e-6}],
+                         ids=["min_len=0", "window=0", "eps=nan", "eps=inf", "eps=0", "eps<0"])
+def test_dichotomy_rejects_bad_settle_parameters(parabolic_spec, kwargs):
+    with pytest.raises(ValueError):
+        hf.run_dichotomy(parabolic_spec, band=(50.0, 60.0), **kwargs)
+
+
+def test_finder_rejects_empty_sequences(parabolic_spec):
+    with pytest.raises(ValueError):
+        hf.find_bounded_escaping_sequence(parabolic_spec, (50.0, 60.0), min_len=0)
+
+
 # ---------------------------------------------------------------------------
 # return-time streams
+
+
+def test_settle_functions_are_not_collected_as_tests():
+    assert hf.test_recurrence.__test__ is False
+    assert hf.test_return_time.__test__ is False
 
 
 def test_return_time_exact_on_translations(parabolic_spec):

@@ -25,6 +25,8 @@ def test_spec_rejects_identity_generator():
 def test_spec_rejects_bad_word_length():
     with pytest.raises(hf.InvalidGenerator):
         hf.GroupSpec((hf.Mobius(1, 1, 0, 1),), max_word_length=0)
+    with pytest.raises(hf.InvalidGenerator):
+        hf.GroupSpec((hf.Mobius(1, 1, 0, 1),), max_word_length=True)
 
 
 def test_elliptic_generator_is_constructible_but_flagged():

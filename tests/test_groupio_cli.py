@@ -205,6 +205,22 @@ def test_cli_rejects_nan_point(group_files):
     assert "nan" in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["inj", "--group", "{parabolic}", "--tmax", "inf"],
+    ["orbit", "--flow", "geodesic", "--end", "inf"],
+    ["diagnose", "--group", "{parabolic}", "--band", "50", "60", "--min-len", "0"],
+    ["diagnose", "--group", "{parabolic}", "--eps", "nan"],
+    ["diagnose", "--group", "{parabolic}", "--window", "0"],
+    ["classify", "--group", "{parabolic}", "--point", "nan"],
+], ids=["inj-tmax-inf", "orbit-end-inf", "diagnose-min-len-0", "diagnose-eps-nan",
+        "diagnose-window-0", "classify-point-nan"])
+def test_cli_bad_arguments_end_without_a_traceback(group_files, argv):
+    r = _cli(*(a.format(**group_files) for a in argv))
+    assert r.returncode in (1, 2)
+    assert "Traceback" not in r.stderr
+    assert "horoflow: error:" in r.stderr
+
+
 def test_cli_version_runs():
     r = _cli("--version")
     assert r.returncode == 0

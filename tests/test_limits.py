@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import horoflow as hf
-from horoflow.group import ball_arrays
-from horoflow.limits import LimitVerdict, _orbit_heights_raw
+from horoflow.group import ball_arrays, orbit_height
+from horoflow.limits import LimitVerdict
 
 
 def test_orbit_heights_translation_orbit(parabolic_spec):
@@ -46,7 +46,7 @@ def test_orbit_heights_match_exact_composition(flute_spec, xi):
         for sign, m in ((1, g), (-1, g.inverse())):
             letters[sign * (k + 1)] = [Fraction(v) for v in (m.a, m.b, m.c, m.d)]
     ball = ball_arrays(flute_spec, 6)
-    heights = _orbit_heights_raw(ball, xi)
+    heights = orbit_height(ball, xi)
     rows = np.random.default_rng(6).choice(len(ball), 300, replace=False)
     for i in rows.tolist() + [len(ball) - 1]:
         a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
@@ -67,7 +67,7 @@ def test_orbit_heights_keep_digits_near_an_irrational(x):
     # cancels; the integer entries make the exact heights computable.
     gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)))
     ball = ball_arrays(gamma2)
-    heights = _orbit_heights_raw(ball, hf.bp(x))
+    heights = orbit_height(ball, hf.bp(x))
     X = Fraction(x)
     for i in np.argsort(heights)[-20:].tolist():
         a, b, c, d = (Fraction(float(v[i])) for v in (ball.a, ball.b, ball.c, ball.d))
