@@ -62,6 +62,8 @@ def test_finder_band_validation(hyperbolic_spec):
         hf.find_bounded_escaping_sequence(hyperbolic_spec, (2.0, 1.0))
     with pytest.raises(ValueError):
         hf.find_bounded_escaping_sequence(hyperbolic_spec, (0.0, 1.0))
+    with pytest.raises(ValueError):
+        hf.find_bounded_escaping_sequence(hyperbolic_spec, (50.0, 60.0), min_len=0)
 
 
 def test_sequence_heights_and_busemann_values_match_exact_composition(schottky_spec):
@@ -90,11 +92,6 @@ def test_sequence_heights_and_busemann_values_match_exact_composition(schottky_s
 def test_dichotomy_rejects_bad_settle_parameters(parabolic_spec, kwargs):
     with pytest.raises(ValueError):
         hf.run_dichotomy(parabolic_spec, band=(50.0, 60.0), **kwargs)
-
-
-def test_finder_rejects_empty_sequences(parabolic_spec):
-    with pytest.raises(ValueError):
-        hf.find_bounded_escaping_sequence(parabolic_spec, (50.0, 60.0), min_len=0)
 
 
 # ---------------------------------------------------------------------------
