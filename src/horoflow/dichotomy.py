@@ -256,6 +256,14 @@ def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidat
 # coefficient asymptotics
 
 
+def _check_settle(eps: float, window: int) -> None:
+    """Raise ValueError unless eps is finite and positive and window is at least 1."""
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+
+
 def _strictly_increasing_tail(values, window: int) -> bool:
     steps = min(window, len(values) - 1)
     if steps < 1:
@@ -267,6 +275,7 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
                                   window: int = WINDOW) -> CoefficientAsymptotics:
     """Coefficient-stream evidence: |a_n| divergence, c_n -> 0, the bound
     c_n^2 + d_n^2 >= 1/M, and the ln|b_n| displacement probe."""
+    _check_settle(eps, window)
     coeffs = np.array(seq.coefficients, dtype=float)
     a, b, c, d = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3]
     n = len(seq.elements)
@@ -340,6 +349,7 @@ def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
     settled value is the candidate time. Converged means both streams sit
     below eps over the trailing window.
     """
+    _check_settle(eps, window)
     return _return_time(_sequence_orbit(u, seq), alpha, eps, window)
 
 
@@ -417,10 +427,7 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     0 -> non-minimality-evidence(t), anything unsettled -> inconclusive.
     ``candidate`` injects a prebuilt sequence in place of the ball search.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
+    _check_settle(eps, window)
     u_inf = u.forward_endpoint()
     if not u_inf.is_infinity:
         if candidate is not None:

@@ -94,12 +94,13 @@ def _canonical_signs(p: np.ndarray) -> np.ndarray:
     return np.where(lead < 0.0, -p, p)
 
 
-def _check_det(p: np.ndarray) -> None:
-    # The Mobius determinant check per column.
+def _check_det(p: np.ndarray, length: int) -> None:
+    # The Mobius determinant check per column, its tolerance scaled by the
+    # word length: each of the ``length`` rounded products may add its drift.
     a, b, c, d = p
     det = a * d - b * c
     scale = np.maximum(1.0, np.maximum(np.abs(a * d), np.abs(b * c)))
-    bad = ~(np.abs(det - 1.0) <= DET_TOL * scale)
+    bad = ~(np.abs(det - 1.0) <= (DET_TOL * length) * scale)
     if bad.any():
         i = int(bad.argmax())
         raise ValueError(f"matrix {tuple(p[:, i].tolist())} has det {float(det[i])}, not 1")
@@ -164,7 +165,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
     front = (identity, np.full(1, -1), np.zeros(1, dtype=int))  # coefficients, rows, letters
     levels = [(np.empty((4, 0)), np.empty(0, dtype=int), np.empty(0, dtype=int))]  # length 0
     total = 0
-    for _ in range(depth):
+    for length in range(1, depth + 1):
         coeffs, rows, last = front
         level = []
         for s in range(0, rows.size, step):
@@ -175,7 +176,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
                           c * ga + d * gc, c * gb + d * gd])[:, mask]
             p = _canonical_signs(p)
             keys = dedup_keys(p, spec.dedup_tol)
-            _check_det(p)
+            _check_det(p, length)
             offset = seen.size
             seen, first = np.unique(np.concatenate([seen, keys]), return_index=True)
             new = np.sort(first[first >= offset]) - offset

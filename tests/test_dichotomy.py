@@ -94,6 +94,19 @@ def test_dichotomy_rejects_bad_settle_parameters(parabolic_spec, kwargs):
         hf.run_dichotomy(parabolic_spec, band=(50.0, 60.0), **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [{"window": 0}, {"eps": math.nan}, {"eps": math.inf},
+                                    {"eps": 0.0}, {"eps": -1e-6}],
+                         ids=["window=0", "eps=nan", "eps=inf", "eps=0", "eps<0"])
+def test_settle_functions_reject_bad_settle_parameters(kwargs):
+    sc = hf.synthetic_candidate(_synthetic_matrices(), (0.1, 2.0))
+    with pytest.raises(ValueError):
+        hf.test_recurrence(hf.BASE_TANGENT, sc, **kwargs)
+    with pytest.raises(ValueError):
+        hf.test_return_time(hf.BASE_TANGENT, hf.Mobius.identity(), sc, **kwargs)
+    with pytest.raises(ValueError):
+        hf.check_coefficient_asymptotics(sc, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # return-time streams
 

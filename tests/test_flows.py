@@ -130,3 +130,56 @@ def test_profile_survives_squares_past_the_float_range(schottky_spec):
     p = hf.injectivity_profile(schottky_spec, t_max=700.0, step=350.0, depth=6)
     assert np.all(np.isfinite(p.inj_estimates))
     assert p.inj_estimates[2] - p.inj_estimates[1] == pytest.approx(350.0, abs=1e-6)
+
+
+M = hf.Mobius
+GAMMA2 = hf.GroupSpec((M(1, 2, 0, 1), M(1, 0, 2, 1)))
+PSL2Z = hf.GroupSpec((M(0, -1, 1, 0), M(1, 1, 0, 1)), max_word_length=20)
+# a ray diving to the boundary point 5.115... of the flute
+DIVING = hf.UnitTangent(M(2.0557572159931365, -0.1255172451590788,
+                          0.40188744443969604, 0.4619009422526465))
+
+
+def _ray(u, times):
+    m = u.frame
+    z0 = 1j * np.exp(times)
+    return (m.a * z0 + m.b) / (m.c * z0 + m.d)
+
+
+def _frames(rng, sampler):
+    vertical = []
+    for _ in range(2):  # n_x a_y: based at x + i e^y, climbing straight up
+        x, y = rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)
+        e = math.exp(y / 2.0)
+        vertical.append(hf.UnitTangent(M(e, x / e, 0.0, 1.0 / e)))
+    general = [hf.UnitTangent(sampler(rng)) for _ in range(2)]
+    return [hf.BASE_TANGENT, DIVING] + vertical + general
+
+
+@pytest.mark.parametrize("spec, depth", [
+    (hf.schottky_pair(), 8), (hf.truncated_flute(), 5), (GAMMA2, 8), (PSL2Z, 14),
+    (hf.schottky_pair(), 4),
+], ids=["schottky", "flute", "gamma2", "psl2z-elliptic", "below-seed-rows"])
+def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sampler):
+    ball = hf.ball_arrays(spec, depth)
+    if depth == 4:
+        assert len(ball) < 512
+    for u in _frames(rng, mobius_sampler):
+        prof = hf.injectivity_profile(spec, u, depth=depth)
+        z = _ray(u, prof.times)
+        full = 0.5 * (2.0 * np.arcsinh(hf.flows._min_sinh(z, ball.a, ball.b, ball.c, ball.d)))
+        assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
+
+
+@pytest.mark.parametrize("spec, depth, u", [
+    (hf.truncated_flute(), 5, DIVING),
+    (PSL2Z, 14, hf.UnitTangent(M(1.3, 0.4, -0.7, 0.5538461538461539))),
+], ids=["flute-diving", "psl2z-general"])
+def test_lower_bounds_hold_at_every_sample(spec, depth, u):
+    ball = hf.ball_arrays(spec, depth)
+    z = _ray(u, 0.1 * np.arange(101))
+    low = hf.flows._lower_bounds(z, ball, u.frame)
+    for i in range(len(ball)):
+        row = slice(i, i + 1)  # the kernel's min over one row is its value
+        values = hf.flows._min_sinh(z, ball.a[row], ball.b[row], ball.c[row], ball.d[row])
+        assert np.all(low[i] <= values), i

@@ -7,6 +7,7 @@ import pytest
 
 import horoflow as hf
 from horoflow.group import ball_arrays
+from horoflow.halfplane import DET_TOL
 
 
 def _rotation(theta):
@@ -134,6 +135,17 @@ def test_ball_matches_scalar_breadth_first(spec, depth):
     assert [e.word for e in hf.enumerate_ball(spec, depth)] == words
     e = ball.element(len(ball) - 1)
     assert e.word == words[-1] and e.mobius == ref[-1][1]
+
+
+def test_determinant_drift_is_allowed_per_letter():
+    # PSL(2,Z) in non-integer coordinates: 20 rounded products drift det by
+    # 2.6e-12, past DET_TOL, on exact products of valid generators.
+    h = M(math.sqrt(3.0), 0.0, 0.0, 1.0 / math.sqrt(3.0)) @ M(1.0, 0.37, 0.0, 1.0)
+    spec = hf.conjugate_spec(PSL2Z, h)
+    ball = ball_arrays(spec, 20)
+    assert len(ball) == len(ball_arrays(PSL2Z, 20))
+    drift = np.abs(ball.a * ball.d - ball.b * ball.c - 1.0)
+    assert drift.max() > DET_TOL
 
 
 def test_ball_too_large_counts_deduped_elements():

@@ -1,13 +1,18 @@
 """Group-file parsing and the command-line surface (run as subprocesses)."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import horoflow as hf
+from horoflow import cli
 from horoflow.groupio import spec_to_data
 
 
@@ -225,3 +230,64 @@ def test_cli_version_runs():
     r = _cli("--version")
     assert r.returncode == 0
     assert hf.__version__ in r.stdout
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv, run in process
+
+
+_SPECIAL = ["nan", "inf", "-inf", "1e-300", "1e300", "x"]
+_REAL = st.one_of(st.floats(-20.0, 20.0).map(repr), st.sampled_from(_SPECIAL))
+# grid steps stay coarse enough that an accepted grid prints at most ~800 rows
+_STEP = st.one_of(st.floats(0.05, 5.0).map(repr), st.sampled_from(["0", "-0.1"] + _SPECIAL))
+_SMALL_INT = st.integers(-1, 4).map(str)
+
+
+def _option(flag, *values):
+    return st.one_of(st.just([]), st.tuples(*values).map(lambda v: [flag, *v]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["classify", "inj", "diagnose", "orbit", "verify"]))
+    argv = [command]
+    if command in ("classify", "inj", "diagnose"):
+        group = draw(st.sampled_from(["parabolic", "hyperbolic", "bad", "missing"]))
+        argv += ["--group", "{%s}" % group] + draw(_option("--depth", _SMALL_INT))
+    if command == "classify":
+        argv += draw(_option("--point", _REAL)) + draw(_option("--tol", _REAL))
+    elif command == "inj":
+        argv += draw(_option("--tmax", _REAL)) + draw(_option("--step", _STEP))
+    elif command == "diagnose":
+        argv += (draw(_option("--band", _REAL, _REAL)) + draw(_option("--eps", _REAL))
+                 + draw(_option("--window", _SMALL_INT)) + draw(_option("--min-len", _SMALL_INT)))
+    elif command == "orbit":
+        argv += (draw(_option("--flow", st.sampled_from(["geodesic", "horocycle", "spiral"])))
+                 + draw(_option("--start", _REAL)) + draw(_option("--end", _REAL))
+                 + draw(_option("--step", _STEP)))
+    else:
+        argv += (draw(_option("--samples", st.integers(-1, 40).map(str)))
+                 + draw(_option("--seed", st.integers(0, 2 ** 31).map(str)))
+                 + draw(_option("--tol", _REAL)))
+    return argv
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --version
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(argv=_argv())
+def test_cli_fuzzed_argv_exits_cleanly_and_deterministically(group_files, argv):
+    paths = dict(group_files, missing=group_files["bad"] + ".missing")
+    argv = [a.format(**paths) for a in argv]
+    code, out, err = _main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert _main(argv)[:2] == (code, out)
