@@ -118,47 +118,67 @@ def _min_sinh(z: np.ndarray, a, b, c, d) -> np.ndarray:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an infinite reach voids the bounds
-def _lower_bounds(z: np.ndarray, ball, frame: Mobius) -> np.ndarray:
-    """Per row g, a bound that ``_min_sinh`` of g alone stays above at every
-    sample z of the ray frame(i s).
+def _ray_bounds(z: np.ndarray, ball, frame: Mobius):
+    """Per row g, the terms of a bound that ``_min_sinh`` of g alone stays
+    above along the ray z = frame(i s): ``(low, ch, bh, err, reach)``.
 
-    With h = frame^-1 g frame, 4 sinh^2(dist(z, g z)/2) = (c_h s + b_h/s)^2 +
+    With h = adj(frame) g frame, 4 sinh^2(dist(z, g z)/2) = (c_h s + b_h/s)^2 +
     (d_h - a_h)^2 on the ray, and no point is moved less than the translation
-    length l, where 2 sinh(l/2) = sqrt(tr^2 - 4) (Beardon, GTM 91). The slack
-    covers the rounding of d_h - a_h and of the kernel's terms, which are at
-    most max|g| (1 + |z|)^2 / Im z in size, and of z itself.
+    length l, where 2 sinh(l/2) = sqrt(tr^2 - 4) (Beardon, GTM 91). ``low``
+    bounds every sample from these last two terms; ``_block_bound`` adds the
+    first, from ch = |c_h| and bh = |b_h|, over a block of samples. The
+    kernel's terms are at most max|g| (1 + |z|)^2 / Im z in size; err * reach
+    covers their rounding and that of z and of d_h - a_h, err * s that of
+    c_h s and b_h / s.
     """
     p, q, r, s = frame.a, frame.b, frame.c, frame.d
     a, b, c, d = ball.a, ball.b, ball.c, ball.d
     dh_ah = (d - a) * (p * s + q * r) + (2.0 * p * q) * c - (2.0 * r * s) * b
+    ch = np.abs((p * p) * c - (r * r) * b + (p * r) * (d - a))
+    bh = np.abs((s * s) * b - (q * q) * c + (q * s) * (a - d))
     tr = a + d
     low = 0.5 * np.maximum(np.abs(dh_ah), np.sqrt(np.maximum(tr * tr - 4.0, 0.0)))
     size = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    err = (8.0 * _ULP * (p * p + q * q + r * r + s * s)) * size
     reach = float(((1.0 + np.abs(z)) ** 2 / z.imag).max())
-    return low - (8.0 * _ULP * (p * p + q * q + r * r + s * s) * reach) * size
+    return low - err * reach, ch, bh, err, reach
 
 
-def _min_displacements(z: np.ndarray, ball, frame: Mobius) -> np.ndarray:
-    """Min over the ball of dist(z, g z), per sample z of the ray frame(i s).
+@np.errstate(over="ignore", invalid="ignore")  # a NaN bound keeps its row
+def _block_bound(ch, bh, err, reach: float, s0: float, s1: float) -> np.ndarray:
+    """Per row, half the least of |c_h s + b_h/s| over s0 <= s <= s1, less
+    its slack: a bound that ``_min_sinh`` of the row stays above there."""
+    e = np.maximum(ch * s0 - bh / s0, bh / s1 - ch * s1)
+    return 0.5 * e - err * (reach + 2.0 * (s1 + 1.0 / s0))
 
-    The rows with the smallest lower bounds give each sample an upper bound
-    on its minimum; every other row is evaluated only on the blocks of
-    samples where its lower bound does not exceed twice that upper bound;
-    the factor leaves room for relative errors in the bounds, such as the
-    drift of det g from 1 in deep words. A pruned row is larger than a kept
-    one, so the min, an exact selection, is that of the full scan bit for bit.
+
+def _min_displacements(z: np.ndarray, s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
+    """Min over the ball of dist(z, g z), per sample z = frame(i s) of the ray,
+    s increasing.
+
+    The rows with the smallest bounds ``low`` give each sample an upper bound
+    on its minimum. Every other row is evaluated only on the blocks of
+    samples where both its bounds, ``low`` and ``_block_bound``, are at most
+    twice the block's largest upper bound; the factor leaves room for
+    relative errors in the bounds, such as the drift of det g from 1 in deep
+    words. A pruned row is larger than a kept one, so the min, an exact
+    selection, is that of the full scan bit for bit.
     """
     a, b, c, d = ball.a, ball.b, ball.c, ball.d
-    low = _lower_bounds(z, ball, frame)
+    low, ch, bh, err, reach = _ray_bounds(z, ball, frame)
     seed = np.argpartition(low, _SEED_ROWS)[:_SEED_ROWS] if low.size > _SEED_ROWS else slice(None)
     best = _min_sinh(z, a[seed], b[seed], c[seed], d[seed])
     rest = np.ones(low.size, dtype=bool)
     rest[seed] = False
     # not (low > bound) keeps the rows whose bound is NaN
     rows = np.nonzero(rest & ~(low > 2.0 * best.max()))[0]
+    low, ch, bh, err = low[rows], ch[rows], bh[rows], err[rows]
     for k in range(0, z.size, _BLOCK):
         blk = slice(k, k + _BLOCK)
-        keep = rows[~(low[rows] > 2.0 * best[blk].max())]
+        top = 2.0 * best[blk].max()
+        near = np.nonzero(~(low > top))[0]
+        bound = _block_bound(ch[near], bh[near], err[near], reach, s[k], s[blk][-1])
+        keep = rows[near[~(bound > top)]]
         for i in range(0, keep.size, _CHUNK_ROWS):
             sl = keep[i:i + _CHUNK_ROWS]
             best[blk] = np.minimum(best[blk], _min_sinh(z[blk], a[sl], b[sl], c[sl], d[sl]))
@@ -186,7 +206,7 @@ def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     m = u.frame
     z0 = 1j * np.exp(times)
     z = (m.a * z0 + m.b) / (m.c * z0 + m.d)
-    inj = 0.5 * _min_displacements(z, ball, m)
+    inj = 0.5 * _min_displacements(z, z0.imag, ball, m)
     tail = max(1, int(math.ceil(tail_fraction * n)))
     return RayProfile(times=times, inj_estimates=inj,
                       liminf_estimate=float(inj[-tail:].min()))

@@ -174,12 +174,18 @@ def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sample
 @pytest.mark.parametrize("spec, depth, u", [
     (hf.truncated_flute(), 5, DIVING),
     (PSL2Z, 14, hf.UnitTangent(M(1.3, 0.4, -0.7, 0.5538461538461539))),
-], ids=["flute-diving", "psl2z-general"])
+    (hf.schottky_pair(), 7, hf.UnitTangent(M(1.2, 1.9, 0.0, 1.0 / 1.2))),
+], ids=["flute-diving", "psl2z-general", "schottky-funnel"])
 def test_lower_bounds_hold_at_every_sample(spec, depth, u):
     ball = hf.ball_arrays(spec, depth)
+    s = np.exp(0.1 * np.arange(101))
     z = _ray(u, 0.1 * np.arange(101))
-    low = hf.flows._lower_bounds(z, ball, u.frame)
+    low, ch, bh, err, reach = hf.flows._ray_bounds(z, ball, u.frame)
+    blocks = [slice(k, k + hf.flows._BLOCK) for k in range(0, s.size, hf.flows._BLOCK)]
+    bounds = [hf.flows._block_bound(ch, bh, err, reach, s[blk][0], s[blk][-1]) for blk in blocks]
     for i in range(len(ball)):
         row = slice(i, i + 1)  # the kernel's min over one row is its value
         values = hf.flows._min_sinh(z, ball.a[row], ball.b[row], ball.c[row], ball.d[row])
         assert np.all(low[i] <= values), i
+        for blk, bound in zip(blocks, bounds):
+            assert np.all(bound[i] <= values[blk]), (i, blk)
