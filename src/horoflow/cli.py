@@ -164,11 +164,8 @@ def _cmd_inj(args) -> int:
     lines = ["t,inj_estimate"]
     for t, v in zip(profile.times, profile.inj_estimates):
         lines.append("%.17g,%.17g" % (t, v))
-    csv = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(csv)
-    else:
-        _emit(csv, args.out)
+    _emit("\n".join(lines) + "\n", args.out)
+    if args.out is not None:
         summary = _header("inj", {"group": args.group, "tmax": args.tmax,
                                   "step": args.step, "out": args.out})
         summary["rows"] = len(lines) - 1

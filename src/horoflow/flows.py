@@ -101,89 +101,80 @@ class RayProfile:
     liminf_estimate: float
 
 
-@np.errstate(over="ignore")  # an overflowed square is redone below
-def _min_sinh(z: np.ndarray, a, b, c, d) -> np.ndarray:
-    """Min over the given elements of |c z^2 + (d - a) z - b| / (2 Im z), which
-    is sinh(dist(z, g z) / 2) for det g = 1, per sample z."""
-    w = z / (2.0 * z.imag)
-    wz = w * z
-    dma = (d - a)[:, None]
-    xr = c[:, None] * wz.real + dma * w.real - b[:, None] * (0.5 / z.imag)
-    xi = c[:, None] * wz.imag + dma * w.imag
-    x = np.sqrt((xr * xr + xi * xi).min(axis=0))
-    over = np.isinf(x)
-    if over.any():
-        x[over] = np.hypot(xr[:, over], xi[:, over]).min(axis=0)
-    return x
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an infinite reach voids the bounds
-def _ray_bounds(z: np.ndarray, ball, frame: Mobius):
-    """Per row g, the terms of a bound that ``_min_sinh`` of g alone stays
-    above along the ray z = frame(i s): ``(low, ch, bh, err, reach)``.
-
-    With h = adj(frame) g frame, 4 sinh^2(dist(z, g z)/2) = (c_h s + b_h/s)^2 +
-    (d_h - a_h)^2 on the ray, and no point is moved less than the translation
-    length l, where 2 sinh(l/2) = sqrt(tr^2 - 4) (Beardon, GTM 91). ``low``
-    bounds every sample from these last two terms; ``_block_bound`` adds the
-    first, from ch = |c_h| and bh = |b_h|, over a block of samples. The
-    kernel's terms are at most max|g| (1 + |z|)^2 / Im z in size; err * reach
-    covers their rounding and that of z and of d_h - a_h, err * s that of
-    c_h s and b_h / s.
-    """
+def _ray_terms(ball, frame: Mobius):
+    """Per row g, (c_h, b_h, e_h = d_h - a_h) of h = adj(frame) g frame. On the
+    ray z = frame(i s), 4 sinh^2(dist(z, g z)/2) = (c_h s + b_h/s)^2 + e_h^2
+    exactly (Beardon, GTM 91); the kernel and both bounds read these only."""
     p, q, r, s = frame.a, frame.b, frame.c, frame.d
     a, b, c, d = ball.a, ball.b, ball.c, ball.d
-    dh_ah = (d - a) * (p * s + q * r) + (2.0 * p * q) * c - (2.0 * r * s) * b
-    ch = np.abs((p * p) * c - (r * r) * b + (p * r) * (d - a))
-    bh = np.abs((s * s) * b - (q * q) * c + (q * s) * (a - d))
-    tr = a + d
-    low = 0.5 * np.maximum(np.abs(dh_ah), np.sqrt(np.maximum(tr * tr - 4.0, 0.0)))
-    size = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
-    err = (8.0 * _ULP * (p * p + q * q + r * r + s * s)) * size
-    reach = float(((1.0 + np.abs(z)) ** 2 / z.imag).max())
-    return low - err * reach, ch, bh, err, reach
+    dma = d - a
+    ch = (p * p) * c - (r * r) * b + (p * r) * dma
+    bh = (s * s) * b - (q * q) * c - (q * s) * dma
+    eh = (p * s + q * r) * dma + (2.0 * p * q) * c - (2.0 * r * s) * b
+    return ch, bh, eh
+
+
+@np.errstate(over="ignore")  # an overflowed square is redone below
+def _min_2sinh(s: np.ndarray, ch, bh, eh) -> np.ndarray:
+    """Min over the rows of sqrt((c_h s + b_h/s)^2 + e_h^2), which is
+    2 sinh(dist(z, g z)/2) at z = frame(i s), per sample s."""
+    x = ch[:, None] * s + bh[:, None] / s
+    e = eh[:, None]
+    m = np.sqrt((x * x + e * e).min(axis=0))
+    over = np.isinf(m)
+    if over.any():
+        m[over] = np.hypot(x[:, over], e).min(axis=0)
+    return m
+
+
+def _floor(ch, bh, eh) -> np.ndarray:
+    """Per row, the least of the kernel over s > 0, less 4 ulps for its
+    rounding near s = sqrt(b_h/c_h). As e_h^2 + 4 c_h b_h = tr^2 - 4, it
+    covers the translation length."""
+    return np.sqrt(eh * eh + np.maximum(4.0 * ch * bh, 0.0)) * (1.0 - 4.0 * _ULP)
+
+
+def _block_floor(abs_ch, abs_bh, s0: float, s1: float) -> np.ndarray:
+    """Per row, a bound on the kernel over s0 <= s <= s1: |c_h s + b_h/s| is
+    at least |c_h| s - |b_h|/s, which increases, and |b_h|/s - |c_h| s, which
+    decreases. Rounding is monotone, so the rounded kernel keeps to it."""
+    return np.maximum(abs_ch * s0 - abs_bh / s0, abs_bh / s1 - abs_ch * s1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a NaN bound keeps its row
-def _block_bound(ch, bh, err, reach: float, s0: float, s1: float) -> np.ndarray:
-    """Per row, half the least of |c_h s + b_h/s| over s0 <= s <= s1, less
-    its slack: a bound that ``_min_sinh`` of the row stays above there."""
-    e = np.maximum(ch * s0 - bh / s0, bh / s1 - ch * s1)
-    return 0.5 * e - err * (reach + 2.0 * (s1 + 1.0 / s0))
-
-
-def _min_displacements(z: np.ndarray, s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
+def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     """Min over the ball of dist(z, g z), per sample z = frame(i s) of the ray,
     s increasing.
 
-    The rows with the smallest bounds ``low`` give each sample an upper bound
-    on its minimum. Every other row is evaluated only on the blocks of
-    samples where both its bounds, ``low`` and ``_block_bound``, are at most
-    twice the block's largest upper bound; the factor leaves room for
-    relative errors in the bounds, such as the drift of det g from 1 in deep
-    words. A pruned row is larger than a kept one, so the min, an exact
-    selection, is that of the full scan bit for bit.
+    The rows with the smallest ``_floor`` give each sample an upper bound on
+    its minimum. Every other row is evaluated only on the blocks of samples
+    where both its bounds, ``_floor`` and ``_block_floor``, are at most twice
+    the block's largest upper bound; the factor leaves room for squares that
+    underflow, where the kernel's rounding is no longer relative. A pruned
+    row is larger than a kept one, so the min, an exact selection, is that
+    of the full scan bit for bit.
     """
-    a, b, c, d = ball.a, ball.b, ball.c, ball.d
-    low, ch, bh, err, reach = _ray_bounds(z, ball, frame)
+    ch, bh, eh = _ray_terms(ball, frame)
+    low = _floor(ch, bh, eh)
     seed = np.argpartition(low, _SEED_ROWS)[:_SEED_ROWS] if low.size > _SEED_ROWS else slice(None)
-    best = _min_sinh(z, a[seed], b[seed], c[seed], d[seed])
+    best = _min_2sinh(s, ch[seed], bh[seed], eh[seed])
     rest = np.ones(low.size, dtype=bool)
     rest[seed] = False
     # not (low > bound) keeps the rows whose bound is NaN
     rows = np.nonzero(rest & ~(low > 2.0 * best.max()))[0]
-    low, ch, bh, err = low[rows], ch[rows], bh[rows], err[rows]
-    for k in range(0, z.size, _BLOCK):
+    low, ch, bh, eh = low[rows], ch[rows], bh[rows], eh[rows]
+    abs_ch, abs_bh = np.abs(ch), np.abs(bh)
+    for k in range(0, s.size, _BLOCK):
         blk = slice(k, k + _BLOCK)
         top = 2.0 * best[blk].max()
         near = np.nonzero(~(low > top))[0]
-        bound = _block_bound(ch[near], bh[near], err[near], reach, s[k], s[blk][-1])
-        keep = rows[near[~(bound > top)]]
+        bound = _block_floor(abs_ch[near], abs_bh[near], s[k], s[blk][-1])
+        keep = near[~(bound > top)]
         for i in range(0, keep.size, _CHUNK_ROWS):
             sl = keep[i:i + _CHUNK_ROWS]
-            best[blk] = np.minimum(best[blk], _min_sinh(z[blk], a[sl], b[sl], c[sl], d[sl]))
+            best[blk] = np.minimum(best[blk], _min_2sinh(s[blk], ch[sl], bh[sl], eh[sl]))
     # asinh is increasing, so it is taken once per sample, after the min
-    return 2.0 * np.arcsinh(best)
+    return 2.0 * np.arcsinh(0.5 * best)
 
 
 def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
@@ -203,10 +194,7 @@ def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
         raise EmptyBall("injectivity profile needs a non-empty word ball")
     n = sample_count(t_max, step)
     times = step * np.arange(n)
-    m = u.frame
-    z0 = 1j * np.exp(times)
-    z = (m.a * z0 + m.b) / (m.c * z0 + m.d)
-    inj = 0.5 * _min_displacements(z, z0.imag, ball, m)
+    inj = 0.5 * _min_displacements(np.exp(times), ball, u.frame)
     tail = max(1, int(math.ceil(tail_fraction * n)))
     return RayProfile(times=times, inj_estimates=inj,
                       liminf_estimate=float(inj[-tail:].min()))

@@ -60,6 +60,9 @@ class GroupSpec:
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise InvalidGenerator("a group spec needs at least one generator")
+        # checked before the identity test, which every generator passes on an infinite grid
+        if not 0.0 < self.dedup_tol < math.inf:
+            raise InvalidGenerator(f"dedup_tol must be positive and finite, got {self.dedup_tol}")
         for g in gens:
             if not isinstance(g, Mobius):
                 raise InvalidGenerator(f"generator {g!r} is not a Mobius value")
@@ -68,8 +71,6 @@ class GroupSpec:
         if not (isinstance(self.max_word_length, int) and not isinstance(self.max_word_length, bool)
                 and self.max_word_length >= 1):
             raise InvalidGenerator(f"max_word_length must be a positive integer, got {self.max_word_length}")
-        if not self.dedup_tol > 0.0:
-            raise InvalidGenerator("dedup_tol must be positive")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
@@ -140,14 +141,15 @@ class Ball:
         return tuple(reversed(w))
 
     def element(self, i: int) -> GroupElement:
-        m = Mobius(float(self.a[i]), float(self.b[i]), float(self.c[i]), float(self.d[i]))
+        # the row's own coefficients: _check_det admitted them for its word length
+        m = Mobius._admitted(self.a[i], self.b[i], self.c[i], self.d[i])
         return GroupElement(m, self.word(i))
 
     def elements(self) -> tuple[GroupElement, ...]:
         words: list[tuple[int, ...]] = []
         for p, l in zip(self.parent.tolist(), self.letter.tolist()):
             words.append((words[p] if p >= 0 else ()) + (l,))
-        return tuple(GroupElement(Mobius(a, b, c, d), w) for a, b, c, d, w in zip(
+        return tuple(GroupElement(Mobius._admitted(a, b, c, d), w) for a, b, c, d, w in zip(
             self.a.tolist(), self.b.tolist(), self.c.tolist(), self.d.tolist(), words))
 
 
@@ -215,18 +217,14 @@ def ball_arrays(spec: GroupSpec, depth: int | None = None) -> Ball:
     return _cached_ball(spec, _check_depth(spec, depth))
 
 
-def enumerate_ball(spec: GroupSpec, depth: int | None = None,
-                   max_elements: int = ENUM_CAP) -> tuple[GroupElement, ...]:
+def enumerate_ball(spec: GroupSpec, depth: int | None = None) -> tuple[GroupElement, ...]:
     """The ball's elements as GroupElements, in :class:`Ball` order. Raises
-    BallTooLarge past ``max_elements``.
+    BallTooLarge past ENUM_CAP elements.
 
     Builds one Python object per element on every call; code that scans a
     ball uses :func:`ball_arrays` and builds only the elements it reports.
     """
-    depth = _check_depth(spec, depth)
-    if max_elements == ENUM_CAP:
-        return _cached_ball(spec, depth).elements()
-    return _build_ball(spec, depth, max_elements).elements()
+    return _cached_ball(spec, _check_depth(spec, depth)).elements()
 
 
 def orbit_height(g, xi: BoundaryPoint):

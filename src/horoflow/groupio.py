@@ -21,7 +21,7 @@ import json
 from .errors import InvalidGenerator, ParseError
 from .group import (DEDUP_TOL, GroupSpec, cyclic_hyperbolic, cyclic_parabolic,
                     schottky_pair, truncated_flute)
-from .halfplane import DET_TOL, Mobius
+from .halfplane import Mobius
 
 
 def _matrix_entries(m, where: str) -> tuple[float, float, float, float]:
@@ -35,18 +35,16 @@ def _matrix_entries(m, where: str) -> tuple[float, float, float, float]:
         raise ParseError(f"{where}: expected a 2x2 matrix (nested or flat), got {m!r}")
     try:
         return tuple(float(v) for v in flat)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{where}: matrix entries must be numbers, got {m!r}") from None
 
 
 def _parse_generator(m, where: str) -> Mobius:
-    a, b, c, d = _matrix_entries(m, where)
-    det = a * d - b * c
-    scale = max(1.0, abs(a * d), abs(b * c))
-    if abs(det - 1.0) > DET_TOL * scale:
-        raise InvalidGenerator(
-            f"{where}: determinant is {det!r}, not 1; rescale the matrix yourself")
-    return Mobius(a, b, c, d)
+    entries = _matrix_entries(m, where)
+    try:
+        return Mobius(*entries)
+    except ValueError as exc:
+        raise InvalidGenerator(f"{where}: {exc}; rescale the matrix yourself") from None
 
 
 _FAMILY_KINDS = ("cyclic-parabolic", "cyclic-hyperbolic",
@@ -80,7 +78,7 @@ def _resolve_family(family) -> GroupSpec:
                 spec = truncated_flute(spacing=spacing)
             else:
                 spec = truncated_flute(tuple(float(v) for v in lengths), spacing)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, (ParseError, InvalidGenerator)):
             raise
         raise ParseError(f"bad parameters for family {kind!r}: {exc}") from None
@@ -121,7 +119,7 @@ def parse_group_spec(data) -> GroupSpec:
     if "dedup_tol" in data:
         try:
             kwargs["dedup_tol"] = float(data["dedup_tol"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"'dedup_tol' must be a number, got {data['dedup_tol']!r}") from None
     return GroupSpec(generators, **kwargs)
 

@@ -38,10 +38,6 @@ class PointH:
     def z(self) -> complex:
         return complex(self.re, self.im)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "PointH":
-        return cls(float(z.real), float(z.imag))
-
 
 POINT_I = PointH(0.0, 1.0)
 
@@ -51,10 +47,6 @@ class BoundaryPoint:
     """A point of the boundary circle R u {inf}; value None encodes inf."""
 
     value: float | None = None
-
-    @classmethod
-    def finite(cls, x: float) -> "BoundaryPoint":
-        return cls(float(x))
 
     @property
     def is_infinity(self) -> bool:
@@ -90,9 +82,9 @@ def bp(x) -> BoundaryPoint:
 class Mobius:
     """Unit-determinant real Moebius transformation, sign-canonicalized.
 
-    The constructor insists on det = ad - bc = 1 within DET_TOL (relative to
-    the size of the products); use :meth:`normalized` to rescale a positive-
-    determinant matrix first.
+    The constructor insists on finite entries and det = ad - bc = 1 within
+    DET_TOL (relative to the size of the products); use :meth:`normalized` to
+    rescale a positive-determinant matrix first.
     """
 
     a: float
@@ -104,8 +96,12 @@ class Mobius:
         a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
         det = a * d - b * c
         scale = max(1.0, abs(a * d), abs(b * c))
-        if not abs(det - 1.0) <= DET_TOL * scale:
+        # an infinite or NaN entry makes det infinite or NaN
+        if not (math.isfinite(det) and abs(det - 1.0) <= DET_TOL * scale):
             raise ValueError(f"matrix ({a}, {b}, {c}, {d}) has det {det}, not 1")
+        self._store(a, b, c, d)
+
+    def _store(self, a: float, b: float, c: float, d: float) -> None:
         for x in (a, b, c, d):
             if abs(x) > SIGN_TOL:
                 if x < 0.0:
@@ -115,6 +111,15 @@ class Mobius:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _admitted(cls, a: float, b: float, c: float, d: float) -> "Mobius":
+        """A Mobius from entries whose determinant has already been checked,
+        sign-canonicalized without a second check: a word-ball row, admitted
+        with a tolerance that grows with its word length, or an inverse."""
+        m = object.__new__(cls)
+        m._store(float(a), float(b), float(c), float(d))
+        return m
 
     @classmethod
     def identity(cls) -> "Mobius":
@@ -135,12 +140,6 @@ class Mobius:
         return cls(float(a), float(b), float(c), float(d))
 
     @property
-    def matrix(self):
-        import numpy as np
-
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
-
-    @property
     def trace(self) -> float:
         return self.a + self.d
 
@@ -154,7 +153,8 @@ class Mobius:
         return Mobius(a, b, c, d)
 
     def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
+        # the same products, so the same determinant as self
+        return Mobius._admitted(self.d, -self.b, -self.c, self.a)
 
     def is_identity(self, tol: float = GEOM_TOL) -> bool:
         return (

@@ -140,12 +140,6 @@ DIVING = hf.UnitTangent(M(2.0557572159931365, -0.1255172451590788,
                           0.40188744443969604, 0.4619009422526465))
 
 
-def _ray(u, times):
-    m = u.frame
-    z0 = 1j * np.exp(times)
-    return (m.a * z0 + m.b) / (m.c * z0 + m.d)
-
-
 def _frames(rng, sampler):
     vertical = []
     for _ in range(2):  # n_x a_y: based at x + i e^y, climbing straight up
@@ -154,6 +148,12 @@ def _frames(rng, sampler):
         vertical.append(hf.UnitTangent(M(e, x / e, 0.0, 1.0 / e)))
     general = [hf.UnitTangent(sampler(rng)) for _ in range(2)]
     return [hf.BASE_TANGENT, DIVING] + vertical + general
+
+
+def _full_scan(ball, u, times):
+    # the kernel over the whole ball, unpruned
+    x = hf.flows._min_2sinh(np.exp(times), *hf.flows._ray_terms(ball, u.frame))
+    return 0.5 * (2.0 * np.arcsinh(x / 2.0))
 
 
 @pytest.mark.parametrize("spec, depth", [
@@ -165,10 +165,10 @@ def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sample
     if depth == 4:
         assert len(ball) < 512
     for u in _frames(rng, mobius_sampler):
-        prof = hf.injectivity_profile(spec, u, depth=depth)
-        z = _ray(u, prof.times)
-        full = 0.5 * (2.0 * np.arcsinh(hf.flows._min_sinh(z, ball.a, ball.b, ball.c, ball.d)))
-        assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
+        for t_max, step in ((10.0, 0.1), (700.0, 350.0)):
+            prof = hf.injectivity_profile(spec, u, t_max=t_max, step=step, depth=depth)
+            full = _full_scan(ball, u, prof.times)
+            assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
 
 
 @pytest.mark.parametrize("spec, depth, u", [
@@ -179,13 +179,21 @@ def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sample
 def test_lower_bounds_hold_at_every_sample(spec, depth, u):
     ball = hf.ball_arrays(spec, depth)
     s = np.exp(0.1 * np.arange(101))
-    z = _ray(u, 0.1 * np.arange(101))
-    low, ch, bh, err, reach = hf.flows._ray_bounds(z, ball, u.frame)
+    ch, bh, eh = hf.flows._ray_terms(ball, u.frame)
+    low = hf.flows._floor(ch, bh, eh)
     blocks = [slice(k, k + hf.flows._BLOCK) for k in range(0, s.size, hf.flows._BLOCK)]
-    bounds = [hf.flows._block_bound(ch, bh, err, reach, s[blk][0], s[blk][-1]) for blk in blocks]
+    bounds = [hf.flows._block_floor(np.abs(ch), np.abs(bh), s[blk][0], s[blk][-1])
+              for blk in blocks]
     for i in range(len(ball)):
         row = slice(i, i + 1)  # the kernel's min over one row is its value
-        values = hf.flows._min_sinh(z, ball.a[row], ball.b[row], ball.c[row], ball.d[row])
+        values = hf.flows._min_2sinh(s, ch[row], bh[row], eh[row])
         assert np.all(low[i] <= values), i
+        # where rounding is tightest: at the row's least value s = sqrt(b_h/c_h),
+        # or just past the root s = sqrt(-b_h/c_h) of c_h s + b_h/s
+        m = math.sqrt(abs(bh[i] / ch[i])) if ch[i] * bh[i] != 0.0 else 1.0
+        for t in m * (1.0 + np.array([-1e-15, 0.0, 1e-15, 1e-12, 1e-9])):
+            value = hf.flows._min_2sinh(np.array([t]), ch[row], bh[row], eh[row])[0]
+            bound = hf.flows._block_floor(np.abs(ch[row]), np.abs(bh[row]), t, t)[0]
+            assert low[i] <= value and bound <= value, (i, t)
         for blk, bound in zip(blocks, bounds):
             assert np.all(bound[i] <= values[blk]), (i, blk)

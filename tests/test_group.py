@@ -77,7 +77,7 @@ def test_duplicate_generators_are_merged():
 def test_ball_too_large():
     spec = hf.schottky_pair(max_word_length=20)
     with pytest.raises(hf.BallTooLarge):
-        hf.enumerate_ball(spec, max_elements=100)
+        hf.group._build_ball(spec, spec.max_word_length, 100)
 
 
 M = hf.Mobius
@@ -146,15 +146,23 @@ def test_determinant_drift_is_allowed_per_letter():
     assert len(ball) == len(ball_arrays(PSL2Z, 20))
     drift = np.abs(ball.a * ball.d - ball.b * ball.c - 1.0)
     assert drift.max() > DET_TOL
+    # the elements are the rows, bit for bit, without a second check at DET_TOL
+    elements = hf.enumerate_ball(spec, 20)
+    assert len(elements) == len(ball)
+    for name in "abcd":
+        got = np.array([getattr(e.mobius, name) for e in elements])
+        assert np.array_equal(got.view(np.int64), getattr(ball, name).view(np.int64))
+    worst = int(drift.argmax())
+    assert ball.element(worst).mobius.inverse().inverse() == ball.element(worst).mobius
 
 
 def test_ball_too_large_counts_deduped_elements():
     # PSL(2,Z) merges about half of its candidate products; the cap counts
     # the kept elements only.
     n = len(ball_arrays(PSL2Z, 12))
-    assert len(hf.enumerate_ball(PSL2Z, 12, max_elements=n)) == n
+    assert len(hf.group._build_ball(PSL2Z, 12, n)) == n
     with pytest.raises(hf.BallTooLarge):
-        hf.enumerate_ball(PSL2Z, 12, max_elements=n - 1)
+        hf.group._build_ball(PSL2Z, 12, n - 1)
 
 
 def test_elliptic_scan_matches_scalar_classification():

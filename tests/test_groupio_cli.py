@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horoflow as hf
@@ -61,6 +61,29 @@ def test_non_unit_determinant_is_rejected_with_advice():
         hf.parse_group_spec({"generators": [[2.0, 0.0, 0.0, 1.0]]})
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_non_finite_generator_entries_are_invalid_generators(tmp_path, entry):
+    for m in ([[entry, 0.0], [0.0, 1.0]], [1.0, entry, 0.0, 1.0]):
+        with pytest.raises(hf.InvalidGenerator, match="rescale"):
+            hf.parse_group_spec({"generators": [m]})
+    # json reads NaN and Infinity from a file
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({"generators": [[[entry, 0.0], [0.0, 1.0]]]}))
+    with pytest.raises(hf.InvalidGenerator, match="rescale"):
+        hf.load_group_spec(p)
+
+
+def test_non_finite_dedup_tol_is_rejected_by_name(tmp_path):
+    g = hf.Mobius(1.0, 1.0, 0.0, 1.0)
+    for tol in (math.inf, math.nan, 0.0):
+        with pytest.raises(hf.InvalidGenerator, match="dedup_tol"):
+            hf.GroupSpec((g,), dedup_tol=tol)
+    p = tmp_path / "g.json"
+    p.write_text('{"generators": [[1, 1, 0, 1]], "dedup_tol": Infinity}')
+    with pytest.raises(hf.InvalidGenerator, match="dedup_tol"):
+        hf.load_group_spec(p)
+
+
 def test_parse_errors():
     with pytest.raises(hf.ParseError):
         hf.parse_group_spec({})  # neither generators nor family
@@ -90,6 +113,55 @@ def test_spec_to_data_omits_default_dedup(parabolic_spec):
     data = spec_to_data(parabolic_spec)
     assert "dedup_tol" not in data
     assert data["generators"] == [[[1.0, 1.0], [0.0, 1.0]]]
+
+
+# what json can decode: numbers include huge integers, NaN and +-inf
+_NUMBER = st.one_of(
+    st.sampled_from([0, 1, -1, 2, 0.5, math.nan, math.inf, -math.inf, 10 ** 400]),
+    st.integers(), st.floats())
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBER, st.text(max_size=6)),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.text(max_size=6), kids, max_size=3)),
+    max_leaves=8)
+_MATRIX = st.one_of(
+    st.sampled_from([[[1, 1], [0, 1]], [2.0, 0.0, 0.0, 0.5]]),
+    st.lists(_NUMBER, min_size=4, max_size=4),
+    st.lists(st.lists(_NUMBER, min_size=2, max_size=2), min_size=2, max_size=2),
+    _JSON)
+_FAMILY = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["cyclic-parabolic", "cyclic-hyperbolic", "schottky-pair",
+                              "flute-truncated", "lattice"])},
+    optional={"shift": _NUMBER, "lambda": _NUMBER, "spacing": _NUMBER,
+              "lengths": st.one_of(st.lists(_NUMBER, max_size=4), _JSON),
+              "circles": st.one_of(st.lists(st.lists(_NUMBER, min_size=2, max_size=2),
+                                            min_size=4, max_size=4), _JSON),
+              "spin": _JSON})
+_OPTIONAL = {"max_word_length": st.one_of(st.integers(), _JSON),
+             "dedup_tol": st.one_of(_NUMBER, _JSON), "colour": _JSON}
+_SPEC = st.one_of(
+    st.fixed_dictionaries({"generators": st.lists(_MATRIX, min_size=1, max_size=3)},
+                          optional=_OPTIONAL),
+    st.fixed_dictionaries({"family": _FAMILY}, optional=_OPTIONAL),
+    st.fixed_dictionaries({}, optional=dict(_OPTIONAL, generators=_JSON, family=_JSON)),
+    _JSON)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=_SPEC)
+@example(data={"generators": [[1, 1, 0, math.nan]]})
+@example(data={"generators": [[[math.inf, 0], [0, 1]]]})
+@example(data={"generators": [[10 ** 400, 0, 0, 1]]})
+@example(data={"generators": [[1, 1, 0, 1]], "dedup_tol": math.inf})
+@example(data={"family": {"kind": "cyclic-parabolic", "shift": 10 ** 400}})
+@example(data={"family": {"kind": "flute-truncated", "lengths": [1e300]}})
+def test_parse_group_spec_returns_a_spec_or_a_domain_error(data):
+    try:
+        spec = hf.parse_group_spec(data)
+    except hf.HoroflowError:
+        return
+    assert isinstance(spec, hf.GroupSpec)
+    assert all(math.isfinite(x) for g in spec.generators for x in (g.a, g.b, g.c, g.d))
 
 
 # ---------------------------------------------------------------------------
