@@ -151,8 +151,8 @@ def _cmd_orbit(args) -> int:
     times = args.start + args.step * np.arange(n)
     pts = orbit_points(BASE_TANGENT, args.flow, times)
     lines = ["s_or_t,re,im"]
-    for t, z in zip(times, pts):
-        lines.append("%s,%s,%s" % ("%.17g" % t, "%.17g" % z.real, "%.17g" % z.imag))
+    lines += ["%.17g,%.17g,%.17g" % row
+              for row in zip(times.tolist(), pts.real.tolist(), pts.imag.tolist())]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -162,8 +162,8 @@ def _cmd_inj(args) -> int:
     profile = injectivity_profile(spec, t_max=args.tmax, step=args.step,
                                   depth=args.depth)
     lines = ["t,inj_estimate"]
-    for t, v in zip(profile.times, profile.inj_estimates):
-        lines.append("%.17g,%.17g" % (t, v))
+    lines += ["%.17g,%.17g" % row
+              for row in zip(profile.times.tolist(), profile.inj_estimates.tolist())]
     _emit("\n".join(lines) + "\n", args.out)
     if args.out is not None:
         summary = _header("inj", {"group": args.group, "tmax": args.tmax,

@@ -237,13 +237,22 @@ def orbit_height(g, xi: BoundaryPoint):
     a - xi c keeps its digits where it cancels.
     """
     if xi.is_infinity:
-        return 1.0 / (g.c * g.c + g.d * g.d)
+        u = g.c * g.c
+        u += g.d * g.d
+        return 1.0 / u
     t = 134217729.0 * xi.value
     head = t - (t - xi.value)
     tail = xi.value - head
-    u = (g.a - head * g.c) - tail * g.c
-    v = (g.b - head * g.d) - tail * g.d
-    return 1.0 / (u * u + v * v)
+    # updated in place when g is a Ball (a float just rebinds): the same
+    # operations in the same order, so the same bits, with fewer temporaries
+    u = g.a - head * g.c
+    u -= tail * g.c
+    v = g.b - head * g.d
+    v -= tail * g.d
+    u *= u
+    v *= v
+    u += v
+    return 1.0 / u
 
 
 def _unwrap(g) -> Mobius:
@@ -267,16 +276,23 @@ def classify_isometry(g, class_tol: float = CLASS_TOL) -> IsometryClass:
     return IsometryClass.ELLIPTIC
 
 
+@functools.lru_cache(maxsize=64)
 def isometry_rows(ball: Ball, class_tol: float = CLASS_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Row indices (parabolic, elliptic) of the ball, as classify_isometry
-    sorts them: the trace picks the few candidates, then the identity test."""
+    sorts them: the trace picks the few candidates, then the identity test.
+
+    Memoized per (ball, class_tol), like :func:`ball_arrays`; the arrays are
+    shared between callers and read-only."""
     t = np.abs(ball.a + ball.d)
     parabolic = np.abs(t - 2.0) <= class_tol
     rows = np.nonzero(parabolic | ~(t > 2.0))[0]
     a, b, c, d = ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows]
     rows = rows[~((np.abs(a - 1.0) <= class_tol) & (np.abs(b) <= class_tol)
                   & (np.abs(c) <= class_tol) & (np.abs(d - 1.0) <= class_tol))]
-    return rows[parabolic[rows]], rows[~parabolic[rows]]
+    out = rows[parabolic[rows]], rows[~parabolic[rows]]
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def fixed_points(g, class_tol: float = CLASS_TOL) -> tuple[BoundaryPoint, BoundaryPoint]:

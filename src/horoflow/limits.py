@@ -59,7 +59,8 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
         raise ValueError(f"depth {depth} exceeds the spec's max_word_length {spec.max_word_length}")
     h = np.append(orbit_height(ball_arrays(spec, depth), xi),
                   orbit_height(Mobius.identity(), xi))
-    return np.sort(h)[::-1]
+    h.sort()
+    return h[::-1]
 
 
 def _find_cluster(heights: np.ndarray) -> float | None:
@@ -102,9 +103,19 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
         raise ValueError(
             f"depth must lie in [1, {spec.max_word_length}], got {depth}")
     ball = ball_arrays(spec, depth)
-    heights = np.append(orbit_height(Mobius.identity(), xi),
-                        orbit_height(ball, xi))
-    sup_height = float(heights.max())
+    h0 = orbit_height(Mobius.identity(), xi)
+    heights = orbit_height(ball, xi)
+
+    # sups by word length, from the identity's height on: ball rows run by
+    # word length, and a length with no rows (a finite group's ball ends
+    # before depth) keeps the running sup
+    starts = np.searchsorted(ball.word_lengths, np.arange(1, depth + 2))
+    full = starts[:-1] < starts[1:]
+    sups = np.full(depth + 1, -np.inf)
+    sups[0] = h0
+    sups[1:][full] = np.maximum.reduceat(heights, starts[:-1][full])
+    sup_by_depth = np.maximum.accumulate(sups)[1:].tolist()
+    sup_height = sup_by_depth[-1]
 
     # the first parabolic element fixing xi
     rows, _ = isometry_rows(ball)
@@ -121,10 +132,6 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
                                   ball.element(int(rows[fixed.argmax()])),
                                   LimitVerdict.PARABOLIC)
 
-    # ball rows run by word length, after the identity at position 0
-    ends = np.searchsorted(ball.word_lengths, np.arange(1, depth + 1), side="right")
-    sup_by_depth = np.maximum.accumulate(heights)[ends].tolist()
-
     if depth >= UNBOUNDED_RUN + 1:
         rising = all(sup_by_depth[-j] > sup_by_depth[-j - 1]
                      for j in range(1, UNBOUNDED_RUN + 1))
@@ -134,7 +141,7 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
                                           LimitVerdict.HOROCYCLIC_EVIDENCE)
             return LimitPointEvidence(xi, depth, sup_height, None, None,
                                       LimitVerdict.INCONCLUSIVE)
-        cluster = _find_cluster(heights)
+        cluster = _find_cluster(np.append(h0, heights))
         if cluster is not None:
             return LimitPointEvidence(xi, depth, sup_height, cluster, None,
                                       LimitVerdict.IRREGULAR_EVIDENCE)

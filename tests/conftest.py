@@ -1,9 +1,23 @@
 """Shared fixtures: deterministic RNG and the shipped preset groups."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import horoflow as hf
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _src_on_child_path():
+    # CLI tests spawn `python -m horoflow.cli`; those processes import
+    # horoflow from this checkout too, so plain `pytest` needs no PYTHONPATH
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import horoflow as hf
-from horoflow.group import ball_arrays
+from horoflow.group import ball_arrays, isometry_rows
 from horoflow.halfplane import DET_TOL
 
 
@@ -171,6 +171,34 @@ def test_elliptic_scan_matches_scalar_classification():
     want = [e for e in ball if hf.classify_isometry(e) is hf.IsometryClass.ELLIPTIC]
     assert hf.check_elliptic_free(PSL2Z, 6) == want
     assert (1,) in [e.word for e in want]
+
+
+def test_isometry_rows_are_memoized_and_read_only():
+    ball = ball_arrays(PSL2Z, 6)
+    par, ell = isometry_rows(ball)
+    assert par.size and ell.size
+    again = isometry_rows(ball)
+    assert again[0] is par and again[1] is ell
+    for arr in (par, ell):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    fresh = isometry_rows.__wrapped__(ball)
+    assert fresh[0] is not par
+    for got, want in zip((par, ell), fresh):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    elements = hf.enumerate_ball(PSL2Z, 6)
+    assert [elements[i] for i in par.tolist()] == [
+        e for e in elements if hf.classify_isometry(e) is hf.IsometryClass.PARABOLIC]
+
+
+def test_isometry_rows_memo_is_per_class_tol():
+    # 2 - tr = 2 - 2 cos(k 1e-3) lies in (1e-9, 1e-5] for k <= 3: elliptic at
+    # the default tolerance, parabolic at 1e-5
+    spec = hf.GroupSpec((_rotation(1e-3),), max_word_length=3)
+    assert len(hf.check_elliptic_free(spec)) == 6
+    assert hf.check_elliptic_free(spec, class_tol=1e-5) == []
+    assert len(hf.check_elliptic_free(spec)) == 6
 
 
 def test_overflowing_coefficients_raise_domain_error():

@@ -7,12 +7,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horoflow as hf
 from horoflow import cli
+from horoflow.flows import BASE_TANGENT, orbit_points, sample_count
 from horoflow.groupio import spec_to_data
 
 
@@ -223,6 +225,16 @@ def test_cli_orbit_csv(tmp_path):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert float(first[1]) == 0.0 and float(first[2]) == 1.0
+    # every row is the orbit point, each value at 17 significant digits
+    for flow, start, end, step in (("horocycle", 0.0, 1.0, 0.5), ("geodesic", -0.3, 0.7, 0.1)):
+        r = _cli("orbit", "--flow", flow, "--start", repr(start), "--end", repr(end),
+                 "--step", repr(step), "--out", str(out))
+        assert r.returncode == 0
+        times = start + step * np.arange(sample_count(end - start, step))
+        pts = orbit_points(BASE_TANGENT, flow, times)
+        want = ["s_or_t,re,im"] + ["%.17g,%.17g,%.17g" % (float(t), float(z.real), float(z.imag))
+                                   for t, z in zip(times, pts)]
+        assert out.read_text() == "\n".join(want) + "\n"
 
 
 def test_cli_orbit_validates_range():

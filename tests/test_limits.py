@@ -1,13 +1,18 @@
 """Orbit heights and finite-depth limit-point classification."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import horoflow as hf
-from horoflow.group import ball_arrays, orbit_height
-from horoflow.limits import LimitVerdict
+from horoflow.group import ball_arrays, isometry_rows, orbit_height
+from horoflow.halfplane import GEOM_TOL
+from horoflow.limits import (UNBOUNDED_FACTOR, UNBOUNDED_RUN, LimitPointEvidence,
+                             LimitVerdict, _find_cluster)
 
 
 def test_orbit_heights_translation_orbit(parabolic_spec):
@@ -180,3 +185,123 @@ def test_parabolic_witness_is_the_first_in_word_order():
         ev = hf.classify_boundary_point(gamma2, x)
         assert ev.verdict is LimitVerdict.PARABOLIC
         assert ev.parabolic_witness == fixing[0]
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the straightforward classifier
+
+
+def _reference_orbit_height(g, xi):
+    if xi.is_infinity:
+        return 1.0 / (g.c * g.c + g.d * g.d)
+    t = 134217729.0 * xi.value
+    head = t - (t - xi.value)
+    tail = xi.value - head
+    u = (g.a - head * g.c) - tail * g.c
+    v = (g.b - head * g.d) - tail * g.d
+    return 1.0 / (u * u + v * v)
+
+
+def _reference_classify(spec, xi, depth):
+    """classify_boundary_point as a plain scan: the identity's height joined
+    to the ball's, a running maximum read at each length's end, and the
+    isometry rows computed afresh."""
+    xi = hf.bp(xi)
+    ball = ball_arrays(spec, depth)
+    heights = np.append(_reference_orbit_height(hf.Mobius.identity(), xi),
+                        _reference_orbit_height(ball, xi))
+    sup_height = float(heights.max())
+    rows, _ = isometry_rows.__wrapped__(ball)
+    a, b, c, d = ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows]
+    if xi.is_infinity:
+        fixed = c == 0.0
+    else:
+        x = xi.value
+        den = c * x + d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fixed = (den != 0.0) & (np.abs((a * x + b) / den - x) <= GEOM_TOL)
+    if fixed.any():
+        return LimitPointEvidence(xi, depth, sup_height, None,
+                                  ball.element(int(rows[fixed.argmax()])),
+                                  LimitVerdict.PARABOLIC)
+    ends = np.searchsorted(ball.word_lengths, np.arange(1, depth + 1), side="right")
+    sup_by_depth = np.maximum.accumulate(heights)[ends].tolist()
+    if depth >= UNBOUNDED_RUN + 1:
+        if all(sup_by_depth[-j] > sup_by_depth[-j - 1] for j in range(1, UNBOUNDED_RUN + 1)):
+            verdict = (LimitVerdict.HOROCYCLIC_EVIDENCE
+                       if sup_by_depth[-1] >= UNBOUNDED_FACTOR * sup_by_depth[0]
+                       else LimitVerdict.INCONCLUSIVE)
+            return LimitPointEvidence(xi, depth, sup_height, None, None, verdict)
+        cluster = _find_cluster(heights)
+        if cluster is not None:
+            return LimitPointEvidence(xi, depth, sup_height, cluster, None,
+                                      LimitVerdict.IRREGULAR_EVIDENCE)
+        return LimitPointEvidence(xi, depth, sup_height, None, None,
+                                  LimitVerdict.DISCRETE_EVIDENCE)
+    return LimitPointEvidence(xi, depth, sup_height, None, None, LimitVerdict.INCONCLUSIVE)
+
+
+def _bits(ev):
+    # every field, floats by their bits
+    def f(x):
+        return None if x is None else float(x).hex()
+    w = ev.parabolic_witness
+    m = None if w is None else (w.word, *(f(v) for v in (w.mobius.a, w.mobius.b,
+                                                         w.mobius.c, w.mobius.d)))
+    return (ev.point, ev.depth, f(ev.sup_height), f(ev.height_accumulation), m, ev.verdict)
+
+
+_EQUIVALENCE_BALLS = {
+    "schottky": (hf.schottky_pair(), 6),
+    "flute": (hf.truncated_flute(), 4),
+    "gamma2": (hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1))), 8),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_EQUIVALENCE_BALLS)),
+       x=st.one_of(st.just(math.inf), st.floats(-8.0, 8.0)),
+       depth=st.integers(1, 8))
+@example(name="gamma2", x=1.0, depth=8)
+@example(name="gamma2", x=math.inf, depth=5)
+@example(name="schottky", x=math.inf, depth=6)
+def test_classify_equals_reference(name, x, depth):
+    spec, max_depth = _EQUIVALENCE_BALLS[name]
+    depth = min(depth, max_depth)
+    got = hf.classify_boundary_point(spec, x, depth=depth)
+    want = _reference_classify(spec, x, depth)
+    assert _bits(got) == _bits(want)
+
+
+def test_classify_equals_reference_when_the_ball_ends_early(hyperbolic_spec):
+    # an elliptic of order 3: the ball is {g, g^-1}, rows only at length 1;
+    # the positive control of the irregular branch and a dilation cover the
+    # cluster and rising-sup branches
+    order3 = hf.GroupSpec((hf.Mobius(0.5, math.sqrt(0.75), -math.sqrt(0.75), 0.5),),
+                          max_word_length=8)
+    assert ball_arrays(order3).word_lengths.tolist() == [1, 1]
+    control = hf.GroupSpec(
+        tuple(hf.hyperbolic_element(-1.0, 1.0, 1.0 + j * 1e-4) for j in range(6)),
+        max_word_length=5)
+    cases = [(order3, 8), (control, 5), (hyperbolic_spec, 10)]
+    verdicts = set()
+    for spec, max_depth in cases:
+        for x in (math.inf, 0.0, 1.0, -0.5, 2.75):
+            for depth in range(1, max_depth + 1):
+                got = hf.classify_boundary_point(spec, x, depth=depth)
+                assert _bits(got) == _bits(_reference_classify(spec, x, depth))
+                verdicts.add(got.verdict)
+    assert verdicts >= {LimitVerdict.DISCRETE_EVIDENCE, LimitVerdict.IRREGULAR_EVIDENCE,
+                        LimitVerdict.HOROCYCLIC_EVIDENCE, LimitVerdict.INCONCLUSIVE}
+
+
+@pytest.mark.parametrize("xi", [hf.INFINITY, hf.bp(0.3), hf.bp(-2.7)])
+def test_orbit_height_of_a_ball_is_its_rows_heights(schottky_spec, xi):
+    ball = ball_arrays(schottky_spec, 6)
+    heights = orbit_height(ball, xi)
+    assert np.array_equal(heights, _reference_orbit_height(ball, xi))
+    rows = np.random.default_rng(3).choice(len(ball), 50, replace=False)
+    for i in rows.tolist() + [0, len(ball) - 1]:
+        one = orbit_height(ball.element(i).mobius, xi)
+        assert isinstance(one, float)
+        assert one.hex() == float(heights[i]).hex()
