@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -146,47 +147,39 @@ def _modulus_sq(a, b, c, d):
     return (a * a + b * b) / (c * c + d * d)
 
 
-def _longest_escaping_chain(order, moduli, lengths):
-    """Longest subsequence of ``order`` strictly increasing in both modulus
-    and word length; earliest such chain in the given order."""
-    if not order:
-        return []
-    max_len = max(lengths[i] for i in order) + 2
-    # F[i] = longest admissible chain starting at i; computed by scanning
-    # blocks of equal modulus from the right so equal moduli never chain.
-    F = {}
-    best_from_len = [0] * (max_len + 1)  # max F over committed elements per word length
-    blocks = []
-    start = 0
-    for k in range(1, len(order) + 1):
-        if k == len(order) or moduli[order[k]] != moduli[order[start]]:
-            blocks.append(order[start:k])
-            start = k
-    for block in reversed(blocks):
-        vals = {}
-        for i in block:
-            li = lengths[i]
-            vals[i] = 1 + max(best_from_len[li + 1:], default=0)
-        for i in block:
-            F[i] = vals[i]
-            li = lengths[i]
-            if vals[i] > best_from_len[li]:
-                best_from_len[li] = vals[i]
-    remaining = max(F.values())
-    chain = []
-    last = None
-    for i in order:
-        if F[i] != remaining:
-            continue
-        if last is not None and not (moduli[i] > moduli[last]
-                                     and lengths[i] > lengths[last]):
-            continue
-        chain.append(i)
-        last = i
-        remaining -= 1
-        if remaining == 0:
+def _longest_escaping_chain(moduli: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Longest chain of rows strictly increasing in both modulus and word
+    length, for moduli sorted ascending; the earliest such chain in row order.
+
+    One array pass per chain length k finds the rows that start a chain of
+    length at least k + 1: those with a longer word among the rows of strictly
+    larger modulus that start a chain of length k. The chain is then read
+    off in one step per element, each taking the first row that fits.
+    """
+    n = moduli.size
+    if n == 0:
+        return np.empty(0, dtype=int)
+    # the first row of strictly larger modulus; n when there is none
+    after = np.searchsorted(moduli, moduli, side="right")
+    # starts[k][i]: a chain of k + 1 rows starts at row i
+    starts = [np.ones(n, dtype=bool)]
+    # reach[j] = the longest word among the rows of starts[k] at or after
+    # row j; -1 past the end, and where no such row is left
+    reach = np.full(n + 1, -1, dtype=lengths.dtype)
+    while True:
+        np.maximum.accumulate(np.where(starts[-1], lengths, -1)[::-1], out=reach[n - 1::-1])
+        alive = reach[after] > lengths
+        if not alive.any():
             break
-    return chain
+        starts.append(alive)
+    # a row that fits after the last one starts no longer chain than is left
+    chain = [int(np.argmax(starts.pop()))]
+    while starts:
+        last = chain[-1]
+        s = after[last]
+        fits = starts.pop()[s:] & (lengths[s:] > lengths[last])
+        chain.append(s + int(np.argmax(fits)))
+    return np.array(chain)
 
 
 def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
@@ -212,9 +205,7 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     # ball rows already run in word order, so a stable sort breaks modulus ties
     order = np.argsort(moduli, kind="stable")
     rows = rows[order]
-    chain = _longest_escaping_chain(list(range(rows.size)), moduli[order].tolist(),
-                                    ball.word_lengths[rows].tolist())
-    chain = rows[chain].tolist()
+    chain = rows[_longest_escaping_chain(moduli[order], ball.word_lengths[rows])].tolist()
     hs = [float(heights[i]) for i in chain]
     if len(set(hs)) > 1:
         while len(hs) >= 2 and hs[0] == hs[1]:
@@ -388,6 +379,43 @@ def _return_time(orbit, alpha, eps: float, window: int) -> ConvergenceVerdict:
     )
 
 
+def _return_times(orbit, alpha_ball, eps: float, window: int) -> list[float]:
+    """The settled limits at least eps from 0 of _return_time over every row
+    of ``alpha_ball``, in row order, as the same floats: one array pass over
+    the rows and the trailing ``window`` terms of both streams."""
+    u_inf, images, log_heights = orbit
+    # the Busemann stream opens with an inf residual, so it needs window + 1 terms
+    if len(log_heights) <= window:
+        return []
+    a, b, c, d = alpha_ball.a, alpha_ball.b, alpha_ball.c, alpha_ball.d
+    # each alpha's target alpha(u_inf), as apply_boundary forms it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if u_inf.is_infinity:
+            at_inf = c == 0.0
+            targets = a / c
+        else:
+            den = c * u_inf.value + d
+            at_inf = den == 0.0
+            targets = (a * u_inf.value + b) / den
+    # endpoint stream over the trailing window: the residual to inf is 1/|p|,
+    # the same for every alpha aimed there, and |p - target| otherwise
+    tail = images[-window:]
+    inf_settled = _settled([_residual_to(p, INFINITY) for p in tail], eps, window)
+    if any(p.is_infinity for p in tail):
+        settled = at_inf & inf_settled
+    else:
+        p = np.array([p.value for p in tail])
+        settled = np.where(at_inf, inf_settled,
+                           (np.abs(p - targets[:, None]) < eps).all(axis=1))
+    # Busemann stream: ln height_{u_inf} of alpha^{-1}(i), minus each log height
+    inverses = SimpleNamespace(a=d, b=-b, c=-c, d=a)
+    log_alpha = np.array([math.log(h) for h in orbit_height(inverses, u_inf).tolist()])
+    values = log_alpha[:, None] - np.array(log_heights[-window - 1:])
+    settled &= (np.abs(values[:, 1:] - values[:, :-1]) < eps).all(axis=1)
+    limits = values[settled, -1]
+    return limits[np.abs(limits) >= eps].tolist()
+
+
 def test_recurrence(u: UnitTangent, seq, eps: float = EPS,
                     window: int = WINDOW) -> ConvergenceVerdict:
     """Return-time test with alpha = identity; recurrence evidence needs the
@@ -464,14 +492,8 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
         note = (f"the {streams} stream{'s' if len(main.unsettled) > 1 else ''} of the "
                 f"{len(inv)}-term sequence did not stay below eps={eps:g} "
                 f"over the trailing {window} terms")
-    times = []
     alpha_ball = ball_arrays(spec, min(alpha_depth, spec.max_word_length))
-    orbit = _sequence_orbit(u, inv)
-    for i in range(len(alpha_ball)):
-        v = _return_time(orbit, alpha_ball.element(i), eps, window)
-        if v.converged and abs(v.limit) >= eps:
-            times.append(v.limit)
-    times.sort()
+    times = sorted(_return_times(_sequence_orbit(u, inv), alpha_ball, eps, window))
     deduped = []
     for t in times:
         if not deduped or t - deduped[-1] > eps:

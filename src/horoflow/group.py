@@ -229,19 +229,29 @@ def enumerate_ball(spec: GroupSpec, depth: int | None = None) -> tuple[GroupElem
 
 def orbit_height(g, xi: BoundaryPoint):
     """height_xi(g(i)) = 1/((a - xi c)^2 + (b - xi d)^2), which is 1/(c^2 + d^2)
-    at infinity, for one Mobius g or per row of a Ball.
+    at infinity, for one Mobius g or per row of a Ball (or of any a, b, c, d
+    arrays).
 
     Unlike Im g(i) after a complex division, the closed form has no ad - bc
     to cancel. xi is split into a 26-bit head and a tail (Dekker), so that
     head * c is exact for entries below 2^27, as in integer groups, and
     a - xi c keeps its digits where it cancels.
     """
+    if isinstance(g, Mobius):
+        return _orbit_height(g, xi)
+    # a square past the float range is inf, and its height 1/inf = 0 is right
+    with np.errstate(over="ignore"):
+        return _orbit_height(g, xi)
+
+
+def _orbit_height(g, xi: BoundaryPoint):
     if xi.is_infinity:
         u = g.c * g.c
         u += g.d * g.d
         return 1.0 / u
     t = 134217729.0 * xi.value
-    head = t - (t - xi.value)
+    # past |xi| ~ 1.3e300 the split overflows; there xi c overflows anyway
+    head = t - (t - xi.value) if math.isfinite(t) else xi.value
     tail = xi.value - head
     # updated in place when g is a Ball (a float just rebinds): the same
     # operations in the same order, so the same bits, with fewer temporaries

@@ -124,8 +124,8 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
         fixed = c == 0.0
     else:
         x = xi.value
-        den = c * x + d
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            den = c * x + d
             fixed = (den != 0.0) & (np.abs((a * x + b) / den - x) <= tol)
     if fixed.any():
         return LimitPointEvidence(xi, depth, sup_height, None,
@@ -141,7 +141,10 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
                                           LimitVerdict.HOROCYCLIC_EVIDENCE)
             return LimitPointEvidence(xi, depth, sup_height, None, None,
                                       LimitVerdict.INCONCLUSIVE)
-        cluster = _find_cluster(np.append(h0, heights))
+        # no height reaches the floor when the sup does not; otherwise only
+        # the few that do are joined to the identity's
+        cluster = None if sup_height < ACCUM_FLOOR else _find_cluster(
+            np.append(h0, heights[heights >= ACCUM_FLOOR]))
         if cluster is not None:
             return LimitPointEvidence(xi, depth, sup_height, cluster, None,
                                       LimitVerdict.IRREGULAR_EVIDENCE)

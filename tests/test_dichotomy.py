@@ -3,9 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import horoflow as hf
+from horoflow import dichotomy
+from horoflow.group import ball_arrays
 
 LN4 = math.log(4.0)
 
@@ -49,6 +54,83 @@ def test_finder_longest_chain_on_dilations(hyperbolic_spec):
     mods = [abs(complex(m.b, m.a) / complex(m.d, m.c)) for m in
             (e.mobius for e in seq.elements)]
     assert all(m2 > m1 for m1, m2 in zip(mods, mods[1:]))
+
+
+def _reference_chain(order, moduli, lengths):
+    # the Python DP the array chain search replaced, kept as its reference
+    if not order:
+        return []
+    max_len = max(lengths[i] for i in order) + 2
+    F = {}
+    best_from_len = [0] * (max_len + 1)
+    blocks = []
+    start = 0
+    for k in range(1, len(order) + 1):
+        if k == len(order) or moduli[order[k]] != moduli[order[start]]:
+            blocks.append(order[start:k])
+            start = k
+    for block in reversed(blocks):
+        vals = {}
+        for i in block:
+            li = lengths[i]
+            vals[i] = 1 + max(best_from_len[li + 1:], default=0)
+        for i in block:
+            F[i] = vals[i]
+            li = lengths[i]
+            if vals[i] > best_from_len[li]:
+                best_from_len[li] = vals[i]
+    remaining = max(F.values())
+    chain = []
+    last = None
+    for i in order:
+        if F[i] != remaining:
+            continue
+        if last is not None and not (moduli[i] > moduli[last]
+                                     and lengths[i] > lengths[last]):
+            continue
+        chain.append(i)
+        last = i
+        remaining -= 1
+        if remaining == 0:
+            break
+    return chain
+
+
+def _check_chain(moduli, lengths):
+    got = dichotomy._longest_escaping_chain(np.array(moduli, dtype=float),
+                                            np.array(lengths, dtype=int)).tolist()
+    assert got == _reference_chain(list(range(len(moduli))), moduli, lengths)
+    return got
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)), max_size=40))
+def test_chain_equals_reference(rows):
+    # few distinct moduli and lengths, so ties abound
+    rows.sort(key=lambda r: r[0])  # stable: tied moduli keep their order
+    _check_chain([float(m) for m, _ in rows], [l for _, l in rows])
+
+
+@pytest.mark.parametrize("moduli, lengths, chain", [
+    ([], [], []),
+    ([2.0], [5], [0]),
+    ([1.0] * 5, [3, 1, 2, 6, 2], [0]),
+    ([0.0, 1.0, 2.0, 2.0, 5.0], [4] * 5, [0]),
+], ids=["n=0", "n=1", "equal moduli", "equal lengths"])
+def test_chain_degenerate_inputs(moduli, lengths, chain):
+    assert _check_chain(moduli, lengths) == chain
+
+
+@pytest.mark.parametrize("band", [(0.5, 2.0), (1e-3, 1e3), (1e-6, 1e6)])
+def test_chain_equals_reference_on_a_ball(band):
+    gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)), max_word_length=8)
+    ball = ball_arrays(gamma2)
+    heights = 1.0 / (ball.c ** 2 + ball.d ** 2)
+    rows = np.nonzero((heights >= band[0]) & (heights <= band[1]))[0]
+    moduli = dichotomy._modulus_sq(ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
+    order = np.argsort(moduli, kind="stable")
+    assert len(_check_chain(moduli[order].tolist(),
+                            ball.word_lengths[rows[order]].tolist())) >= 8
 
 
 def test_finder_reports_shortfall(schottky_spec):
@@ -123,6 +205,83 @@ def test_return_time_exact_on_translations(parabolic_spec):
     assert verdict.limit == 0.0
     assert verdict.residuals[0] == math.inf  # no previous value to compare
     assert all(r == 0.0 for r in verdict.residuals[1:])
+
+
+def _loop_return_times(orbit, alpha_ball, eps, window):
+    # the scalar scan the array pass replaced: one settle test per alpha row
+    times = []
+    for i in range(len(alpha_ball)):
+        v = dichotomy._return_time(orbit, alpha_ball.element(i), eps, window)
+        if v.converged and abs(v.limit) >= eps:
+            times.append(v.limit)
+    return times
+
+
+def _same_floats(xs, ys):
+    return [float.hex(x) for x in xs] == [float.hex(y) for y in ys]
+
+
+# (eps, window) from the defaults to loose ones, under which many alphas settle
+_SETTLE = [(dichotomy.EPS, dichotomy.WINDOW), (1e-2, 3), (0.5, 2), (2.0, 1)]
+
+
+@pytest.mark.parametrize("name, endpoint", [
+    ("gamma2", "inf"), ("gamma2", 0.0), ("schottky", "inf"), ("schottky", 0.0),
+    ("psl2z", 0.0),
+])
+def test_return_times_equal_the_settle_loop(name, endpoint):
+    generators = {"gamma2": ((1, 2, 0, 1), (1, 0, 2, 1)),
+                  "psl2z": ((1, 1, 0, 1), (0, -1, 1, 0))}
+    spec = (hf.schottky_pair(max_word_length=8) if name == "schottky" else
+            hf.GroupSpec(tuple(hf.Mobius(*g) for g in generators[name]), max_word_length=8))
+    # aimed at 0 the targets are alpha(0): den = d is 0 for S in PSL(2, Z)
+    u = hf.BASE_TANGENT if endpoint == "inf" else hf.UnitTangent(hf.Mobius(0.0, -1.0, 1.0, 0.0))
+    assert u.forward_endpoint().is_infinity == (endpoint == "inf")
+    settled = 0
+    for band in [(0.1, 10.0), (1e-3, 1e3), (1e-6, 1e6)]:
+        try:
+            seq = hf.find_bounded_escaping_sequence(spec, band, min_len=1)
+        except hf.NoSequenceFound:
+            continue
+        orbit = dichotomy._sequence_orbit(u, dichotomy._inverse_elements(seq))
+        for alpha_depth in (2, 3):
+            alpha_ball = ball_arrays(spec, alpha_depth)
+            for eps, window in _SETTLE:
+                got = dichotomy._return_times(orbit, alpha_ball, eps, window)
+                assert _same_floats(got, _loop_return_times(orbit, alpha_ball, eps, window))
+                settled += len(got)
+    assert settled > 0
+
+
+def _synthetic_orbit(n):
+    # the last n of the synthetic matrices, inverted as run_dichotomy does
+    seq = hf.synthetic_candidate(_synthetic_matrices()[-n:], (0.1, 2.0))
+    return dichotomy._sequence_orbit(hf.BASE_TANGENT, dichotomy._inverse_elements(seq))
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["window terms", "window + 1 terms"])
+def test_return_times_at_the_window_edge(hyperbolic_spec, extra):
+    # the Busemann stream opens with an inf residual: window terms never
+    # settle, one more can
+    window = dichotomy.WINDOW
+    orbit = _synthetic_orbit(window + extra)
+    alpha_ball = ball_arrays(hyperbolic_spec, 3)
+    got = dichotomy._return_times(orbit, alpha_ball, dichotomy.EPS, window)
+    assert _same_floats(got, _loop_return_times(orbit, alpha_ball, dichotomy.EPS, window))
+    assert bool(got) == bool(extra)
+
+
+def test_return_times_of_alphas_aimed_at_infinity(hyperbolic_spec):
+    # every dilation has c = 0, so its target alpha(inf) is inf itself
+    alpha_ball = ball_arrays(hyperbolic_spec, 3)
+    assert np.all(alpha_ball.c == 0.0)
+    orbit = _synthetic_orbit(16)
+    got = dichotomy._return_times(orbit, alpha_ball, dichotomy.EPS, dichotomy.WINDOW)
+    assert _same_floats(got, _loop_return_times(orbit, alpha_ball, dichotomy.EPS,
+                                                dichotomy.WINDOW))
+    # the sequence settles at ln 4 and the dilation by 4^j shifts it by
+    # j ln 4, j = +-1, +-2, +-3; the shift to 0 is no candidate
+    assert sorted(got) == pytest.approx([k * LN4 for k in (-2, -1, 2, 3, 4)])
 
 
 def test_candidate_rejects_repeated_elements():

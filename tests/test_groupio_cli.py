@@ -215,6 +215,16 @@ def test_cli_classify(group_files):
     assert a.stdout == b.stdout
 
 
+def test_cli_classify_far_point_is_quiet(group_files):
+    # (a - xi c)^2 overflows past |xi| ~ 1e154: the height is 1/inf = 0, and
+    # no raw NumPy warning may reach stderr
+    r = _cli("classify", "--group", group_files["schottky"], "--point", "1e300",
+             "--depth", "4")
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert json.loads(r.stdout)["result"]["sup_height"] == 0.0
+
+
 def test_cli_orbit_csv(tmp_path):
     out = tmp_path / "orbit.csv"
     r = _cli("orbit", "--flow", "horocycle", "--start", "0", "--end", "1",

@@ -1,6 +1,7 @@
 """Orbit heights and finite-depth limit-point classification."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,21 @@ def test_orbit_heights_sorted_descending(schottky_spec):
     h = hf.orbit_heights(schottky_spec, hf.bp(0.25), depth=4)
     assert np.all(np.diff(h) <= 0.0)
     assert np.all(h > 0.0)
+
+
+def test_far_points_raise_no_warning(schottky_spec):
+    # Past |xi| ~ 1e154 the squares overflow to inf, whose height 1/inf = 0
+    # is right; neither the heights nor the fixed-point test may warn.
+    gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)), max_word_length=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hf.orbit_heights(schottky_spec, hf.bp(1e300), depth=4)
+        for x in (1e300, -1e300, 1.7e308):
+            for spec in (schottky_spec, gamma2):
+                ev = hf.classify_boundary_point(spec, hf.bp(x), depth=4)
+                assert ev.sup_height == 0.0
+    assert h.size == len(ball_arrays(schottky_spec, 4)) + 1
+    assert np.all(h == 0.0)
 
 
 def test_orbit_heights_conjugation_scales_uniformly(hyperbolic_spec):
