@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,7 @@ from .halfplane import INFINITY, BoundaryPoint, Mobius, PointH, apply, apply_bou
 EPS = 1e-6          # default convergence tolerance for the settle rules
 WINDOW = 5          # trailing terms that must sit below eps to settle
 MIN_SEQ_LEN = 8     # shortest usable escaping sequence
+ALPHA_DEPTH = 2     # word length of the alphas scanned for candidate times
 
 RECURRENCE = "recurrence-evidence"
 NON_MINIMALITY = "non-minimality-evidence"
@@ -39,32 +41,25 @@ INCONCLUSIVE = "inconclusive"
 class SequenceCandidate:
     """A bounded escaping sequence drawn from (or injected into) a group.
 
-    ``heights_nonconstant`` records whether the height list actually varies;
-    constant-height sequences (e.g. pure translation chains) are admitted but
-    flagged, since some of the classical criteria want non-constant heights.
+    The elements are the whole sequence; its heights, endpoint images and
+    coefficients are read off them. ``heights_nonconstant`` records whether
+    the height list actually varies; constant-height sequences (e.g. pure
+    translation chains) are admitted but flagged, since some of the classical
+    criteria want non-constant heights.
     """
 
     elements: tuple[GroupElement, ...]
-    heights: tuple[float, ...]
     height_band: tuple[float, float]
-    endpoint_images: tuple[BoundaryPoint, ...]
-    coefficients: tuple[tuple[float, float, float, float], ...]
-    heights_nonconstant: bool
 
     def __post_init__(self):
         m, M = self.height_band
         if not (0.0 < m < M):
             raise ValueError(f"height band needs 0 < m < M, got ({m}, {M})")
-        n = len(self.elements)
-        if not (len(self.heights) == len(self.endpoint_images)
-                == len(self.coefficients) == n):
-            raise ValueError("field lengths disagree")
         slack = 1e-12 * max(1.0, M)
         for h in self.heights:
             if not (m - slack <= h <= M + slack):
                 raise ValueError(f"height {h} falls outside the band ({m}, {M})")
-        moduli = [_modulus_sq(e.mobius.a, e.mobius.b, e.mobius.c, e.mobius.d)
-                  for e in self.elements]
+        moduli = [_modulus_sq(a, b, c, d) for a, b, c, d in self.coefficients]
         for r0, r1 in zip(moduli, moduli[1:]):
             if not r1 > r0:
                 raise ValueError("moduli |g(i)| must strictly increase")
@@ -76,6 +71,23 @@ class SequenceCandidate:
 
     def __len__(self):
         return len(self.elements)
+
+    @cached_property
+    def heights(self) -> tuple[float, ...]:
+        """height_inf(g_n(i)), the same floats as the ball's height pass."""
+        return tuple(orbit_height(e.mobius, INFINITY) for e in self.elements)
+
+    @cached_property
+    def endpoint_images(self) -> tuple[BoundaryPoint, ...]:
+        return tuple(apply_boundary(e.mobius, INFINITY) for e in self.elements)
+
+    @cached_property
+    def coefficients(self) -> tuple[tuple[float, float, float, float], ...]:
+        return tuple((e.mobius.a, e.mobius.b, e.mobius.c, e.mobius.d) for e in self.elements)
+
+    @cached_property
+    def heights_nonconstant(self) -> bool:
+        return len(set(self.heights)) > 1
 
 
 @dataclass(frozen=True)
@@ -216,31 +228,14 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
             f"only {len(chain)} qualifying elements (need {min_len}) "
             f"in the depth-{depth if depth is not None else spec.max_word_length} ball",
             found=len(chain))
-    elements = tuple(ball.element(i) for i in chain)
-    return SequenceCandidate(
-        elements=elements,
-        heights=tuple(hs),
-        height_band=(float(m), float(M)),
-        endpoint_images=tuple(apply_boundary(e.mobius, INFINITY) for e in elements),
-        coefficients=tuple((e.mobius.a, e.mobius.b, e.mobius.c, e.mobius.d)
-                           for e in elements),
-        heights_nonconstant=len(set(hs)) > 1,
-    )
+    return SequenceCandidate(tuple(ball.element(i) for i in chain), (float(m), float(M)))
 
 
 def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidate:
     """Wrap explicit Moebius values as an injected sequence (words unknown)."""
     ms = [m if isinstance(m, Mobius) else Mobius.from_matrix(m) for m in matrices]
-    elements = tuple(GroupElement(m, None) for m in ms)
-    hs = tuple(orbit_height(m, INFINITY) for m in ms)
-    return SequenceCandidate(
-        elements=elements,
-        heights=hs,
-        height_band=(float(band[0]), float(band[1])),
-        endpoint_images=tuple(apply_boundary(m, INFINITY) for m in ms),
-        coefficients=tuple((m.a, m.b, m.c, m.d) for m in ms),
-        heights_nonconstant=len(set(hs)) > 1,
-    )
+    return SequenceCandidate(tuple(GroupElement(m, None) for m in ms),
+                             (float(band[0]), float(band[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -308,27 +303,62 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
 # convergence tests
 
 
-def _residual_to(p: BoundaryPoint, target: BoundaryPoint) -> float:
-    """Distance-like residual of p against a boundary target; convergence to
-    infinity is measured by 1/|p| falling below eps."""
-    if target.is_infinity:
-        if p.is_infinity:
-            return 0.0
-        v = abs(p.value)
-        return math.inf if v == 0.0 else 1.0 / v
-    if p.is_infinity:
-        return math.inf
-    return abs(p.value - target.value)
+def _boundary_images(a, b, c, d, x: BoundaryPoint):
+    """g(x) for every row (a, b, c, d), as apply_boundary forms it: the
+    values, and a mask of the rows that send x to infinity."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if x.is_infinity:
+            return a / c, c == 0.0
+        den = c * x.value + d
+        return (a * x.value + b) / den, den == 0.0
 
 
-def _settled(residuals, eps: float, window: int) -> bool:
-    return len(residuals) >= window and all(r < eps for r in residuals[-window:])
+def _log_inverse_heights(a, b, c, d, xi: BoundaryPoint) -> np.ndarray:
+    """ln height_xi(g^{-1}(i)) for every row (a, b, c, d), with math.log per
+    value, so that one row gives the floats of the scalar formula."""
+    heights = orbit_height(SimpleNamespace(a=d, b=-b, c=-c, d=a), xi)
+    return np.array([math.log(h) for h in heights.tolist()])
 
 
-def _sequence_elements(seq) -> tuple[Mobius, ...]:
-    if isinstance(seq, SequenceCandidate):
-        return tuple(e.mobius for e in seq.elements)
-    return tuple(_unwrap(e) for e in seq)
+def _sequence_orbit(u: UnitTangent, seq):
+    """The part of the settle test that does not depend on alpha: u(inf),
+    the boundary images g_n(u(inf)) (inf for an image at infinity) and the
+    log heights of g_n^{-1}(i) about u(inf)."""
+    ms = [_unwrap(e) for e in (seq.elements if isinstance(seq, SequenceCandidate) else seq)]
+    if not ms:
+        raise ValueError("sequence is empty")
+    coeffs = np.array([(m.a, m.b, m.c, m.d) for m in ms]).T
+    if len(set(dedup_keys(coeffs, DEDUP_TOL).tolist())) != len(ms):
+        raise ValueError("sequence elements must be pairwise distinct")
+    u_inf = u.forward_endpoint()
+    images, at_inf = _boundary_images(*coeffs, u_inf)
+    return u_inf, np.where(at_inf, np.inf, images), _log_inverse_heights(*coeffs, u_inf)
+
+
+def _settle(orbit, a, b, c, d, eps: float, window: int):
+    """The settle test of the sequence orbit against every alpha row
+    (a, b, c, d), in one array pass.
+
+    Per row it returns the Busemann values B_{u(inf)}(g_n^{-1} i, alpha^{-1} i);
+    the elementwise max of the two residual streams, the endpoint stream
+    (g_n(u(inf)) against alpha(u(inf)); convergence to infinity is measured
+    by 1/|p|) and the consecutive differences of the Busemann values (inf for
+    the first term); and whether each stream sat below eps over the trailing
+    ``window`` terms, as two rows: endpoint, then Busemann.
+    """
+    u_inf, images, log_heights = orbit
+    targets, target_inf = _boundary_images(a, b, c, d, u_inf)
+    # B_xi(z, w) = ln height_xi(w) - ln height_xi(z)
+    values = _log_inverse_heights(a, b, c, d, u_inf)[:, None] - log_heights
+    streams = np.empty((2, *values.shape))
+    # an image at infinity is inf: 0 from a target there, inf from any other
+    with np.errstate(divide="ignore", invalid="ignore"):
+        streams[0] = np.where(target_inf[:, None], 1.0 / np.abs(images),
+                              np.abs(images - targets[:, None]))
+    streams[1, :, 0] = np.inf
+    streams[1, :, 1:] = np.abs(values[:, 1:] - values[:, :-1])
+    settled = (streams[:, :, -window:] < eps).all(axis=2) & (values.shape[1] >= window)
+    return values, streams.max(axis=0), settled
 
 
 def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
@@ -341,79 +371,20 @@ def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
     below eps over the trailing window.
     """
     _check_settle(eps, window)
-    return _return_time(_sequence_orbit(u, seq), alpha, eps, window)
-
-
-def _sequence_orbit(u: UnitTangent, seq):
-    """The part of the settle test that does not depend on alpha: u(inf),
-    the boundary images g_n(u(inf)) and the log heights of g_n^{-1}(i)."""
-    ms = _sequence_elements(seq)
-    if not ms:
-        raise ValueError("sequence is empty")
-    keys = dedup_keys(np.array([(m.a, m.b, m.c, m.d) for m in ms]).T, DEDUP_TOL)
-    if np.unique(keys).size != len(ms):
-        raise ValueError("sequence elements must be pairwise distinct")
-    u_inf = u.forward_endpoint()
-    return (u_inf, [apply_boundary(m, u_inf) for m in ms],
-            [math.log(orbit_height(m.inverse(), u_inf)) for m in ms])
-
-
-def _return_time(orbit, alpha, eps: float, window: int) -> ConvergenceVerdict:
-    u_inf, images, log_heights = orbit
     am = _unwrap(alpha)
-    target = apply_boundary(am, u_inf)
-    s1 = [_residual_to(p, target) for p in images]
-    # B_xi(z, w) = ln height_xi(w) - ln height_xi(z)
-    log_alpha = math.log(orbit_height(am.inverse(), u_inf))
-    values = [log_alpha - h for h in log_heights]
-    s2 = [math.inf] + [abs(v1 - v0) for v0, v1 in zip(values, values[1:])]
-    unsettled = tuple(name for name, s in (("endpoint", s1), ("Busemann", s2))
-                      if not _settled(s, eps, window))
-    residuals = tuple(max(r1, r2) for r1, r2 in zip(s1, s2))
+    values, residuals, settled = _settle(_sequence_orbit(u, seq),
+                                         *np.array([[am.a], [am.b], [am.c], [am.d]]),
+                                         eps, window)
+    unsettled = tuple(name for name, ok in zip(("endpoint", "Busemann"), settled[:, 0])
+                      if not ok)
+    values = tuple(values[0].tolist())
     return ConvergenceVerdict(
         converged=not unsettled,
         limit=None if unsettled else values[-1],
-        residuals=residuals,
-        values=tuple(values),
+        residuals=tuple(residuals[0].tolist()),
+        values=values,
         unsettled=unsettled,
     )
-
-
-def _return_times(orbit, alpha_ball, eps: float, window: int) -> list[float]:
-    """The settled limits at least eps from 0 of _return_time over every row
-    of ``alpha_ball``, in row order, as the same floats: one array pass over
-    the rows and the trailing ``window`` terms of both streams."""
-    u_inf, images, log_heights = orbit
-    # the Busemann stream opens with an inf residual, so it needs window + 1 terms
-    if len(log_heights) <= window:
-        return []
-    a, b, c, d = alpha_ball.a, alpha_ball.b, alpha_ball.c, alpha_ball.d
-    # each alpha's target alpha(u_inf), as apply_boundary forms it
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if u_inf.is_infinity:
-            at_inf = c == 0.0
-            targets = a / c
-        else:
-            den = c * u_inf.value + d
-            at_inf = den == 0.0
-            targets = (a * u_inf.value + b) / den
-    # endpoint stream over the trailing window: the residual to inf is 1/|p|,
-    # the same for every alpha aimed there, and |p - target| otherwise
-    tail = images[-window:]
-    inf_settled = _settled([_residual_to(p, INFINITY) for p in tail], eps, window)
-    if any(p.is_infinity for p in tail):
-        settled = at_inf & inf_settled
-    else:
-        p = np.array([p.value for p in tail])
-        settled = np.where(at_inf, inf_settled,
-                           (np.abs(p - targets[:, None]) < eps).all(axis=1))
-    # Busemann stream: ln height_{u_inf} of alpha^{-1}(i), minus each log height
-    inverses = SimpleNamespace(a=d, b=-b, c=-c, d=a)
-    log_alpha = np.array([math.log(h) for h in orbit_height(inverses, u_inf).tolist()])
-    values = log_alpha[:, None] - np.array(log_heights[-window - 1:])
-    settled &= (np.abs(values[:, 1:] - values[:, :-1]) < eps).all(axis=1)
-    limits = values[settled, -1]
-    return limits[np.abs(limits) >= eps].tolist()
 
 
 def test_recurrence(u: UnitTangent, seq, eps: float = EPS,
@@ -432,21 +403,11 @@ test_recurrence.__test__ = False
 # pipeline
 
 
-def _invert_word(word):
-    return None if word is None else tuple(-l for l in reversed(word))
-
-
-def _inverse_elements(seq: SequenceCandidate) -> tuple[GroupElement, ...]:
-    return tuple(GroupElement(e.mobius.inverse(), _invert_word(e.word))
-                 for e in seq.elements)
-
-
 def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
                   band: tuple[float, float] = (0.5, 2.0), eps: float = EPS,
                   *, depth: int | None = None, window: int = WINDOW,
                   min_len: int = MIN_SEQ_LEN,
-                  candidate: SequenceCandidate | None = None,
-                  alpha_depth: int = 2) -> DiagnosticsReport:
+                  candidate: SequenceCandidate | None = None) -> DiagnosticsReport:
     """Full diagnostic run from a unit tangent vector.
 
     The vector's forward endpoint is moved to infinity by conjugating the
@@ -478,7 +439,7 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
                 note=f"no qualifying sequence: {exc}",
             )
     coeffs = check_coefficient_asymptotics(seq, eps=eps, window=window)
-    inv = _inverse_elements(seq)
+    inv = tuple(e.mobius.inverse() for e in seq.elements)
     main = test_recurrence(u, inv, eps=eps, window=window)
     note = None
     if main.converged:
@@ -492,8 +453,11 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
         note = (f"the {streams} stream{'s' if len(main.unsettled) > 1 else ''} of the "
                 f"{len(inv)}-term sequence did not stay below eps={eps:g} "
                 f"over the trailing {window} terms")
-    alpha_ball = ball_arrays(spec, min(alpha_depth, spec.max_word_length))
-    times = sorted(_return_times(_sequence_orbit(u, inv), alpha_ball, eps, window))
+    # candidate times: the settled values at least eps from 0 over the alpha ball
+    ab = ball_arrays(spec, min(ALPHA_DEPTH, spec.max_word_length))
+    values, _, settled = _settle(_sequence_orbit(u, inv), ab.a, ab.b, ab.c, ab.d, eps, window)
+    limits = values[settled.all(axis=0), -1]
+    times = sorted(limits[np.abs(limits) >= eps].tolist())
     deduped = []
     for t in times:
         if not deduped or t - deduped[-1] > eps:

@@ -179,13 +179,12 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
 
 def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
                         t_max: float = 10.0, step: float = 0.1,
-                        depth: int | None = None,
-                        tail_fraction: float = TAIL_FRACTION) -> RayProfile:
+                        depth: int | None = None) -> RayProfile:
     """Injectivity-radius estimates along the forward ray of u.
 
     At each sample time t the estimate is half the minimal displacement
     dist(x_t, g(x_t)) over the non-identity word ball; the liminf estimate is
-    the minimum over the trailing ``tail_fraction`` of the samples.
+    the minimum over the trailing TAIL_FRACTION of the samples.
     """
     if not (t_max >= 0.0 and step > 0.0):
         raise ValueError(f"need t_max >= 0 and step > 0, got {t_max}, {step}")
@@ -195,6 +194,6 @@ def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     n = sample_count(t_max, step)
     times = step * np.arange(n)
     inj = 0.5 * _min_displacements(np.exp(times), ball, u.frame)
-    tail = max(1, int(math.ceil(tail_fraction * n)))
+    tail = max(1, int(math.ceil(TAIL_FRACTION * n)))
     return RayProfile(times=times, inj_estimates=inj,
                       liminf_estimate=float(inj[-tail:].min()))

@@ -70,12 +70,33 @@ def _img_i(a, b, c, d):
     return (1j * a + b) / (1j * c + d)
 
 
+def _axis_displacement(a, b, c, d, y):
+    """dist(z, g z) at z = i y: 2 asinh(|z - g z| / (2 sqrt(Im z Im g z)))."""
+    z = 1j * y
+    gz = (a * z + b) / (c * z + d)
+    return 2.0 * np.arcsinh(np.abs(z - gz) / (2.0 * np.sqrt(y * gz.imag)))
+
+
+def _relative_residual(got, want) -> float:
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, want)))
+
+
+def _substitution_residual(a, b, c, d, t) -> float:
+    """The displacement at i e^t against 2 asinh(sqrt(b^2 c^2 + d^2 + a^2 - 1)/2),
+    the closed form the substitution t = ln|b| predicts."""
+    rad = b ** 2 * c ** 2 + d ** 2 + a ** 2 - 1.0
+    want = 2.0 * np.arcsinh(np.sqrt(np.maximum(rad, 0.0)) / 2.0)
+    return _relative_residual(_axis_displacement(a, b, c, d, np.exp(t)), want)
+
+
 def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
                      tol: float = DEFAULT_TOL) -> VerificationReport:
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     a, b, c, d = _sample_matrices(rng, samples)
+    # the sampled maps the scalar checks run on
+    ms = [Mobius.normalized(a[k], b[k], c[k], d[k]) for k in range(min(128, samples))]
     w = _img_i(a, b, c, d)
     cd = c * c + d * d
     checks = []
@@ -92,74 +113,47 @@ def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
     checks.append(CheckResult(
         "re-image-of-i", float(np.max(np.abs(w.real[mask] - (t1 - t2)) / scale)), tol))
 
-    bnd_res = 0.0
-    for k in range(min(64, samples)):
-        m = Mobius.normalized(a[k], b[k], c[k], d[k])
-        p = apply_boundary(m, INFINITY)
+    # g sends inf to a/c, and its inverse sends it to -d/c
+    bnd_res = inv_res = 0.0
+    for m in ms[:64]:
+        p, q = apply_boundary(m, INFINITY), apply_boundary(m.inverse(), INFINITY)
         if abs(m.c) > 1e-6:
-            want = m.a / m.c
+            want, want_inv = m.a / m.c, -m.d / m.c
             bnd_res = max(bnd_res, abs(p.value - want) / max(1.0, abs(want)))
+            inv_res = max(inv_res, abs(q.value - want_inv) / max(1.0, abs(want_inv)))
         else:
             bnd_res = max(bnd_res, 0.0 if p.is_infinity else math.inf)
+            inv_res = max(inv_res, 0.0 if q.is_infinity else math.inf)
     checks.append(CheckResult("boundary-image-of-inf", bnd_res, tol))
-
-    # inverse sends inf to -d/c
-    inv_res = 0.0
-    for k in range(min(64, samples)):
-        m = Mobius.normalized(a[k], b[k], c[k], d[k])
-        p = apply_boundary(m.inverse(), INFINITY)
-        if abs(m.c) > 1e-6:
-            want = -m.d / m.c
-            inv_res = max(inv_res, abs(p.value - want) / max(1.0, abs(want)))
-        else:
-            inv_res = max(inv_res, 0.0 if p.is_infinity else math.inf)
     checks.append(CheckResult("inverse-boundary-image", inv_res, tol))
 
     busemann_res = 0.0
-    for k in range(min(128, samples)):
-        m = Mobius.normalized(a[k], b[k], c[k], d[k])
+    for m in ms:
         got = busemann(INFINITY, apply(m, PointH(0.0, 1.0)), PointH(0.0, 1.0))
         busemann_res = max(busemann_res, abs(got - math.log(m.c ** 2 + m.d ** 2)))
     checks.append(CheckResult("busemann-at-inf", busemann_res, tol))
 
     # displacement along the imaginary axis at random times
     t = rng.uniform(-10.0, 10.0, samples)
-    et = np.exp(t)
-    z = 1j * et
-    gz = (a * z + b) / (c * z + d)
-    lhs = 2.0 * np.arcsinh(np.abs(z - gz) / (2.0 * np.sqrt(et * gz.imag)))
     rad = b * b * np.exp(-2.0 * t) + c * c * np.exp(2.0 * t) + d * d + a * a - 2.0
     rhs = 2.0 * np.arcsinh(np.sqrt(np.maximum(rad, 0.0)) / 2.0)
-    scale = np.maximum(1.0, rhs)
     checks.append(CheckResult(
-        "axis-displacement", float(np.max(np.abs(lhs - rhs) / scale)), tol))
+        "axis-displacement", _relative_residual(_axis_displacement(a, b, c, d, np.exp(t)), rhs),
+        tol))
 
     # substitution t = ln|b|: radicand collapses to b^2 c^2 + d^2 + a^2 - 1
     mb = np.abs(b) > 1e-6
-    tb = np.log(np.abs(b[mb]))
-    zb = 1j * np.exp(tb)
-    gzb = (a[mb] * zb + b[mb]) / (c[mb] * zb + d[mb])
-    lhsb = 2.0 * np.arcsinh(np.abs(zb - gzb) / (2.0 * np.sqrt(zb.imag * gzb.imag)))
-    radb = b[mb] ** 2 * c[mb] ** 2 + d[mb] ** 2 + a[mb] ** 2 - 1.0
-    rhsb = 2.0 * np.arcsinh(np.sqrt(np.maximum(radb, 0.0)) / 2.0)
-    sc = np.maximum(1.0, rhsb)
     checks.append(CheckResult(
-        "substitution-log-abs-b", float(np.max(np.abs(lhsb - rhsb) / sc)), tol))
+        "substitution-log-abs-b",
+        _substitution_residual(a[mb], b[mb], c[mb], d[mb], np.log(np.abs(b[mb]))), tol))
 
     # competing substitution t = ln(b^2): recorded, not asserted
     mb2 = b ** 2 > 1e-6
-    tb2 = np.log(b[mb2] ** 2)
-    zb2 = 1j * np.exp(tb2)
-    gzb2 = (a[mb2] * zb2 + b[mb2]) / (c[mb2] * zb2 + d[mb2])
-    lhs2 = 2.0 * np.arcsinh(np.abs(zb2 - gzb2) / (2.0 * np.sqrt(zb2.imag * gzb2.imag)))
-    rad2 = b[mb2] ** 2 * c[mb2] ** 2 + d[mb2] ** 2 + a[mb2] ** 2 - 1.0
-    rhs2 = 2.0 * np.arcsinh(np.sqrt(np.maximum(rad2, 0.0)) / 2.0)
-    alt_res = float(np.max(np.abs(lhs2 - rhs2) / np.maximum(1.0, rhs2)))
+    alt_res = _substitution_residual(a[mb2], b[mb2], c[mb2], d[mb2], np.log(b[mb2] ** 2))
 
     # cross-ratio invariance under a sampled map
     cr_res = 0.0
-    for k in range(min(64, samples)):
-        m = Mobius.normalized(a[k], b[k], c[k], d[k])
+    for m in ms[:64]:
         pts = rng.uniform(-20.0, 20.0, 4)
         if len(np.unique(pts)) < 4:
             continue
@@ -171,8 +165,7 @@ def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
     # cocycle additivity B(z1,z3) = B(z1,z2) + B(z2,z3) and equivariance
     coc_res = 0.0
     eqv_res = 0.0
-    for k in range(min(64, samples)):
-        m = Mobius.normalized(a[k], b[k], c[k], d[k])
+    for m in ms[:64]:
         xi = bp(float(rng.uniform(-20.0, 20.0))) if rng.uniform() < 0.8 else INFINITY
         zs = [PointH(float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 5.0)))
               for _ in range(3)]

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import horoflow as hf
 from horoflow import dichotomy
-from horoflow.group import ball_arrays
+from horoflow.group import ball_arrays, orbit_height
+from horoflow.halfplane import apply_boundary
 
 LN4 = math.log(4.0)
 
@@ -207,22 +209,140 @@ def test_return_time_exact_on_translations(parabolic_spec):
     assert all(r == 0.0 for r in verdict.residuals[1:])
 
 
+# the scalar settle test that the array pass replaced, kept as its reference:
+# the orbit as BoundaryPoints and log heights, then one alpha at a time
+
+
+def _reference_orbit(u, ms):
+    u_inf = u.forward_endpoint()
+    return (u_inf, [apply_boundary(m, u_inf) for m in ms],
+            [math.log(orbit_height(m.inverse(), u_inf)) for m in ms])
+
+
+def _residual_to(p, target):
+    if target.is_infinity:
+        if p.is_infinity:
+            return 0.0
+        v = abs(p.value)
+        return math.inf if v == 0.0 else 1.0 / v
+    if p.is_infinity:
+        return math.inf
+    return abs(p.value - target.value)
+
+
+def _settled(residuals, eps, window):
+    return len(residuals) >= window and all(r < eps for r in residuals[-window:])
+
+
+def _return_time(orbit, alpha, eps, window):
+    u_inf, images, log_heights = orbit
+    am = alpha.mobius if isinstance(alpha, hf.GroupElement) else alpha
+    target = apply_boundary(am, u_inf)
+    s1 = [_residual_to(p, target) for p in images]
+    log_alpha = math.log(orbit_height(am.inverse(), u_inf))
+    values = [log_alpha - h for h in log_heights]
+    s2 = [math.inf] + [abs(v1 - v0) for v0, v1 in zip(values, values[1:])]
+    unsettled = tuple(name for name, s in (("endpoint", s1), ("Busemann", s2))
+                      if not _settled(s, eps, window))
+    residuals = tuple(max(r1, r2) for r1, r2 in zip(s1, s2))
+    return hf.ConvergenceVerdict(
+        converged=not unsettled,
+        limit=None if unsettled else values[-1],
+        residuals=residuals,
+        values=tuple(values),
+        unsettled=unsettled,
+    )
+
+
 def _loop_return_times(orbit, alpha_ball, eps, window):
-    # the scalar scan the array pass replaced: one settle test per alpha row
+    # one scalar settle test per alpha row
     times = []
     for i in range(len(alpha_ball)):
-        v = dichotomy._return_time(orbit, alpha_ball.element(i), eps, window)
+        v = _return_time(orbit, alpha_ball.element(i), eps, window)
         if v.converged and abs(v.limit) >= eps:
             times.append(v.limit)
     return times
+
+
+def _scan_times(orbit, alpha_ball, eps, window):
+    # the candidate-time scan of run_dichotomy: one settle pass over the ball
+    values, _, settled = dichotomy._settle(orbit, alpha_ball.a, alpha_ball.b, alpha_ball.c,
+                                           alpha_ball.d, eps, window)
+    limits = values[settled.all(axis=0), -1]
+    return limits[np.abs(limits) >= eps].tolist()
+
+
+def _inverses(seq):
+    return tuple(e.mobius.inverse() for e in seq.elements)
 
 
 def _same_floats(xs, ys):
     return [float.hex(x) for x in xs] == [float.hex(y) for y in ys]
 
 
+def _bits(verdict):
+    # every field of a settle verdict, floats as their exact hex form
+    return (verdict.converged, verdict.unsettled,
+            None if verdict.limit is None else float.hex(verdict.limit),
+            [float.hex(v) for v in verdict.values], [float.hex(r) for r in verdict.residuals])
+
+
 # (eps, window) from the defaults to loose ones, under which many alphas settle
 _SETTLE = [(dichotomy.EPS, dichotomy.WINDOW), (1e-2, 3), (0.5, 2), (2.0, 1)]
+_GENERATORS = {"gamma2": ((1, 2, 0, 1), (1, 0, 2, 1)), "psl2z": ((1, 1, 0, 1), (0, -1, 1, 0))}
+
+
+def _group(name):
+    if name == "schottky":
+        return hf.schottky_pair(max_word_length=8)
+    if name == "flute":
+        return hf.truncated_flute()
+    return hf.GroupSpec(tuple(hf.Mobius(*g) for g in _GENERATORS[name]), max_word_length=8)
+
+
+def _aimed_at(endpoint):
+    # a frame whose forward endpoint a/c is the given point; aimed at 0, the
+    # targets are alpha(0): den = d is 0 for S in PSL(2, Z)
+    if endpoint == "inf":
+        return hf.BASE_TANGENT
+    return hf.UnitTangent(hf.Mobius(float(endpoint), -1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("name", ["gamma2", "psl2z", "schottky", "flute"])
+@pytest.mark.parametrize("endpoint", ["inf", 0.0, 0.37])
+def test_settle_equals_the_scalar_reference(name, endpoint):
+    # test_return_time (one row), test_recurrence and the scan over the
+    # alpha ball give the scalar test's values, residuals, unsettled streams
+    # and limit bit for bit, window > n included
+    spec = _group(name)
+    u = _aimed_at(endpoint)
+    assert u.forward_endpoint().is_infinity == (endpoint == "inf")
+    alpha_ball = ball_arrays(spec, 3)
+    alphas = [hf.Mobius.identity()] + [m.mobius for m in alpha_ball.elements()]
+    rows = settled = 0
+    for band in [(0.5, 2.0), (0.1, 10.0), (1e-3, 1e3), (1e-6, 1e6)]:
+        try:
+            seq = hf.find_bounded_escaping_sequence(spec, band, min_len=1)
+        except hf.NoSequenceFound:
+            continue
+        inv = _inverses(seq)
+        ref_orbit = _reference_orbit(u, inv)
+        orbit = dichotomy._sequence_orbit(u, inv)
+        for eps, window in _SETTLE + [(1e-2, len(inv) + 1)]:
+            want = _return_time(ref_orbit, hf.Mobius.identity(), eps, window)
+            assert _bits(hf.test_recurrence(u, inv, eps, window)) == _bits(want)
+            values, residuals, ok = dichotomy._settle(
+                orbit, alpha_ball.a, alpha_ball.b, alpha_ball.c, alpha_ball.d, eps, window)
+            for k, alpha in enumerate(alphas):
+                want = _return_time(ref_orbit, alpha, eps, window)
+                assert _bits(hf.test_return_time(u, alpha, inv, eps, window)) == _bits(want)
+                if k:
+                    assert _same_floats(values[k - 1], want.values)
+                    assert _same_floats(residuals[k - 1], want.residuals)
+                    assert bool(ok[:, k - 1].all()) == want.converged
+                rows += 1
+                settled += want.converged
+    assert rows > 0 and settled > 0
 
 
 @pytest.mark.parametrize("name, endpoint", [
@@ -230,12 +350,8 @@ _SETTLE = [(dichotomy.EPS, dichotomy.WINDOW), (1e-2, 3), (0.5, 2), (2.0, 1)]
     ("psl2z", 0.0),
 ])
 def test_return_times_equal_the_settle_loop(name, endpoint):
-    generators = {"gamma2": ((1, 2, 0, 1), (1, 0, 2, 1)),
-                  "psl2z": ((1, 1, 0, 1), (0, -1, 1, 0))}
-    spec = (hf.schottky_pair(max_word_length=8) if name == "schottky" else
-            hf.GroupSpec(tuple(hf.Mobius(*g) for g in generators[name]), max_word_length=8))
-    # aimed at 0 the targets are alpha(0): den = d is 0 for S in PSL(2, Z)
-    u = hf.BASE_TANGENT if endpoint == "inf" else hf.UnitTangent(hf.Mobius(0.0, -1.0, 1.0, 0.0))
+    spec = _group(name)
+    u = _aimed_at(endpoint)
     assert u.forward_endpoint().is_infinity == (endpoint == "inf")
     settled = 0
     for band in [(0.1, 10.0), (1e-3, 1e3), (1e-6, 1e6)]:
@@ -243,20 +359,37 @@ def test_return_times_equal_the_settle_loop(name, endpoint):
             seq = hf.find_bounded_escaping_sequence(spec, band, min_len=1)
         except hf.NoSequenceFound:
             continue
-        orbit = dichotomy._sequence_orbit(u, dichotomy._inverse_elements(seq))
+        inv = _inverses(seq)
+        orbit, ref_orbit = dichotomy._sequence_orbit(u, inv), _reference_orbit(u, inv)
         for alpha_depth in (2, 3):
             alpha_ball = ball_arrays(spec, alpha_depth)
             for eps, window in _SETTLE:
-                got = dichotomy._return_times(orbit, alpha_ball, eps, window)
-                assert _same_floats(got, _loop_return_times(orbit, alpha_ball, eps, window))
+                got = _scan_times(orbit, alpha_ball, eps, window)
+                assert _same_floats(got, _loop_return_times(ref_orbit, alpha_ball, eps, window))
                 settled += len(got)
     assert settled > 0
 
 
-def _synthetic_orbit(n):
+@pytest.mark.parametrize("name", ["gamma2", "schottky"])
+@pytest.mark.parametrize("band", [(0.1, 10.0), (1e-3, 1e3)])
+def test_candidate_times_of_run_dichotomy(name, band):
+    # run_dichotomy's scan over the ALPHA_DEPTH ball, sorted and merged within eps
+    spec = _group(name)
+    eps, window = 0.5, 2
+    report = hf.run_dichotomy(spec, band=band, eps=eps, window=window, min_len=1)
+    alpha_ball = ball_arrays(spec, dichotomy.ALPHA_DEPTH)
+    times = []
+    for t in sorted(_loop_return_times(_reference_orbit(hf.BASE_TANGENT, _inverses(report.sequence)),
+                                       alpha_ball, eps, window)):
+        if not times or t - times[-1] > eps:
+            times.append(t)
+    assert _same_floats(report.candidate_times, times)
+
+
+def _synthetic_orbits(n):
     # the last n of the synthetic matrices, inverted as run_dichotomy does
-    seq = hf.synthetic_candidate(_synthetic_matrices()[-n:], (0.1, 2.0))
-    return dichotomy._sequence_orbit(hf.BASE_TANGENT, dichotomy._inverse_elements(seq))
+    inv = _inverses(hf.synthetic_candidate(_synthetic_matrices()[-n:], (0.1, 2.0)))
+    return dichotomy._sequence_orbit(hf.BASE_TANGENT, inv), _reference_orbit(hf.BASE_TANGENT, inv)
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["window terms", "window + 1 terms"])
@@ -264,10 +397,10 @@ def test_return_times_at_the_window_edge(hyperbolic_spec, extra):
     # the Busemann stream opens with an inf residual: window terms never
     # settle, one more can
     window = dichotomy.WINDOW
-    orbit = _synthetic_orbit(window + extra)
+    orbit, ref_orbit = _synthetic_orbits(window + extra)
     alpha_ball = ball_arrays(hyperbolic_spec, 3)
-    got = dichotomy._return_times(orbit, alpha_ball, dichotomy.EPS, window)
-    assert _same_floats(got, _loop_return_times(orbit, alpha_ball, dichotomy.EPS, window))
+    got = _scan_times(orbit, alpha_ball, dichotomy.EPS, window)
+    assert _same_floats(got, _loop_return_times(ref_orbit, alpha_ball, dichotomy.EPS, window))
     assert bool(got) == bool(extra)
 
 
@@ -275,26 +408,38 @@ def test_return_times_of_alphas_aimed_at_infinity(hyperbolic_spec):
     # every dilation has c = 0, so its target alpha(inf) is inf itself
     alpha_ball = ball_arrays(hyperbolic_spec, 3)
     assert np.all(alpha_ball.c == 0.0)
-    orbit = _synthetic_orbit(16)
-    got = dichotomy._return_times(orbit, alpha_ball, dichotomy.EPS, dichotomy.WINDOW)
-    assert _same_floats(got, _loop_return_times(orbit, alpha_ball, dichotomy.EPS,
+    orbit, ref_orbit = _synthetic_orbits(16)
+    got = _scan_times(orbit, alpha_ball, dichotomy.EPS, dichotomy.WINDOW)
+    assert _same_floats(got, _loop_return_times(ref_orbit, alpha_ball, dichotomy.EPS,
                                                 dichotomy.WINDOW))
     # the sequence settles at ln 4 and the dilation by 4^j shifts it by
     # j ln 4, j = +-1, +-2, +-3; the shift to 0 is no candidate
     assert sorted(got) == pytest.approx([k * LN4 for k in (-2, -1, 2, 3, 4)])
 
 
+def test_candidate_fields_come_from_the_elements():
+    # heights, endpoint images and coefficients, as the array passes over the
+    # elements' coefficients give them, for a found and an injected sequence
+    gamma2 = _group("gamma2")
+    for seq in (hf.find_bounded_escaping_sequence(gamma2, (1e-3, 1e3)),
+                hf.synthetic_candidate(_synthetic_matrices(), (0.1, 2.0))):
+        coeffs = [(e.mobius.a, e.mobius.b, e.mobius.c, e.mobius.d) for e in seq.elements]
+        a, b, c, d = np.array(coeffs).T
+        heights = orbit_height(SimpleNamespace(a=a, b=b, c=c, d=d), hf.INFINITY).tolist()
+        values, at_inf = dichotomy._boundary_images(a, b, c, d, hf.INFINITY)
+        assert _same_floats(seq.heights, heights)
+        assert [p.is_infinity for p in seq.endpoint_images] == at_inf.tolist()
+        assert _same_floats([p.value for p in seq.endpoint_images if not p.is_infinity],
+                            values[~at_inf].tolist())
+        assert [list(map(float.hex, c)) for c in seq.coefficients] == \
+            [list(map(float.hex, c)) for c in coeffs]
+        assert seq.heights_nonconstant == (len(set(heights)) > 1)
+
+
 def test_candidate_rejects_repeated_elements():
     g = hf.Mobius(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        hf.SequenceCandidate(
-            elements=(hf.GroupElement(g, None),) * 2,
-            heights=(1.0, 1.0),
-            height_band=(0.5, 2.0),
-            endpoint_images=(hf.INFINITY, hf.INFINITY),
-            coefficients=((1.0, 1.0, 0.0, 1.0),) * 2,
-            heights_nonconstant=False,
-        )
+        hf.SequenceCandidate(elements=(hf.GroupElement(g, None),) * 2, height_band=(0.5, 2.0))
 
 
 def test_coefficient_asymptotics_on_synthetic():
