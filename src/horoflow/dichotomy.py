@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import NoSequenceFound
 from .flows import BASE_TANGENT, UnitTangent
-from .group import (DEDUP_TOL, GroupElement, GroupSpec, _unwrap, ball_arrays,
-                    conjugate_spec, dedup_keys, orbit_height)
+from .group import (DEDUP_TOL, GroupElement, GroupSpec, _boundary_images, _unwrap,
+                    ball_arrays, conjugate_spec, dedup_keys, orbit_height)
 from .halfplane import INFINITY, BoundaryPoint, Mobius, PointH, apply, apply_boundary, dist
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
@@ -126,9 +126,6 @@ class CoefficientAsymptotics:
     d_limit: float
     min_cd_norm: float
     cd_bound_ok: bool
-    probe_times: tuple[float, ...]
-    probe_distances: tuple[float, ...]
-    probe_expected: tuple[float, ...]
     probe_max_residual: float
     probe_diverging: bool
 
@@ -274,13 +271,11 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
     min_cd = float(cd.min())
     cd_ok = min_cd >= bound - 1e-12 * max(1.0, bound)
 
-    times = np.full(n, np.nan)
     measured = np.full(n, np.nan)
     expected = np.full(n, np.nan)
     for k in range(n):
         if b[k] == 0.0:
             continue
-        times[k] = math.log(abs(b[k]))
         z = PointH(0.0, abs(b[k]))
         measured[k] = dist(z, apply(seq.elements[k].mobius, z))
         rad = max(b[k] * b[k] * c[k] * c[k] + d[k] * d[k] + a[k] * a[k] - 1.0, 0.0)
@@ -293,24 +288,12 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
         a_abs=tuple(a_abs), c_values=tuple(c), d_values=tuple(d),
         a_diverging=a_div, c_limit_zero=c_zero, d_limit=float(d[-1]),
         min_cd_norm=min_cd, cd_bound_ok=bool(cd_ok),
-        probe_times=tuple(times), probe_distances=tuple(measured),
-        probe_expected=tuple(expected), probe_max_residual=resid,
-        probe_diverging=probe_div,
+        probe_max_residual=resid, probe_diverging=probe_div,
     )
 
 
 # ---------------------------------------------------------------------------
 # convergence tests
-
-
-def _boundary_images(a, b, c, d, x: BoundaryPoint):
-    """g(x) for every row (a, b, c, d), as apply_boundary forms it: the
-    values, and a mask of the rows that send x to infinity."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if x.is_infinity:
-            return a / c, c == 0.0
-        den = c * x.value + d
-        return (a * x.value + b) / den, den == 0.0
 
 
 def _log_inverse_heights(a, b, c, d, xi: BoundaryPoint) -> np.ndarray:

@@ -42,10 +42,6 @@ class GroupElement:
     mobius: Mobius
     word: tuple[int, ...] | None = None
 
-    @property
-    def word_length(self) -> int:
-        return 0 if self.word is None else len(self.word)
-
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -151,6 +147,22 @@ class Ball:
             words.append((words[p] if p >= 0 else ()) + (l,))
         return tuple(GroupElement(Mobius._admitted(a, b, c, d), w) for a, b, c, d, w in zip(
             self.a.tolist(), self.b.tolist(), self.c.tolist(), self.d.tolist(), words))
+
+    @functools.cached_property
+    def isometry_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices (parabolic, elliptic), as classify_isometry sorts
+        them: the trace picks the few candidates, then the identity test.
+        Computed once per ball, as read-only arrays."""
+        t = np.abs(self.a + self.d)
+        parabolic = np.abs(t - 2.0) <= CLASS_TOL
+        rows = np.nonzero(parabolic | ~(t > 2.0))[0]
+        a, b, c, d = self.a[rows], self.b[rows], self.c[rows], self.d[rows]
+        rows = rows[~((np.abs(a - 1.0) <= CLASS_TOL) & (np.abs(b) <= CLASS_TOL)
+                      & (np.abs(c) <= CLASS_TOL) & (np.abs(d - 1.0) <= CLASS_TOL))]
+        out = rows[parabolic[rows]], rows[~parabolic[rows]]
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # dedup_keys checks overflow
@@ -265,47 +277,38 @@ def _orbit_height(g, xi: BoundaryPoint):
     return 1.0 / u
 
 
+def _boundary_images(a, b, c, d, x: BoundaryPoint):
+    """g(x) for every row (a, b, c, d), as apply_boundary forms it: the
+    values, and a mask of the rows that send x to infinity."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if x.is_infinity:
+            return a / c, c == 0.0
+        den = c * x.value + d
+        return (a * x.value + b) / den, den == 0.0
+
+
 def _unwrap(g) -> Mobius:
     return g.mobius if isinstance(g, GroupElement) else g
 
 
-def classify_isometry(g, class_tol: float = CLASS_TOL) -> IsometryClass:
+def classify_isometry(g) -> IsometryClass:
     """Trichotomy by |trace|: > 2 hyperbolic, = 2 parabolic, < 2 elliptic.
 
-    The identity (and anything within class_tol of it after sign
+    The identity (and anything within CLASS_TOL of it after sign
     canonicalization) is reported separately as IDENTITY.
     """
     m = _unwrap(g)
-    if m.is_identity(class_tol):
+    if m.is_identity(CLASS_TOL):
         return IsometryClass.IDENTITY
     t = abs(m.trace)
-    if abs(t - 2.0) <= class_tol:
+    if abs(t - 2.0) <= CLASS_TOL:
         return IsometryClass.PARABOLIC
     if t > 2.0:
         return IsometryClass.HYPERBOLIC
     return IsometryClass.ELLIPTIC
 
 
-@functools.lru_cache(maxsize=64)
-def isometry_rows(ball: Ball, class_tol: float = CLASS_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (parabolic, elliptic) of the ball, as classify_isometry
-    sorts them: the trace picks the few candidates, then the identity test.
-
-    Memoized per (ball, class_tol), like :func:`ball_arrays`; the arrays are
-    shared between callers and read-only."""
-    t = np.abs(ball.a + ball.d)
-    parabolic = np.abs(t - 2.0) <= class_tol
-    rows = np.nonzero(parabolic | ~(t > 2.0))[0]
-    a, b, c, d = ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows]
-    rows = rows[~((np.abs(a - 1.0) <= class_tol) & (np.abs(b) <= class_tol)
-                  & (np.abs(c) <= class_tol) & (np.abs(d - 1.0) <= class_tol))]
-    out = rows[parabolic[rows]], rows[~parabolic[rows]]
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-def fixed_points(g, class_tol: float = CLASS_TOL) -> tuple[BoundaryPoint, BoundaryPoint]:
+def fixed_points(g) -> tuple[BoundaryPoint, BoundaryPoint]:
     """Boundary fixed points of a hyperbolic or parabolic element.
 
     For c != 0 these are the roots (a - d +/- sqrt(tr^2 - 4)) / (2c), returned
@@ -314,7 +317,7 @@ def fixed_points(g, class_tol: float = CLASS_TOL) -> tuple[BoundaryPoint, Bounda
     translations). Elliptic input raises EllipticElement.
     """
     m = _unwrap(g)
-    cls = classify_isometry(m, class_tol)
+    cls = classify_isometry(m)
     if cls is IsometryClass.ELLIPTIC:
         raise EllipticElement(f"element with trace {m.trace} has no boundary fixed points")
     if cls is IsometryClass.IDENTITY:
@@ -358,11 +361,10 @@ def _polish_root(a: float, b: float, c: float, d: float, x: float) -> float:
     return x
 
 
-def check_elliptic_free(spec: GroupSpec, depth: int | None = None,
-                        class_tol: float = CLASS_TOL) -> list[GroupElement]:
+def check_elliptic_free(spec: GroupSpec, depth: int | None = None) -> list[GroupElement]:
     """Elliptic elements found in the word ball; empty means none detected."""
     ball = ball_arrays(spec, depth)
-    return [ball.element(i) for i in isometry_rows(ball, class_tol)[1].tolist()]
+    return [ball.element(i) for i in ball.isometry_rows[1].tolist()]
 
 
 def conjugate_spec(spec: GroupSpec, h: Mobius) -> GroupSpec:

@@ -164,11 +164,6 @@ class Mobius:
             and abs(self.d - 1.0) <= tol
         )
 
-    def __call__(self, p):
-        if isinstance(p, PointH):
-            return apply(self, p)
-        return apply_boundary(self, bp(p))
-
 
 @dataclass(frozen=True)
 class Geodesic:
@@ -261,12 +256,7 @@ def cross_ratio(a, b, c, d) -> float:
     return (_pdiff(a, c) * _pdiff(b, d)) / (_pdiff(a, d) * _pdiff(b, c))
 
 
-def _circle_key(x: BoundaryPoint, finite_max: float) -> float:
-    """Order key realizing the boundary's cyclic order, with inf placed last."""
-    return finite_max + 1.0 if x.is_infinity else x.value
-
-
-def angle_between(g1: Geodesic, g2: Geodesic, tol: float = GEOM_TOL) -> float:
+def angle_between(g1: Geodesic, g2: Geodesic) -> float:
     """Intersection angle in [0, pi] of two crossing geodesics.
 
     The endpoints are relabeled so the boundary cyclic order is
@@ -286,12 +276,9 @@ def angle_between(g1: Geodesic, g2: Geodesic, tol: float = GEOM_TOL) -> float:
     # geodesics cross in the open half-plane.
     if cross_ratio(a, b, c, d) >= 0.0:
         raise NoIntersection("geodesics do not cross in the open half-plane")
-    finite_max = max(p.value for p in (a, b, c, d) if not p.is_infinity)
-    keys = {p: _circle_key(p, finite_max) for p in (a, b, c, d)}
-    ring = sorted((a, b, c, d), key=keys.get)
-    ia = ring.index(a)
-    ring = ring[ia:] + ring[:ia]
-    if ring[1] != c:
+    # (a; c; b) runs the boundary's way round (up the line, then through inf)
+    # when an even number of the differences a - c, c - b, b - a is negative
+    if sum(_pdiff(p, q) < 0.0 for p, q in ((a, c), (c, b), (b, a))) % 2:
         c, d = d, c  # realize cyclic order (a; c; b; d)
     x = cross_ratio(a, c, d, b)
     return math.acos(min(1.0, max(-1.0, 2.0 * x - 1.0)))

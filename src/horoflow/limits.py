@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, GroupSpec, ball_arrays, isometry_rows, orbit_height
+from .group import GroupElement, GroupSpec, _boundary_images, ball_arrays, orbit_height
 from .halfplane import GEOM_TOL, BoundaryPoint, Mobius, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
@@ -94,7 +94,8 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     3. bounded heights with a cluster at a positive level -> irregular-evidence;
     4. bounded heights without one -> discrete-evidence;
     otherwise inconclusive (depth too shallow to judge growth, or growth that
-    has not yet cleared the factor).
+    has not yet cleared the factor). An element fixes xi when |g(xi) - xi|
+    <= tol; tol must be finite and non-negative.
     """
     xi = bp(xi)
     if depth is None:
@@ -102,6 +103,8 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     if not (1 <= depth <= spec.max_word_length):
         raise ValueError(
             f"depth must lie in [1, {spec.max_word_length}], got {depth}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     ball = ball_arrays(spec, depth)
     h0 = orbit_height(Mobius.identity(), xi)
     heights = orbit_height(ball, xi)
@@ -117,38 +120,29 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     sup_by_depth = np.maximum.accumulate(sups)[1:].tolist()
     sup_height = sup_by_depth[-1]
 
-    # the first parabolic element fixing xi
-    rows, _ = isometry_rows(ball)
+    # the first parabolic element fixing xi; one with c = 0 is z -> z + b,
+    # which fixes only infinity, though xi + b rounds to xi at a huge xi
+    verdict, cluster, witness = LimitVerdict.INCONCLUSIVE, None, None
+    rows = ball.isometry_rows[0]
     a, b, c, d = ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows]
+    images, at_inf = _boundary_images(a, b, c, d, xi)
     if xi.is_infinity:
-        fixed = c == 0.0
+        fixed = at_inf
     else:
-        x = xi.value
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            den = c * x + d
-            fixed = (den != 0.0) & (np.abs((a * x + b) / den - x) <= tol)
+        with np.errstate(over="ignore"):  # an image near the float range minus xi
+            fixed = (c != 0.0) & (np.abs(images - xi.value) <= tol)
     if fixed.any():
-        return LimitPointEvidence(xi, depth, sup_height, None,
-                                  ball.element(int(rows[fixed.argmax()])),
-                                  LimitVerdict.PARABOLIC)
-
-    if depth >= UNBOUNDED_RUN + 1:
-        rising = all(sup_by_depth[-j] > sup_by_depth[-j - 1]
-                     for j in range(1, UNBOUNDED_RUN + 1))
-        if rising:
+        verdict = LimitVerdict.PARABOLIC
+        witness = ball.element(int(rows[fixed.argmax()]))
+    elif depth >= UNBOUNDED_RUN + 1:
+        if all(sup_by_depth[-j] > sup_by_depth[-j - 1] for j in range(1, UNBOUNDED_RUN + 1)):
             if sup_by_depth[-1] >= UNBOUNDED_FACTOR * sup_by_depth[0]:
-                return LimitPointEvidence(xi, depth, sup_height, None, None,
-                                          LimitVerdict.HOROCYCLIC_EVIDENCE)
-            return LimitPointEvidence(xi, depth, sup_height, None, None,
-                                      LimitVerdict.INCONCLUSIVE)
-        # no height reaches the floor when the sup does not; otherwise only
-        # the few that do are joined to the identity's
-        cluster = None if sup_height < ACCUM_FLOOR else _find_cluster(
-            np.append(h0, heights[heights >= ACCUM_FLOOR]))
-        if cluster is not None:
-            return LimitPointEvidence(xi, depth, sup_height, cluster, None,
-                                      LimitVerdict.IRREGULAR_EVIDENCE)
-        return LimitPointEvidence(xi, depth, sup_height, None, None,
-                                  LimitVerdict.DISCRETE_EVIDENCE)
-    return LimitPointEvidence(xi, depth, sup_height, None, None,
-                              LimitVerdict.INCONCLUSIVE)
+                verdict = LimitVerdict.HOROCYCLIC_EVIDENCE
+        else:
+            # no height reaches the floor when the sup does not; otherwise
+            # only the few that do are joined to the identity's
+            cluster = None if sup_height < ACCUM_FLOOR else _find_cluster(
+                np.append(h0, heights[heights >= ACCUM_FLOOR]))
+            verdict = (LimitVerdict.DISCRETE_EVIDENCE if cluster is None
+                       else LimitVerdict.IRREGULAR_EVIDENCE)
+    return LimitPointEvidence(xi, depth, sup_height, cluster, witness, verdict)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import horoflow as hf
 from horoflow import dichotomy
-from horoflow.group import ball_arrays, orbit_height
+from horoflow.group import _boundary_images, ball_arrays, orbit_height
 from horoflow.halfplane import apply_boundary
 
 LN4 = math.log(4.0)
@@ -426,7 +426,7 @@ def test_candidate_fields_come_from_the_elements():
         coeffs = [(e.mobius.a, e.mobius.b, e.mobius.c, e.mobius.d) for e in seq.elements]
         a, b, c, d = np.array(coeffs).T
         heights = orbit_height(SimpleNamespace(a=a, b=b, c=c, d=d), hf.INFINITY).tolist()
-        values, at_inf = dichotomy._boundary_images(a, b, c, d, hf.INFINITY)
+        values, at_inf = _boundary_images(a, b, c, d, hf.INFINITY)
         assert _same_floats(seq.heights, heights)
         assert [p.is_infinity for p in seq.endpoint_images] == at_inf.tolist()
         assert _same_floats([p.value for p in seq.endpoint_images if not p.is_infinity],

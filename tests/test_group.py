@@ -1,12 +1,14 @@
 """Word-ball enumeration, element classification, fixed points, presets."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import horoflow as hf
-from horoflow.group import ball_arrays, isometry_rows
+from horoflow.group import Ball, ball_arrays
 from horoflow.halfplane import DET_TOL
 
 
@@ -175,14 +177,14 @@ def test_elliptic_scan_matches_scalar_classification():
 
 def test_isometry_rows_are_memoized_and_read_only():
     ball = ball_arrays(PSL2Z, 6)
-    par, ell = isometry_rows(ball)
+    par, ell = ball.isometry_rows
     assert par.size and ell.size
-    again = isometry_rows(ball)
+    again = ball.isometry_rows
     assert again[0] is par and again[1] is ell
     for arr in (par, ell):
         with pytest.raises(ValueError):
             arr[0] = 0
-    fresh = isometry_rows.__wrapped__(ball)
+    fresh = Ball.isometry_rows.func(ball)
     assert fresh[0] is not par
     for got, want in zip((par, ell), fresh):
         assert got.dtype == want.dtype
@@ -190,15 +192,21 @@ def test_isometry_rows_are_memoized_and_read_only():
     elements = hf.enumerate_ball(PSL2Z, 6)
     assert [elements[i] for i in par.tolist()] == [
         e for e in elements if hf.classify_isometry(e) is hf.IsometryClass.PARABOLIC]
-
-
-def test_isometry_rows_memo_is_per_class_tol():
-    # 2 - tr = 2 - 2 cos(k 1e-3) lies in (1e-9, 1e-5] for k <= 3: elliptic at
-    # the default tolerance, parabolic at 1e-5
+    # 2 - tr = 2 - 2 cos(k 1e-3) lies in (1e-9, 1e-5] for k <= 3: elliptic
+    # at the default tolerance
     spec = hf.GroupSpec((_rotation(1e-3),), max_word_length=3)
     assert len(hf.check_elliptic_free(spec)) == 6
-    assert hf.check_elliptic_free(spec, class_tol=1e-5) == []
-    assert len(hf.check_elliptic_free(spec)) == 6
+
+
+def test_a_ball_dies_with_its_memo_entry():
+    # the isometry rows live on the ball, so a classify keeps no ball alive
+    spec = hf.conjugate_spec(hf.schottky_pair(max_word_length=4), hf.Mobius(1.0, 0.25, 0.0, 1.0))
+    hf.classify_boundary_point(spec, 0.37)
+    ref = weakref.ref(ball_arrays(spec))
+    assert "isometry_rows" in vars(ref())
+    hf.group._cached_ball.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 def test_overflowing_coefficients_raise_domain_error():

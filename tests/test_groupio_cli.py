@@ -225,6 +225,13 @@ def test_cli_classify_far_point_is_quiet(group_files):
     assert json.loads(r.stdout)["result"]["sup_height"] == 0.0
 
 
+def test_cli_classify_rejects_a_nan_tol(group_files):
+    r = _cli("classify", "--group", group_files["parabolic"], "--point", "0.5", "--tol", "nan")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr and "tol" in r.stderr
+
+
 def test_cli_orbit_csv(tmp_path):
     out = tmp_path / "orbit.csv"
     r = _cli("orbit", "--flow", "horocycle", "--start", "0", "--end", "1",

@@ -261,6 +261,16 @@ def test_right_angle_cases():
     assert b == pytest.approx(math.pi / 2, abs=1e-9)
 
 
+def test_angle_at_an_endpoint_past_2_53():
+    # the vertical x = 4 meets the circle over (-3, R) near its foot at -3,
+    # at an angle tending to pi as R grows; R + 1 == R changes nothing
+    def angle(r):
+        return hf.angle_between(hf.Geodesic(hf.INFINITY, hf.bp(4)), hf.Geodesic(hf.bp(-3), hf.bp(r)))
+    assert angle(1e6) > 3.13
+    assert angle(2.0 ** 60) == pytest.approx(math.pi)
+    assert angle(3.865095818362521e171) == pytest.approx(math.pi)
+
+
 def test_angle_error_cases():
     with pytest.raises(hf.NoIntersection):
         hf.angle_between(hf.Geodesic(hf.bp(0), hf.bp(1)), hf.Geodesic(hf.bp(2), hf.bp(3)))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horoflow as hf
-from horoflow.group import ball_arrays, isometry_rows, orbit_height
+from horoflow.group import Ball, ball_arrays, orbit_height
 from horoflow.halfplane import GEOM_TOL
 from horoflow.limits import (UNBOUNDED_FACTOR, UNBOUNDED_RUN, LimitPointEvidence,
                              LimitVerdict, _find_cluster)
@@ -203,6 +203,45 @@ def test_parabolic_witness_is_the_first_in_word_order():
         assert ev.parabolic_witness == fixing[0]
 
 
+_GAMMA2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)), max_word_length=8)
+_PSL2Z = hf.GroupSpec((hf.Mobius(0, -1, 1, 0), hf.Mobius(1, 1, 0, 1)), max_word_length=12)
+_CUSP = hf.cyclic_parabolic(1.0, max_word_length=6)
+
+
+@pytest.mark.parametrize("spec, x", [
+    (_CUSP, 1e16), (_CUSP, 1e300), (_CUSP, -1e300), (_GAMMA2, 2.0 ** 60),
+    (_GAMMA2, 1e300), (_GAMMA2, -1e300), (_PSL2Z, 1e300), (_PSL2Z, -1e300)],
+    ids=["cusp-1e16", "cusp-1e300", "cusp--1e300", "gamma2-2^60", "gamma2-1e300",
+         "gamma2--1e300", "psl2z-1e300", "psl2z--1e300"])
+def test_translations_witness_no_finite_point(spec, x):
+    # z -> z + b fixes only infinity, though x + b rounds to x at these x
+    assert any(e.mobius.c == 0.0 and hf.classify_isometry(e) is hf.IsometryClass.PARABOLIC
+               for e in hf.enumerate_ball(spec))
+    ev = hf.classify_boundary_point(spec, x)
+    assert ev.verdict is not LimitVerdict.PARABOLIC
+    assert ev.parabolic_witness is None
+
+
+def test_witnesses_at_finite_points_move_infinity():
+    points = sorted({p / q for q in range(1, 7) for p in range(-3 * q, 3 * q + 1)}
+                    | {2.0 ** 53, 2.0 ** 60, 1e16, 1e300, -1e300, 0.37})
+    witnesses = 0
+    for spec in (_CUSP, _GAMMA2, _PSL2Z):
+        for x in points:
+            w = hf.classify_boundary_point(spec, x).parabolic_witness
+            if w is not None:
+                witnesses += 1
+                assert w.mobius.c != 0.0
+                assert hf.apply_boundary(w.mobius, hf.bp(x)).value == pytest.approx(x, abs=GEOM_TOL)
+    assert witnesses > 50
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_classify_rejects_a_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        hf.classify_boundary_point(_GAMMA2, 0.5, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # equivalence with the straightforward classifier
 
@@ -227,7 +266,7 @@ def _reference_classify(spec, xi, depth):
     heights = np.append(_reference_orbit_height(hf.Mobius.identity(), xi),
                         _reference_orbit_height(ball, xi))
     sup_height = float(heights.max())
-    rows, _ = isometry_rows.__wrapped__(ball)
+    rows, _ = Ball.isometry_rows.func(ball)
     a, b, c, d = ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows]
     if xi.is_infinity:
         fixed = c == 0.0
@@ -235,7 +274,7 @@ def _reference_classify(spec, xi, depth):
         x = xi.value
         den = c * x + d
         with np.errstate(divide="ignore", invalid="ignore"):
-            fixed = (den != 0.0) & (np.abs((a * x + b) / den - x) <= GEOM_TOL)
+            fixed = (c != 0.0) & (den != 0.0) & (np.abs((a * x + b) / den - x) <= GEOM_TOL)
     if fixed.any():
         return LimitPointEvidence(xi, depth, sup_height, None,
                                   ball.element(int(rows[fixed.argmax()])),
