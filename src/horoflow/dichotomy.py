@@ -225,7 +225,7 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
             f"only {len(chain)} qualifying elements (need {min_len}) "
             f"in the depth-{depth if depth is not None else spec.max_word_length} ball",
             found=len(chain))
-    return SequenceCandidate(tuple(ball.element(i) for i in chain), (float(m), float(M)))
+    return SequenceCandidate(tuple(ball[i] for i in chain), (float(m), float(M)))
 
 
 def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidate:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,8 +106,10 @@ def _check_det(p: np.ndarray, length: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class Ball:
-    """A word ball as read-only arrays, one row per non-identity element.
+class Ball(Sequence):
+    """A word ball as read-only arrays, one row per non-identity element,
+    and the read-only sequence of those elements: ``ball[i]`` builds row i's
+    GroupElement, a slice a tuple of them.
 
     Row i has coefficients (a[i], b[i], c[i], d[i]) and the word of row
     parent[i] (the empty word for -1) followed by letter[i], a signed 1-based
@@ -136,17 +140,13 @@ class Ball:
             i = int(self.parent[i])
         return tuple(reversed(w))
 
-    def element(self, i: int) -> GroupElement:
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # an index in [0, len) or a range; IndexError outside
+        if isinstance(i, range):
+            return tuple(map(self.__getitem__, i))
         # the row's own coefficients: _check_det admitted them for its word length
         m = Mobius._admitted(self.a[i], self.b[i], self.c[i], self.d[i])
         return GroupElement(m, self.word(i))
-
-    def elements(self) -> tuple[GroupElement, ...]:
-        words: list[tuple[int, ...]] = []
-        for p, l in zip(self.parent.tolist(), self.letter.tolist()):
-            words.append((words[p] if p >= 0 else ()) + (l,))
-        return tuple(GroupElement(Mobius._admitted(a, b, c, d), w) for a, b, c, d, w in zip(
-            self.a.tolist(), self.b.tolist(), self.c.tolist(), self.d.tolist(), words))
 
     @functools.cached_property
     def isometry_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -216,10 +216,13 @@ def _cached_ball(spec: GroupSpec, depth: int) -> Ball:
 
 def _check_depth(spec: GroupSpec, depth: int | None) -> int:
     if depth is None:
-        depth = spec.max_word_length
+        return spec.max_word_length
+    # an int or a NumPy integer, never a bool
+    if isinstance(depth, bool) or not hasattr(type(depth), "__index__"):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return depth
+    return operator.index(depth)
 
 
 def ball_arrays(spec: GroupSpec, depth: int | None = None) -> Ball:
@@ -229,14 +232,10 @@ def ball_arrays(spec: GroupSpec, depth: int | None = None) -> Ball:
     return _cached_ball(spec, _check_depth(spec, depth))
 
 
-def enumerate_ball(spec: GroupSpec, depth: int | None = None) -> tuple[GroupElement, ...]:
-    """The ball's elements as GroupElements, in :class:`Ball` order. Raises
-    BallTooLarge past ENUM_CAP elements.
-
-    Builds one Python object per element on every call; code that scans a
-    ball uses :func:`ball_arrays` and builds only the elements it reports.
-    """
-    return _cached_ball(spec, _check_depth(spec, depth)).elements()
+def enumerate_ball(spec: GroupSpec, depth: int | None = None) -> Ball:
+    """The same memoized :class:`Ball` as :func:`ball_arrays`, read as the
+    sequence of its elements: no element is built until one is indexed."""
+    return _cached_ball(spec, _check_depth(spec, depth))
 
 
 def orbit_height(g, xi: BoundaryPoint):
@@ -364,7 +363,7 @@ def _polish_root(a: float, b: float, c: float, d: float, x: float) -> float:
 def check_elliptic_free(spec: GroupSpec, depth: int | None = None) -> list[GroupElement]:
     """Elliptic elements found in the word ball; empty means none detected."""
     ball = ball_arrays(spec, depth)
-    return [ball.element(i) for i in ball.isometry_rows[1].tolist()]
+    return [ball[i] for i in ball.isometry_rows[1].tolist()]
 
 
 def conjugate_spec(spec: GroupSpec, h: Mobius) -> GroupSpec:

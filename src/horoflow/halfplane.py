@@ -253,7 +253,25 @@ def cross_ratio(a, b, c, d) -> float:
         for j in range(i + 1, 4):
             if pts[i] == pts[j]:
                 raise DegeneratePoints(f"cross-ratio needs distinct points, got {pts[i]} twice")
-    return (_pdiff(a, c) * _pdiff(b, d)) / (_pdiff(a, d) * _pdiff(b, c))
+    (m1, e1), (m2, e2), (m3, e3), (m4, e4) = (
+        _frexp_pdiff(p, q) for p, q in ((a, c), (b, d), (a, d), (b, c)))
+    # mantissas lie in [0.5, 1), so only the exponent can leave the float
+    # range: the ratio then becomes +-inf or 0.0
+    r = (m1 * m2) / (m3 * m4)
+    try:
+        return math.ldexp(r, e1 + e2 - e3 - e4)
+    except OverflowError:
+        return math.copysign(math.inf, r)
+
+
+def _frexp_pdiff(p: BoundaryPoint, q: BoundaryPoint) -> tuple[float, int]:
+    # only two finite points can differ past the float range; their halves,
+    # exact at that size, cannot
+    diff = _pdiff(p, q)
+    if math.isinf(diff):
+        m, e = math.frexp(0.5 * p.proj[0] - 0.5 * q.proj[0])
+        return m, e + 1
+    return math.frexp(diff)
 
 
 def angle_between(g1: Geodesic, g2: Geodesic) -> float:
@@ -273,8 +291,9 @@ def angle_between(g1: Geodesic, g2: Geodesic) -> float:
     if shared:
         raise DegeneratePoints(f"geodesics share the endpoint {shared.pop()}")
     # The pairs {a,b} and {c,d} separate each other on the circle iff the
-    # geodesics cross in the open half-plane.
-    if cross_ratio(a, b, c, d) >= 0.0:
+    # geodesics cross in the open half-plane, iff [a; b; c; d] < 0: an odd
+    # number of its four differences is negative (each sign is exact).
+    if sum(_pdiff(p, q) < 0.0 for p, q in ((a, c), (b, d), (a, d), (b, c))) % 2 == 0:
         raise NoIntersection("geodesics do not cross in the open half-plane")
     # (a; c; b) runs the boundary's way round (up the line, then through inf)
     # when an even number of the differences a - c, c - b, b - a is negative

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, GroupSpec, _boundary_images, ball_arrays, orbit_height
+from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, ball_arrays,
+                    orbit_height)
 from .halfplane import GEOM_TOL, BoundaryPoint, Mobius, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
@@ -53,8 +54,7 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
     The orbit point i itself (the identity) is included.
     """
     xi = bp(xi)
-    if depth is None:
-        depth = spec.max_word_length
+    depth = _check_depth(spec, depth)
     if depth > spec.max_word_length:
         raise ValueError(f"depth {depth} exceeds the spec's max_word_length {spec.max_word_length}")
     h = np.append(orbit_height(ball_arrays(spec, depth), xi),
@@ -98,8 +98,7 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     <= tol; tol must be finite and non-negative.
     """
     xi = bp(xi)
-    if depth is None:
-        depth = spec.max_word_length
+    depth = _check_depth(spec, depth)
     if not (1 <= depth <= spec.max_word_length):
         raise ValueError(
             f"depth must lie in [1, {spec.max_word_length}], got {depth}")
@@ -133,7 +132,7 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
             fixed = (c != 0.0) & (np.abs(images - xi.value) <= tol)
     if fixed.any():
         verdict = LimitVerdict.PARABOLIC
-        witness = ball.element(int(rows[fixed.argmax()]))
+        witness = ball[rows[fixed.argmax()]]
     elif depth >= UNBOUNDED_RUN + 1:
         if all(sup_by_depth[-j] > sup_by_depth[-j - 1] for j in range(1, UNBOUNDED_RUN + 1)):
             if sup_by_depth[-1] >= UNBOUNDED_FACTOR * sup_by_depth[0]:

@@ -258,7 +258,7 @@ def _loop_return_times(orbit, alpha_ball, eps, window):
     # one scalar settle test per alpha row
     times = []
     for i in range(len(alpha_ball)):
-        v = _return_time(orbit, alpha_ball.element(i), eps, window)
+        v = _return_time(orbit, alpha_ball[i], eps, window)
         if v.converged and abs(v.limit) >= eps:
             times.append(v.limit)
     return times
@@ -318,7 +318,7 @@ def test_settle_equals_the_scalar_reference(name, endpoint):
     u = _aimed_at(endpoint)
     assert u.forward_endpoint().is_infinity == (endpoint == "inf")
     alpha_ball = ball_arrays(spec, 3)
-    alphas = [hf.Mobius.identity()] + [m.mobius for m in alpha_ball.elements()]
+    alphas = [hf.Mobius.identity()] + [m.mobius for m in alpha_ball]
     rows = settled = 0
     for band in [(0.5, 2.0), (0.1, 10.0), (1e-3, 1e3), (1e-6, 1e6)]:
         try:

@@ -135,7 +135,7 @@ def test_ball_matches_scalar_breadth_first(spec, depth):
     assert words == sorted(words, key=_word_sort_key)
     assert list(ball.word_lengths) == [len(w) for w in words]
     assert [e.word for e in hf.enumerate_ball(spec, depth)] == words
-    e = ball.element(len(ball) - 1)
+    e = ball[len(ball) - 1]
     assert e.word == words[-1] and e.mobius == ref[-1][1]
 
 
@@ -155,7 +155,7 @@ def test_determinant_drift_is_allowed_per_letter():
         got = np.array([getattr(e.mobius, name) for e in elements])
         assert np.array_equal(got.view(np.int64), getattr(ball, name).view(np.int64))
     worst = int(drift.argmax())
-    assert ball.element(worst).mobius.inverse().inverse() == ball.element(worst).mobius
+    assert ball[worst].mobius.inverse().inverse() == ball[worst].mobius
 
 
 def test_ball_too_large_counts_deduped_elements():
@@ -217,9 +217,66 @@ def test_overflowing_coefficients_raise_domain_error():
 
 
 def test_depth_validation(parabolic_spec):
-    assert hf.enumerate_ball(parabolic_spec, 0) == ()
+    assert len(hf.enumerate_ball(parabolic_spec, 0)) == 0
     with pytest.raises(ValueError):
         hf.enumerate_ball(parabolic_spec, -1)
+
+
+DEPTH_CALLS = {
+    "ball_arrays": ball_arrays,
+    "classify": lambda spec, depth: hf.classify_boundary_point(spec, 0.3, depth=depth),
+    "orbit_heights": lambda spec, depth: hf.orbit_heights(spec, 0.3, depth=depth),
+    "inj": lambda spec, depth: hf.injectivity_profile(spec, t_max=1.0, depth=depth),
+}
+
+
+@pytest.mark.parametrize("depth", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("call", DEPTH_CALLS.values(), ids=DEPTH_CALLS.keys())
+def test_a_depth_must_be_an_integer(schottky_spec, call, depth):
+    with pytest.raises(ValueError, match="integer"):
+        call(schottky_spec, depth)
+
+
+def test_a_numpy_integer_is_a_depth(schottky_spec):
+    for call in DEPTH_CALLS.values():
+        call(schottky_spec, np.int64(3))
+    assert ball_arrays(schottky_spec, np.int64(3)) is ball_arrays(schottky_spec, 3)
+    ev = hf.classify_boundary_point(schottky_spec, 0.3, depth=np.int32(3))
+    assert type(ev.depth) is int and ev.depth == 3
+
+
+def test_enumerate_ball_is_the_memoized_ball(schottky_spec):
+    assert hf.enumerate_ball(schottky_spec, 3) is ball_arrays(schottky_spec, 3)
+    assert hf.enumerate_ball(schottky_spec) is ball_arrays(schottky_spec)
+
+
+def test_a_warm_ball_builds_no_element(schottky_spec, monkeypatch):
+    made = []
+
+    class Counting(hf.GroupElement):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    ball_arrays(schottky_spec, 5)
+    monkeypatch.setattr(hf.group, "GroupElement", Counting)
+    ball = hf.enumerate_ball(schottky_spec, 5)
+    assert len(made) == 0
+    assert isinstance(ball[3], Counting) and len(made) == 1
+
+
+def test_a_ball_is_the_sequence_of_its_elements(schottky_spec):
+    ball = hf.enumerate_ball(schottky_spec, 3)
+    n = len(ball)
+    assert ball[-1] == ball[n - 1] and ball[-n] == ball[0]
+    assert ball[np.int64(7)] == ball[7] and ball[np.int64(-2)] == ball[n - 2]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ball[i]
+    assert ball[:7] == tuple(list(ball)[:7])
+    assert ball[5:1:-2] == (ball[5], ball[3])
+    assert list(ball) == [ball[i] for i in range(n)]
+    assert ball[n - 1].word == ball.word(n - 1) and ball[n - 1] in ball
 
 
 def test_ball_arrays_cached_and_read_only(schottky_spec):

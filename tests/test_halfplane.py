@@ -1,6 +1,7 @@
 """Point/matrix primitives, distance, Busemann, cross-ratio and angle identities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,6 +282,66 @@ def test_angle_error_cases():
         hf.angle_between(hf.Geodesic(hf.bp(0), hf.bp(1)), hf.Geodesic(hf.bp(1), hf.bp(3)))
     with pytest.raises(hf.NoIntersection):
         hf.angle_between(hf.Geodesic(hf.bp(0), hf.bp(1)), hf.Geodesic(hf.bp(1), hf.bp(0)))
+
+
+def test_geodesics_past_the_float_range_do_not_cross():
+    # (a - c)(b - d) and (a - d)(b - c) both overflow to inf here, yet the
+    # intervals [-1.4e-200, 0.0024] and [1.8e120, 8.4e205] are disjoint
+    with pytest.raises(hf.NoIntersection):
+        hf.angle_between(hf.Geodesic(hf.bp(0.0024), hf.bp(-1.4e-200)),
+                         hf.Geodesic(hf.bp(8.4e205), hf.bp(1.8e120)))
+
+
+def test_cross_ratio_past_the_float_range_saturates():
+    big = math.nextafter(1e300, math.inf)
+    assert hf.cross_ratio(1e300, 1e-300, 2e-300, big) == -math.inf
+    assert hf.cross_ratio(1e-300, 1e300, 2e-300, big) == 0.0
+    assert hf.cross_ratio(0.0024, -1.4e-200, 8.4e205, 1.8e120) == pytest.approx(1.0)
+
+
+def _exact_angle(a, b, c, d):
+    # None when (a, b) and (c, d) do not separate each other, else the angle
+    # from the exact cross-ratio of the endpoints in cyclic order (a; c; b; d)
+    def diff(p, q):
+        (p1, p2), (q1, q2) = p.proj, q.proj
+        return Fraction(p1) * Fraction(q2) - Fraction(q1) * Fraction(p2)
+    if diff(a, c) * diff(b, d) / (diff(a, d) * diff(b, c)) > 0:
+        return None
+    if sum(diff(p, q) < 0 for p, q in ((a, c), (c, b), (b, a))) % 2:
+        c, d = d, c
+    x = diff(a, d) * diff(c, b) / (diff(a, b) * diff(c, d))
+    return math.acos(min(1.0, max(-1.0, float(2 * x - 1))))
+
+
+def test_angles_of_extreme_geodesics_match_exact_arithmetic():
+    rng = np.random.default_rng(11)
+
+    def endpoint():
+        kind = rng.integers(5)
+        if kind == 0:
+            return hf.INFINITY
+        if kind == 1:
+            return hf.bp(int(rng.integers(-3, 4)))
+        if kind == 2:
+            return hf.bp(float(rng.choice([1e-200, -1e-200])))
+        if kind == 3:
+            return hf.bp(float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)))
+        return hf.bp(float(rng.normal()))
+
+    crossed = 0
+    for _ in range(3000):
+        a, b, c, d = (endpoint() for _ in range(4))
+        if len({a, b, c, d}) < 4:
+            continue
+        want = _exact_angle(a, b, c, d)
+        if want is None:
+            with pytest.raises(hf.NoIntersection):
+                hf.angle_between(hf.Geodesic(a, b), hf.Geodesic(c, d))
+        else:
+            crossed += 1
+            got = hf.angle_between(hf.Geodesic(a, b), hf.Geodesic(c, d))
+            assert got == pytest.approx(want, abs=1e-7)
+    assert crossed > 300
 
 
 def test_angle_mobius_invariance(rng, mobius_sampler):

@@ -277,7 +277,7 @@ def _reference_classify(spec, xi, depth):
             fixed = (c != 0.0) & (den != 0.0) & (np.abs((a * x + b) / den - x) <= GEOM_TOL)
     if fixed.any():
         return LimitPointEvidence(xi, depth, sup_height, None,
-                                  ball.element(int(rows[fixed.argmax()])),
+                                  ball[int(rows[fixed.argmax()])],
                                   LimitVerdict.PARABOLIC)
     ends = np.searchsorted(ball.word_lengths, np.arange(1, depth + 1), side="right")
     sup_by_depth = np.maximum.accumulate(heights)[ends].tolist()
@@ -357,6 +357,6 @@ def test_orbit_height_of_a_ball_is_its_rows_heights(schottky_spec, xi):
     assert np.array_equal(heights, _reference_orbit_height(ball, xi))
     rows = np.random.default_rng(3).choice(len(ball), 50, replace=False)
     for i in rows.tolist() + [0, len(ball) - 1]:
-        one = orbit_height(ball.element(i).mobius, xi)
+        one = orbit_height(ball[i].mobius, xi)
         assert isinstance(one, float)
         assert one.hex() == float(heights[i]).hex()
