@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -89,12 +88,8 @@ def _header(command: str, config: dict) -> dict:
 
 def _load_spec(args):
     spec = load_group_spec(args.group)
-    depth = getattr(args, "depth", None)
-    if depth is not None:
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        if depth > spec.max_word_length:
-            spec = replace(spec, max_word_length=depth)
+    if args.depth is not None and args.depth < 1:
+        raise ValueError("depth must be at least 1")
     return spec
 
 
@@ -282,7 +277,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
         return 2
     except (HoroflowError, ValueError) as exc:

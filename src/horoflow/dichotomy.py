@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import NoSequenceFound
 from .flows import BASE_TANGENT, UnitTangent
-from .group import (DEDUP_TOL, GroupElement, GroupSpec, _boundary_images, _unwrap,
-                    ball_arrays, conjugate_spec, dedup_keys, orbit_height)
+from .group import (DEDUP_TOL, GroupElement, GroupSpec, _boundary_images, _check_depth,
+                    _check_int, _unwrap, ball_arrays, conjugate_spec, dedup_keys, orbit_height)
 from .halfplane import INFINITY, BoundaryPoint, Mobius, PointH, apply, apply_boundary, dist
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
@@ -205,8 +205,8 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     m, M = band
     if not (0.0 < m < M):
         raise ValueError(f"height band needs 0 < m < M, got ({m}, {M})")
-    if min_len < 1:
-        raise ValueError(f"min_len must be at least 1, got {min_len}")
+    min_len = _check_int("min_len", min_len, 1)
+    depth = _check_depth(spec, depth)
     ball = ball_arrays(spec, depth)
     heights = orbit_height(ball, INFINITY)
     rows = np.nonzero((heights >= m) & (heights <= M))[0]
@@ -222,8 +222,7 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
             hs.pop(0)
     if len(chain) < min_len:
         raise NoSequenceFound(
-            f"only {len(chain)} qualifying elements (need {min_len}) "
-            f"in the depth-{depth if depth is not None else spec.max_word_length} ball",
+            f"only {len(chain)} qualifying elements (need {min_len}) in the depth-{depth} ball",
             found=len(chain))
     return SequenceCandidate(tuple(ball[i] for i in chain), (float(m), float(M)))
 
@@ -240,11 +239,10 @@ def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidat
 
 
 def _check_settle(eps: float, window: int) -> None:
-    """Raise ValueError unless eps is finite and positive and window is at least 1."""
+    """Raise ValueError unless eps is finite and positive and window an integer >= 1."""
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
+    _check_int("window", window, 1)
 
 
 def _strictly_increasing_tail(values, window: int) -> bool:
@@ -437,7 +435,7 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
                 f"{len(inv)}-term sequence did not stay below eps={eps:g} "
                 f"over the trailing {window} terms")
     # candidate times: the settled values at least eps from 0 over the alpha ball
-    ab = ball_arrays(spec, min(ALPHA_DEPTH, spec.max_word_length))
+    ab = ball_arrays(spec, ALPHA_DEPTH)
     values, _, settled = _settle(_sequence_orbit(u, inv), ab.a, ab.b, ab.c, ab.d, eps, window)
     limits = values[settled.all(axis=0), -1]
     times = sorted(limits[np.abs(limits) >= eps].tolist())

@@ -22,6 +22,7 @@ _CHUNK_ROWS = 512  # rows per kernel slice; its temporaries stay in cache
 _SEED_ROWS = 512   # rows evaluated at every sample to bound its minimum
 _BLOCK = 8         # samples sharing one pruning threshold
 _ULP = float(np.finfo(float).eps)
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 MAX_SAMPLES = 2_000_000  # longest sample grid of a profile or an orbit table
 
 
@@ -36,6 +37,24 @@ def sample_count(span: float, step: float) -> int:
         raise ValueError(f"a span of {span} at step {step} needs more than "
                          f"{MAX_SAMPLES} samples")
     return int(math.floor(x)) + 1
+
+
+def _exp(t):
+    """e^t, by math.exp for a time and np.exp for an array of times.
+
+    Raises ValueError unless every value is a normal positive float, so that
+    e^t and e^-t are both finite and positive: t in about [-708.39, 709.78].
+    """
+    try:
+        with np.errstate(over="ignore"):  # checked below
+            e = np.exp(t) if isinstance(t, np.ndarray) else math.exp(t)
+    except OverflowError:
+        e = math.inf
+    ok = (e >= _TINY) & (e <= _HUGE)
+    if not np.all(ok):
+        x = np.ravel(t)[np.argmin(ok)]
+        raise ValueError(f"exp({x:g}) is past the float range")
+    return e
 
 
 @dataclass(frozen=True)
@@ -59,7 +78,7 @@ BASE_TANGENT = UnitTangent(Mobius.identity())
 
 def geodesic_flow(u: UnitTangent, t: float) -> UnitTangent:
     """Flow for time t along the geodesic the vector points along."""
-    e = math.exp(t / 2.0)
+    e = _exp(t / 2.0)
     return UnitTangent(u.frame @ Mobius(e, 0.0, 0.0, 1.0 / e))
 
 
@@ -72,14 +91,14 @@ def ray_point(u: UnitTangent, t: float) -> PointH:
     """Point at time t >= 0 along the forward geodesic ray of u."""
     if t < 0.0:
         raise NegativeTime(f"ray time must be >= 0, got {t}")
-    return apply(u.frame, PointH(0.0, math.exp(t)))
+    return apply(u.frame, PointH(0.0, _exp(t)))
 
 
 def orbit_points(u: UnitTangent, kind: str, times: np.ndarray) -> np.ndarray:
     """Base points of the flowed vector at each time, as a complex array."""
     m = u.frame
     if kind == "geodesic":
-        z = 1j * np.exp(np.asarray(times, dtype=float))
+        z = 1j * _exp(np.asarray(times, dtype=float))
     elif kind == "horocycle":
         z = np.asarray(times, dtype=float) + 1j
     else:
@@ -193,7 +212,7 @@ def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
         raise EmptyBall("injectivity profile needs a non-empty word ball")
     n = sample_count(t_max, step)
     times = step * np.arange(n)
-    inj = 0.5 * _min_displacements(np.exp(times), ball, u.frame)
+    inj = 0.5 * _min_displacements(_exp(times), ball, u.frame)
     tail = max(1, int(math.ceil(TAIL_FRACTION * n)))
     return RayProfile(times=times, inj_estimates=inj,
                       liminf_estimate=float(inj[-tail:].min()))

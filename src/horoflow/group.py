@@ -25,6 +25,18 @@ CLASS_TOL = 1e-9      # tolerance on |trace| - 2 for the isometry trichotomy
 ENUM_CAP = 2_000_000  # hard cap on enumerated elements
 
 
+def _check_int(name: str, value, least: int) -> int:
+    """``value`` as a plain int: what operator.index takes (an int or a NumPy
+    integer) but a bool, at least ``least``; ValueError otherwise."""
+    try:
+        n = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return n
+
+
 class IsometryClass(enum.Enum):
     HYPERBOLIC = "hyperbolic"
     PARABOLIC = "parabolic"
@@ -66,9 +78,11 @@ class GroupSpec:
                 raise InvalidGenerator(f"generator {g!r} is not a Mobius value")
             if g.is_identity(self.dedup_tol):
                 raise InvalidGenerator("the identity is not an admissible generator")
-        if not (isinstance(self.max_word_length, int) and not isinstance(self.max_word_length, bool)
-                and self.max_word_length >= 1):
-            raise InvalidGenerator(f"max_word_length must be a positive integer, got {self.max_word_length}")
+        try:
+            n = _check_int("max_word_length", self.max_word_length, 1)
+        except ValueError as exc:
+            raise InvalidGenerator(str(exc)) from None
+        object.__setattr__(self, "max_word_length", n)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
@@ -215,14 +229,8 @@ def _cached_ball(spec: GroupSpec, depth: int) -> Ball:
 
 
 def _check_depth(spec: GroupSpec, depth: int | None) -> int:
-    if depth is None:
-        return spec.max_word_length
-    # an int or a NumPy integer, never a bool
-    if isinstance(depth, bool) or not hasattr(type(depth), "__index__"):
-        raise ValueError(f"depth must be an integer, got {depth!r}")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    return operator.index(depth)
+    # max_word_length is the default depth, not a cap: ENUM_CAP bounds the ball
+    return spec.max_word_length if depth is None else _check_int("depth", depth, 0)
 
 
 def ball_arrays(spec: GroupSpec, depth: int | None = None) -> Ball:
@@ -248,11 +256,16 @@ def orbit_height(g, xi: BoundaryPoint):
     head * c is exact for entries below 2^27, as in integer groups, and
     a - xi c keeps its digits where it cancels.
     """
+    # A square past the float range is inf, and its height 1/inf = 0 is
+    # right. So is 0 where both halves of xi's split overflow against one
+    # entry and inf - inf leaves NaN: then |xi c| or |xi d| is past 2^26
+    # times the float range, and the height is below 1e-600.
     if isinstance(g, Mobius):
-        return _orbit_height(g, xi)
-    # a square past the float range is inf, and its height 1/inf = 0 is right
-    with np.errstate(over="ignore"):
-        return _orbit_height(g, xi)
+        h = _orbit_height(g, xi)
+        return 0.0 if math.isnan(h) else h
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _orbit_height(g, xi)
+    return np.fmax(h, 0.0, out=h)
 
 
 def _orbit_height(g, xi: BoundaryPoint):

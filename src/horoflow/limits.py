@@ -54,9 +54,6 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
     The orbit point i itself (the identity) is included.
     """
     xi = bp(xi)
-    depth = _check_depth(spec, depth)
-    if depth > spec.max_word_length:
-        raise ValueError(f"depth {depth} exceeds the spec's max_word_length {spec.max_word_length}")
     h = np.append(orbit_height(ball_arrays(spec, depth), xi),
                   orbit_height(Mobius.identity(), xi))
     h.sort()
@@ -99,9 +96,8 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     """
     xi = bp(xi)
     depth = _check_depth(spec, depth)
-    if not (1 <= depth <= spec.max_word_length):
-        raise ValueError(
-            f"depth must lie in [1, {spec.max_word_length}], got {depth}")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     ball = ball_arrays(spec, depth)

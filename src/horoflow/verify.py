@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flows import MAX_SAMPLES
+from .group import _check_int
 from .halfplane import INFINITY, Mobius, PointH, apply, apply_boundary, bp, busemann, cross_ratio, dist
 
 DEFAULT_SAMPLES = 1000
@@ -91,8 +93,9 @@ def _substitution_residual(a, b, c, d, t) -> float:
 
 def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
                      tol: float = DEFAULT_TOL) -> VerificationReport:
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    samples = _check_int("samples", samples, 1)
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     rng = np.random.default_rng(seed)
     a, b, c, d = _sample_matrices(rng, samples)
     # the sampled maps the scalar checks run on

@@ -191,6 +191,20 @@ def test_settle_functions_reject_bad_settle_parameters(kwargs):
         hf.check_coefficient_asymptotics(sc, **kwargs)
 
 
+@pytest.mark.parametrize("bad", [2.5, True], ids=["2.5", "True"])
+def test_window_and_min_len_must_be_integers(parabolic_spec, bad):
+    sc = hf.synthetic_candidate(_synthetic_matrices(), (0.1, 2.0))
+    for kwargs in ({"window": bad}, {"min_len": bad}):
+        with pytest.raises(ValueError, match="integer"):
+            hf.run_dichotomy(parabolic_spec, **kwargs)
+    with pytest.raises(ValueError, match="integer"):
+        hf.find_bounded_escaping_sequence(parabolic_spec, (0.5, 2.0), min_len=bad)
+    with pytest.raises(ValueError, match="integer"):
+        hf.test_recurrence(hf.BASE_TANGENT, sc, window=bad)
+    with pytest.raises(ValueError, match="integer"):
+        hf.check_coefficient_asymptotics(sc, window=bad)
+
+
 # ---------------------------------------------------------------------------
 # return-time streams
 

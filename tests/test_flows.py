@@ -132,6 +132,26 @@ def test_profile_survives_squares_past_the_float_range(schottky_spec):
     assert p.inj_estimates[2] - p.inj_estimates[1] == pytest.approx(350.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("flow, t", [(hf.ray_point, 1e4), (hf.geodesic_flow, 1e4),
+                                     (hf.geodesic_flow, -1e4), (hf.ray_point, math.nan)])
+def test_flow_times_past_the_float_range_are_refused(flow, t):
+    with pytest.raises(ValueError, match="float range"):
+        flow(hf.BASE_TANGENT, t)
+
+
+@pytest.mark.parametrize("start, end", [(700.0, 720.0), (-760.0, -750.0)])
+def test_geodesic_orbits_past_the_float_range_are_refused(start, end):
+    # e^t overflows to inf past t ~ 709.8 and underflows to 0 (a point off H)
+    # before t ~ -745
+    with pytest.raises(ValueError, match="float range"):
+        hf.orbit_points(hf.BASE_TANGENT, "geodesic", np.arange(start, end, 1.0))
+
+
+def test_profile_past_the_float_range_is_refused(parabolic_spec):
+    with pytest.raises(ValueError, match="float range"):
+        hf.injectivity_profile(parabolic_spec, t_max=800.0, step=10.0)
+
+
 M = hf.Mobius
 GAMMA2 = hf.GroupSpec((M(1, 2, 0, 1), M(1, 0, 2, 1)))
 PSL2Z = hf.GroupSpec((M(0, -1, 1, 0), M(1, 1, 0, 1)), max_word_length=20)

@@ -32,6 +32,17 @@ def test_spec_rejects_bad_word_length():
         hf.GroupSpec((hf.Mobius(1, 1, 0, 1),), max_word_length=True)
 
 
+def test_a_numpy_integer_is_a_max_word_length():
+    gens = (hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1))
+    spec = hf.GroupSpec(gens, max_word_length=np.int64(4))
+    plain = hf.GroupSpec(gens, max_word_length=4)
+    assert type(spec.max_word_length) is int
+    assert spec == plain and hash(spec) == hash(plain)
+    assert ball_arrays(spec) is ball_arrays(plain)
+    with pytest.raises(hf.InvalidGenerator, match="integer"):
+        hf.GroupSpec(gens, max_word_length=4.0)
+
+
 def test_elliptic_generator_is_constructible_but_flagged():
     # Construction stays permissive; the dedicated scan reports the offenders.
     spec = hf.GroupSpec((_rotation(0.4),), max_word_length=3)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import horoflow as hf
 from horoflow import cli
-from horoflow.flows import BASE_TANGENT, orbit_points, sample_count
+from horoflow.flows import BASE_TANGENT, MAX_SAMPLES, orbit_points, sample_count
 from horoflow.groupio import spec_to_data
 
 
@@ -295,6 +295,31 @@ def test_cli_exit_codes(group_files, tmp_path):
     assert _cli("classify", "--group", group_files["parabolic"]).returncode == 2
     assert _cli("frobnicate").returncode == 2
     assert _cli().returncode == 2
+
+
+def test_cli_unreadable_paths_exit_2(group_files, tmp_path):
+    for argv in (["--group", str(tmp_path)],
+                 ["--group", group_files["parabolic"], "--out", str(tmp_path)]):
+        r = _cli("classify", "--point", "0.5", *argv)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and r.stderr.startswith("horoflow: error:")
+
+
+@pytest.mark.parametrize("start", ["700", "-760"])
+def test_cli_geodesic_orbit_past_the_float_range_is_an_error(start):
+    end = str(float(start) + 20.0)
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "horoflow.cli", "orbit",
+                        "--flow", "geodesic", "--start", start, "--end", end],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 1 and r.stdout == ""
+    assert "Traceback" not in r.stderr and "float range" in r.stderr
+
+
+@pytest.mark.parametrize("samples", [2.5, True, MAX_SAMPLES + 1])
+def test_verify_samples_is_a_bounded_integer(samples):
+    # the cap is checked before any sample array is allocated
+    with pytest.raises(ValueError, match="samples"):
+        hf.run_verification(samples=samples)
 
 
 def test_cli_overflowing_family_is_a_domain_error(tmp_path):

@@ -1,5 +1,6 @@
 """Orbit heights and finite-depth limit-point classification."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -360,3 +361,27 @@ def test_orbit_height_of_a_ball_is_its_rows_heights(schottky_spec, xi):
         one = orbit_height(ball[i].mobius, xi)
         assert isinstance(one, float)
         assert one.hex() == float(heights[i]).hex()
+
+
+@pytest.mark.parametrize("spec", [_GAMMA2, _PSL2Z, _CUSP], ids=["gamma2", "psl2z", "cusp"])
+@pytest.mark.parametrize("x", [0.3, math.e - 2, math.inf])
+def test_a_depth_past_max_word_length_reads_the_deeper_spec(spec, x):
+    # max_word_length is the default depth, not a cap
+    depth = spec.max_word_length
+    shallow = dataclasses.replace(spec, max_word_length=depth - 2)
+    assert (_bits(hf.classify_boundary_point(shallow, x, depth=depth))
+            == _bits(hf.classify_boundary_point(spec, x, depth=depth)))
+    assert (hf.orbit_heights(shallow, x, depth=depth).tobytes()
+            == hf.orbit_heights(spec, x, depth=depth).tobytes())
+
+
+@pytest.mark.parametrize("x", [1e200, -1e200])
+def test_heights_where_the_split_overflows_read_zero(x):
+    # both halves of x's split overflow against c = 1e150: a - x c is
+    # inf - inf, though the height is below 1e-600
+    huge = hf.Mobius(1, 0, 1e150, 1)
+    spec = hf.GroupSpec((hf.Mobius(1, 0, 1e-8, 1), huge), max_word_length=2)
+    assert orbit_height(huge, hf.bp(x)) == 0.0
+    heights = hf.orbit_heights(spec, x)
+    assert not np.isnan(heights).any()
+    assert hf.classify_boundary_point(spec, x).sup_height == 0.0
