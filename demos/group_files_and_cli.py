@@ -6,7 +6,10 @@ shell user would. Outputs are deterministic for a fixed seed, so piping
 them into files or diffs is safe.
 """
 
+import atexit
 import json
+import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,13 +17,19 @@ from pathlib import Path
 
 import horoflow as hf
 
+# every file lives in a fresh directory, named relative to it, so that the
+# printed commands and reports are the same on every run
 workdir = Path(tempfile.mkdtemp(prefix="horoflow-demo-"))
+atexit.register(shutil.rmtree, workdir)
+os.chdir(workdir)
+# the CLI runs from that directory too, so it imports this horoflow by its absolute path
+env = dict(os.environ, PYTHONPATH=str(Path(hf.__file__).resolve().parents[1]))
 
 
 def run(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "horoflow.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     print(f"\n$ horoflow {' '.join(args)}")
     out = proc.stdout.strip()
@@ -33,12 +42,12 @@ def run(*args):
 
 
 print("=== Writing group files ===")
-explicit = workdir / "dilation.json"
+explicit = Path("dilation.json")
 hf.dump_group_spec(hf.cyclic_hyperbolic(), explicit)
 print(f"{explicit}:")
 print(explicit.read_text())
 
-family = workdir / "cusp.json"
+family = Path("cusp.json")
 family.write_text(json.dumps({"family": {"kind": "cyclic-parabolic", "shift": 1.0}}))
 reloaded = hf.load_group_spec(family)
 print(f"family file reloads to generators {[(g.a, g.b, g.c, g.d) for g in reloaded.generators]}")
@@ -47,14 +56,14 @@ print("\n=== CLI tour ===")
 run("verify", "--samples", "300", "--seed", "7")
 run("classify", "--group", str(explicit), "--point", "inf", "--depth", "10")
 run("orbit", "--flow", "horocycle", "--start", "0", "--end", "1", "--step", "0.25")
-csv_path = workdir / "profile.csv"
+csv_path = Path("profile.csv")
 run("inj", "--group", str(family), "--tmax", "4", "--out", str(csv_path))
 print(f"\nfirst lines of {csv_path}:")
 print("\n".join(csv_path.read_text().splitlines()[:4]))
 run("diagnose", "--group", str(family))
 
 print("\n=== Error handling ===")
-bad = workdir / "bad.json"
+bad = Path("bad.json")
 bad.write_text(json.dumps({"generators": [[2.0, 0.0, 0.0, 1.0]]}))
 run("classify", "--group", str(bad), "--point", "0")
-run("classify", "--group", str(workdir / "missing.json"), "--point", "0")
+run("classify", "--group", "missing.json", "--point", "0")

@@ -9,6 +9,7 @@ inputs and seeds give byte-identical outputs. Exit status: 0 on success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -69,14 +70,6 @@ def dumps_17g(value, _indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _bp_data(p: BoundaryPoint):
     return "inf" if p.is_infinity else p.value
 
@@ -97,7 +90,7 @@ def _load_spec(args):
 # subcommands
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
     report = run_verification(samples=args.samples, seed=args.seed, tol=args.tol)
     match = next(c for c in report.checks if c.name == "substitution-log-abs-b")
     data = _header("verify", {"samples": args.samples, "seed": args.seed,
@@ -111,11 +104,11 @@ def _cmd_verify(args) -> int:
         "alternative_residual": report.substitution_alternative_residual,
     }
     data["passed"] = report.passed
-    _emit(dumps_17g(data) + "\n", args.out)
+    out.write(dumps_17g(data) + "\n")
     return 0 if report.passed else 1
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, out) -> int:
     spec = _load_spec(args)
     ev = classify_boundary_point(spec, bp(args.point), depth=args.depth,
                                  tol=args.tol)
@@ -135,31 +128,31 @@ def _cmd_classify(args) -> int:
         "parabolic_witness": witness,
         "verdict": ev.verdict.value,
     }
-    _emit(dumps_17g(data) + "\n", args.out)
+    out.write(dumps_17g(data) + "\n")
     return 0
 
 
-def _cmd_orbit(args) -> int:
-    if not (args.start < args.end and args.step > 0):
-        raise ValueError("need start < end and step > 0")
+def _cmd_orbit(args, out) -> int:
+    if not args.start < args.end:
+        raise ValueError(f"need start < end, got {args.start}, {args.end}")
     n = sample_count(args.end - args.start, args.step)
     times = args.start + args.step * np.arange(n)
     pts = orbit_points(BASE_TANGENT, args.flow, times)
     lines = ["s_or_t,re,im"]
     lines += ["%.17g,%.17g,%.17g" % row
               for row in zip(times.tolist(), pts.real.tolist(), pts.imag.tolist())]
-    _emit("\n".join(lines) + "\n", args.out)
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_inj(args) -> int:
+def _cmd_inj(args, out) -> int:
     spec = _load_spec(args)
     profile = injectivity_profile(spec, t_max=args.tmax, step=args.step,
                                   depth=args.depth)
     lines = ["t,inj_estimate"]
     lines += ["%.17g,%.17g" % row
               for row in zip(profile.times.tolist(), profile.inj_estimates.tolist())]
-    _emit("\n".join(lines) + "\n", args.out)
+    out.write("\n".join(lines) + "\n")
     if args.out is not None:
         summary = _header("inj", {"group": args.group, "tmax": args.tmax,
                                   "step": args.step, "out": args.out})
@@ -169,7 +162,7 @@ def _cmd_inj(args) -> int:
     return 0
 
 
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args, out) -> int:
     spec = _load_spec(args)
     band = (args.band[0], args.band[1])
     report = run_dichotomy(spec, band=band, eps=args.eps, depth=args.depth,
@@ -212,7 +205,7 @@ def _cmd_diagnose(args) -> int:
     data["candidate_times"] = list(report.candidate_times)
     data["verdict"] = {"kind": report.verdict.kind, "t": report.verdict.t}
     data["note"] = report.note
-    _emit(dumps_17g(data) + "\n", args.out)
+    out.write(dumps_17g(data) + "\n")
     return 0
 
 
@@ -276,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # opened before the work, and truncated like a shell redirection
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w", encoding="utf-8", newline="")) as out:
+            return args.func(args, out)
     except OSError as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import NoSequenceFound
 from .flows import BASE_TANGENT, UnitTangent
 from .group import (DEDUP_TOL, GroupElement, GroupSpec, _boundary_images, _check_depth,
-                    _check_int, _unwrap, ball_arrays, conjugate_spec, dedup_keys, orbit_height)
+                    _check_int, _check_real, _unwrap, ball_arrays, conjugate_spec, dedup_keys,
+                    orbit_height)
 from .halfplane import INFINITY, BoundaryPoint, Mobius, PointH, apply, apply_boundary, dist
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
@@ -240,8 +241,7 @@ def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidat
 
 def _check_settle(eps: float, window: int) -> None:
     """Raise ValueError unless eps is finite and positive and window an integer >= 1."""
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+    _check_real("eps", eps, 0.0, strict=True)
     _check_int("window", window, 1)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBall, NegativeTime
-from .group import GroupSpec, ball_arrays
+from .group import GroupSpec, _check_real, ball_arrays
 from .halfplane import INFINITY, POINT_I, BoundaryPoint, Mobius, PointH, apply, apply_boundary
 
 TAIL_FRACTION = 0.25  # share of trailing samples feeding the liminf estimate
@@ -29,10 +29,11 @@ MAX_SAMPLES = 2_000_000  # longest sample grid of a profile or an orbit table
 def sample_count(span: float, step: float) -> int:
     """Points of the inclusive grid 0, step, 2 step, ... up to ``span``.
 
-    Raises ValueError, before anything is allocated, when the count is not
-    finite or exceeds MAX_SAMPLES.
+    Raises ValueError, before anything is allocated, unless the span is
+    finite and >= 0, the step finite and > 0, and the count at most
+    MAX_SAMPLES.
     """
-    x = span / step + 1e-9
+    x = _check_real("span", span, 0.0) / _check_real("step", step, 0.0, strict=True) + 1e-9
     if not x < MAX_SAMPLES:
         raise ValueError(f"a span of {span} at step {step} needs more than "
                          f"{MAX_SAMPLES} samples")
@@ -205,12 +206,10 @@ def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     dist(x_t, g(x_t)) over the non-identity word ball; the liminf estimate is
     the minimum over the trailing TAIL_FRACTION of the samples.
     """
-    if not (t_max >= 0.0 and step > 0.0):
-        raise ValueError(f"need t_max >= 0 and step > 0, got {t_max}, {step}")
+    n = sample_count(t_max, step)
     ball = ball_arrays(spec, depth)
     if len(ball) == 0:
         raise EmptyBall("injectivity profile needs a non-empty word ball")
-    n = sample_count(t_max, step)
     times = step * np.arange(n)
     inj = 0.5 * _min_displacements(_exp(times), ball, u.frame)
     tail = max(1, int(math.ceil(TAIL_FRACTION * n)))

@@ -37,6 +37,30 @@ def _check_int(name: str, value, least: int) -> int:
     return n
 
 
+def _check_real(name: str, value, least: float, strict: bool = False) -> float:
+    """``value`` as a float: an int, a float or a NumPy scalar but a bool,
+    finite and at least ``least`` (above it when ``strict``); ValueError
+    otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not (math.isfinite(x) and (x > least if strict else x >= least)):
+        bound = "" if least == -math.inf else f" and {'>' if strict else '>='} {least:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return x
+
+
+def _invalid(check, *args):
+    """``check(*args)``, its ValueError raised as InvalidGenerator."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise InvalidGenerator(str(exc)) from None
+
+
 class IsometryClass(enum.Enum):
     HYPERBOLIC = "hyperbolic"
     PARABOLIC = "parabolic"
@@ -71,18 +95,15 @@ class GroupSpec:
         if not gens:
             raise InvalidGenerator("a group spec needs at least one generator")
         # checked before the identity test, which every generator passes on an infinite grid
-        if not 0.0 < self.dedup_tol < math.inf:
-            raise InvalidGenerator(f"dedup_tol must be positive and finite, got {self.dedup_tol}")
+        tol = _invalid(_check_real, "dedup_tol", self.dedup_tol, 0.0, True)
         for g in gens:
             if not isinstance(g, Mobius):
                 raise InvalidGenerator(f"generator {g!r} is not a Mobius value")
-            if g.is_identity(self.dedup_tol):
+            if g.is_identity(tol):
                 raise InvalidGenerator("the identity is not an admissible generator")
-        try:
-            n = _check_int("max_word_length", self.max_word_length, 1)
-        except ValueError as exc:
-            raise InvalidGenerator(str(exc)) from None
-        object.__setattr__(self, "max_word_length", n)
+        object.__setattr__(self, "dedup_tol", tol)
+        object.__setattr__(self, "max_word_length",
+                           _invalid(_check_int, "max_word_length", self.max_word_length, 1))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
@@ -389,17 +410,24 @@ def conjugate_spec(spec: GroupSpec, h: Mobius) -> GroupSpec:
 # preset families
 
 
+def _param(name: str, value, least: float = -math.inf, strict: bool = False) -> float:
+    # a preset's real parameter, checked as _check_real does
+    return _invalid(_check_real, name, value, least, strict)
+
+
 def cyclic_parabolic(shift: float = 1.0, **spec_kwargs) -> GroupSpec:
     """Cyclic group of the translation z -> z + shift."""
+    shift = _param("shift", shift)
     if shift == 0.0:
         raise InvalidGenerator("shift must be nonzero")
-    return GroupSpec((Mobius(1.0, float(shift), 0.0, 1.0),), **spec_kwargs)
+    return GroupSpec((Mobius(1.0, shift, 0.0, 1.0),), **spec_kwargs)
 
 
 def cyclic_hyperbolic(factor: float = 4.0, **spec_kwargs) -> GroupSpec:
     """Cyclic group of the dilation z -> factor * z (factor > 0, != 1)."""
-    if not (factor > 0.0 and factor != 1.0):
-        raise InvalidGenerator(f"dilation factor must be positive and != 1, got {factor}")
+    factor = _param("factor", factor, 0.0, strict=True)
+    if factor == 1.0:
+        raise InvalidGenerator("the dilation factor must be != 1")
     r = math.sqrt(factor)
     return GroupSpec((Mobius(r, 0.0, 0.0, 1.0 / r),), **spec_kwargs)
 
@@ -431,29 +459,36 @@ def schottky_pair(circles=((-3.0, 0.9), (-1.0, 0.9), (1.0, 0.9), (3.0, 0.9)),
     circles[2] with circles[3]. Disjointness of the circles is the ping-pong
     condition guaranteeing a free, discrete, elliptic-free group.
     """
-    circles = tuple((float(x), float(r)) for x, r in circles)
+    try:
+        circles = tuple((x, r) for x, r in circles)
+    except (TypeError, ValueError):
+        raise InvalidGenerator(f"need (center, radius) circles, got {circles!r}") from None
     if len(circles) != 4:
         raise InvalidGenerator(f"need exactly 4 circles, got {len(circles)}")
-    for x, r in circles:
-        if not r > 0.0:
-            raise InvalidGenerator(f"circle radius must be positive, got {r}")
+    circles = tuple((_param("circle center", x), _param("circle radius", r, 0.0, strict=True))
+                    for x, r in circles)
     if not _circles_disjoint(circles):
         raise InvalidGenerator("the four circles must have disjoint closures")
-    g1 = _pairing(circles[0], circles[1])
-    g2 = _pairing(circles[2], circles[3])
+    g1 = _invalid(_pairing, circles[0], circles[1])
+    g2 = _invalid(_pairing, circles[2], circles[3])
     return GroupSpec((g1, g2), **spec_kwargs)
 
 
 def hyperbolic_element(neg: float, pos: float, length: float) -> Mobius:
     """Hyperbolic map with axis (neg, pos) and translation length ``length``."""
-    if not length > 0.0:
-        raise InvalidGenerator(f"translation length must be positive, got {length}")
-    if not pos > neg:
+    length = _param("translation length", length, 0.0, strict=True)
+    u, v = _param("neg", neg), _param("pos", pos)
+    if not v > u:
         raise InvalidGenerator("axis endpoints must satisfy neg < pos")
-    s = math.exp(length / 2.0)
-    u, v = float(neg), float(pos)
-    return Mobius.normalized(v * s - u / s, u * v * (1.0 / s - s),
-                             s - 1.0 / s, v / s - u * s)
+    try:
+        s = math.exp(length / 2.0)
+    except OverflowError:
+        s = math.inf
+    if not 1.0 < s < math.inf:  # a finite hyperbolic, not the identity
+        raise InvalidGenerator(f"translation length {length} puts e^(length/2) at {s}, "
+                               "outside (1, inf)")
+    return _invalid(Mobius.normalized, v * s - u / s, u * v * (1.0 / s - s),
+                    s - 1.0 / s, v / s - u * s)
 
 
 def isometric_circle(g) -> tuple[float, float]:
@@ -479,7 +514,11 @@ def truncated_flute(lengths=(2.0, 2.5, 3.0), spacing: float = 2.0,
     grow like (2r)(2r-1)^(k-1), and three or more generators overflow the
     enumeration cap well before depth 10.
     """
-    lengths = tuple(float(l) for l in lengths)
+    try:
+        lengths = tuple(lengths)
+    except TypeError:
+        raise InvalidGenerator(f"lengths must be a sequence, got {lengths!r}") from None
+    spacing = _param("spacing", spacing)
     if not lengths:
         raise InvalidGenerator("need at least one translation length")
     gens = []

@@ -7,9 +7,10 @@ A group file holds exactly one of:
 * ``"family"``: a named preset with its parameters, one of
   ``cyclic-parabolic`` (``shift``), ``cyclic-hyperbolic`` (``lambda``),
   ``schottky-pair`` (``circles``: four ``[center, radius]`` pairs), or
-  ``flute-truncated`` (``lengths``, ``spacing``).
+  ``flute-truncated`` (``lengths``, ``spacing``); a parameter left out
+  takes its preset's default.
 
-Optional keys: ``max_word_length`` (default 10) and ``dedup_tol``.
+Every number is a JSON number, never a bool or a string. Optional keys: ``max_word_length`` (default 10) and ``dedup_tol``.
 ``dump_group_spec`` always writes resolved generator matrices, so a family
 file round-trips to an equivalent explicit-generator file.
 """
@@ -24,67 +25,57 @@ from .group import (DEDUP_TOL, GroupSpec, cyclic_hyperbolic, cyclic_parabolic,
 from .halfplane import Mobius
 
 
-def _matrix_entries(m, where: str) -> tuple[float, float, float, float]:
-    rows = m
-    if (isinstance(rows, (list, tuple)) and len(rows) == 2
-            and all(isinstance(r, (list, tuple)) and len(r) == 2 for r in rows)):
-        flat = [rows[0][0], rows[0][1], rows[1][0], rows[1][1]]
-    elif isinstance(rows, (list, tuple)) and len(rows) == 4:
-        flat = list(rows)
-    else:
-        raise ParseError(f"{where}: expected a 2x2 matrix (nested or flat), got {m!r}")
+def _number(v, where: str) -> float:
+    """A JSON number as a float: an int or a float, never a bool or a string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"{where} must be a number, got {v!r}")
     try:
-        return tuple(float(v) for v in flat)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where}: matrix entries must be numbers, got {m!r}") from None
+        return float(v)
+    except OverflowError:
+        raise ParseError(f"{where} is past the float range: {v!r}") from None
+
+
+def _numbers(v, where: str):
+    # a family parameter: a number, or a (nested) list of numbers as tuples
+    if isinstance(v, (list, tuple)):
+        return tuple(_numbers(x, where) for x in v)
+    return _number(v, where)
 
 
 def _parse_generator(m, where: str) -> Mobius:
-    entries = _matrix_entries(m, where)
+    if (isinstance(m, (list, tuple)) and len(m) == 2
+            and all(isinstance(r, (list, tuple)) and len(r) == 2 for r in m)):
+        m = [*m[0], *m[1]]
+    if not (isinstance(m, (list, tuple)) and len(m) == 4):
+        raise ParseError(f"{where}: expected a 2x2 matrix (nested or flat), got {m!r}")
+    entries = [_number(v, f"{where}: a matrix entry") for v in m]
     try:
         return Mobius(*entries)
     except ValueError as exc:
         raise InvalidGenerator(f"{where}: {exc}; rescale the matrix yourself") from None
 
 
-_FAMILY_KINDS = ("cyclic-parabolic", "cyclic-hyperbolic",
-                 "schottky-pair", "flute-truncated")
+# each family kind: its preset, and the preset argument of each file parameter
+_FAMILIES = {
+    "cyclic-parabolic": (cyclic_parabolic, {"shift": "shift"}),
+    "cyclic-hyperbolic": (cyclic_hyperbolic, {"lambda": "factor"}),
+    "schottky-pair": (schottky_pair, {"circles": "circles"}),
+    "flute-truncated": (truncated_flute, {"lengths": "lengths", "spacing": "spacing"}),
+}
 
 
 def _resolve_family(family) -> GroupSpec:
     if not isinstance(family, dict):
         raise ParseError(f"'family' must be an object, got {family!r}")
     kind = family.get("kind")
-    if kind not in _FAMILY_KINDS:
-        raise ParseError(f"unknown family kind {kind!r}; expected one of {_FAMILY_KINDS}")
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise ParseError(f"unknown family kind {kind!r}; expected one of {tuple(_FAMILIES)}")
+    preset, names = _FAMILIES[kind]
     params = {k: v for k, v in family.items() if k != "kind"}
-    try:
-        if kind == "cyclic-parabolic":
-            spec = cyclic_parabolic(float(params.pop("shift", 1.0)))
-        elif kind == "cyclic-hyperbolic":
-            spec = cyclic_hyperbolic(float(params.pop("lambda", 4.0)))
-        elif kind == "schottky-pair":
-            circles = params.pop("circles", None)
-            if circles is None:
-                spec = schottky_pair()
-            else:
-                if not (isinstance(circles, list) and len(circles) == 4):
-                    raise ParseError("'circles' must list four [center, radius] pairs")
-                spec = schottky_pair(tuple((float(x), float(r)) for x, r in circles))
-        else:
-            lengths = params.pop("lengths", None)
-            spacing = float(params.pop("spacing", 2.0))
-            if lengths is None:
-                spec = truncated_flute(spacing=spacing)
-            else:
-                spec = truncated_flute(tuple(float(v) for v in lengths), spacing)
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, (ParseError, InvalidGenerator)):
-            raise
-        raise ParseError(f"bad parameters for family {kind!r}: {exc}") from None
-    if params:
-        raise ParseError(f"unknown parameters for family {kind!r}: {sorted(params)}")
-    return spec
+    extra = sorted(set(params) - set(names), key=str)
+    if extra:
+        raise ParseError(f"unknown parameters for family {kind!r}: {extra}")
+    return preset(**{names[k]: _numbers(v, f"family parameter {k!r}") for k, v in params.items()})
 
 
 def parse_group_spec(data) -> GroupSpec:
@@ -98,7 +89,7 @@ def parse_group_spec(data) -> GroupSpec:
     known = {"generators", "family", "max_word_length", "dedup_tol"}
     extra = set(data) - known
     if extra:
-        raise ParseError(f"unknown keys: {sorted(extra)}")
+        raise ParseError(f"unknown keys: {sorted(extra, key=str)}")
     kwargs = {}
     if has_gens:
         gens = data["generators"]
@@ -117,10 +108,7 @@ def parse_group_spec(data) -> GroupSpec:
             raise ParseError(f"'max_word_length' must be an integer, got {v!r}")
         kwargs["max_word_length"] = v
     if "dedup_tol" in data:
-        try:
-            kwargs["dedup_tol"] = float(data["dedup_tol"])
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"'dedup_tol' must be a number, got {data['dedup_tol']!r}") from None
+        kwargs["dedup_tol"] = _number(data["dedup_tol"], "'dedup_tol'")
     return GroupSpec(generators, **kwargs)
 
 
@@ -129,7 +117,7 @@ def load_group_spec(path) -> GroupSpec:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
             raise ParseError(f"{path}: not valid JSON ({exc})") from None
     return parse_group_spec(data)
 

@@ -14,13 +14,12 @@ element fixing the point settles the matter exactly.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, ball_arrays,
-                    orbit_height)
+from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _check_real,
+                    ball_arrays, orbit_height)
 from .halfplane import GEOM_TOL, BoundaryPoint, Mobius, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
@@ -98,8 +97,7 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     depth = _check_depth(spec, depth)
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    tol = _check_real("tol", tol, 0.0)
     ball = ball_arrays(spec, depth)
     h0 = orbit_height(Mobius.identity(), xi)
     heights = orbit_height(ball, xi)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import MAX_SAMPLES
-from .group import _check_int
+from .group import _check_int, _check_real
 from .halfplane import INFINITY, Mobius, PointH, apply, apply_boundary, bp, busemann, cross_ratio, dist
 
 DEFAULT_SAMPLES = 1000
@@ -96,6 +96,7 @@ def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
     samples = _check_int("samples", samples, 1)
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+    seed, tol = _check_int("seed", seed, 0), _check_real("tol", tol, 0.0)
     rng = np.random.default_rng(seed)
     a, b, c, d = _sample_matrices(rng, samples)
     # the sampled maps the scalar checks run on

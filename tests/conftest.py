@@ -14,9 +14,12 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 @pytest.fixture(scope="session", autouse=True)
 def _src_on_child_path():
     # CLI tests spawn `python -m horoflow.cli`; those processes import
-    # horoflow from this checkout too, so plain `pytest` needs no PYTHONPATH
+    # horoflow from this checkout too, so plain `pytest` needs no PYTHONPATH.
+    # They also turn warnings into errors, as pytest does in its own process,
+    # so that a raw NumPy warning fails the test instead of going unseen.
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        mp.setenv("PYTHONWARNINGS", "error")
         yield
 
 

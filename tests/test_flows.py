@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import horoflow as hf
+from horoflow.group import _cached_ball
 
 
 def _frame_gap(u, v):
@@ -111,6 +112,16 @@ def test_profile_input_validation(hyperbolic_spec):
         hf.injectivity_profile(hyperbolic_spec, t_max=math.inf)
     with pytest.raises(ValueError):
         hf.injectivity_profile(hyperbolic_spec, t_max=1.0, step=1e-300)
+
+
+@pytest.mark.parametrize("kwargs", [{"step": math.inf}, {"step": math.nan}, {"step": True},
+                                    {"t_max": math.nan}, {"t_max": "1"}],
+                         ids=["step-inf", "step-nan", "step-True", "t_max-nan", "t_max-str"])
+def test_a_bad_grid_is_refused_before_any_ball_is_built(schottky_spec, kwargs):
+    _cached_ball.cache_clear()
+    with pytest.raises(ValueError, match="step" if "step" in kwargs else "span"):
+        hf.injectivity_profile(schottky_spec, **kwargs)
+    assert _cached_ball.cache_info().currsize == 0
 
 
 def test_profile_matches_scalar_distances(schottky_spec):

@@ -405,6 +405,53 @@ def test_truncated_flute_defaults():
         assert hf.classify_isometry(g) is hf.IsometryClass.HYPERBOLIC
 
 
+_CIRCLES = ((-3.0, 0.9), (-1.0, 0.9), (1.0, 0.9), (3.0, 0.9))
+_PRESET_PARAMETERS = {
+    "shift": hf.cyclic_parabolic,
+    "factor": hf.cyclic_hyperbolic,
+    "circle-center": lambda v: hf.schottky_pair(((v, 0.9),) + _CIRCLES[1:]),
+    "circle-radius": lambda v: hf.schottky_pair(_CIRCLES[:3] + ((3.0, v),)),
+    "length": lambda v: hf.hyperbolic_element(0.0, 1.0, v),
+    "neg": lambda v: hf.hyperbolic_element(v, 1.0, 1.0),
+    "pos": lambda v: hf.hyperbolic_element(0.0, v, 1.0),
+    "lengths": lambda v: hf.truncated_flute((2.0, v)),
+    "spacing": lambda v: hf.truncated_flute(spacing=v),
+}
+# a translation by 1e300, or a dilation by it, is a valid generator
+_VALID_AT_1E300 = ("shift", "factor")
+
+
+@pytest.mark.parametrize("param, value", [
+    (param, value) for param in _PRESET_PARAMETERS
+    for value in (math.nan, math.inf, -math.inf, 1e300, True)
+    if not (value == 1e300 and param in _VALID_AT_1E300)])
+def test_presets_refuse_bad_parameters_as_invalid_generators(param, value):
+    with pytest.raises(hf.InvalidGenerator):
+        _PRESET_PARAMETERS[param](value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hf.schottky_pair(((-3e200, 0.9),) + _CIRCLES[1:]),
+    lambda: hf.schottky_pair(((3e200, 0.9),) + _CIRCLES[1:]),
+    lambda: hf.schottky_pair(_CIRCLES[:3]),
+    lambda: hf.schottky_pair((1.0, 2.0, 3.0, 4.0)),
+    lambda: hf.schottky_pair(3.0),
+    lambda: hf.truncated_flute(3.0),
+    lambda: hf.truncated_flute(("2.0",)),
+    lambda: hf.truncated_flute((1e-300,)),
+    lambda: hf.cyclic_hyperbolic(1.0),
+], ids=["center--3e200", "center-3e200", "three-circles", "flat-circles", "circles-number",
+        "lengths-number", "lengths-str", "length-1e-300", "factor-1"])
+def test_presets_refuse_bad_shapes_as_invalid_generators(call):
+    with pytest.raises(hf.InvalidGenerator):
+        call()
+
+
+def test_presets_take_a_translation_or_dilation_by_1e300():
+    assert hf.cyclic_parabolic(1e300).generators[0].b == 1e300
+    assert hf.cyclic_hyperbolic(1e300).generators[0].a == 1e150
+
+
 def test_conjugate_spec_moves_the_whole_ball(schottky_spec, rng):
     h = hf.Mobius(1.0, 0.7, 0.0, 1.0) @ hf.Mobius(2.0, 0.0, 0.0, 0.5)
     conj = hf.conjugate_spec(schottky_spec, h)

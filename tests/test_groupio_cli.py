@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import horoflow as hf
 from horoflow import cli
 from horoflow.flows import BASE_TANGENT, MAX_SAMPLES, orbit_points, sample_count
+from horoflow.group import _cached_ball
 from horoflow.groupio import spec_to_data
 
 
@@ -77,13 +78,34 @@ def test_non_finite_generator_entries_are_invalid_generators(tmp_path, entry):
 
 def test_non_finite_dedup_tol_is_rejected_by_name(tmp_path):
     g = hf.Mobius(1.0, 1.0, 0.0, 1.0)
-    for tol in (math.inf, math.nan, 0.0):
+    for tol in (math.inf, math.nan, 0.0, True, "1e-9", None):
         with pytest.raises(hf.InvalidGenerator, match="dedup_tol"):
             hf.GroupSpec((g,), dedup_tol=tol)
     p = tmp_path / "g.json"
     p.write_text('{"generators": [[1, 1, 0, 1]], "dedup_tol": Infinity}')
     with pytest.raises(hf.InvalidGenerator, match="dedup_tol"):
         hf.load_group_spec(p)
+
+
+@pytest.mark.parametrize("data", [
+    {"generators": [[1, 1, 0, 1]], "dedup_tol": True},
+    {"generators": [[True, 1, 0, True]]},
+    {"generators": [[["1", 1], [0, 1]]]},
+    {"family": {"kind": "flute-truncated", "lengths": "345"}},
+    {"family": {"kind": "cyclic-parabolic", "shift": True}},
+    {"family": {"kind": "cyclic-hyperbolic", "lambda": "9"}},
+], ids=["dedup_tol-true", "entries-true", "entry-str", "lengths-str", "shift-true",
+        "lambda-str"])
+def test_group_file_numbers_are_json_numbers(data):
+    with pytest.raises(hf.ParseError):
+        hf.parse_group_spec(data)
+
+
+@pytest.mark.parametrize("kind, preset", [
+    ("cyclic-parabolic", hf.cyclic_parabolic), ("cyclic-hyperbolic", hf.cyclic_hyperbolic),
+    ("schottky-pair", hf.schottky_pair), ("flute-truncated", hf.truncated_flute)])
+def test_a_family_without_parameters_is_its_preset(kind, preset):
+    assert hf.parse_group_spec({"family": {"kind": kind}}) == preset()
 
 
 def test_parse_errors():
@@ -109,6 +131,20 @@ def test_load_rejects_malformed_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(hf.ParseError):
         hf.load_group_spec(p)
+
+
+def test_load_rejects_json_nested_too_deeply(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text('{"generators": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(hf.ParseError):
+        hf.load_group_spec(p)
+
+
+def test_unknown_keys_of_mixed_types_are_a_parse_error():
+    for data in ({"generators": [[1, 1, 0, 1]], 1: 2, "x": 3},
+                 {"family": {"kind": "cyclic-parabolic", 1: 2, "x": 3}}):
+        with pytest.raises(hf.ParseError, match="unknown"):
+            hf.parse_group_spec(data)
 
 
 def test_spec_to_data_omits_default_dedup(parabolic_spec):
@@ -315,6 +351,50 @@ def test_cli_geodesic_orbit_past_the_float_range_is_an_error(start):
     assert "Traceback" not in r.stderr and "float range" in r.stderr
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["orbit", "--flow", "horocycle", "--start", "0", "--end", "1", "--step", "inf"],
+     ("step", "inf")),
+    (["inj", "--group", "{parabolic}", "--step", "inf"], ("step", "inf")),
+    (["verify", "--seed", "-1"], ("seed", "-1")),
+    (["verify", "--tol", "nan"], ("tol", "nan")),
+    (["verify", "--tol", "-1"], ("tol", "-1")),
+], ids=["orbit-step-inf", "inj-step-inf", "verify-seed--1", "verify-tol-nan", "verify-tol--1"])
+def test_cli_bad_inputs_are_named_before_any_output(group_files, argv, named):
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "horoflow.cli",
+                        *(a.format(**group_files) for a in argv)],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("horoflow: error:") and "Traceback" not in r.stderr
+    assert all(word in r.stderr for word in named)
+
+
+def test_cli_bad_out_path_exits_2_before_the_work(group_files, tmp_path):
+    out = str(tmp_path / "missing" / "x.json")
+    r = _cli("classify", "--group", group_files["schottky"], "--point", "0.37", "--out", out)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("horoflow: error:") and out in r.stderr
+    # in process: the ball is never built
+    _cached_ball.cache_clear()
+    argv = ["classify", "--group", group_files["schottky"], "--point", "0.37",
+            "--out", str(tmp_path)]
+    assert _main(argv)[:2] == (2, "")
+    assert _cached_ball.cache_info().currsize == 0
+
+
+def test_cli_out_is_truncated_even_when_the_run_fails(group_files, tmp_path):
+    out = tmp_path / "x.json"
+    out.write_text("old")
+    r = _cli("classify", "--group", group_files["bad"], "--point", "0", "--out", str(out))
+    assert r.returncode == 1 and out.read_text() == ""
+
+
+def test_verify_seed_and_tol_are_checked_by_name():
+    with pytest.raises(ValueError, match="tol"):
+        hf.run_verification(samples=1, tol=math.nan)
+    with pytest.raises(ValueError, match="seed"):
+        hf.run_verification(samples=1, seed=-1)
+
+
 @pytest.mark.parametrize("samples", [2.5, True, MAX_SAMPLES + 1])
 def test_verify_samples_is_a_bounded_integer(samples):
     # the cap is checked before any sample array is allocated
@@ -393,7 +473,7 @@ def _argv(draw):
                  + draw(_option("--step", _STEP)))
     else:
         argv += (draw(_option("--samples", st.integers(-1, 40).map(str)))
-                 + draw(_option("--seed", st.integers(0, 2 ** 31).map(str)))
+                 + draw(_option("--seed", st.integers(-1, 2 ** 31).map(str)))
                  + draw(_option("--tol", _REAL)))
     return argv
 
@@ -410,6 +490,8 @@ def _main(argv):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(argv=_argv())
+@example(argv=["orbit", "--flow", "horocycle", "--start", "0", "--end", "1", "--step", "inf"])
+@example(argv=["verify", "--seed", "-1"])
 def test_cli_fuzzed_argv_exits_cleanly_and_deterministically(group_files, argv):
     paths = dict(group_files, missing=group_files["bad"] + ".missing")
     argv = [a.format(**paths) for a in argv]
