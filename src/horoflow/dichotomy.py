@@ -309,7 +309,7 @@ def _sequence_orbit(u: UnitTangent, seq):
     if not ms:
         raise ValueError("sequence is empty")
     coeffs = np.array([(m.a, m.b, m.c, m.d) for m in ms]).T
-    if len(set(dedup_keys(coeffs, DEDUP_TOL).tolist())) != len(ms):
+    if len(set(zip(*dedup_keys(coeffs, DEDUP_TOL).tolist()))) != len(ms):
         raise ValueError("sequence elements must be pairwise distinct")
     u_inf = u.forward_endpoint()
     images, at_inf = _boundary_images(*coeffs, u_inf)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BallTooLarge, CoefficientOverflow, EllipticElement, InvalidGenerator
-from .halfplane import DET_TOL, INFINITY, SIGN_TOL, BoundaryPoint, Mobius
+from .halfplane import DET_TOL, INFINITY, SIGN_TOL, BoundaryPoint, Mobius, _check_real
 
 DEDUP_TOL = 1e-9      # rounding grid for element deduplication
 CLASS_TOL = 1e-9      # tolerance on |trace| - 2 for the isometry trichotomy
@@ -35,22 +35,6 @@ def _check_int(name: str, value, least: int) -> int:
     if n < least:
         raise ValueError(f"{name} must be at least {least}, got {n}")
     return n
-
-
-def _check_real(name: str, value, least: float, strict: bool = False) -> float:
-    """``value`` as a float: an int, a float or a NumPy scalar but a bool,
-    finite and at least ``least`` (above it when ``strict``); ValueError
-    otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an int past the float range
-        x = math.inf
-    if not (math.isfinite(x) and (x > least if strict else x >= least)):
-        bound = "" if least == -math.inf else f" and {'>' if strict else '>='} {least:g}"
-        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
-    return x
 
 
 def _invalid(check, *args):
@@ -108,24 +92,30 @@ class GroupSpec:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
 def dedup_keys(coeffs: np.ndarray, tol: float) -> np.ndarray:
-    """One 32-byte key per column (a, b, c, d) of ``coeffs``: its cell on the
-    dedup grid of spacing ``tol``. Elements merge exactly when keys are equal.
+    """The cell of each column (a, b, c, d) on the dedup grid of spacing ``tol``,
+    as a (4, n) array of its floats' uint64 bits; elements merge when cells match.
 
     Raises CoefficientOverflow when an entry or its cell is not finite, since
     such columns would merge with each other.
     """
-    keys = np.round(coeffs.T / tol) + 0.0  # + 0.0 turns -0.0 into 0.0
-    if not np.isfinite(keys).all():
+    cells = np.divide(coeffs, tol)
+    np.rint(cells, out=cells)
+    cells += 0.0  # turns -0.0 into 0.0
+    if not np.isfinite(cells).all():
         raise CoefficientOverflow(f"a word-ball coefficient overflows the dedup grid "
                                   f"of spacing {tol:g}; use a smaller depth")
-    return np.ascontiguousarray(keys).view(np.dtype((np.void, 32))).ravel()
+    return cells.view(np.uint64)
 
 
-def _canonical_signs(p: np.ndarray) -> np.ndarray:
-    # The Mobius sign rule per column: the first entry above SIGN_TOL is positive.
-    big = np.abs(p) > SIGN_TOL
-    lead = np.where(big, p, 0.0)[big.argmax(axis=0), np.arange(p.shape[1])]
-    return np.where(lead < 0.0, -p, p)
+def _cell_hash(cells: np.ndarray) -> np.ndarray:
+    # a uint64 per cell of dedup_keys, xor-shift-multiply word by word in order
+    mix = np.uint64(0x9E3779B97F4A7C15)
+    h = cells[0] * mix
+    for w in cells[1:]:
+        h ^= h >> 29
+        h ^= w
+        h *= mix
+    return h ^ (h >> 32)
 
 
 def _check_det(p: np.ndarray, length: int) -> None:
@@ -138,6 +128,27 @@ def _check_det(p: np.ndarray, length: int) -> None:
     if bad.any():
         i = int(bad.argmax())
         raise ValueError(f"matrix {tuple(p[:, i].tolist())} has det {float(det[i])}, not 1")
+
+
+def _first_new(coef: np.ndarray, hashes: np.ndarray, n: int, m: int, tol: float) -> np.ndarray:
+    # The candidates in buffer rows n..n+m-1 (as offsets from n) whose cell
+    # no lower row has: rows sorted by hash, ties compared on cells, and runs
+    # holding distinct cells sorted by (hash, cell), so exact for any hash.
+    order = np.argsort(hashes[:n + m])
+    tie = hashes[order[1:]] == hashes[order[:-1]]
+    if not tie.any():
+        return np.arange(m)
+    rows = order[np.r_[tie, False] | np.r_[False, tie]]  # grouped by hash
+    keys = [hashes[rows], *dedup_keys(coef[:, rows], tol)]
+    split = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    if (split & (keys[0][1:] == keys[0][:-1])).any():
+        o = np.lexsort(keys[::-1])
+        rows, split = rows[o], np.any([k[o][1:] != k[o][:-1] for k in keys], axis=0)
+    first = np.minimum.reduceat(rows, np.flatnonzero(np.r_[True, split]))
+    keep = np.ones(n + m, dtype=bool)
+    keep[rows] = False
+    keep[first] = True
+    return np.flatnonzero(keep[n:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,44 +215,57 @@ class Ball(Sequence):
 def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
     # Breadth-first, level by level, in slices of frontier rows: each row
     # times every letter but the one undoing its last letter, in row-major
-    # order, so that rows come out in word order.
+    # order, so that rows come out in word order. Buffer row 0 is the identity;
+    # a slice's products go after the kept rows, and its new ones move down.
     gens = [m for g in spec.generators for m in (g, g.inverse())]
     ga, gb, gc, gd = np.array([(g.a, g.b, g.c, g.d) for g in gens]).T
     codes = np.array([s * (k + 1) for k in range(len(spec.generators)) for s in (1, -1)])
-    step = max(1, max_elements // codes.size)  # products per slice <= max_elements
-    identity = np.array([[1.0], [0.0], [0.0], [1.0]])
-    seen = dedup_keys(identity, spec.dedup_tol)
-    front = (identity, np.full(1, -1), np.zeros(1, dtype=int))  # coefficients, rows, letters
-    levels = [(np.empty((4, 0)), np.empty(0, dtype=int), np.empty(0, dtype=int))]  # length 0
-    total = 0
+    nc, tol = codes.size, spec.dedup_tol
+    step = max(1, max_elements // nc)  # products per slice <= max_elements
+    # rows for the reduced words of length <= depth or the cap and one slice
+    words = nc * depth if nc == 2 else nc * ((nc - 1) ** min(depth, 64) - 1) // (nc - 2)
+    cap = 1 + min(words, max_elements + step * nc)
+    coef, hashes = np.empty((4, cap)), np.empty(cap, dtype=np.uint64)
+    parent, letter = np.empty(cap, dtype=int), np.zeros(cap, dtype=int)
+    prod = np.empty((2, min(step, cap) * nc))  # a product term, before and after the mask
+    coef[:, 0] = (1.0, 0.0, 0.0, 1.0)
+    hashes[0] = _cell_hash(dedup_keys(coef[:, :1], tol))[0]
+    n, bounds = 1, [0, 1]  # word length k fills buffer rows bounds[k]..bounds[k + 1]
     for length in range(1, depth + 1):
-        coeffs, rows, last = front
-        level = []
-        for s in range(0, rows.size, step):
-            sl = slice(s, s + step)
-            a, b, c, d = coeffs[:, sl, None]
-            mask = codes != -last[sl, None]
-            p = np.stack([a * ga + b * gc, a * gb + b * gd,
-                          c * ga + d * gc, c * gb + d * gd])[:, mask]
-            p = _canonical_signs(p)
-            keys = dedup_keys(p, spec.dedup_tol)
+        start, stop = bounds[-2:]
+        for s in range(start, stop, step):
+            e = min(s + step, stop)
+            a, b, c, d = coef[:, s:e, None]
+            mask = (codes != -letter[s:e, None]).ravel()
+            flat = np.flatnonzero(mask)
+            m = flat.size
+            p = coef[:, n:n + m]
+            term, kept = prod[0, :mask.size].reshape(e - s, nc), prod[1, :m]
+            for out, x, gx, y, gy in zip(p, (a, a, c, c), (ga, gb, ga, gb),
+                                         (b, b, d, d), (gc, gd, gc, gd)):
+                np.compress(mask, np.multiply(x, gx, out=term), out=out)
+                out += np.compress(mask, np.multiply(y, gy, out=term), out=kept)
+            lead = np.zeros(m)  # the Mobius sign rule: the first entry above SIGN_TOL is > 0
+            for x in p[::-1]:
+                np.copyto(lead, x, where=np.abs(x) > SIGN_TOL)
+            np.negative(p, out=p, where=lead < 0.0)
+            hashes[n:n + m] = _cell_hash(dedup_keys(p, tol))
             _check_det(p, length)
-            offset = seen.size
-            seen, first = np.unique(np.concatenate([seen, keys]), return_index=True)
-            new = np.sort(first[first >= offset]) - offset
-            parent = np.broadcast_to(rows[sl, None], mask.shape)[mask]
-            letter = np.broadcast_to(codes, mask.shape)[mask]
-            level.append((p[:, new], parent[new], letter[new]))
-            total += new.size
-            if total > max_elements:
+            new = _first_new(coef, hashes, n, m, tol)
+            if new.size < m:
+                for x in (*p, hashes[n:n + m]):
+                    x[:new.size] = x[new]
+                flat = flat[new]
+            parent[n:n + new.size] = flat // nc + (s - 1)  # buffer row s is ball row s - 1
+            letter[n:n + new.size] = codes[flat % nc]
+            n += new.size
+            if n - 1 > max_elements:
                 raise BallTooLarge(f"word ball exceeds the cap of {max_elements} elements")
-        if not level:
+        if n == stop:
             break
-        levels.append(tuple(np.concatenate(x, axis=-1) for x in zip(*level)))
-        front = (levels[-1][0], np.arange(total - levels[-1][2].size, total), levels[-1][2])
-    coeffs, parent, letter = (np.concatenate(x, axis=-1) for x in zip(*levels))
-    lengths = np.repeat(np.arange(len(levels)), [lv[2].size for lv in levels])
-    return Ball(*coeffs, lengths, parent, letter)
+        bounds.append(n)
+    lengths = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[1:]
+    return Ball(*coef[:, 1:n].copy(), lengths, parent[1:n].copy(), letter[1:n].copy())
 
 
 @functools.lru_cache(maxsize=64)

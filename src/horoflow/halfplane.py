@@ -16,11 +16,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegeneratePoints, InvalidPoint, NoIntersection
 
 DET_TOL = 1e-12       # relative determinant tolerance for Moebius values
 SIGN_TOL = 1e-12      # magnitude threshold for the sign canonicalization
 GEOM_TOL = 1e-9       # default tolerance for geometric comparisons
+
+
+def _check_real(name: str, value, least: float = -math.inf, strict: bool = False) -> float:
+    """``value`` as a float: an int, a float or a NumPy scalar but a bool,
+    finite and at least ``least`` (above it when ``strict``); ValueError
+    otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not (math.isfinite(x) and (x > least if strict else x >= least)):
+        bound = "" if least == -math.inf else f" and {'>' if strict else '>='} {least:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -67,15 +85,17 @@ INFINITY = BoundaryPoint(None)
 
 
 def bp(x) -> BoundaryPoint:
-    """Coerce a float, 'inf', or BoundaryPoint into a BoundaryPoint."""
+    """Coerce a real number, inf, 'inf', None or a BoundaryPoint into a
+    BoundaryPoint; anything else (a bool, another string, NaN) is an
+    InvalidPoint."""
     if isinstance(x, BoundaryPoint):
         return x
     if x is None or x == math.inf or x == -math.inf or x == "inf":
         return INFINITY
-    v = float(x)
-    if math.isnan(v):
-        raise InvalidPoint("a boundary point must be a real number or inf, got nan")
-    return BoundaryPoint(v)
+    try:
+        return BoundaryPoint(_check_real("a boundary point", x))
+    except ValueError:
+        raise InvalidPoint(f"a boundary point must be a real number or inf, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -93,10 +113,10 @@ class Mobius:
     d: float
 
     def __post_init__(self):
-        a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
+        a, b, c, d = map(_check_real, "abcd", (self.a, self.b, self.c, self.d))
         det = a * d - b * c
         scale = max(1.0, abs(a * d), abs(b * c))
-        # an infinite or NaN entry makes det infinite or NaN
+        # finite entries may still overflow their products to inf or NaN
         if not (math.isfinite(det) and abs(det - 1.0) <= DET_TOL * scale):
             raise ValueError(f"matrix ({a}, {b}, {c}, {d}) has det {det}, not 1")
         self._store(a, b, c, d)
@@ -128,6 +148,7 @@ class Mobius:
     @classmethod
     def normalized(cls, a, b, c, d) -> "Mobius":
         """Rescale (a, b, c, d) with det > 0 to unit determinant."""
+        a, b, c, d = map(_check_real, "abcd", (a, b, c, d))
         det = a * d - b * c
         if det <= 0.0:
             raise ValueError(f"matrix must have positive determinant, got {det}")
@@ -137,7 +158,7 @@ class Mobius:
     @classmethod
     def from_matrix(cls, m) -> "Mobius":
         (a, b), (c, d) = m
-        return cls(float(a), float(b), float(c), float(d))
+        return cls(a, b, c, d)
 
     @property
     def trace(self) -> float:

@@ -68,7 +68,9 @@ def _find_cluster(heights: np.ndarray) -> float | None:
     above any floor, and a relative one is also invariant under the global
     rescaling that moving the base point of the height function causes.
     """
-    vals = np.unique(heights[heights >= ACCUM_FLOOR])
+    vals = np.sort(heights[heights >= ACCUM_FLOOR])
+    if vals.size:  # its distinct values; np.unique would import numpy.ma
+        vals = vals[np.r_[True, vals[1:] != vals[:-1]]]
     if vals.size < ACCUM_COUNT:
         return None
     for i in range(vals.size - ACCUM_COUNT + 1):

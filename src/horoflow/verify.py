@@ -159,7 +159,7 @@ def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
     cr_res = 0.0
     for m in ms[:64]:
         pts = rng.uniform(-20.0, 20.0, 4)
-        if len(np.unique(pts)) < 4:
+        if len(set(pts.tolist())) < 4:
             continue
         before = cross_ratio(*(bp(float(p)) for p in pts))
         after = cross_ratio(*(apply_boundary(m, bp(float(p))) for p in pts))

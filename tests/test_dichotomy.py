@@ -40,6 +40,12 @@ def test_synthetic_candidate_rejects_heights_outside_band():
         hf.synthetic_candidate(_synthetic_matrices(), (0.5, 0.6))
 
 
+def test_synthetic_candidate_refuses_string_and_bool_entries():
+    # float() would read this as [[1, 1], [0, 1]], the translation z -> z + 1
+    with pytest.raises(ValueError, match="real number"):
+        hf.synthetic_candidate([[["1", "1"], [0, True]]], (0.5, 2.0))
+
+
 def test_synthetic_candidate_needs_increasing_moduli():
     mats = _synthetic_matrices(6)
     with pytest.raises(ValueError):

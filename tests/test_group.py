@@ -131,10 +131,11 @@ def _word_sort_key(word):
     return (len(word), [2 * (abs(l) - 1) + (l < 0) for l in word])
 
 
-@pytest.mark.parametrize("spec, depth", [
-    (hf.schottky_pair(), 6), (hf.truncated_flute(), 4), (GAMMA2, 6), (PSL2Z, 12),
-    (DUPLICATE, 6),
-], ids=["schottky", "flute", "gamma2", "psl2z", "duplicate"])
+REFERENCE_BALLS = {"schottky": (hf.schottky_pair(), 6), "flute": (hf.truncated_flute(), 4),
+                   "gamma2": (GAMMA2, 6), "psl2z": (PSL2Z, 12), "duplicate": (DUPLICATE, 6)}
+
+
+@pytest.mark.parametrize("spec, depth", REFERENCE_BALLS.values(), ids=REFERENCE_BALLS.keys())
 def test_ball_matches_scalar_breadth_first(spec, depth):
     ref = _scalar_ball(spec, depth)
     ball = ball_arrays(spec, depth)
@@ -173,6 +174,31 @@ def test_ball_too_large_counts_deduped_elements():
     # PSL(2,Z) merges about half of its candidate products; the cap counts
     # the kept elements only.
     n = len(ball_arrays(PSL2Z, 12))
+    assert len(hf.group._build_ball(PSL2Z, 12, n)) == n
+    with pytest.raises(hf.BallTooLarge):
+        hf.group._build_ball(PSL2Z, 12, n - 1)
+
+
+@pytest.mark.parametrize("collide", [
+    lambda cells: np.zeros(cells.shape[1], dtype=np.uint64),
+    lambda cells: cells[0] & 0xFF,
+    lambda cells: (cells[1] ^ cells[2]) >> 50,
+], ids=["constant", "low-byte-of-a", "top-bits-of-b-xor-c"])
+def test_dedup_is_exact_under_hash_collisions(monkeypatch, collide):
+    # the hash only orders rows; ties are settled on the full cells
+    build = hf.group._build_ball
+    want = {k: build(spec, depth, hf.group.ENUM_CAP) for k, (spec, depth) in REFERENCE_BALLS.items()}
+    monkeypatch.setattr(hf.group, "_cell_hash", collide)
+    for k, (spec, depth) in REFERENCE_BALLS.items():
+        got = build(spec, depth, hf.group.ENUM_CAP)
+        for name in ("a", "b", "c", "d", "word_lengths", "parent", "letter"):
+            x, y = getattr(got, name), getattr(want[k], name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (k, name)
+
+
+def test_ball_cap_counts_deduped_elements_under_a_constant_hash(monkeypatch):
+    n = len(ball_arrays(PSL2Z, 12))
+    monkeypatch.setattr(hf.group, "_cell_hash", lambda cells: np.zeros(cells.shape[1], np.uint64))
     assert len(hf.group._build_ball(PSL2Z, 12, n)) == n
     with pytest.raises(hf.BallTooLarge):
         hf.group._build_ball(PSL2Z, 12, n - 1)

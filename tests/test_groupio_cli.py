@@ -251,6 +251,21 @@ def test_cli_classify(group_files):
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--group", "schottky", "--point", "7.207419"],
+    ["verify", "--samples", "1000"],
+], ids=["classify", "verify"])
+def test_cold_calls_do_not_import_numpy_ma(group_files, argv):
+    # np.unique imports numpy.ma (NumPy 2), about 13 ms of a cold call
+    argv = [group_files.get(a, a) for a in argv]
+    code = ("import sys; from horoflow.cli import main; code = main(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(code)")
+    r = subprocess.run([sys.executable, "-c", code, *argv],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0
+    assert r.stderr == "False\n"
+
+
 def test_cli_classify_far_point_is_quiet(group_files):
     # (a - xi c)^2 overflows past |xi| ~ 1e154: the height is 1/inf = 0, and
     # no raw NumPy warning may reach stderr

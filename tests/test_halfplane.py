@@ -28,6 +28,24 @@ def test_boundary_point_coercion():
     assert hf.bp(math.inf).is_infinity
     assert hf.bp(-0.0) == hf.bp(0.0)
     assert not hf.bp(2.0).is_infinity
+    assert hf.bp("inf") is hf.INFINITY and hf.bp(np.float64(0.5)).value == 0.5
+
+
+@pytest.mark.parametrize("x", [True, False, "1", "0.5", float("nan")])
+def test_boundary_point_refuses_bools_strings_and_nan(x):
+    with pytest.raises(hf.InvalidPoint, match="real number or inf"):
+        hf.bp(x)
+
+
+def test_mobius_refuses_bools_and_strings():
+    with pytest.raises(ValueError, match="real number"):
+        hf.Mobius("2", False, 0, "0.5")
+    for bad in (True, "1"):
+        with pytest.raises(ValueError, match="real number"):
+            hf.Mobius(1.0, bad, 0.0, 1.0)
+        with pytest.raises(ValueError, match="real number"):
+            hf.Mobius.normalized(1.0, bad, 0.0, 2.0)
+    assert hf.Mobius(2, 0, 0, np.float64(0.5)) == hf.Mobius(2.0, 0.0, 0.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
