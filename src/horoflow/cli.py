@@ -219,48 +219,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"{TOOL} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out")
+    grouped = argparse.ArgumentParser(add_help=False, parents=[common])
+    grouped.add_argument("--group", required=True)
+    grouped.add_argument("--depth", type=int, default=None)
 
-    p = sub.add_parser("verify", help="run the randomized identity suite")
+    p = sub.add_parser("verify", parents=[common], help="run the randomized identity suite")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("classify", help="finite-depth boundary point classification")
-    p.add_argument("--group", required=True)
+    p = sub.add_parser("classify", parents=[grouped],
+                       help="finite-depth boundary point classification")
     p.add_argument("--point", type=float, required=True,
                    help="boundary point (real number, or inf)")
-    p.add_argument("--depth", type=int, default=None)
     p.add_argument("--tol", type=float, default=GEOM_TOL)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("orbit", help="sample a flow orbit of the base tangent vector")
+    p = sub.add_parser("orbit", parents=[common],
+                       help="sample a flow orbit of the base tangent vector")
     p.add_argument("--flow", choices=("geodesic", "horocycle"), required=True)
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--end", type=float, default=10.0)
     p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_orbit)
 
-    p = sub.add_parser("inj", help="injectivity-radius profile along the forward ray")
-    p.add_argument("--group", required=True)
+    p = sub.add_parser("inj", parents=[grouped],
+                       help="injectivity-radius profile along the forward ray")
     p.add_argument("--tmax", type=float, default=10.0)
     p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_inj)
 
-    p = sub.add_parser("diagnose", help="recurrence vs non-minimality diagnostics")
-    p.add_argument("--group", required=True)
+    p = sub.add_parser("diagnose", parents=[grouped],
+                       help="recurrence vs non-minimality diagnostics")
     p.add_argument("--band", type=float, nargs=2, default=(0.5, 2.0),
                    metavar=("MIN", "MAX"))
     p.add_argument("--eps", type=float, default=EPS)
-    p.add_argument("--depth", type=int, default=None)
     p.add_argument("--window", type=int, default=WINDOW)
     p.add_argument("--min-len", type=int, default=MIN_SEQ_LEN, dest="min_len")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_diagnose)
 
     return parser

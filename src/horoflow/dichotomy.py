@@ -24,8 +24,8 @@ import numpy as np
 from .errors import NoSequenceFound
 from .flows import BASE_TANGENT, UnitTangent
 from .group import (DEDUP_TOL, GroupElement, GroupSpec, _boundary_images, _check_depth,
-                    _check_int, _check_real, _unwrap, ball_arrays, conjugate_spec, dedup_keys,
-                    orbit_height)
+                    _check_int, _check_real, _coefficients, ball_arrays, conjugate_spec,
+                    dedup_keys, orbit_height)
 from .halfplane import INFINITY, BoundaryPoint, Mobius, PointH, apply, apply_boundary, dist
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
@@ -53,9 +53,8 @@ class SequenceCandidate:
     height_band: tuple[float, float]
 
     def __post_init__(self):
-        m, M = self.height_band
-        if not (0.0 < m < M):
-            raise ValueError(f"height band needs 0 < m < M, got ({m}, {M})")
+        m, M = _check_band(self.height_band)
+        object.__setattr__(self, "height_band", (m, M))
         slack = 1e-12 * max(1.0, M)
         for h in self.heights:
             if not (m - slack <= h <= M + slack):
@@ -151,6 +150,14 @@ class DiagnosticsReport:
 # sequence search
 
 
+def _check_band(band) -> tuple[float, float]:
+    """The height band (m, M) as floats: real numbers with 0 < m < M, else ValueError."""
+    m, M = (_check_real("a height band bound", x) for x in band)
+    if not 0.0 < m < M:
+        raise ValueError(f"height band needs 0 < m < M, got ({m}, {M})")
+    return m, M
+
+
 def _modulus_sq(a, b, c, d):
     # |g(i)|^2 = (a^2 + b^2) / (c^2 + d^2): one rounding of the quotient, so
     # equal moduli stay equal on integer groups
@@ -203,9 +210,7 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     and stripped of a leading constant-height run when later heights vary.
     Raises NoSequenceFound (carrying the achieved count) below ``min_len``.
     """
-    m, M = band
-    if not (0.0 < m < M):
-        raise ValueError(f"height band needs 0 < m < M, got ({m}, {M})")
+    m, M = _check_band(band)
     min_len = _check_int("min_len", min_len, 1)
     depth = _check_depth(spec, depth)
     ball = ball_arrays(spec, depth)
@@ -225,14 +230,13 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
         raise NoSequenceFound(
             f"only {len(chain)} qualifying elements (need {min_len}) in the depth-{depth} ball",
             found=len(chain))
-    return SequenceCandidate(tuple(ball[i] for i in chain), (float(m), float(M)))
+    return SequenceCandidate(tuple(ball[i] for i in chain), (m, M))
 
 
 def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidate:
     """Wrap explicit Moebius values as an injected sequence (words unknown)."""
     ms = [m if isinstance(m, Mobius) else Mobius.from_matrix(m) for m in matrices]
-    return SequenceCandidate(tuple(GroupElement(m, None) for m in ms),
-                             (float(band[0]), float(band[1])))
+    return SequenceCandidate(tuple(GroupElement(m, None) for m in ms), band)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +261,7 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
     """Coefficient-stream evidence: |a_n| divergence, c_n -> 0, the bound
     c_n^2 + d_n^2 >= 1/M, and the ln|b_n| displacement probe."""
     _check_settle(eps, window)
-    coeffs = np.array(seq.coefficients, dtype=float)
-    a, b, c, d = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3]
+    a, b, c, d = _coefficients(seq.elements)
     n = len(seq.elements)
     a_abs = np.abs(a)
     a_div = _strictly_increasing_tail(a_abs, window)
@@ -269,18 +272,14 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
     min_cd = float(cd.min())
     cd_ok = min_cd >= bound - 1e-12 * max(1.0, bound)
 
-    measured = np.full(n, np.nan)
-    expected = np.full(n, np.nan)
-    for k in range(n):
-        if b[k] == 0.0:
-            continue
+    measured, expected = [], []
+    for k in np.flatnonzero(b != 0.0).tolist():
         z = PointH(0.0, abs(b[k]))
-        measured[k] = dist(z, apply(seq.elements[k].mobius, z))
+        measured.append(dist(z, apply(seq.elements[k].mobius, z)))
         rad = max(b[k] * b[k] * c[k] * c[k] + d[k] * d[k] + a[k] * a[k] - 1.0, 0.0)
-        expected[k] = 2.0 * math.asinh(math.sqrt(rad) / 2.0)
-    valid = ~np.isnan(measured)
-    resid = float(np.max(np.abs(measured[valid] - expected[valid]))) if valid.any() else math.nan
-    probe_div = _strictly_increasing_tail(measured[valid], window) if valid.any() else False
+        expected.append(2.0 * math.asinh(math.sqrt(rad) / 2.0))
+    resid = float(np.max(np.abs(np.subtract(measured, expected)))) if measured else math.nan
+    probe_div = _strictly_increasing_tail(measured, window)
 
     return CoefficientAsymptotics(
         a_abs=tuple(a_abs), c_values=tuple(c), d_values=tuple(d),
@@ -305,11 +304,10 @@ def _sequence_orbit(u: UnitTangent, seq):
     """The part of the settle test that does not depend on alpha: u(inf),
     the boundary images g_n(u(inf)) (inf for an image at infinity) and the
     log heights of g_n^{-1}(i) about u(inf)."""
-    ms = [_unwrap(e) for e in (seq.elements if isinstance(seq, SequenceCandidate) else seq)]
-    if not ms:
+    coeffs = _coefficients(seq.elements if isinstance(seq, SequenceCandidate) else seq)
+    if not coeffs.size:
         raise ValueError("sequence is empty")
-    coeffs = np.array([(m.a, m.b, m.c, m.d) for m in ms]).T
-    if len(set(zip(*dedup_keys(coeffs, DEDUP_TOL).tolist()))) != len(ms):
+    if len(set(zip(*dedup_keys(coeffs, DEDUP_TOL).tolist()))) != coeffs.shape[1]:
         raise ValueError("sequence elements must be pairwise distinct")
     u_inf = u.forward_endpoint()
     images, at_inf = _boundary_images(*coeffs, u_inf)
@@ -352,9 +350,7 @@ def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
     below eps over the trailing window.
     """
     _check_settle(eps, window)
-    am = _unwrap(alpha)
-    values, residuals, settled = _settle(_sequence_orbit(u, seq),
-                                         *np.array([[am.a], [am.b], [am.c], [am.d]]),
+    values, residuals, settled = _settle(_sequence_orbit(u, seq), *_coefficients([alpha]),
                                          eps, window)
     unsettled = tuple(name for name, ok in zip(("endpoint", "Busemann"), settled[:, 0])
                       if not ok)
@@ -398,6 +394,7 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     ``candidate`` injects a prebuilt sequence in place of the ball search.
     """
     _check_settle(eps, window)
+    band = _check_band(band)
     u_inf = u.forward_endpoint()
     if not u_inf.is_infinity:
         if candidate is not None:

@@ -64,6 +64,10 @@ class UnitTangent:
 
     frame: Mobius
 
+    def __post_init__(self):
+        if not isinstance(self.frame, Mobius):
+            raise ValueError(f"a frame must be a Mobius value, got {self.frame!r}")
+
     def base_point(self) -> PointH:
         return apply(self.frame, POINT_I)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BallTooLarge, CoefficientOverflow, EllipticElement, InvalidGenerator
-from .halfplane import DET_TOL, INFINITY, SIGN_TOL, BoundaryPoint, Mobius, _check_real
+from .halfplane import (DET_TOL, INFINITY, SIGN_TOL, BoundaryPoint, Mobius, _check_real,
+                        _near_identity)
 
 DEDUP_TOL = 1e-9      # rounding grid for element deduplication
 CLASS_TOL = 1e-9      # tolerance on |trace| - 2 for the isometry trichotomy
@@ -202,9 +203,8 @@ class Ball(Sequence):
         t = np.abs(self.a + self.d)
         parabolic = np.abs(t - 2.0) <= CLASS_TOL
         rows = np.nonzero(parabolic | ~(t > 2.0))[0]
-        a, b, c, d = self.a[rows], self.b[rows], self.c[rows], self.d[rows]
-        rows = rows[~((np.abs(a - 1.0) <= CLASS_TOL) & (np.abs(b) <= CLASS_TOL)
-                      & (np.abs(c) <= CLASS_TOL) & (np.abs(d - 1.0) <= CLASS_TOL))]
+        rows = rows[~_near_identity(self.a[rows], self.b[rows], self.c[rows], self.d[rows],
+                                    CLASS_TOL)]
         out = rows[parabolic[rows]], rows[~parabolic[rows]]
         for arr in out:
             arr.flags.writeable = False
@@ -218,7 +218,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
     # order, so that rows come out in word order. Buffer row 0 is the identity;
     # a slice's products go after the kept rows, and its new ones move down.
     gens = [m for g in spec.generators for m in (g, g.inverse())]
-    ga, gb, gc, gd = np.array([(g.a, g.b, g.c, g.d) for g in gens]).T
+    ga, gb, gc, gd = _coefficients(gens)
     codes = np.array([s * (k + 1) for k in range(len(spec.generators)) for s in (1, -1)])
     nc, tol = codes.size, spec.dedup_tol
     step = max(1, max_elements // nc)  # products per slice <= max_elements
@@ -304,11 +304,15 @@ def orbit_height(g, xi: BoundaryPoint):
     # A square past the float range is inf, and its height 1/inf = 0 is
     # right. So is 0 where both halves of xi's split overflow against one
     # entry and inf - inf leaves NaN: then |xi c| or |xi d| is past 2^26
-    # times the float range, and the height is below 1e-600.
+    # times the float range, and the height is below 1e-600. A sum of
+    # squares that underflows to 0 gives a height past the float range: inf.
     if isinstance(g, Mobius):
-        h = _orbit_height(g, xi)
+        try:
+            h = _orbit_height(g, xi)
+        except ZeroDivisionError:
+            return math.inf
         return 0.0 if math.isnan(h) else h
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h = _orbit_height(g, xi)
     return np.fmax(h, 0.0, out=h)
 
@@ -346,6 +350,11 @@ def _boundary_images(a, b, c, d, x: BoundaryPoint):
 
 def _unwrap(g) -> Mobius:
     return g.mobius if isinstance(g, GroupElement) else g
+
+
+def _coefficients(elements) -> np.ndarray:
+    """The (4, n) array of rows (a, b, c, d) of GroupElements or Mobius values."""
+    return np.reshape([(m.a, m.b, m.c, m.d) for m in map(_unwrap, elements)], (-1, 4)).T
 
 
 def classify_isometry(g) -> IsometryClass:

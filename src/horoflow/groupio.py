@@ -64,7 +64,7 @@ _FAMILIES = {
 }
 
 
-def _resolve_family(family) -> GroupSpec:
+def _resolve_family(family, spec_kwargs: dict) -> GroupSpec:
     if not isinstance(family, dict):
         raise ParseError(f"'family' must be an object, got {family!r}")
     kind = family.get("kind")
@@ -75,7 +75,8 @@ def _resolve_family(family) -> GroupSpec:
     extra = sorted(set(params) - set(names), key=str)
     if extra:
         raise ParseError(f"unknown parameters for family {kind!r}: {extra}")
-    return preset(**{names[k]: _numbers(v, f"family parameter {k!r}") for k, v in params.items()})
+    return preset(**{names[k]: _numbers(v, f"family parameter {k!r}") for k, v in params.items()},
+                  **spec_kwargs)
 
 
 def parse_group_spec(data) -> GroupSpec:
@@ -91,17 +92,6 @@ def parse_group_spec(data) -> GroupSpec:
     if extra:
         raise ParseError(f"unknown keys: {sorted(extra, key=str)}")
     kwargs = {}
-    if has_gens:
-        gens = data["generators"]
-        if not isinstance(gens, list) or not gens:
-            raise ParseError("'generators' must be a non-empty list of matrices")
-        generators = tuple(_parse_generator(m, f"generators[{k}]")
-                           for k, m in enumerate(gens))
-    else:
-        family_spec = _resolve_family(data["family"])
-        generators = family_spec.generators
-        # families may carry their own depth default (the flute caps at 6)
-        kwargs["max_word_length"] = family_spec.max_word_length
     if "max_word_length" in data:
         v = data["max_word_length"]
         if not isinstance(v, int) or isinstance(v, bool):
@@ -109,7 +99,14 @@ def parse_group_spec(data) -> GroupSpec:
         kwargs["max_word_length"] = v
     if "dedup_tol" in data:
         kwargs["dedup_tol"] = _number(data["dedup_tol"], "'dedup_tol'")
-    return GroupSpec(generators, **kwargs)
+    if has_family:
+        # a key left out keeps the preset's default (the flute's depth is 6)
+        return _resolve_family(data["family"], kwargs)
+    gens = data["generators"]
+    if not isinstance(gens, list) or not gens:
+        raise ParseError("'generators' must be a non-empty list of matrices")
+    return GroupSpec(tuple(_parse_generator(m, f"generators[{k}]") for k, m in enumerate(gens)),
+                     **kwargs)
 
 
 def load_group_spec(path) -> GroupSpec:

@@ -178,12 +178,12 @@ class Mobius:
         return Mobius._admitted(self.d, -self.b, -self.c, self.a)
 
     def is_identity(self, tol: float = GEOM_TOL) -> bool:
-        return (
-            abs(self.a - 1.0) <= tol
-            and abs(self.b) <= tol
-            and abs(self.c) <= tol
-            and abs(self.d - 1.0) <= tol
-        )
+        return _near_identity(self.a, self.b, self.c, self.d, tol)
+
+
+def _near_identity(a, b, c, d, tol: float):
+    # with & rather than and: arrays of rows give a mask, floats a bool
+    return (abs(a - 1.0) <= tol) & (abs(b) <= tol) & (abs(c) <= tol) & (abs(d - 1.0) <= tol)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,26 @@ def test_synthetic_candidate_refuses_string_and_bool_entries():
         hf.synthetic_candidate([[["1", "1"], [0, True]]], (0.5, 2.0))
 
 
+def test_candidate_stores_its_band_as_floats():
+    elements = tuple(hf.GroupElement(m, None) for m in _synthetic_matrices())
+    sc = hf.SequenceCandidate(elements, (np.float64(0.1), 2))
+    assert sc.height_band == (0.1, 2.0)
+    assert all(type(x) is float for x in sc.height_band)
+
+
+def test_candidate_with_a_height_past_the_float_range_is_outside_the_band():
+    # c^2 + d^2 underflows to 0: the height is inf, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="height inf falls outside the band"):
+        hf.synthetic_candidate([hf.Mobius(0, -1e170, 1e-170, 0)], (0.1, 2))
+
+
+def test_candidate_needs_increasing_word_lengths():
+    m1, m2 = _synthetic_matrices(2)
+    with pytest.raises(ValueError, match="word lengths must strictly increase"):
+        hf.SequenceCandidate((hf.GroupElement(m1, (1,)), hf.GroupElement(m2, (2,))),
+                             (0.1, 2.0))
+
+
 def test_synthetic_candidate_needs_increasing_moduli():
     mats = _synthetic_matrices(6)
     with pytest.raises(ValueError):
@@ -154,6 +174,26 @@ def test_finder_band_validation(hyperbolic_spec):
         hf.find_bounded_escaping_sequence(hyperbolic_spec, (0.0, 1.0))
     with pytest.raises(ValueError):
         hf.find_bounded_escaping_sequence(hyperbolic_spec, (50.0, 60.0), min_len=0)
+
+
+BAD_BANDS = [(True, 1e7), ("0.1", 2), ("0.1", "2"), (0.5, math.inf), (math.nan, 2.0),
+             (-math.inf, 1.0)]
+BAD_BAND_IDS = ["bool", "string", "strings", "inf", "nan", "-inf"]
+
+
+@pytest.mark.parametrize("band", BAD_BANDS, ids=BAD_BAND_IDS)
+def test_band_bounds_are_finite_real_numbers(hyperbolic_spec, band):
+    match = "a height band bound must be"
+    with pytest.raises(ValueError, match=match):
+        hf.find_bounded_escaping_sequence(hyperbolic_spec, band)
+    with pytest.raises(ValueError, match=match):
+        hf.synthetic_candidate(_synthetic_matrices(), band)
+    with pytest.raises(ValueError, match=match):
+        hf.run_dichotomy(hyperbolic_spec, band=band)
+    # checked before any work, also when a candidate is injected
+    sc = hf.synthetic_candidate(_synthetic_matrices(), (0.1, 2.0))
+    with pytest.raises(ValueError, match=match):
+        hf.run_dichotomy(hyperbolic_spec, candidate=sc, band=band)
 
 
 def test_sequence_heights_and_busemann_values_match_exact_composition(schottky_spec):
@@ -454,6 +494,14 @@ def test_candidate_fields_come_from_the_elements():
         assert [list(map(float.hex, c)) for c in seq.coefficients] == \
             [list(map(float.hex, c)) for c in coeffs]
         assert seq.heights_nonconstant == (len(set(heights)) > 1)
+
+
+def test_recurrence_needs_a_nonempty_sequence_of_distinct_elements():
+    g = hf.Mobius(1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="sequence is empty"):
+        dichotomy.test_recurrence(hf.BASE_TANGENT, [])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        dichotomy.test_recurrence(hf.BASE_TANGENT, [g, hf.GroupElement(g, (1,))])
 
 
 def test_candidate_rejects_repeated_elements():

@@ -56,6 +56,11 @@ def test_base_point_formulas():
     assert (q.re, q.im) == pytest.approx((0.3, 1.0), abs=1e-15)
 
 
+def test_a_frame_must_be_a_mobius_value():
+    with pytest.raises(ValueError, match="a frame must be a Mobius value, got 'x'"):
+        hf.UnitTangent("x")
+
+
 def test_ray_point():
     p = hf.ray_point(hf.BASE_TANGENT, 1.0)
     assert (p.re, p.im) == pytest.approx((0.0, math.e), abs=1e-12)

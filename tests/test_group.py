@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import horoflow as hf
-from horoflow.group import Ball, ball_arrays
-from horoflow.halfplane import DET_TOL
+from horoflow.group import Ball, _check_det, ball_arrays
+from horoflow.halfplane import DET_TOL, _near_identity
 
 
 def _rotation(theta):
@@ -23,6 +23,13 @@ def _rotation(theta):
 def test_spec_rejects_identity_generator():
     with pytest.raises(hf.InvalidGenerator):
         hf.GroupSpec((hf.Mobius.identity(),))
+
+
+def test_spec_needs_mobius_generators():
+    with pytest.raises(hf.InvalidGenerator, match="at least one generator"):
+        hf.GroupSpec(())
+    with pytest.raises(hf.InvalidGenerator, match="is not a Mobius value"):
+        hf.GroupSpec(((1.0, 1.0, 0.0, 1.0),))
 
 
 def test_spec_rejects_bad_word_length():
@@ -168,6 +175,14 @@ def test_determinant_drift_is_allowed_per_letter():
         assert np.array_equal(got.view(np.int64), getattr(ball, name).view(np.int64))
     worst = int(drift.argmax())
     assert ball[worst].mobius.inverse().inverse() == ball[worst].mobius
+
+
+def test_builder_rejects_a_row_off_determinant_one():
+    # columns (a, b, c, d): the identity passes, diag(2, 1) has det 2
+    rows = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    _check_det(rows[:, :1], 1)
+    with pytest.raises(ValueError, match=r"matrix \(2\.0, 0\.0, 0\.0, 1\.0\) has det 2\.0, not 1"):
+        _check_det(rows, 1)
 
 
 def test_ball_too_large_counts_deduped_elements():
@@ -350,9 +365,32 @@ def test_fixed_points_degenerate_bottom_row():
     assert q.is_infinity
 
 
+def test_fixed_points_of_the_identity_and_of_a_parabolic_with_c_nonzero():
+    with pytest.raises(ValueError, match="the identity fixes every boundary point"):
+        hf.fixed_points(hf.Mobius.identity())
+    assert hf.fixed_points(hf.Mobius(1, 0, 1, 1)) == (hf.bp(0.0), hf.bp(0.0))
+
+
+def test_identity_test_is_one_rule_for_an_element_and_for_ball_rows():
+    tol = 1e-9
+    rows = np.array([[1.0, 0.0, 0.0, 1.0], [1.0 + tol / 2, -tol / 2, tol, 1.0 - tol / 2],
+                     [1.0, 2 * tol, 0.0, 1.0], [1.0, 1.0, 0.0, 1.0]])
+    mask = _near_identity(*rows.T, tol)
+    assert mask.tolist() == [_near_identity(*row, tol) for row in rows.tolist()]
+    assert mask.tolist() == [True, True, False, False]
+    assert [hf.Mobius._admitted(*row).is_identity(tol) for row in rows.tolist()] == mask.tolist()
+
+
 def test_fixed_points_elliptic_raises():
     with pytest.raises(hf.EllipticElement):
         hf.fixed_points(_rotation(0.7))
+
+
+def test_truncated_flute_needs_lengths_for_disjoint_circles():
+    with pytest.raises(hf.InvalidGenerator, match="at least one translation length"):
+        hf.truncated_flute(lengths=())
+    with pytest.raises(hf.InvalidGenerator, match="too short for disjoint isometric circles"):
+        hf.truncated_flute(lengths=(0.5, 0.5))
 
 
 def _contracting_residual(m, p):

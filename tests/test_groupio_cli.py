@@ -40,6 +40,13 @@ def test_round_trip_preserves_spec(tmp_path, schottky_spec):
         assert (g.a, g.b, g.c, g.d) == (h.a, h.b, h.c, h.d)
 
 
+def test_round_trip_keeps_a_dedup_tol(tmp_path):
+    p = tmp_path / "group.json"
+    hf.dump_group_spec(hf.cyclic_parabolic(dedup_tol=1e-8), p)
+    assert json.loads(p.read_text())["dedup_tol"] == 1e-8
+    assert hf.load_group_spec(p).dedup_tol == 1e-8
+
+
 def test_family_entries_match_presets(tmp_path):
     p = _write_family(tmp_path / "f.json", "cyclic-hyperbolic", **{"lambda": 9.0})
     spec = hf.load_group_spec(p)
@@ -50,6 +57,15 @@ def test_family_entries_match_presets(tmp_path):
     assert g.b == 2.0
     p = _write_family(tmp_path / "h.json", "flute-truncated")
     assert hf.load_group_spec(p).max_word_length == 6
+
+
+def test_family_files_pass_their_spec_keys_to_the_preset(tmp_path):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps({"family": {"kind": "flute-truncated", "lengths": [2.0, 2.5]},
+                             "dedup_tol": 1e-8}))
+    assert hf.load_group_spec(p) == hf.truncated_flute((2.0, 2.5), dedup_tol=1e-8)
+    p.write_text(json.dumps({"family": {"kind": "flute-truncated"}, "max_word_length": 3}))
+    assert hf.load_group_spec(p) == hf.truncated_flute(max_word_length=3)
 
 
 def test_generator_matrices_accept_nested_and_flat(tmp_path):
@@ -276,6 +292,18 @@ def test_cli_classify_far_point_is_quiet(group_files):
     assert json.loads(r.stdout)["result"]["sup_height"] == 0.0
 
 
+def test_cli_classify_height_past_the_float_range_is_quiet(tmp_path):
+    # c^2 + d^2 of the first generator underflows to 0: its height is inf
+    p = tmp_path / "under.json"
+    p.write_text(json.dumps({"generators": [[[0, -1e170], [1e-170, 0]], [[1, 2], [0, 1]]],
+                             "max_word_length": 3}))
+    r = _cli("classify", "--group", str(p), "--point", "inf")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert '"sup_height": "inf"' in r.stdout
+    r = _cli("diagnose", "--group", str(p))
+    assert (r.returncode, r.stderr) == (0, "")
+
+
 def test_cli_classify_rejects_a_nan_tol(group_files):
     r = _cli("classify", "--group", group_files["parabolic"], "--point", "0.5", "--tol", "nan")
     assert r.returncode == 1
@@ -373,7 +401,9 @@ def test_cli_geodesic_orbit_past_the_float_range_is_an_error(start):
     (["verify", "--seed", "-1"], ("seed", "-1")),
     (["verify", "--tol", "nan"], ("tol", "nan")),
     (["verify", "--tol", "-1"], ("tol", "-1")),
-], ids=["orbit-step-inf", "inj-step-inf", "verify-seed--1", "verify-tol-nan", "verify-tol--1"])
+    (["diagnose", "--group", "{parabolic}", "--band", "0.5", "inf"], ("height band", "inf")),
+], ids=["orbit-step-inf", "inj-step-inf", "verify-seed--1", "verify-tol-nan", "verify-tol--1",
+        "diagnose-band-inf"])
 def test_cli_bad_inputs_are_named_before_any_output(group_files, argv, named):
     r = subprocess.run([sys.executable, "-W", "error", "-m", "horoflow.cli",
                         *(a.format(**group_files) for a in argv)],

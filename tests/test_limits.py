@@ -184,6 +184,11 @@ def test_classification_depth_guard(parabolic_spec):
         hf.classify_boundary_point(parabolic_spec, hf.INFINITY, depth=-1)
 
 
+def test_classification_needs_a_depth_of_at_least_one(parabolic_spec):
+    with pytest.raises(ValueError, match="depth must be at least 1, got 0"):
+        hf.classify_boundary_point(parabolic_spec, hf.INFINITY, depth=0)
+
+
 def test_nan_point_is_rejected(parabolic_spec):
     with pytest.raises(hf.InvalidPoint):
         hf.classify_boundary_point(parabolic_spec, float("nan"))
@@ -373,6 +378,15 @@ def test_a_depth_past_max_word_length_reads_the_deeper_spec(spec, x):
             == _bits(hf.classify_boundary_point(spec, x, depth=depth)))
     assert (hf.orbit_heights(shallow, x, depth=depth).tobytes()
             == hf.orbit_heights(spec, x, depth=depth).tobytes())
+
+
+def test_a_height_whose_sum_of_squares_underflows_is_inf():
+    # c^2 + d^2 = 1e-340 underflows to 0, on the scalar and the array path
+    g = hf.Mobius(0, -1e170, 1e-170, 0)
+    assert orbit_height(g, hf.INFINITY) == math.inf
+    spec = hf.GroupSpec((g, hf.Mobius(1, 2, 0, 1)), max_word_length=3)
+    assert math.inf in hf.orbit_heights(spec, hf.INFINITY).tolist()
+    assert hf.classify_boundary_point(spec, hf.INFINITY).sup_height == math.inf
 
 
 @pytest.mark.parametrize("x", [1e200, -1e200])
