@@ -45,3 +45,17 @@ u = hf.UnitTangent(hf.Mobius(0.0, -1.0, 1.0, 0.0))
 report = hf.run_dichotomy(spec, u)
 print(f"forward endpoint {u.forward_endpoint()}, verdict: {report.verdict.kind}, "
       f"t = {report.verdict.t}")
+
+section("Gamma(2) seen from a vector aimed at sqrt(2) - 1")
+# The sequence and the candidate-time scan read the conjugates h g h^-1,
+# h = [[0, -1], [1, -xi]], off Gamma(2)'s own ball in closed form, so the
+# integer ball is never conjugated (that path failed its determinant check).
+gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)), max_word_length=10)
+xi = math.sqrt(2.0) - 1.0
+report = hf.run_dichotomy(gamma2, hf.UnitTangent(hf.Mobius(xi, -1.0, 1.0, 0.0)))
+seq = report.sequence
+print(f"{len(seq)}-term sequence, words {[e.word for e in seq.elements][:3]} ...")
+print(f"heights of the orbit of xi + i about xi: "
+      f"{', '.join(f'{h:.6f}' for h in seq.heights[:4])} ...")
+print(f"verdict: {report.verdict.kind}")
+print(f"note: {report.note}")

@@ -10,6 +10,11 @@ to itself (recurrence); a settled value t away from 0 is evidence the time-t
 geodesic translate lies in the orbit closure, which rules out minimality of
 the complement. Everything is finite-depth evidence, never proof, and the
 verdict tags say so.
+
+A vector aimed at a finite point xi is moved to infinity by the normalizing
+map h = [[0, -1], [1, -xi]]. The group is not conjugated: every row the
+pipeline reads is a row (a, b, c, d) of the group's own ball, turned into
+the row of h g h^-1 by a closed form (``_conjugate``).
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ import numpy as np
 from .errors import NoSequenceFound
 from .flows import BASE_TANGENT, UnitTangent
 from .group import (DEDUP_TOL, GroupElement, GroupSpec, _boundary_images, _check_depth,
-                    _check_int, _check_real, _coefficients, ball_arrays, conjugate_spec,
-                    dedup_keys, orbit_height)
-from .halfplane import INFINITY, BoundaryPoint, Mobius, PointH, apply, apply_boundary, dist
+                    _check_int, _check_real, _coefficients, _split, ball_arrays, dedup_keys,
+                    orbit_height)
+from .halfplane import (INFINITY, BoundaryPoint, Mobius, PointH, apply, apply_boundary, bp,
+                        dist)
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
 WINDOW = 5          # trailing terms that must sit below eps to settle
@@ -199,9 +205,65 @@ def _longest_escaping_chain(moduli: np.ndarray, lengths: np.ndarray) -> np.ndarr
     return np.array(chain)
 
 
+def _conjugate_lower(g, x: float):
+    # (-c, d) of h g h^-1 per row of g, for h = [[0, -1], [1, -x]]: with
+    # u = a - x c, (b + x (u - d), u). u takes x's split as orbit_height
+    # does. Every pass but the two that allocate writes one of its inputs,
+    # the kind NumPy runs fastest.
+    head, tail = _split(x)
+    u = g.c * -head
+    u += g.a
+    w = g.c * -tail
+    u += w
+    np.negative(g.d, out=w)
+    w += u
+    w *= x
+    w += g.b
+    return w, u
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _conjugate(g, x: float):
+    """The rows of h g h^-1 for h = [[0, -1], [1, -x]], which sends x to
+    infinity, from the rows (a, b, c, d) of g: with u = a - x c,
+    (c x + d, -c, -(b + x (u - d)), u). 0.0 - y stands for -y, so that a
+    zero entry is +0.0, as the entries of a conjugated ball are."""
+    w, u = _conjugate_lower(g, x)
+    return g.c * x + g.d, 0.0 - g.c, 0.0 - w, u
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _conjugate_denominators(ball, x: float) -> np.ndarray:
+    # c^2 + d^2 of the rows of _conjugate, in place: their heights are its
+    # reciprocals. A row past the float range reads inf or NaN.
+    w, u = _conjugate_lower(ball, x)
+    w *= w
+    u *= u
+    u += w
+    return u
+
+
+def _reciprocal_band(m: float, M: float) -> tuple[float, float]:
+    """(lo, hi) such that a float q lies in [lo, hi] exactly when the rounded
+    1/q lies in [m, M]. Rounded division is monotone, so those q form an
+    interval; its ends start at 1/M and 1/m and step by ulps until the
+    rounded reciprocal changes sides."""
+    lo, hi = 1.0 / M, 1.0 / m
+    while 1.0 / lo > M:
+        lo = math.nextafter(lo, math.inf)
+    while 1.0 / math.nextafter(lo, 0.0) <= M:
+        lo = math.nextafter(lo, 0.0)
+    while 1.0 / hi < m:
+        hi = math.nextafter(hi, 0.0)
+    while 1.0 / math.nextafter(hi, math.inf) >= m:
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
 def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
                                    depth: int | None = None,
-                                   min_len: int = MIN_SEQ_LEN) -> SequenceCandidate:
+                                   min_len: int = MIN_SEQ_LEN, *,
+                                   xi=INFINITY) -> SequenceCandidate:
     """Search the word ball for a height-banded sequence escaping in modulus.
 
     Elements with height_inf(g(i)) inside [m, M] are taken in increasing
@@ -209,28 +271,52 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     the longest subsequence with strictly increasing modulus and word length,
     and stripped of a leading constant-height run when later heights vary.
     Raises NoSequenceFound (carrying the achieved count) below ``min_len``.
+
+    At a finite boundary point ``xi`` the elements are the conjugates
+    h g h^-1 of the ball's rows by h = [[0, -1], [1, -xi]], with the ball's
+    words: the group as seen from a vector aimed at xi, moved to infinity by
+    h. Their heights height_inf(h g h^-1(i)) are the heights of the orbit of
+    h^-1(i) = xi + i, and they are the only pass over the whole ball;
+    moduli are formed for the in-band rows only.
     """
     m, M = _check_band(band)
     min_len = _check_int("min_len", min_len, 1)
     depth = _check_depth(spec, depth)
+    xi = bp(xi)
     ball = ball_arrays(spec, depth)
-    heights = orbit_height(ball, INFINITY)
-    rows = np.nonzero((heights >= m) & (heights <= M))[0]
-    moduli = _modulus_sq(ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
+    if xi.is_infinity:
+        heights = orbit_height(ball, INFINITY)
+        rows = np.nonzero((heights >= m) & (heights <= M))[0]
+        heights = heights[rows]
+    else:
+        # no division over the ball: the band test runs on the denominators
+        q = _conjugate_denominators(ball, xi.value)
+        lo, hi = _reciprocal_band(m, M)
+        rows = np.nonzero((q >= lo) & (q <= hi))[0]
+        heights = 1.0 / q[rows]
+    coeffs = (ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
+    if not xi.is_infinity:
+        coeffs = _conjugate(SimpleNamespace(**dict(zip("abcd", coeffs))), xi.value)
+    moduli = _modulus_sq(*coeffs)
     # ball rows already run in word order, so a stable sort breaks modulus ties
     order = np.argsort(moduli, kind="stable")
-    rows = rows[order]
-    chain = rows[_longest_escaping_chain(moduli[order], ball.word_lengths[rows])].tolist()
-    hs = [float(heights[i]) for i in chain]
+    picks = order[_longest_escaping_chain(moduli[order], ball.word_lengths[rows[order]])].tolist()
+    hs = heights[picks].tolist()
     if len(set(hs)) > 1:
         while len(hs) >= 2 and hs[0] == hs[1]:
-            chain.pop(0)
+            picks.pop(0)
             hs.pop(0)
+    chain = rows[picks].tolist()
     if len(chain) < min_len:
         raise NoSequenceFound(
             f"only {len(chain)} qualifying elements (need {min_len}) in the depth-{depth} ball",
             found=len(chain))
-    return SequenceCandidate(tuple(ball[i] for i in chain), (m, M))
+    if xi.is_infinity:
+        elements = tuple(ball[i] for i in chain)
+    else:
+        elements = tuple(GroupElement(Mobius._admitted(*(x[p] for x in coeffs)), ball.word(i))
+                         for p, i in zip(picks, chain))
+    return SequenceCandidate(elements, (m, M))
 
 
 def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidate:
@@ -295,9 +381,10 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
 
 def _log_inverse_heights(a, b, c, d, xi: BoundaryPoint) -> np.ndarray:
     """ln height_xi(g^{-1}(i)) for every row (a, b, c, d), with math.log per
-    value, so that one row gives the floats of the scalar formula."""
+    value, so that one row gives the floats of the scalar formula. A height
+    that reads 0 (past the float range) has log -inf."""
     heights = orbit_height(SimpleNamespace(a=d, b=-b, c=-c, d=a), xi)
-    return np.array([math.log(h) for h in heights.tolist()])
+    return np.array([math.log(h) if h > 0.0 else -math.inf for h in heights.tolist()])
 
 
 def _sequence_orbit(u: UnitTangent, seq):
@@ -327,15 +414,16 @@ def _settle(orbit, a, b, c, d, eps: float, window: int):
     """
     u_inf, images, log_heights = orbit
     targets, target_inf = _boundary_images(a, b, c, d, u_inf)
-    # B_xi(z, w) = ln height_xi(w) - ln height_xi(z)
-    values = _log_inverse_heights(a, b, c, d, u_inf)[:, None] - log_heights
-    streams = np.empty((2, *values.shape))
-    # an image at infinity is inf: 0 from a target there, inf from any other
+    streams = np.empty((2, len(targets), len(images)))
+    # an image at infinity is inf: 0 from a target there, inf from any other;
+    # an infinite log height gives inf or NaN values, which never settle
     with np.errstate(divide="ignore", invalid="ignore"):
+        # B_xi(z, w) = ln height_xi(w) - ln height_xi(z)
+        values = _log_inverse_heights(a, b, c, d, u_inf)[:, None] - log_heights
         streams[0] = np.where(target_inf[:, None], 1.0 / np.abs(images),
                               np.abs(images - targets[:, None]))
+        streams[1, :, 1:] = np.abs(values[:, 1:] - values[:, :-1])
     streams[1, :, 0] = np.inf
-    streams[1, :, 1:] = np.abs(values[:, 1:] - values[:, :-1])
     settled = (streams[:, :, -window:] < eps).all(axis=2) & (values.shape[1] >= window)
     return values, streams.max(axis=0), settled
 
@@ -387,10 +475,13 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
                   candidate: SequenceCandidate | None = None) -> DiagnosticsReport:
     """Full diagnostic run from a unit tangent vector.
 
-    The vector's forward endpoint is moved to infinity by conjugating the
-    group if needed. The verdict follows the settled Busemann value of the
-    inverted sequence: near 0 -> recurrence-evidence, a settled t away from
-    0 -> non-minimality-evidence(t), anything unsettled -> inconclusive.
+    A vector aimed at a finite point xi is moved to infinity by
+    h = [[0, -1], [1, -xi]], and the group is read through h: the sequence
+    search and the candidate-time scan take the conjugates h g h^-1 of the
+    rows of the spec's own balls in closed form, so no other ball is built.
+    The verdict follows the settled Busemann value of the inverted sequence:
+    near 0 -> recurrence-evidence, a settled t away from 0 ->
+    non-minimality-evidence(t), anything unsettled -> inconclusive.
     ``candidate`` injects a prebuilt sequence in place of the ball search.
     """
     _check_settle(eps, window)
@@ -399,15 +490,13 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     if not u_inf.is_infinity:
         if candidate is not None:
             raise ValueError("injected candidates require a vector aimed at infinity")
-        h = Mobius(0.0, -1.0, 1.0, -u_inf.value)
-        spec = conjugate_spec(spec, h)
-        u = u.transform(h)
+        u = u.transform(Mobius(0.0, -1.0, 1.0, -u_inf.value))
     if candidate is not None:
         seq = candidate
     else:
         try:
             seq = find_bounded_escaping_sequence(spec, band, depth=depth,
-                                                 min_len=min_len)
+                                                 min_len=min_len, xi=u_inf)
         except NoSequenceFound as exc:
             return DiagnosticsReport(
                 sequence=None, coefficients=None,
@@ -433,7 +522,8 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
                 f"over the trailing {window} terms")
     # candidate times: the settled values at least eps from 0 over the alpha ball
     ab = ball_arrays(spec, ALPHA_DEPTH)
-    values, _, settled = _settle(_sequence_orbit(u, inv), ab.a, ab.b, ab.c, ab.d, eps, window)
+    alphas = (ab.a, ab.b, ab.c, ab.d) if u_inf.is_infinity else _conjugate(ab, u_inf.value)
+    values, _, settled = _settle(_sequence_orbit(u, inv), *alphas, eps, window)
     limits = values[settled.all(axis=0), -1]
     times = sorted(limits[np.abs(limits) >= eps].tolist())
     deduped = []

@@ -322,10 +322,7 @@ def _orbit_height(g, xi: BoundaryPoint):
         u = g.c * g.c
         u += g.d * g.d
         return 1.0 / u
-    t = 134217729.0 * xi.value
-    # past |xi| ~ 1.3e300 the split overflows; there xi c overflows anyway
-    head = t - (t - xi.value) if math.isfinite(t) else xi.value
-    tail = xi.value - head
+    head, tail = _split(xi.value)
     # updated in place when g is a Ball (a float just rebinds): the same
     # operations in the same order, so the same bits, with fewer temporaries
     u = g.a - head * g.c
@@ -336,6 +333,15 @@ def _orbit_height(g, xi: BoundaryPoint):
     v *= v
     u += v
     return 1.0 / u
+
+
+def _split(x: float) -> tuple[float, float]:
+    # x as a 26-bit head plus a tail (Dekker): head * c is exact for
+    # entries below 2^27. Past |x| ~ 1.3e300 the split overflows; there x c
+    # overflows anyway.
+    t = 134217729.0 * x
+    head = t - (t - x) if math.isfinite(t) else x
+    return head, x - head
 
 
 def _boundary_images(a, b, c, d, x: BoundaryPoint):

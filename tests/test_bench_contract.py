@@ -57,3 +57,17 @@ def test_traced_calls_record_their_spans(tracer):
     run = by["run_dichotomy"][0]
     assert all(spans[i]["parent"] == run for i in by["test_recurrence"])
     assert spans[by["find_bounded_escaping_sequence"][0]]["parent"] == run
+
+
+def test_finite_endpoint_search_is_traced_inside_its_run(tracer):
+    # a vector aimed at 0 runs the same search function, through its module
+    # global, on the spec's own ball
+    _, t = tracer
+    gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)), max_word_length=8)
+    aimed = hf.UnitTangent(hf.Mobius(0.0, -1.0, 1.0, 0.0))
+    assert hf.run_dichotomy(gamma2, aimed).sequence is not None
+    spans = t.spans
+    runs = [i for i, s in enumerate(spans) if s["name"] == "run_dichotomy"]
+    searches = [s for s in spans if s["name"] == "find_bounded_escaping_sequence"]
+    assert len(runs) == 1 and spans[runs[0]]["finite"]
+    assert len(searches) == 1 and searches[0]["parent"] == runs[0]

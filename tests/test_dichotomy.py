@@ -577,6 +577,191 @@ def test_dichotomy_rejects_candidate_with_moved_frame():
         hf.run_dichotomy(hf.cyclic_hyperbolic(), u, candidate=sc, band=(0.1, 2.0))
 
 
+# ---------------------------------------------------------------------------
+# finite endpoints, read through h = [[0, -1], [1, -xi]] on the spec's own ball
+
+_REFERENCE_SPECS = {
+    "schottky": hf.schottky_pair(),
+    "flute": hf.truncated_flute(),
+    "gamma2": hf.GroupSpec(tuple(hf.Mobius(*g) for g in _GENERATORS["gamma2"]),
+                           max_word_length=10),
+    "psl2z": hf.GroupSpec(tuple(hf.Mobius(*g) for g in _GENERATORS["psl2z"]),
+                          max_word_length=20),
+}
+
+
+def _report_fields(r):
+    """Every field of a report, floats as floats, in the order diagnose prints them."""
+    out = {"note": r.note, "verdict": (r.verdict.kind, r.verdict.t),
+           "converged": r.busemann_limit.converged, "limit": r.busemann_limit.limit,
+           "values": r.busemann_limit.values, "residuals": r.busemann_limit.residuals,
+           "candidate_times": r.candidate_times}
+    if r.sequence is not None:
+        s = r.sequence
+        out.update(words=[e.word for e in s.elements], heights=s.heights,
+                   endpoint_images=[math.inf if p.is_infinity else p.value
+                                    for p in s.endpoint_images],
+                   coefficients=[x for c in s.coefficients for x in c],
+                   heights_nonconstant=s.heights_nonconstant)
+        co = r.coefficients
+        out.update({k: getattr(co, k) for k in (
+            "a_abs", "c_values", "d_values", "a_diverging", "c_limit_zero", "d_limit",
+            "min_cd_norm", "cd_bound_ok", "probe_max_residual", "probe_diverging")})
+    return out
+
+
+def _conjugated_run(spec, u, band):
+    # the path that conjugates the whole group and builds its ball
+    h = hf.Mobius(0.0, -1.0, 1.0, -u.forward_endpoint().value)
+    return hf.run_dichotomy(hf.conjugate_spec(spec, h), u.transform(h), band=band)
+
+
+def _hexed(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def _floats(value):
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [x for v in value for x in _floats(v)]
+    return []
+
+
+@pytest.mark.parametrize("band", [(0.5, 2.0), (0.1, 10.0), (0.01, 100.0)])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_SPECS))
+def test_finite_endpoint_equals_the_conjugated_group(name, band):
+    # At 0, h is a signed permutation: the reports are equal bit for bit,
+    # signed zeros included. Elsewhere the conjugated ball rounds its own
+    # products, so every float agrees within 1e-9 relative to max(1, |x|),
+    # with the same words, flags, verdict and note. The displacement probe's
+    # residual is the determinant drift of its words' rows, which the two
+    # paths round differently: it only has to stay below 1e-8 on both.
+    spec = _REFERENCE_SPECS[name]
+    for xi in (0.0, 0.37, -1.3, 2.5):
+        u = _aimed_at(xi)
+        got = _report_fields(hf.run_dichotomy(spec, u, band=band))
+        want = _report_fields(_conjugated_run(spec, u, band))
+        if xi == 0.0:
+            assert {k: _hexed(v) for k, v in got.items()} == \
+                {k: _hexed(v) for k, v in want.items()}
+            continue
+        assert got.keys() == want.keys()
+        if "probe_max_residual" in got:
+            assert max(got.pop("probe_max_residual"), want.pop("probe_max_residual")) < 1e-8
+        for key in got:
+            x, y = _floats(got[key]), _floats(want[key])
+            if not x and not y:
+                assert got[key] == want[key], key
+                continue
+            assert len(x) == len(y), key
+            for p, q in zip(x, y):
+                assert p == q or abs(p - q) <= 1e-9 * max(1.0, abs(p), abs(q)), (key, p, q)
+        assert got["note"] is None or got["note"] == want["note"]
+
+
+def _exact_word(generators, word):
+    m = (1, 0, 0, 1)
+    for letter in word:
+        p, q, r, s = generators[abs(letter) - 1]
+        if letter < 0:
+            p, q, r, s = s, -q, -r, p
+        a, b, c, d = m
+        m = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+    return m
+
+
+@pytest.mark.parametrize("name", ["gamma2", "psl2z"])
+def test_finite_endpoint_sequence_is_the_exact_conjugate(name):
+    # At sqrt(2) - 1, where conjugating Gamma(2) itself fails the determinant
+    # check, each element is h g h^-1 of its word's integer matrix g, and its
+    # height the height of the orbit of xi + i about xi, within 1e-14.
+    spec, xi = _REFERENCE_SPECS[name], math.sqrt(2.0) - 1.0
+    x = Fraction(xi)
+    for band in [(0.5, 2.0), (0.01, 100.0)]:
+        seq = hf.run_dichotomy(spec, _aimed_at(xi), band=band).sequence
+        assert len(seq) >= dichotomy.MIN_SEQ_LEN
+        for e, h in zip(seq.elements, seq.heights):
+            a, b, c, d = _exact_word(_GENERATORS[name], e.word)
+            u = a - x * c
+            want = (c * x + d, -c, -(b + x * (u - d)), u)
+            got = (e.mobius.a, e.mobius.b, e.mobius.c, e.mobius.d)
+            scale = max(abs(v) for v in want)
+            err = min(max(abs(Fraction(g) - s * w) for g, w in zip(got, want))
+                      for s in (1, -1))
+            assert err <= scale * Fraction(1, 10 ** 14)
+            # height_xi(g(xi + i)) = Im w / |w - xi|^2 at w = g(xi + i)
+            wx = complex(a * xi + b, a) / complex(c * xi + d, c)
+            assert h == pytest.approx(wx.imag / abs(wx - xi) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["gamma2", "psl2z"])
+def test_aimed_vectors_build_no_ball_and_raise_nothing(name):
+    # Eight vectors aimed at points drawn from a seeded generator: with the
+    # group conjugated, two of them died in the determinant check on Gamma(2),
+    # and each built and kept its own ball.
+    spec = _REFERENCE_SPECS[name]
+    xis = np.random.default_rng(5).uniform(-3.0, 3.0, 8).tolist()
+    memo = hf.group._cached_ball
+    memo.cache_clear()
+    for xi in xis:
+        report = hf.run_dichotomy(spec, _aimed_at(xi))
+        assert report.verdict.kind in (dichotomy.RECURRENCE, dichotomy.NON_MINIMALITY,
+                                       dichotomy.INCONCLUSIVE)
+    # the spec's own ball and its depth-2 alpha ball
+    assert memo.cache_info().currsize == 2
+    assert ball_arrays(spec) is ball_arrays(spec, spec.max_word_length)
+    assert memo.cache_info().currsize == 2
+
+
+def test_finder_at_a_finite_point_takes_any_boundary_point():
+    spec = _REFERENCE_SPECS["gamma2"]
+    by_float = hf.find_bounded_escaping_sequence(spec, (0.5, 2.0), xi=0.37)
+    by_point = hf.find_bounded_escaping_sequence(spec, (0.5, 2.0), xi=hf.bp(0.37))
+    assert by_float == by_point
+    at_inf = hf.find_bounded_escaping_sequence(spec, (0.5, 2.0), xi="inf")
+    assert at_inf == hf.find_bounded_escaping_sequence(spec, (0.5, 2.0))
+    with pytest.raises(hf.InvalidPoint):
+        hf.find_bounded_escaping_sequence(spec, (0.5, 2.0), xi=math.nan)
+
+
+def _reciprocal_in_band(q, m, M):
+    with np.errstate(divide="ignore", over="ignore"):
+        return bool(m <= np.float64(1.0) / np.float64(q) <= M)
+
+
+@pytest.mark.parametrize("band", [(0.5, 2.0), (0.1, 10.0), (1e-3, 1e3), (0.3, 0.7),
+                                  (1e-300, 1e300), (5e-324, 1.0), (1.0, 1.7976931348623157e308)])
+def test_reciprocal_band_is_the_height_band(band):
+    # q in [lo, hi] exactly when the rounded 1/q is in [m, M], at the ends too
+    m, M = band
+    lo, hi = dichotomy._reciprocal_band(m, M)
+    assert _reciprocal_in_band(lo, m, M) and _reciprocal_in_band(hi, m, M)
+    assert not _reciprocal_in_band(math.nextafter(lo, 0.0), m, M)
+    assert not _reciprocal_in_band(math.nextafter(hi, math.inf), m, M)
+    probes = [1.0 / m, 1.0 / M, lo, hi, 1.0, 0.0, math.inf, math.nan]
+    for p in list(probes[:4]):
+        for direction in (0.0, math.inf):
+            for _ in range(4):
+                p = math.nextafter(p, direction)
+                probes.append(p)
+    for q in probes:
+        assert (lo <= q <= hi) == _reciprocal_in_band(q, m, M), q
+
+
+def test_log_height_past_the_float_range_leaves_the_stream_unsettled():
+    # height_xi(g^-1(i)) reads 0 at xi = 1e200: log -inf, not a math domain error
+    u = hf.UnitTangent(hf.Mobius(1e200, -1, 1, 0))
+    verdict = hf.test_recurrence(u, [hf.Mobius(1, 0, 1e150, 1)], window=1)
+    assert not verdict.converged and verdict.limit is None
+    assert verdict.unsettled == ("endpoint", "Busemann")
+    assert math.isnan(verdict.values[0])
+
+
 def test_dichotomy_runtime_parameters_forwarded(parabolic_spec):
     report = hf.run_dichotomy(parabolic_spec, depth=8, min_len=4, window=3)
     assert report.verdict.kind == "recurrence-evidence"
