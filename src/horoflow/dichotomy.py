@@ -205,38 +205,39 @@ def _longest_escaping_chain(moduli: np.ndarray, lengths: np.ndarray) -> np.ndarr
     return np.array(chain)
 
 
-def _conjugate_lower(g, x: float):
-    # (-c, d) of h g h^-1 per row of g, for h = [[0, -1], [1, -x]]: with
-    # u = a - x c, (b + x (u - d), u). u takes x's split as orbit_height
+def _conjugate_lower(a, b, c, d, x: float):
+    # (-c, d) of h g h^-1 per row (a, b, c, d), for h = [[0, -1], [1, -x]]:
+    # with u = a - x c, (b + x (u - d), u). u takes x's split as orbit_height
     # does. Every pass but the two that allocate writes one of its inputs,
     # the kind NumPy runs fastest.
     head, tail = _split(x)
-    u = g.c * -head
-    u += g.a
-    w = g.c * -tail
+    u = c * -head
+    u += a
+    w = c * -tail
     u += w
-    np.negative(g.d, out=w)
+    np.negative(d, out=w)
     w += u
     w *= x
-    w += g.b
+    w += b
     return w, u
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _conjugate(g, x: float):
+def _conjugate(a, b, c, d, x: float):
     """The rows of h g h^-1 for h = [[0, -1], [1, -x]], which sends x to
     infinity, from the rows (a, b, c, d) of g: with u = a - x c,
     (c x + d, -c, -(b + x (u - d)), u). 0.0 - y stands for -y, so that a
-    zero entry is +0.0, as the entries of a conjugated ball are."""
-    w, u = _conjugate_lower(g, x)
-    return g.c * x + g.d, 0.0 - g.c, 0.0 - w, u
+    zero entry is +0.0 before the sign rule, as in the ball of the
+    conjugated generators: at x = 0 the rows are that ball's, bit for bit."""
+    w, u = _conjugate_lower(a, b, c, d, x)
+    return c * x + d, 0.0 - c, 0.0 - w, u
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _conjugate_denominators(ball, x: float) -> np.ndarray:
     # c^2 + d^2 of the rows of _conjugate, in place: their heights are its
     # reciprocals. A row past the float range reads inf or NaN.
-    w, u = _conjugate_lower(ball, x)
+    w, u = _conjugate_lower(ball.a, ball.b, ball.c, ball.d, x)
     w *= w
     u *= u
     u += w
@@ -263,7 +264,7 @@ def _reciprocal_band(m: float, M: float) -> tuple[float, float]:
 def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
                                    depth: int | None = None,
                                    min_len: int = MIN_SEQ_LEN, *,
-                                   xi=INFINITY) -> SequenceCandidate:
+                                   xi: BoundaryPoint | float = INFINITY) -> SequenceCandidate:
     """Search the word ball for a height-banded sequence escaping in modulus.
 
     Elements with height_inf(g(i)) inside [m, M] are taken in increasing
@@ -272,12 +273,13 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     and stripped of a leading constant-height run when later heights vary.
     Raises NoSequenceFound (carrying the achieved count) below ``min_len``.
 
-    At a finite boundary point ``xi`` the elements are the conjugates
-    h g h^-1 of the ball's rows by h = [[0, -1], [1, -xi]], with the ball's
-    words: the group as seen from a vector aimed at xi, moved to infinity by
-    h. Their heights height_inf(h g h^-1(i)) are the heights of the orbit of
-    h^-1(i) = xi + i, and they are the only pass over the whole ball;
-    moduli are formed for the in-band rows only.
+    At a finite boundary point ``xi`` (anything ``bp`` takes) the elements
+    are the conjugates h g h^-1 of the ball's rows by h = [[0, -1], [1, -xi]],
+    with the ball's words: the group seen from a vector aimed at xi and
+    moved to infinity by h. Their heights height_inf(h g h^-1(i)) are those
+    of the orbit of h^-1(i) = xi + i about xi. Their denominators are the
+    only pass over the whole ball; moduli and elements are formed for the
+    in-band rows and the chain only.
     """
     m, M = _check_band(band)
     min_len = _check_int("min_len", min_len, 1)
@@ -296,7 +298,7 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
         heights = 1.0 / q[rows]
     coeffs = (ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
     if not xi.is_infinity:
-        coeffs = _conjugate(SimpleNamespace(**dict(zip("abcd", coeffs))), xi.value)
+        coeffs = _conjugate(*coeffs, xi.value)
     moduli = _modulus_sq(*coeffs)
     # ball rows already run in word order, so a stable sort breaks modulus ties
     order = np.argsort(moduli, kind="stable")
@@ -522,7 +524,9 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
                 f"over the trailing {window} terms")
     # candidate times: the settled values at least eps from 0 over the alpha ball
     ab = ball_arrays(spec, ALPHA_DEPTH)
-    alphas = (ab.a, ab.b, ab.c, ab.d) if u_inf.is_infinity else _conjugate(ab, u_inf.value)
+    alphas = (ab.a, ab.b, ab.c, ab.d)
+    if not u_inf.is_infinity:
+        alphas = _conjugate(*alphas, u_inf.value)
     values, _, settled = _settle(_sequence_orbit(u, inv), *alphas, eps, window)
     limits = values[settled.all(axis=0), -1]
     times = sorted(limits[np.abs(limits) >= eps].tolist())

@@ -718,6 +718,15 @@ def test_aimed_vectors_build_no_ball_and_raise_nothing(name):
     assert memo.cache_info().currsize == 2
 
 
+@pytest.mark.parametrize("xi", [1e16, 1e200, -1e300])
+def test_far_endpoint_reads_no_row_and_says_so(xi):
+    # the conjugated generators overflowed (or lost every digit) and raised;
+    # the closed form's rows fall outside every band, with no NumPy warning
+    report = hf.run_dichotomy(_REFERENCE_SPECS["gamma2"], _aimed_at(xi))
+    assert report.sequence is None and report.verdict.kind == dichotomy.INCONCLUSIVE
+    assert report.note.startswith("no qualifying sequence: only 0 qualifying elements")
+
+
 def test_finder_at_a_finite_point_takes_any_boundary_point():
     spec = _REFERENCE_SPECS["gamma2"]
     by_float = hf.find_bounded_escaping_sequence(spec, (0.5, 2.0), xi=0.37)
