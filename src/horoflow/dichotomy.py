@@ -227,8 +227,8 @@ def _conjugate(a, b, c, d, x: float):
     """The rows of h g h^-1 for h = [[0, -1], [1, -x]], which sends x to
     infinity, from the rows (a, b, c, d) of g: with u = a - x c,
     (c x + d, -c, -(b + x (u - d)), u). 0.0 - y stands for -y, so that a
-    zero entry is +0.0 before the sign rule, as in the ball of the
-    conjugated generators: at x = 0 the rows are that ball's, bit for bit."""
+    zero entry reads +0.0: with -y, a report at x = 0 would print -0.0
+    where the ball of the conjugated generators gives 0.0."""
     w, u = _conjugate_lower(a, b, c, d, x)
     return c * x + d, 0.0 - c, 0.0 - w, u
 
@@ -290,15 +290,14 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
         heights = orbit_height(ball, INFINITY)
         rows = np.nonzero((heights >= m) & (heights <= M))[0]
         heights = heights[rows]
+        coeffs = (ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
     else:
         # no division over the ball: the band test runs on the denominators
         q = _conjugate_denominators(ball, xi.value)
         lo, hi = _reciprocal_band(m, M)
         rows = np.nonzero((q >= lo) & (q <= hi))[0]
         heights = 1.0 / q[rows]
-    coeffs = (ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
-    if not xi.is_infinity:
-        coeffs = _conjugate(*coeffs, xi.value)
+        coeffs = _conjugate(ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows], xi.value)
     moduli = _modulus_sq(*coeffs)
     # ball rows already run in word order, so a stable sort breaks modulus ties
     order = np.argsort(moduli, kind="stable")
@@ -313,12 +312,10 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
         raise NoSequenceFound(
             f"only {len(chain)} qualifying elements (need {min_len}) in the depth-{depth} ball",
             found=len(chain))
-    if xi.is_infinity:
-        elements = tuple(ball[i] for i in chain)
-    else:
-        elements = tuple(GroupElement(Mobius._admitted(*(x[p] for x in coeffs)), ball.word(i))
-                         for p, i in zip(picks, chain))
-    return SequenceCandidate(elements, (m, M))
+    # at infinity these are the ball's own rows, so the elements ball[i] gives
+    elements = (GroupElement(Mobius._admitted(*(x[p] for x in coeffs)), ball.word(i))
+                for p, i in zip(picks, chain))
+    return SequenceCandidate(tuple(elements), (m, M))
 
 
 def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidate:
