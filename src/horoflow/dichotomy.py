@@ -29,8 +29,8 @@ import numpy as np
 from .errors import NoSequenceFound
 from .flows import BASE_TANGENT, UnitTangent
 from .group import (DEDUP_TOL, GroupElement, GroupSpec, _boundary_images, _check_depth,
-                    _check_int, _check_real, _coefficients, _split, ball_arrays, dedup_keys,
-                    orbit_height)
+                    _check_int, _check_real, _coefficients, _minus_xi, _split, ball_arrays,
+                    dedup_keys, orbit_height)
 from .halfplane import (INFINITY, BoundaryPoint, Mobius, PointH, apply, apply_boundary, bp,
                         dist)
 
@@ -207,14 +207,10 @@ def _longest_escaping_chain(moduli: np.ndarray, lengths: np.ndarray) -> np.ndarr
 
 def _conjugate_lower(a, b, c, d, x: float):
     # (-c, d) of h g h^-1 per row (a, b, c, d), for h = [[0, -1], [1, -x]]:
-    # with u = a - x c, (b + x (u - d), u). u takes x's split as orbit_height
-    # does. Every pass but the two that allocate writes one of its inputs,
-    # the kind NumPy runs fastest.
-    head, tail = _split(x)
-    u = c * -head
-    u += a
-    w = c * -tail
-    u += w
+    # with u = a - x c, (b + x (u - d), u). u is orbit_height's a - x c.
+    # Every pass but the two that allocate writes one of its inputs, the
+    # kind NumPy runs fastest.
+    u, w = _minus_xi(a, c, *_split(x))
     np.negative(d, out=w)
     w += u
     w *= x
@@ -287,8 +283,10 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     xi = bp(xi)
     ball = ball_arrays(spec, depth)
     if xi.is_infinity:
-        heights = orbit_height(ball, INFINITY)
-        rows = np.nonzero((heights >= m) & (heights <= M))[0]
+        # the band is a slice of the ball's height order; rows back in ball order
+        heights, order = ball.inf_heights, ball.inf_order
+        rows = np.sort(order[np.searchsorted(heights, m, "left", sorter=order):
+                             np.searchsorted(heights, M, "right", sorter=order)])
         heights = heights[rows]
         coeffs = (ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
     else:
@@ -298,7 +296,8 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
         rows = np.nonzero((q >= lo) & (q <= hi))[0]
         heights = 1.0 / q[rows]
         coeffs = _conjugate(ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows], xi.value)
-    moduli = _modulus_sq(*coeffs)
+    with np.errstate(over="ignore"):  # a modulus past the float range reads inf
+        moduli = _modulus_sq(*coeffs)
     # ball rows already run in word order, so a stable sort breaks modulus ties
     order = np.argsort(moduli, kind="stable")
     picks = order[_longest_escaping_chain(moduli[order], ball.word_lengths[rows[order]])].tolist()

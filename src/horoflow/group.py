@@ -158,11 +158,13 @@ class Ball(Sequence):
     and the read-only sequence of those elements: ``ball[i]`` builds row i's
     GroupElement, a slice a tuple of them.
 
-    Row i has coefficients (a[i], b[i], c[i], d[i]) and the word of row
-    parent[i] (the empty word for -1) followed by letter[i], a signed 1-based
-    generator index (+k for the k-th generator, -k for its inverse). Rows run
-    by word length, then lexicographically by word with +1 < -1 < +2 < -2 < ...
-    Of elements equal up to sign on the dedup grid only the first is kept.
+    Row i has coefficients (a[i], b[i], c[i], d[i]) (float64) and the word of
+    row parent[i] (the empty word for -1) followed by letter[i], a signed
+    1-based generator index (+k for the k-th generator, -k for its inverse).
+    ``word_lengths``, ``parent`` and ``letter`` are int32: a ball holds at most
+    ENUM_CAP rows. Rows run by word length, then lexicographically by word
+    with +1 < -1 < +2 < -2 < ... Of elements equal up to sign on the dedup
+    grid only the first is kept.
     """
 
     a: np.ndarray
@@ -210,6 +212,23 @@ class Ball(Sequence):
             arr.flags.writeable = False
         return out
 
+    @functools.cached_property
+    def inf_heights(self) -> np.ndarray:
+        """height_inf(g(i)) per row, the floats of orbit_height(self,
+        INFINITY). Computed once per ball, as a read-only array."""
+        h = orbit_height(self, INFINITY)
+        h.flags.writeable = False
+        return h
+
+    @functools.cached_property
+    def inf_order(self) -> np.ndarray:
+        """Row indices in stable ascending order of inf_heights, so that a
+        height band at infinity is a slice found by searchsorted. Computed
+        once per ball, as a read-only array."""
+        order = np.argsort(self.inf_heights, kind="stable")
+        order.flags.writeable = False
+        return order
+
 
 @np.errstate(over="ignore", invalid="ignore")  # dedup_keys checks overflow
 def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
@@ -219,14 +238,15 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
     # a slice's products go after the kept rows, and its new ones move down.
     gens = [m for g in spec.generators for m in (g, g.inverse())]
     ga, gb, gc, gd = _coefficients(gens)
-    codes = np.array([s * (k + 1) for k in range(len(spec.generators)) for s in (1, -1)])
+    codes = np.array([s * (k + 1) for k in range(len(spec.generators)) for s in (1, -1)],
+                     dtype=np.int32)
     nc, tol = codes.size, spec.dedup_tol
     step = max(1, max_elements // nc)  # products per slice <= max_elements
     # rows for the reduced words of length <= depth or the cap and one slice
     words = nc * depth if nc == 2 else nc * ((nc - 1) ** min(depth, 64) - 1) // (nc - 2)
     cap = 1 + min(words, max_elements + step * nc)
     coef, hashes = np.empty((4, cap)), np.empty(cap, dtype=np.uint64)
-    parent, letter = np.empty(cap, dtype=int), np.zeros(cap, dtype=int)
+    parent, letter = np.empty(cap, dtype=np.int32), np.zeros(cap, dtype=np.int32)
     prod = np.empty((2, min(step, cap) * nc))  # a product term, before and after the mask
     coef[:, 0] = (1.0, 0.0, 0.0, 1.0)
     hashes[0] = _cell_hash(dedup_keys(coef[:, :1], tol))[0]
@@ -264,7 +284,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
         if n == stop:
             break
         bounds.append(n)
-    lengths = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[1:]
+    lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))[1:]
     return Ball(*coef[:, 1:n].copy(), lengths, parent[1:n].copy(), letter[1:n].copy())
 
 
@@ -318,21 +338,32 @@ def orbit_height(g, xi: BoundaryPoint):
 
 
 def _orbit_height(g, xi: BoundaryPoint):
+    # updated in place when g is a Ball (a float just rebinds): the same
+    # operations in the same order, so the same bits, with fewer temporaries
     if xi.is_infinity:
         u = g.c * g.c
         u += g.d * g.d
         return 1.0 / u
     head, tail = _split(xi.value)
-    # updated in place when g is a Ball (a float just rebinds): the same
-    # operations in the same order, so the same bits, with fewer temporaries
-    u = g.a - head * g.c
-    u -= tail * g.c
-    v = g.b - head * g.d
-    v -= tail * g.d
+    u, _ = _minus_xi(g.a, g.c, head, tail)
+    v, _ = _minus_xi(g.b, g.d, head, tail)
     u *= u
     v *= v
     u += v
     return 1.0 / u
+
+
+def _minus_xi(x, y, head: float, tail: float):
+    # x - xi y as (x - head y) - tail y, for xi = head + tail as _split gives
+    # it, per entry of arrays or for floats; also the array that held
+    # -tail y, free for reuse. y * -h is -(h y) exactly and x + -z is x - z,
+    # so these are the bits of the subtractions; but past the two products
+    # every pass writes one of its inputs, the kind NumPy runs fastest.
+    u = y * -head
+    u += x
+    w = y * -tail
+    u += w
+    return u, w
 
 
 def _split(x: float) -> tuple[float, float]:

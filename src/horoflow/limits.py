@@ -53,9 +53,15 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
     The orbit point i itself (the identity) is included.
     """
     xi = bp(xi)
-    h = np.append(orbit_height(ball_arrays(spec, depth), xi),
-                  orbit_height(Mobius.identity(), xi))
-    h.sort()
+    ball = ball_arrays(spec, depth)
+    h0 = orbit_height(Mobius.identity(), xi)
+    if xi.is_infinity:
+        # the ball's heights in their kept order, the identity's put in its place
+        h = ball.inf_heights[ball.inf_order]
+        h = np.insert(h, np.searchsorted(h, h0), h0)
+    else:
+        h = np.append(orbit_height(ball, xi), h0)
+        h.sort()
     return h[::-1]
 
 
@@ -102,18 +108,20 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     tol = _check_real("tol", tol, 0.0)
     ball = ball_arrays(spec, depth)
     h0 = orbit_height(Mobius.identity(), xi)
-    heights = orbit_height(ball, xi)
+    heights = ball.inf_heights if xi.is_infinity else orbit_height(ball, xi)
 
-    # sups by word length, from the identity's height on: ball rows run by
-    # word length, and a length with no rows (a finite group's ball ends
-    # before depth) keeps the running sup
-    starts = np.searchsorted(ball.word_lengths, np.arange(1, depth + 2))
-    full = starts[:-1] < starts[1:]
-    sups = np.full(depth + 1, -np.inf)
+    # sups[k]: the sup over word lengths <= k, from the identity's height on.
+    # Ball rows run by word length, and every length up to the longest word
+    # has rows; past it (a finite group's ball ends before depth) the sup
+    # stays put, so nothing here grows with the depth itself
+    lengths = ball.word_lengths
+    top = int(lengths[-1]) if lengths.size else 0
+    sups = np.empty(top + 1)
     sups[0] = h0
-    sups[1:][full] = np.maximum.reduceat(heights, starts[:-1][full])
-    sup_by_depth = np.maximum.accumulate(sups)[1:].tolist()
-    sup_height = sup_by_depth[-1]
+    starts = np.searchsorted(lengths, np.arange(1, top + 1, dtype=lengths.dtype))
+    sups[1:] = np.maximum.reduceat(heights, starts)
+    sups = np.maximum.accumulate(sups).tolist()
+    sup_height = sups[-1]
 
     # the first parabolic element fixing xi; one with c = 0 is z -> z + b,
     # which fixes only infinity, though xi + b rounds to xi at a huge xi
@@ -130,14 +138,21 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
         verdict = LimitVerdict.PARABOLIC
         witness = ball[rows[fixed.argmax()]]
     elif depth >= UNBOUNDED_RUN + 1:
-        if all(sup_by_depth[-j] > sup_by_depth[-j - 1] for j in range(1, UNBOUNDED_RUN + 1)):
-            if sup_by_depth[-1] >= UNBOUNDED_FACTOR * sup_by_depth[0]:
+        # a sup that stops at a length below depth does not rise at its end
+        if top == depth and all(sups[-j] > sups[-j - 1] for j in range(1, UNBOUNDED_RUN + 1)):
+            if sup_height >= UNBOUNDED_FACTOR * sups[1]:
                 verdict = LimitVerdict.HOROCYCLIC_EVIDENCE
         else:
             # no height reaches the floor when the sup does not; otherwise
-            # only the few that do are joined to the identity's
-            cluster = None if sup_height < ACCUM_FLOOR else _find_cluster(
-                np.append(h0, heights[heights >= ACCUM_FLOOR]))
+            # only the few that do are joined to the identity's: at infinity
+            # the tail of the ball's height order
+            if sup_height >= ACCUM_FLOOR:
+                if xi.is_infinity:
+                    order = ball.inf_order
+                    above = heights[order[np.searchsorted(heights, ACCUM_FLOOR, sorter=order):]]
+                else:
+                    above = heights[heights >= ACCUM_FLOOR]
+                cluster = _find_cluster(np.append(h0, above))
             verdict = (LimitVerdict.DISCRETE_EVIDENCE if cluster is None
                        else LimitVerdict.IRREGULAR_EVIDENCE)
     return LimitPointEvidence(xi, depth, sup_height, cluster, witness, verdict)

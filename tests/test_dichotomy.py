@@ -775,3 +775,72 @@ def test_dichotomy_runtime_parameters_forwarded(parabolic_spec):
     report = hf.run_dichotomy(parabolic_spec, depth=8, min_len=4, window=3)
     assert report.verdict.kind == "recurrence-evidence"
     assert len(report.sequence) >= 4
+
+
+def _masked_search(spec, band, depth):
+    """The words of the search at infinity with min_len 1, its in-band rows
+    taken by a mask over every row of the ball."""
+    ball = ball_arrays(spec, depth)
+    heights = orbit_height(ball, hf.INFINITY)
+    rows = np.nonzero((heights >= band[0]) & (heights <= band[1]))[0]
+    with np.errstate(over="ignore"):
+        moduli = dichotomy._modulus_sq(ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
+    order = np.argsort(moduli, kind="stable")
+    chain = dichotomy._longest_escaping_chain(moduli[order], ball.word_lengths[rows[order]])
+    picks = order[chain].tolist()
+    hs = heights[rows[picks]].tolist()
+    if len(set(hs)) > 1:
+        while len(hs) >= 2 and hs[0] == hs[1]:
+            del picks[0], hs[0]
+    return [ball.word(i) for i in rows[picks].tolist()]
+
+
+_EDGE_SPECS = {
+    "gamma2": (_REFERENCE_SPECS["gamma2"], 10),
+    "psl2z": (_REFERENCE_SPECS["psl2z"], 20),
+    "schottky": (_REFERENCE_SPECS["schottky"], 10),
+    # an elliptic of order 3: the ball ends at length 1, before the depth
+    "order3": (hf.GroupSpec((hf.Mobius(0.5, math.sqrt(0.75), -math.sqrt(0.75), 0.5),)), 8),
+    # c^2 + d^2 underflows to 0 and overflows to inf: heights inf and 0
+    "dilation": (hf.cyclic_hyperbolic(1e100), 4),
+}
+# Gamma(2) has rows of height exactly 1 and 0.2, and none in [1.5, 1.9]
+_EDGE_BANDS = [(0.2, 1.0), (0.5, 1.0), (1.0, 2.0), (1.5, 1.9), (0.5, 2.0), (1e-300, 1e300)]
+
+
+@pytest.mark.parametrize("band", _EDGE_BANDS, ids=map(str, _EDGE_BANDS))
+@pytest.mark.parametrize("name", sorted(_EDGE_SPECS))
+def test_search_at_infinity_takes_the_masked_rows(name, band):
+    # both band ends are inclusive: a slice of the ball's height order
+    spec, depth = _EDGE_SPECS[name]
+    want = _masked_search(spec, band, depth)
+    try:
+        seq = hf.find_bounded_escaping_sequence(spec, band, depth, min_len=1)
+    except hf.NoSequenceFound as exc:
+        assert exc.found == 0 and want == []
+    else:
+        assert [e.word for e in seq.elements] == want
+    heights = set(orbit_height(ball_arrays(spec, depth), hf.INFINITY).tolist())
+    if name == "gamma2":
+        assert {1.0, 0.2} <= heights
+        assert bool(want) == (band != (1.5, 1.9))
+    if name == "dilation":
+        assert {math.inf, 0.0} <= heights
+
+
+def test_diagnose_prints_the_words_of_the_rows():
+    # the int32 parent and letter arrays spell the same words
+    gamma2 = _REFERENCE_SPECS["gamma2"]
+    report = hf.run_dichotomy(gamma2, band=(0.01, 100.0))
+    assert [e.word for e in report.sequence.elements] == [
+        (2,), (2, -1), (2, -1, -2), (2, -1, 2, -1), (2, -1, 2, -1, 2), (2, -1, 2, -1, 2, -1),
+        (1, -2, 1, -2, 1, -2, 1), (1, 1, -2, 1, -2, 1, -2, 1), (1, 1, 1, -2, 1, -2, 1, -2, 1),
+        (1, 1, 1, 1, -2, 1, -2, 1, -2, 1)]
+    psl2z = hf.GroupSpec((hf.Mobius(0, -1, 1, 0), hf.Mobius(1, 1, 0, 1)), max_word_length=20)
+    report = hf.run_dichotomy(psl2z, band=(0.5, 2.0))
+    assert [e.word for e in report.sequence.elements] == [(2, 1)] + [
+        (2,) * k + (1, -2) for k in range(1, 19)]
+    ball = ball_arrays(psl2z)
+    for e in report.sequence.elements:
+        i = next(i for i in range(len(ball)) if ball.word(i) == e.word)
+        assert ball[i] == e

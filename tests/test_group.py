@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import horoflow as hf
-from horoflow.group import Ball, _check_det, ball_arrays
+from horoflow.group import Ball, _check_det, _split, ball_arrays, orbit_height
 from horoflow.halfplane import DET_TOL, _near_identity
 
 
@@ -153,6 +153,8 @@ def test_ball_matches_scalar_breadth_first(spec, depth):
     assert words == [w for w, _ in ref]
     assert words == sorted(words, key=_word_sort_key)
     assert list(ball.word_lengths) == [len(w) for w in words]
+    for arr in (ball.word_lengths, ball.parent, ball.letter):
+        assert arr.dtype == np.int32
     assert [e.word for e in hf.enumerate_ball(spec, depth)] == words
     e = ball[len(ball) - 1]
     assert e.word == words[-1] and e.mobius == ref[-1][1]
@@ -250,12 +252,55 @@ def test_isometry_rows_are_memoized_and_read_only():
     assert len(hf.check_elliptic_free(spec)) == 6
 
 
+@pytest.mark.parametrize("spec, depth", REFERENCE_BALLS.values(), ids=REFERENCE_BALLS.keys())
+def test_heights_at_infinity_and_their_order_are_memoized_and_read_only(spec, depth):
+    ball = ball_arrays(spec, depth)
+    heights, order = ball.inf_heights, ball.inf_order
+    assert ball.inf_heights is heights and ball.inf_order is order
+    for arr in (heights, order):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    fresh = orbit_height(ball, hf.INFINITY)
+    assert fresh.dtype == heights.dtype and fresh.tobytes() == heights.tobytes()
+    want = np.argsort(fresh, kind="stable")
+    assert order.dtype == want.dtype and np.array_equal(order, want)
+    # the public height pass still hands out a fresh array of the caller's own
+    assert fresh.flags.writeable and fresh is not orbit_height(ball, hf.INFINITY)
+    fresh[:] = -1.0
+    assert heights.tobytes() == orbit_height(ball, hf.INFINITY).tobytes()
+
+
+def _subtracted_heights(ball, x):
+    # 1/((a - xi c)^2 + (b - xi d)^2) with xi's split, as plain subtractions
+    head, tail = _split(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = (ball.a - head * ball.c) - tail * ball.c
+        v = (ball.b - head * ball.d) - tail * ball.d
+        return np.fmax(1.0 / (u * u + v * v), 0.0)
+
+
+@pytest.mark.parametrize("spec, depth", REFERENCE_BALLS.values(), ids=REFERENCE_BALLS.keys())
+def test_heights_at_a_finite_point_are_the_subtractions_bit_for_bit(spec, depth):
+    ball = ball_arrays(spec, depth)
+    rows = [0, len(ball) // 2, len(ball) - 1]
+    for x in (0.0, -0.0, 0.37, -1.3, math.sqrt(2.0) - 1.0, 1e8 + 0.1, -3e15, 1e154, 1e200,
+              -1e300, 1.7e308):
+        got = orbit_height(ball, hf.bp(x))
+        assert np.array_equal(got.view(np.uint64), _subtracted_heights(ball, x).view(np.uint64))
+        for i in rows:
+            assert orbit_height(ball[i].mobius, hf.bp(x)).hex() == float(got[i]).hex()
+
+
 def test_a_ball_dies_with_its_memo_entry():
-    # the isometry rows live on the ball, so a classify keeps no ball alive
+    # the isometry rows and the heights at infinity live on the ball, so a
+    # query keeps no ball alive
     spec = hf.conjugate_spec(hf.schottky_pair(max_word_length=4), hf.Mobius(1.0, 0.25, 0.0, 1.0))
     hf.classify_boundary_point(spec, 0.37)
+    hf.classify_boundary_point(spec, hf.INFINITY)
+    hf.orbit_heights(spec, hf.INFINITY)
+    hf.run_dichotomy(spec, band=(0.1, 10.0))
     ref = weakref.ref(ball_arrays(spec))
-    assert "isometry_rows" in vars(ref())
+    assert {"isometry_rows", "inf_heights", "inf_order"} <= vars(ref()).keys()
     hf.group._cached_ball.cache_clear()
     gc.collect()
     assert ref() is None

@@ -399,3 +399,38 @@ def test_heights_where_the_split_overflows_read_zero(x):
     heights = hf.orbit_heights(spec, x)
     assert not np.isnan(heights).any()
     assert hf.classify_boundary_point(spec, x).sup_height == 0.0
+
+
+_ORDER3 = hf.GroupSpec((hf.Mobius(0.5, math.sqrt(0.75), -math.sqrt(0.75), 0.5),))
+
+
+@pytest.mark.parametrize("spec, depth", [
+    (_GAMMA2, 10), (_PSL2Z, 20), (_ORDER3, 8), (hf.cyclic_hyperbolic(1e100), 4),
+], ids=["gamma2", "psl2z", "order3", "inf-and-0"])
+def test_orbit_heights_at_infinity_equal_the_joined_sort(spec, depth):
+    # PSL(2,Z) ties the identity's height 1 (S and T), the order-3 ball ends
+    # before its depth, and the far dilation reads heights inf and 0
+    ball = ball_arrays(spec, depth)
+    joined = np.append(orbit_height(ball, hf.INFINITY), 1.0)
+    joined.sort()
+    got = hf.orbit_heights(spec, hf.INFINITY, depth)
+    assert got.tobytes() == joined[::-1].tobytes()
+    assert got.flags.writeable
+    got[:] = -1.0  # the caller's own array
+    assert hf.orbit_heights(spec, hf.INFINITY, depth).tobytes() == joined[::-1].tobytes()
+
+
+@pytest.mark.parametrize("depth", [2 ** 31 - 1, 2 ** 31 + 5, 2 ** 63])
+def test_a_depth_past_int32_reads_the_ball_it_ends_at(depth):
+    # the order-3 ball ends at length 1: any deeper depth reads the same
+    # rows, and nothing here is sized by the depth itself
+    for x in (math.inf, 0.0, 0.3):
+        want = hf.classify_boundary_point(_ORDER3, x, depth=8)
+        got = hf.classify_boundary_point(_ORDER3, x, depth=depth)
+        assert got.depth == depth
+        assert _bits(dataclasses.replace(got, depth=8)) == _bits(want)
+        assert (hf.orbit_heights(_ORDER3, x, depth).tobytes()
+                == hf.orbit_heights(_ORDER3, x, 8).tobytes())
+    with pytest.raises(hf.NoSequenceFound) as exc:
+        hf.find_bounded_escaping_sequence(_ORDER3, (0.1, 10.0), depth)
+    assert exc.value.found == 1
