@@ -14,52 +14,58 @@ Core layers:
   recurrence-versus-non-minimality diagnostics;
 * :mod:`horoflow.groupio`, :mod:`horoflow.verify`, :mod:`horoflow.cli` —
   JSON group files, the randomized identity suite, and the command line.
+
+Names resolve lazily: ``horoflow.run_dichotomy`` imports
+:mod:`horoflow.dichotomy` on first use, so a command-line call loads only
+the modules its subcommand needs.
 """
 
-from .dichotomy import (ConvergenceVerdict, DiagnosticsReport, DichotomyVerdict,
-                        SequenceCandidate, check_coefficient_asymptotics,
-                        find_bounded_escaping_sequence, run_dichotomy,
-                        synthetic_candidate, test_recurrence, test_return_time)
-from .errors import (BallTooLarge, CoefficientOverflow, DegeneratePoints,
-                     EllipticElement, EmptyBall, HoroflowError, InvalidGenerator,
-                     InvalidPoint, NegativeTime, NoIntersection, NoSequenceFound,
-                     ParseError)
-from .flows import (BASE_TANGENT, RayProfile, UnitTangent, geodesic_flow,
-                    horocycle_flow, injectivity_profile, orbit_points,
-                    ray_point)
-from .group import (Ball, GroupElement, GroupSpec, IsometryClass, ball_arrays,
-                    check_elliptic_free, classify_isometry, conjugate_spec,
-                    cyclic_hyperbolic, cyclic_parabolic, enumerate_ball,
-                    fixed_points, hyperbolic_element, isometric_circle,
-                    schottky_pair, truncated_flute)
-from .groupio import dump_group_spec, load_group_spec, parse_group_spec
-from .halfplane import (INFINITY, POINT_I, BoundaryPoint, Geodesic, Horocycle,
-                        Mobius, PointH, angle_between, apply, apply_boundary,
-                        bp, busemann, cross_ratio, dist, harmonic_conjugate,
-                        height)
-from .limits import (LimitPointEvidence, LimitVerdict, classify_boundary_point,
-                     orbit_heights)
-from .verify import VerificationReport, run_verification
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASE_TANGENT", "Ball", "BallTooLarge", "BoundaryPoint", "CoefficientOverflow",
-    "ConvergenceVerdict", "DegeneratePoints", "DiagnosticsReport", "DichotomyVerdict",
-    "EllipticElement", "EmptyBall", "Geodesic", "GroupElement", "GroupSpec",
-    "Horocycle", "HoroflowError", "INFINITY", "InvalidGenerator", "InvalidPoint",
-    "IsometryClass", "LimitPointEvidence", "LimitVerdict", "Mobius",
-    "NegativeTime", "NoIntersection", "NoSequenceFound", "POINT_I",
-    "ParseError", "PointH", "RayProfile", "SequenceCandidate", "UnitTangent",
-    "VerificationReport", "angle_between", "apply", "apply_boundary",
-    "ball_arrays", "bp", "busemann", "check_coefficient_asymptotics",
-    "check_elliptic_free", "classify_boundary_point", "classify_isometry",
-    "conjugate_spec", "cross_ratio", "cyclic_hyperbolic", "cyclic_parabolic",
-    "dist", "dump_group_spec", "enumerate_ball", "find_bounded_escaping_sequence",
-    "fixed_points", "geodesic_flow", "harmonic_conjugate", "height",
-    "horocycle_flow", "hyperbolic_element", "injectivity_profile",
-    "isometric_circle", "load_group_spec", "orbit_heights", "orbit_points",
-    "parse_group_spec", "ray_point", "run_dichotomy", "run_verification",
-    "schottky_pair", "synthetic_candidate", "test_recurrence",
-    "test_return_time", "truncated_flute",
-]
+# each public name, by the module that defines it
+_EXPORTS = {
+    "dichotomy": ("ConvergenceVerdict", "DiagnosticsReport", "DichotomyVerdict",
+                  "SequenceCandidate", "check_coefficient_asymptotics",
+                  "find_bounded_escaping_sequence", "run_dichotomy",
+                  "synthetic_candidate", "test_recurrence", "test_return_time"),
+    "errors": ("BallTooLarge", "CoefficientOverflow", "DegeneratePoints",
+               "EllipticElement", "EmptyBall", "HoroflowError", "InvalidGenerator",
+               "InvalidPoint", "NegativeTime", "NoIntersection", "NoSequenceFound",
+               "ParseError"),
+    "flows": ("BASE_TANGENT", "RayProfile", "UnitTangent", "geodesic_flow",
+              "horocycle_flow", "injectivity_profile", "orbit_points", "ray_point"),
+    "group": ("Ball", "GroupElement", "GroupSpec", "IsometryClass", "ball_arrays",
+              "check_elliptic_free", "classify_isometry", "conjugate_spec",
+              "cyclic_hyperbolic", "cyclic_parabolic", "enumerate_ball",
+              "fixed_points", "hyperbolic_element", "isometric_circle",
+              "schottky_pair", "truncated_flute"),
+    "groupio": ("dump_group_spec", "load_group_spec", "parse_group_spec"),
+    "halfplane": ("INFINITY", "POINT_I", "BoundaryPoint", "Geodesic", "Horocycle",
+                  "Mobius", "PointH", "angle_between", "apply", "apply_boundary",
+                  "bp", "busemann", "cross_ratio", "dist", "harmonic_conjugate",
+                  "height"),
+    "limits": ("LimitPointEvidence", "LimitVerdict", "classify_boundary_point",
+               "orbit_heights"),
+    "verify": ("VerificationReport", "run_verification"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli"})
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # nothing is stored here, so a name always reads its module's current
+    # binding (bench/trace.py rebinds module globals and restores them)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -4,6 +4,9 @@ JSON reports (verify, classify, diagnose) and CSV tables (orbit, inj) are
 emitted with all floats printed to 17 significant digits, so identical
 inputs and seeds give byte-identical outputs. Exit status: 0 on success,
 1 on domain errors (and on a failed verify run), 2 on usage errors.
+
+Each subcommand imports its own modules, and NumPy, when it runs: a
+classify call never loads the dichotomy, and --version loads no NumPy.
 """
 
 from __future__ import annotations
@@ -14,16 +17,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .dichotomy import EPS, MIN_SEQ_LEN, WINDOW, run_dichotomy
 from .errors import HoroflowError
-from .flows import BASE_TANGENT, injectivity_profile, orbit_points, sample_count
-from .groupio import load_group_spec
-from .halfplane import GEOM_TOL, BoundaryPoint, bp
-from .limits import classify_boundary_point
-from .verify import DEFAULT_SAMPLES, DEFAULT_TOL, run_verification
 
 TOOL = "horoflow"
 
@@ -41,6 +36,8 @@ def _format_float(f: float) -> str:
 
 
 def dumps_17g(value, _indent: int = 0) -> str:
+    import numpy as np  # already loaded by every subcommand that prints JSON
+
     pad = "  " * _indent
     if value is None:
         return "null"
@@ -70,7 +67,7 @@ def dumps_17g(value, _indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _bp_data(p: BoundaryPoint):
+def _bp_data(p):
     return "inf" if p.is_infinity else p.value
 
 
@@ -79,7 +76,17 @@ def _header(command: str, config: dict) -> dict:
             "config": config}
 
 
+def _defaults(args, **values):
+    """Fill the options left unset with their library defaults, which live in
+    the modules the subcommand imports, so that parsing imports none."""
+    for name, value in values.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def _load_spec(args):
+    from .groupio import load_group_spec
+
     spec = load_group_spec(args.group)
     if args.depth is not None and args.depth < 1:
         raise ValueError("depth must be at least 1")
@@ -91,6 +98,9 @@ def _load_spec(args):
 
 
 def _cmd_verify(args, out) -> int:
+    from .verify import DEFAULT_SAMPLES, DEFAULT_TOL, run_verification
+
+    _defaults(args, samples=DEFAULT_SAMPLES, tol=DEFAULT_TOL)
     report = run_verification(samples=args.samples, seed=args.seed, tol=args.tol)
     match = next(c for c in report.checks if c.name == "substitution-log-abs-b")
     data = _header("verify", {"samples": args.samples, "seed": args.seed,
@@ -109,6 +119,10 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
+    from .halfplane import GEOM_TOL, bp
+    from .limits import classify_boundary_point
+
+    _defaults(args, tol=GEOM_TOL)
     spec = _load_spec(args)
     ev = classify_boundary_point(spec, bp(args.point), depth=args.depth,
                                  tol=args.tol)
@@ -133,6 +147,10 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_orbit(args, out) -> int:
+    import numpy as np
+
+    from .flows import BASE_TANGENT, orbit_points, sample_count
+
     if not args.start < args.end:
         raise ValueError(f"need start < end, got {args.start}, {args.end}")
     n = sample_count(args.end - args.start, args.step)
@@ -146,6 +164,8 @@ def _cmd_orbit(args, out) -> int:
 
 
 def _cmd_inj(args, out) -> int:
+    from .flows import injectivity_profile
+
     spec = _load_spec(args)
     profile = injectivity_profile(spec, t_max=args.tmax, step=args.step,
                                   depth=args.depth)
@@ -163,6 +183,9 @@ def _cmd_inj(args, out) -> int:
 
 
 def _cmd_diagnose(args, out) -> int:
+    from .dichotomy import EPS, MIN_SEQ_LEN, WINDOW, run_dichotomy
+
+    _defaults(args, eps=EPS, window=WINDOW, min_len=MIN_SEQ_LEN)
     spec = _load_spec(args)
     band = (args.band[0], args.band[1])
     report = run_dichotomy(spec, band=band, eps=args.eps, depth=args.depth,
@@ -214,6 +237,8 @@ def _cmd_diagnose(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # an option whose default is a library constant defaults to None here;
+    # its subcommand fills it in (_defaults)
     parser = argparse.ArgumentParser(
         prog=TOOL, description="Half-plane horocycle dynamics toolkit")
     parser.add_argument("--version", action="version",
@@ -226,16 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     grouped.add_argument("--depth", type=int, default=None)
 
     p = sub.add_parser("verify", parents=[common], help="run the randomized identity suite")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", parents=[grouped],
                        help="finite-depth boundary point classification")
     p.add_argument("--point", type=float, required=True,
                    help="boundary point (real number, or inf)")
-    p.add_argument("--tol", type=float, default=GEOM_TOL)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("orbit", parents=[common],
@@ -256,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recurrence vs non-minimality diagnostics")
     p.add_argument("--band", type=float, nargs=2, default=(0.5, 2.0),
                    metavar=("MIN", "MAX"))
-    p.add_argument("--eps", type=float, default=EPS)
-    p.add_argument("--window", type=int, default=WINDOW)
-    p.add_argument("--min-len", type=int, default=MIN_SEQ_LEN, dest="min_len")
+    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--min-len", type=int, default=None, dest="min_len")
     p.set_defaults(func=_cmd_diagnose)
 
     return parser

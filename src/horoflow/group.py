@@ -225,9 +225,22 @@ class Ball(Sequence):
         """Row indices in stable ascending order of inf_heights, so that a
         height band at infinity is a slice found by searchsorted. Computed
         once per ball, as a read-only array."""
-        order = np.argsort(self.inf_heights, kind="stable")
-        order.flags.writeable = False
-        return order
+        # a stable argsort of the floats is a timsort; the default one and a
+        # sort of int64 keys (tie run, row) give the same order in half the time
+        h = self.inf_heights
+        n = h.size
+        order = np.argsort(h)
+        keys = h[order]
+        ties = keys[1:] != keys[:-1]
+        keys = keys.view(np.int64)  # the sorted heights' buffer takes the keys
+        keys[:1] = 0
+        np.cumsum(ties, out=keys[1:])
+        keys *= n
+        keys += order
+        keys.sort()
+        keys %= n
+        keys.flags.writeable = False
+        return keys
 
 
 @np.errstate(over="ignore", invalid="ignore")  # dedup_keys checks overflow

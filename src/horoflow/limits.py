@@ -144,15 +144,9 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
                 verdict = LimitVerdict.HOROCYCLIC_EVIDENCE
         else:
             # no height reaches the floor when the sup does not; otherwise
-            # only the few that do are joined to the identity's: at infinity
-            # the tail of the ball's height order
+            # only the few that do are joined to the identity's
             if sup_height >= ACCUM_FLOOR:
-                if xi.is_infinity:
-                    order = ball.inf_order
-                    above = heights[order[np.searchsorted(heights, ACCUM_FLOOR, sorter=order):]]
-                else:
-                    above = heights[heights >= ACCUM_FLOOR]
-                cluster = _find_cluster(np.append(h0, above))
+                cluster = _find_cluster(np.append(h0, heights[heights >= ACCUM_FLOOR]))
             verdict = (LimitVerdict.DISCRETE_EVIDENCE if cluster is None
                        else LimitVerdict.IRREGULAR_EVIDENCE)
     return LimitPointEvidence(xi, depth, sup_height, cluster, witness, verdict)

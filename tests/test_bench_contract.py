@@ -71,3 +71,17 @@ def test_finite_endpoint_search_is_traced_inside_its_run(tracer):
     searches = [s for s in spans if s["name"] == "find_bounded_escaping_sequence"]
     assert len(runs) == 1 and spans[runs[0]]["finite"]
     assert len(searches) == 1 and searches[0]["parent"] == runs[0]
+
+
+def test_package_names_leave_no_wrapper_behind(tracer):
+    # the package stores no name it resolves, so a name first read while the
+    # wrappers are in reads the plain function again once they are out
+    _, t = tracer
+    plain = hf.dichotomy.run_dichotomy.__wrapped__
+    assert "run_dichotomy" not in vars(hf)
+    assert hf.run_dichotomy is hf.dichotomy.run_dichotomy
+    assert hf.run_dichotomy.__wrapped__ is plain
+    t.uninstall()
+    assert hf.run_dichotomy is hf.dichotomy.run_dichotomy is plain
+    assert not hasattr(hf.run_dichotomy, "__wrapped__")
+    assert "run_dichotomy" not in vars(hf)

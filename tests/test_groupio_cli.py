@@ -267,19 +267,32 @@ def test_cli_classify(group_files):
     assert a.stdout == b.stdout
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", "--group", "schottky", "--point", "7.207419"],
-    ["verify", "--samples", "1000"],
-], ids=["classify", "verify"])
-def test_cold_calls_do_not_import_numpy_ma(group_files, argv):
-    # np.unique imports numpy.ma (NumPy 2), about 13 ms of a cold call
+def _horoflow(*names):
+    return tuple(f"horoflow.{n}" for n in names)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["--version"], ("numpy", *_horoflow("dichotomy", "flows", "group", "groupio",
+                                          "halfplane", "limits", "verify"))),
+    (["classify", "--group", "schottky", "--point", "7.207419"],
+     _horoflow("dichotomy", "flows", "verify")),
+    (["inj", "--group", "schottky", "--tmax", "1"], _horoflow("dichotomy", "limits", "verify")),
+    (["orbit", "--flow", "horocycle", "--end", "1"], _horoflow("dichotomy", "limits", "verify")),
+    (["diagnose", "--group", "parabolic"], _horoflow("limits", "verify")),
+    (["verify", "--samples", "1000"], _horoflow("dichotomy", "limits", "groupio")),
+], ids=["version", "classify", "inj", "orbit", "diagnose", "verify"])
+def test_cold_calls_do_not_import_numpy_ma(group_files, argv, absent):
+    # each subcommand imports only its own modules; np.unique would import
+    # numpy.ma (NumPy 2), about 13 ms of a cold call
     argv = [group_files.get(a, a) for a in argv]
-    code = ("import sys; from horoflow.cli import main; code = main(sys.argv[1:]); "
-            "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(code)")
+    code = ("import sys\nfrom horoflow.cli import main\n"
+            "try:\n    sys.exit(main(sys.argv[1:]))\n"
+            "finally:\n    print(*sys.modules, file=sys.stderr)")
     r = subprocess.run([sys.executable, "-c", code, *argv],
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0
-    assert r.stderr == "False\n"
+    (loaded,) = r.stderr.splitlines()  # nothing else on stderr
+    assert not {"numpy.ma", *absent} & set(loaded.split())
 
 
 def test_cli_classify_far_point_is_quiet(group_files):
