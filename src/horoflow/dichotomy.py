@@ -218,43 +218,18 @@ def _conjugate_lower(a, b, c, d, x: float):
     return w, u
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _conjugate(a, b, c, d, x: float):
-    """The rows of h g h^-1 for h = [[0, -1], [1, -x]], which sends x to
-    infinity, from the rows (a, b, c, d) of g: with u = a - x c,
-    (c x + d, -c, -(b + x (u - d)), u). 0.0 - y stands for -y, so that a
-    zero entry reads +0.0: with -y, a report at x = 0 would print -0.0
-    where the ball of the conjugated generators gives 0.0."""
-    w, u = _conjugate_lower(a, b, c, d, x)
-    return c * x + d, 0.0 - c, 0.0 - w, u
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _conjugate_denominators(ball, x: float) -> np.ndarray:
-    # c^2 + d^2 of the rows of _conjugate, in place: their heights are its
-    # reciprocals. A row past the float range reads inf or NaN.
-    w, u = _conjugate_lower(ball.a, ball.b, ball.c, ball.d, x)
-    w *= w
-    u *= u
-    u += w
-    return u
-
-
-def _reciprocal_band(m: float, M: float) -> tuple[float, float]:
-    """(lo, hi) such that a float q lies in [lo, hi] exactly when the rounded
-    1/q lies in [m, M]. Rounded division is monotone, so those q form an
-    interval; its ends start at 1/M and 1/m and step by ulps until the
-    rounded reciprocal changes sides."""
-    lo, hi = 1.0 / M, 1.0 / m
-    while 1.0 / lo > M:
-        lo = math.nextafter(lo, math.inf)
-    while 1.0 / math.nextafter(lo, 0.0) <= M:
-        lo = math.nextafter(lo, 0.0)
-    while 1.0 / hi < m:
-        hi = math.nextafter(hi, 0.0)
-    while 1.0 / math.nextafter(hi, math.inf) >= m:
-        hi = math.nextafter(hi, math.inf)
-    return lo, hi
+def _conjugate(a, b, c, d, xi: BoundaryPoint):
+    """The rows of h g h^-1 for h = [[0, -1], [1, -xi]], which sends xi to
+    infinity, from the rows (a, b, c, d) of g: g's own rows at xi = inf,
+    where h is the identity, and with u = a - xi c,
+    (c xi + d, -c, -(b + xi (u - d)), u) at a finite xi. 0.0 - y stands for
+    -y, so that a zero entry reads +0.0: with -y, a report at xi = 0 would
+    print -0.0 where the ball of the conjugated generators gives 0.0."""
+    if xi.is_infinity:
+        return a, b, c, d
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, u = _conjugate_lower(a, b, c, d, xi.value)
+        return c * xi.value + d, 0.0 - c, 0.0 - w, u
 
 
 def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
@@ -273,9 +248,9 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     are the conjugates h g h^-1 of the ball's rows by h = [[0, -1], [1, -xi]],
     with the ball's words: the group seen from a vector aimed at xi and
     moved to infinity by h. Their heights height_inf(h g h^-1(i)) are those
-    of the orbit of h^-1(i) = xi + i about xi. Their denominators are the
-    only pass over the whole ball; moduli and elements are formed for the
-    in-band rows and the chain only.
+    of the orbit of h^-1(i) = xi + i about xi. Those heights are the only
+    pass over the whole ball; moduli and elements are formed for the in-band
+    rows and the chain only.
     """
     m, M = _check_band(band)
     min_len = _check_int("min_len", min_len, 1)
@@ -287,15 +262,18 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
         heights, order = ball.inf_heights, ball.inf_order
         rows = np.sort(order[np.searchsorted(heights, m, "left", sorter=order):
                              np.searchsorted(heights, M, "right", sorter=order)])
-        heights = heights[rows]
-        coeffs = (ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
     else:
-        # no division over the ball: the band test runs on the denominators
-        q = _conjugate_denominators(ball, xi.value)
-        lo, hi = _reciprocal_band(m, M)
-        rows = np.nonzero((q >= lo) & (q <= hi))[0]
-        heights = 1.0 / q[rows]
-        coeffs = _conjugate(ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows], xi.value)
+        # the heights 1/(c^2 + d^2) of the conjugated rows, in place; a row
+        # past the float range reads 0, inf or NaN, none of them in the band
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w, heights = _conjugate_lower(ball.a, ball.b, ball.c, ball.d, xi.value)
+            w *= w
+            heights *= heights
+            heights += w
+            np.divide(1.0, heights, out=heights)
+        rows = np.flatnonzero((heights >= m) & (heights <= M))
+    heights = heights[rows]
+    coeffs = _conjugate(ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows], xi)
     with np.errstate(over="ignore"):  # a modulus past the float range reads inf
         moduli = _modulus_sq(*coeffs)
     # ball rows already run in word order, so a stable sort breaks modulus ties
@@ -520,9 +498,7 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
                 f"over the trailing {window} terms")
     # candidate times: the settled values at least eps from 0 over the alpha ball
     ab = ball_arrays(spec, ALPHA_DEPTH)
-    alphas = (ab.a, ab.b, ab.c, ab.d)
-    if not u_inf.is_infinity:
-        alphas = _conjugate(*alphas, u_inf.value)
+    alphas = _conjugate(ab.a, ab.b, ab.c, ab.d, u_inf)
     values, _, settled = _settle(_sequence_orbit(u, inv), *alphas, eps, window)
     limits = values[settled.all(axis=0), -1]
     times = sorted(limits[np.abs(limits) >= eps].tolist())

@@ -105,7 +105,11 @@ def orbit_points(u: UnitTangent, kind: str, times: np.ndarray) -> np.ndarray:
     if kind == "geodesic":
         z = 1j * _exp(np.asarray(times, dtype=float))
     elif kind == "horocycle":
-        z = np.asarray(times, dtype=float) + 1j
+        t = np.asarray(times, dtype=float)
+        finite = np.isfinite(t)
+        if not finite.all():
+            raise ValueError(f"horocycle time {np.ravel(t)[np.argmin(finite)]:g} is not finite")
+        z = t + 1j
     else:
         raise ValueError(f"unknown flow kind {kind!r}")
     return (m.a * z + m.b) / (m.c * z + m.d)

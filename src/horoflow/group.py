@@ -222,25 +222,12 @@ class Ball(Sequence):
 
     @functools.cached_property
     def inf_order(self) -> np.ndarray:
-        """Row indices in stable ascending order of inf_heights, so that a
-        height band at infinity is a slice found by searchsorted. Computed
-        once per ball, as a read-only array."""
-        # a stable argsort of the floats is a timsort; the default one and a
-        # sort of int64 keys (tie run, row) give the same order in half the time
-        h = self.inf_heights
-        n = h.size
-        order = np.argsort(h)
-        keys = h[order]
-        ties = keys[1:] != keys[:-1]
-        keys = keys.view(np.int64)  # the sorted heights' buffer takes the keys
-        keys[:1] = 0
-        np.cumsum(ties, out=keys[1:])
-        keys *= n
-        keys += order
-        keys.sort()
-        keys %= n
-        keys.flags.writeable = False
-        return keys
+        """Row indices in ascending order of inf_heights, ties in no set
+        order, so that a height band at infinity is a slice found by
+        searchsorted. Computed once per ball, as a read-only array."""
+        order = np.argsort(self.inf_heights)
+        order.flags.writeable = False
+        return order
 
 
 @np.errstate(over="ignore", invalid="ignore")  # dedup_keys checks overflow

@@ -10,7 +10,10 @@ A group file holds exactly one of:
   ``flute-truncated`` (``lengths``, ``spacing``); a parameter left out
   takes its preset's default.
 
-Every number is a JSON number, never a bool or a string. Optional keys: ``max_word_length`` (default 10) and ``dedup_tol``.
+Every number is a JSON number, never a bool or a string. Optional keys:
+``max_word_length`` and ``dedup_tol``; left out, they take ``GroupSpec``'s
+defaults (10 and 1e-9), or in a family file its preset's (6 for
+``flute-truncated``).
 ``dump_group_spec`` always writes resolved generator matrices, so a family
 file round-trips to an equivalent explicit-generator file.
 """
@@ -116,6 +119,8 @@ def load_group_spec(path) -> GroupSpec:
             data = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
             raise ParseError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     return parse_group_spec(data)
 
 

@@ -157,7 +157,10 @@ class Mobius:
 
     @classmethod
     def from_matrix(cls, m) -> "Mobius":
-        (a, b), (c, d) = m
+        try:
+            (a, b), (c, d) = m
+        except (TypeError, ValueError):
+            raise ValueError(f"expected a matrix ((a, b), (c, d)), got {m!r}") from None
         return cls(a, b, c, d)
 
     @property

@@ -56,7 +56,7 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
     ball = ball_arrays(spec, depth)
     h0 = orbit_height(Mobius.identity(), xi)
     if xi.is_infinity:
-        # the ball's heights in their kept order, the identity's put in its place
+        # the ball's heights ascending, the identity's put in its place
         h = ball.inf_heights[ball.inf_order]
         h = np.insert(h, np.searchsorted(h, h0), h0)
     else:

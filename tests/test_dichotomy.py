@@ -46,6 +46,12 @@ def test_synthetic_candidate_refuses_string_and_bool_entries():
         hf.synthetic_candidate([[["1", "1"], [0, True]]], (0.5, 2.0))
 
 
+@pytest.mark.parametrize("matrix", [[[1, 2]], [1, 0, 0, 1], [[1, 0], [0, 1, 2]]])
+def test_synthetic_candidate_refuses_a_malformed_matrix(matrix):
+    with pytest.raises(ValueError, match=r"expected a matrix \(\(a, b\), \(c, d\)\)"):
+        hf.synthetic_candidate([matrix], (0.5, 2.0))
+
+
 def test_candidate_stores_its_band_as_floats():
     elements = tuple(hf.GroupElement(m, None) for m in _synthetic_matrices())
     sc = hf.SequenceCandidate(elements, (np.float64(0.1), 2))
@@ -738,30 +744,6 @@ def test_finder_at_a_finite_point_takes_any_boundary_point():
         hf.find_bounded_escaping_sequence(spec, (0.5, 2.0), xi=math.nan)
 
 
-def _reciprocal_in_band(q, m, M):
-    with np.errstate(divide="ignore", over="ignore"):
-        return bool(m <= np.float64(1.0) / np.float64(q) <= M)
-
-
-@pytest.mark.parametrize("band", [(0.5, 2.0), (0.1, 10.0), (1e-3, 1e3), (0.3, 0.7),
-                                  (1e-300, 1e300), (5e-324, 1.0), (1.0, 1.7976931348623157e308)])
-def test_reciprocal_band_is_the_height_band(band):
-    # q in [lo, hi] exactly when the rounded 1/q is in [m, M], at the ends too
-    m, M = band
-    lo, hi = dichotomy._reciprocal_band(m, M)
-    assert _reciprocal_in_band(lo, m, M) and _reciprocal_in_band(hi, m, M)
-    assert not _reciprocal_in_band(math.nextafter(lo, 0.0), m, M)
-    assert not _reciprocal_in_band(math.nextafter(hi, math.inf), m, M)
-    probes = [1.0 / m, 1.0 / M, lo, hi, 1.0, 0.0, math.inf, math.nan]
-    for p in list(probes[:4]):
-        for direction in (0.0, math.inf):
-            for _ in range(4):
-                p = math.nextafter(p, direction)
-                probes.append(p)
-    for q in probes:
-        assert (lo <= q <= hi) == _reciprocal_in_band(q, m, M), q
-
-
 def test_log_height_past_the_float_range_leaves_the_stream_unsettled():
     # height_xi(g^-1(i)) reads 0 at xi = 1e200: log -inf, not a math domain error
     u = hf.UnitTangent(hf.Mobius(1e200, -1, 1, 0))
@@ -777,14 +759,19 @@ def test_dichotomy_runtime_parameters_forwarded(parabolic_spec):
     assert len(report.sequence) >= 4
 
 
-def _masked_search(spec, band, depth):
-    """The words of the search at infinity with min_len 1, its in-band rows
-    taken by a mask over every row of the ball."""
+def _masked_search(spec, band, depth, xi):
+    """The words of the search at xi (infinity or 0) with min_len 1, its
+    in-band rows taken by a mask over every row of the ball. At 0,
+    h = [[0, -1], [1, 0]] is a signed permutation: h g h^-1 has the row
+    (d, -c, -b, a), and its height 1/(a^2 + b^2) is orbit_height's at 0."""
     ball = ball_arrays(spec, depth)
-    heights = orbit_height(ball, hf.INFINITY)
+    heights = orbit_height(ball, xi)
     rows = np.nonzero((heights >= band[0]) & (heights <= band[1]))[0]
+    a, b, c, d = (x[rows] for x in (ball.a, ball.b, ball.c, ball.d))
+    if not xi.is_infinity:
+        a, b, c, d = d, -c, -b, a
     with np.errstate(over="ignore"):
-        moduli = dichotomy._modulus_sq(ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows])
+        moduli = dichotomy._modulus_sq(a, b, c, d)
     order = np.argsort(moduli, kind="stable")
     chain = dichotomy._longest_escaping_chain(moduli[order], ball.word_lengths[rows[order]])
     picks = order[chain].tolist()
@@ -804,23 +791,27 @@ _EDGE_SPECS = {
     # c^2 + d^2 underflows to 0 and overflows to inf: heights inf and 0
     "dilation": (hf.cyclic_hyperbolic(1e100), 4),
 }
-# Gamma(2) has rows of height exactly 1 and 0.2, and none in [1.5, 1.9]
+# Gamma(2) has rows of height exactly 1 and 0.2, and none in [1.5, 1.9], at
+# infinity and at 0 alike
 _EDGE_BANDS = [(0.2, 1.0), (0.5, 1.0), (1.0, 2.0), (1.5, 1.9), (0.5, 2.0), (1e-300, 1e300)]
+_EDGE_POINTS = [pytest.param(name, hf.INFINITY, id=name) for name in sorted(_EDGE_SPECS)]
+_EDGE_POINTS += [pytest.param(name, hf.bp(0.0), id=f"{name}-xi0") for name in ("gamma2", "psl2z")]
 
 
 @pytest.mark.parametrize("band", _EDGE_BANDS, ids=map(str, _EDGE_BANDS))
-@pytest.mark.parametrize("name", sorted(_EDGE_SPECS))
-def test_search_at_infinity_takes_the_masked_rows(name, band):
-    # both band ends are inclusive: a slice of the ball's height order
+@pytest.mark.parametrize("name, xi", _EDGE_POINTS)
+def test_search_at_infinity_takes_the_masked_rows(name, xi, band):
+    # both band ends are inclusive: at infinity a slice of the ball's height
+    # order, at 0 a mask over the conjugated heights, which are exact there
     spec, depth = _EDGE_SPECS[name]
-    want = _masked_search(spec, band, depth)
+    want = _masked_search(spec, band, depth, xi)
     try:
-        seq = hf.find_bounded_escaping_sequence(spec, band, depth, min_len=1)
+        seq = hf.find_bounded_escaping_sequence(spec, band, depth, min_len=1, xi=xi)
     except hf.NoSequenceFound as exc:
         assert exc.found == 0 and want == []
     else:
         assert [e.word for e in seq.elements] == want
-    heights = set(orbit_height(ball_arrays(spec, depth), hf.INFINITY).tolist())
+    heights = set(orbit_height(ball_arrays(spec, depth), xi).tolist())
     if name == "gamma2":
         assert {1.0, 0.2} <= heights
         assert bool(want) == (band != (1.5, 1.9))

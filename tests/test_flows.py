@@ -155,6 +155,12 @@ def test_flow_times_past_the_float_range_are_refused(flow, t):
         flow(hf.BASE_TANGENT, t)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_horocycle_orbits_refuse_non_finite_times(t):
+    with pytest.raises(ValueError, match=f"horocycle time {t:g} is not finite"):
+        hf.orbit_points(hf.BASE_TANGENT, "horocycle", np.array([0.0, t, 1.0, math.nan]))
+
+
 @pytest.mark.parametrize("start, end", [(700.0, 720.0), (-760.0, -750.0)])
 def test_geodesic_orbits_past_the_float_range_are_refused(start, end):
     # e^t overflows to inf past t ~ 709.8 and underflows to 0 (a point off H)

@@ -156,6 +156,17 @@ def test_load_rejects_json_nested_too_deeply(tmp_path):
         hf.load_group_spec(p)
 
 
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe" + '{"generators": [[1, 1, 0, 1]]}'.encode("utf-16-le"))
+    with pytest.raises(hf.ParseError, match="not UTF-8") as info:
+        hf.load_group_spec(p)
+    assert str(p) in str(info.value)
+    r = _cli("classify", "--group", str(p), "--point", "0")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith(f"horoflow: error: {p}: ") and "Traceback" not in r.stderr
+
+
 def test_unknown_keys_of_mixed_types_are_a_parse_error():
     for data in ({"generators": [[1, 1, 0, 1]], 1: 2, "x": 3},
                  {"family": {"kind": "cyclic-parabolic", 1: 2, "x": 3}}):
