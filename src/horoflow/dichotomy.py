@@ -31,8 +31,7 @@ from .flows import BASE_TANGENT, UnitTangent
 from .group import (DEDUP_TOL, GroupElement, GroupSpec, _boundary_images, _check_depth,
                     _check_int, _check_real, _coefficients, _minus_xi, _split, ball_arrays,
                     dedup_keys, orbit_height)
-from .halfplane import (INFINITY, BoundaryPoint, Mobius, PointH, apply, apply_boundary, bp,
-                        dist)
+from .halfplane import INFINITY, BoundaryPoint, Mobius, apply_boundary, bp
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
 WINDOW = 5          # trailing terms that must sit below eps to settle
@@ -334,10 +333,17 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
     min_cd = float(cd.min())
     cd_ok = min_cd >= bound - 1e-12 * max(1.0, bound)
 
+    # dist(z, g z) at z = i|b|, with the complex arithmetic of apply and
+    # dist; a row whose image leaves the half-plane in floats (far conjugates)
+    # or whose distance denominator underflows is left out, as b = 0 is
     measured, expected = [], []
     for k in np.flatnonzero(b != 0.0).tolist():
-        z = PointH(0.0, abs(b[k]))
-        measured.append(dist(z, apply(seq.elements[k].mobius, z)))
+        g, z = seq.elements[k].mobius, complex(0.0, abs(b[k]))
+        gz = complex((g.a * z + g.b) / (g.c * z + g.d))
+        den = 2.0 * math.sqrt(z.imag * gz.imag) if gz.imag > 0.0 else 0.0
+        if den == 0.0:
+            continue
+        measured.append(2.0 * math.asinh(abs(z - gz) / den))
         rad = max(b[k] * b[k] * c[k] * c[k] + d[k] * d[k] + a[k] * a[k] - 1.0, 0.0)
         expected.append(2.0 * math.asinh(math.sqrt(rad) / 2.0))
     resid = float(np.max(np.abs(np.subtract(measured, expected)))) if measured else math.nan
@@ -363,32 +369,22 @@ def _log_inverse_heights(a, b, c, d, xi: BoundaryPoint) -> np.ndarray:
     return np.array([math.log(h) if h > 0.0 else -math.inf for h in heights.tolist()])
 
 
-def _sequence_orbit(u: UnitTangent, seq):
-    """The part of the settle test that does not depend on alpha: u(inf),
-    the boundary images g_n(u(inf)) (inf for an image at infinity) and the
-    log heights of g_n^{-1}(i) about u(inf)."""
-    coeffs = _coefficients(seq.elements if isinstance(seq, SequenceCandidate) else seq)
-    if not coeffs.size:
-        raise ValueError("sequence is empty")
-    if len(set(zip(*dedup_keys(coeffs, DEDUP_TOL).tolist()))) != coeffs.shape[1]:
-        raise ValueError("sequence elements must be pairwise distinct")
-    u_inf = u.forward_endpoint()
-    images, at_inf = _boundary_images(*coeffs, u_inf)
-    return u_inf, np.where(at_inf, np.inf, images), _log_inverse_heights(*coeffs, u_inf)
+def _settle(u: UnitTangent, rows, a, b, c, d, eps: float, window: int):
+    """The settle test of the sequence g_n, given as its (4, n) coefficient
+    rows, against every alpha row (a, b, c, d), in one array pass. The
+    sequence rows must be non-empty and pairwise distinct: the caller checks.
 
-
-def _settle(orbit, a, b, c, d, eps: float, window: int):
-    """The settle test of the sequence orbit against every alpha row
-    (a, b, c, d), in one array pass.
-
-    Per row it returns the Busemann values B_{u(inf)}(g_n^{-1} i, alpha^{-1} i);
+    Per alpha row it returns the Busemann values B_{u(inf)}(g_n^{-1} i, alpha^{-1} i);
     the elementwise max of the two residual streams, the endpoint stream
     (g_n(u(inf)) against alpha(u(inf)); convergence to infinity is measured
     by 1/|p|) and the consecutive differences of the Busemann values (inf for
     the first term); and whether each stream sat below eps over the trailing
     ``window`` terms, as two rows: endpoint, then Busemann.
     """
-    u_inf, images, log_heights = orbit
+    u_inf = u.forward_endpoint()
+    images, at_inf = _boundary_images(*rows, u_inf)
+    images = np.where(at_inf, np.inf, images)
+    log_heights = _log_inverse_heights(*rows, u_inf)
     targets, target_inf = _boundary_images(a, b, c, d, u_inf)
     streams = np.empty((2, len(targets), len(images)))
     # an image at infinity is inf: 0 from a target there, inf from any other;
@@ -414,8 +410,12 @@ def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
     below eps over the trailing window.
     """
     _check_settle(eps, window)
-    values, residuals, settled = _settle(_sequence_orbit(u, seq), *_coefficients([alpha]),
-                                         eps, window)
+    rows = _coefficients(seq.elements if isinstance(seq, SequenceCandidate) else seq)
+    if not rows.size:
+        raise ValueError("sequence is empty")
+    if len(set(zip(*dedup_keys(rows, DEDUP_TOL).tolist()))) != rows.shape[1]:
+        raise ValueError("sequence elements must be pairwise distinct")
+    values, residuals, settled = _settle(u, rows, *_coefficients([alpha]), eps, window)
     unsettled = tuple(name for name, ok in zip(("endpoint", "Busemann"), settled[:, 0])
                       if not ok)
     values = tuple(values[0].tolist())
@@ -496,10 +496,11 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
         note = (f"the {streams} stream{'s' if len(main.unsettled) > 1 else ''} of the "
                 f"{len(inv)}-term sequence did not stay below eps={eps:g} "
                 f"over the trailing {window} terms")
-    # candidate times: the settled values at least eps from 0 over the alpha ball
+    # candidate times: the settled values at least eps from 0 over the alpha
+    # ball; test_recurrence has checked inv
     ab = ball_arrays(spec, ALPHA_DEPTH)
     alphas = _conjugate(ab.a, ab.b, ab.c, ab.d, u_inf)
-    values, _, settled = _settle(_sequence_orbit(u, inv), *alphas, eps, window)
+    values, _, settled = _settle(u, _coefficients(inv), *alphas, eps, window)
     limits = values[settled.all(axis=0), -1]
     times = sorted(limits[np.abs(limits) >= eps].tolist())
     deduped = []

@@ -53,15 +53,9 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
     The orbit point i itself (the identity) is included.
     """
     xi = bp(xi)
-    ball = ball_arrays(spec, depth)
-    h0 = orbit_height(Mobius.identity(), xi)
-    if xi.is_infinity:
-        # the ball's heights ascending, the identity's put in its place
-        h = ball.inf_heights[ball.inf_order]
-        h = np.insert(h, np.searchsorted(h, h0), h0)
-    else:
-        h = np.append(orbit_height(ball, xi), h0)
-        h.sort()
+    h = np.append(orbit_height(ball_arrays(spec, depth), xi),
+                  orbit_height(Mobius.identity(), xi))
+    h.sort()
     return h[::-1]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import horoflow as hf
 from horoflow import dichotomy
-from horoflow.group import _boundary_images, ball_arrays, orbit_height
+from horoflow.group import _boundary_images, _coefficients, ball_arrays, orbit_height
 from horoflow.halfplane import apply_boundary
 
 LN4 = math.log(4.0)
@@ -330,9 +330,9 @@ def _loop_return_times(orbit, alpha_ball, eps, window):
     return times
 
 
-def _scan_times(orbit, alpha_ball, eps, window):
+def _scan_times(u, rows, alpha_ball, eps, window):
     # the candidate-time scan of run_dichotomy: one settle pass over the ball
-    values, _, settled = dichotomy._settle(orbit, alpha_ball.a, alpha_ball.b, alpha_ball.c,
+    values, _, settled = dichotomy._settle(u, rows, alpha_ball.a, alpha_ball.b, alpha_ball.c,
                                            alpha_ball.d, eps, window)
     limits = values[settled.all(axis=0), -1]
     return limits[np.abs(limits) >= eps].tolist()
@@ -393,12 +393,12 @@ def test_settle_equals_the_scalar_reference(name, endpoint):
             continue
         inv = _inverses(seq)
         ref_orbit = _reference_orbit(u, inv)
-        orbit = dichotomy._sequence_orbit(u, inv)
+        seq_rows = _coefficients(inv)
         for eps, window in _SETTLE + [(1e-2, len(inv) + 1)]:
             want = _return_time(ref_orbit, hf.Mobius.identity(), eps, window)
             assert _bits(hf.test_recurrence(u, inv, eps, window)) == _bits(want)
             values, residuals, ok = dichotomy._settle(
-                orbit, alpha_ball.a, alpha_ball.b, alpha_ball.c, alpha_ball.d, eps, window)
+                u, seq_rows, alpha_ball.a, alpha_ball.b, alpha_ball.c, alpha_ball.d, eps, window)
             for k, alpha in enumerate(alphas):
                 want = _return_time(ref_orbit, alpha, eps, window)
                 assert _bits(hf.test_return_time(u, alpha, inv, eps, window)) == _bits(want)
@@ -426,11 +426,11 @@ def test_return_times_equal_the_settle_loop(name, endpoint):
         except hf.NoSequenceFound:
             continue
         inv = _inverses(seq)
-        orbit, ref_orbit = dichotomy._sequence_orbit(u, inv), _reference_orbit(u, inv)
+        rows, ref_orbit = _coefficients(inv), _reference_orbit(u, inv)
         for alpha_depth in (2, 3):
             alpha_ball = ball_arrays(spec, alpha_depth)
             for eps, window in _SETTLE:
-                got = _scan_times(orbit, alpha_ball, eps, window)
+                got = _scan_times(u, rows, alpha_ball, eps, window)
                 assert _same_floats(got, _loop_return_times(ref_orbit, alpha_ball, eps, window))
                 settled += len(got)
     assert settled > 0
@@ -455,7 +455,7 @@ def test_candidate_times_of_run_dichotomy(name, band):
 def _synthetic_orbits(n):
     # the last n of the synthetic matrices, inverted as run_dichotomy does
     inv = _inverses(hf.synthetic_candidate(_synthetic_matrices()[-n:], (0.1, 2.0)))
-    return dichotomy._sequence_orbit(hf.BASE_TANGENT, inv), _reference_orbit(hf.BASE_TANGENT, inv)
+    return _coefficients(inv), _reference_orbit(hf.BASE_TANGENT, inv)
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["window terms", "window + 1 terms"])
@@ -463,9 +463,9 @@ def test_return_times_at_the_window_edge(hyperbolic_spec, extra):
     # the Busemann stream opens with an inf residual: window terms never
     # settle, one more can
     window = dichotomy.WINDOW
-    orbit, ref_orbit = _synthetic_orbits(window + extra)
+    rows, ref_orbit = _synthetic_orbits(window + extra)
     alpha_ball = ball_arrays(hyperbolic_spec, 3)
-    got = _scan_times(orbit, alpha_ball, dichotomy.EPS, window)
+    got = _scan_times(hf.BASE_TANGENT, rows, alpha_ball, dichotomy.EPS, window)
     assert _same_floats(got, _loop_return_times(ref_orbit, alpha_ball, dichotomy.EPS, window))
     assert bool(got) == bool(extra)
 
@@ -474,8 +474,8 @@ def test_return_times_of_alphas_aimed_at_infinity(hyperbolic_spec):
     # every dilation has c = 0, so its target alpha(inf) is inf itself
     alpha_ball = ball_arrays(hyperbolic_spec, 3)
     assert np.all(alpha_ball.c == 0.0)
-    orbit, ref_orbit = _synthetic_orbits(16)
-    got = _scan_times(orbit, alpha_ball, dichotomy.EPS, dichotomy.WINDOW)
+    rows, ref_orbit = _synthetic_orbits(16)
+    got = _scan_times(hf.BASE_TANGENT, rows, alpha_ball, dichotomy.EPS, dichotomy.WINDOW)
     assert _same_floats(got, _loop_return_times(ref_orbit, alpha_ball, dichotomy.EPS,
                                                 dichotomy.WINDOW))
     # the sequence settles at ln 4 and the dilation by 4^j shifts it by
@@ -508,6 +508,58 @@ def test_recurrence_needs_a_nonempty_sequence_of_distinct_elements():
         dichotomy.test_recurrence(hf.BASE_TANGENT, [])
     with pytest.raises(ValueError, match="pairwise distinct"):
         dichotomy.test_recurrence(hf.BASE_TANGENT, [g, hf.GroupElement(g, (1,))])
+
+
+def test_run_dichotomy_rejects_a_repeated_inverse_before_the_scan(monkeypatch):
+    # translations by 1 and 1 + 1e-12 are distinct candidates whose inverses
+    # share a dedup cell: test_recurrence raises before any settle pass runs
+    seq = hf.synthetic_candidate([hf.Mobius(1.0, b, 0.0, 1.0) for b in (1.0, 1.0 + 1e-12)],
+                                 (0.5, 2.0))
+    calls = []
+    monkeypatch.setattr(dichotomy, "_settle", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="pairwise distinct") as excinfo:
+        hf.run_dichotomy(hf.cyclic_parabolic(), candidate=seq)
+    assert "test_recurrence" in {entry.name for entry in excinfo.traceback}
+    assert calls == []
+
+
+def _probe(elements):
+    # the displacement probe through apply and dist, skipping the rows where
+    # the image leaves the half-plane or the distance divides by 0
+    measured, expected, skipped = [], [], 0
+    for g in (e.mobius for e in elements):
+        if g.b == 0.0:
+            continue
+        z = hf.PointH(0.0, abs(g.b))
+        try:
+            measured.append(hf.dist(z, hf.apply(g, z)))
+        except (ValueError, ZeroDivisionError):
+            skipped += 1
+            continue
+        rad = max(g.b * g.b * g.c * g.c + g.d * g.d + g.a * g.a - 1.0, 0.0)
+        expected.append(2.0 * math.asinh(math.sqrt(rad) / 2.0))
+    resid = float(np.max(np.abs(np.subtract(measured, expected)))) if measured else math.nan
+    return resid, measured, skipped
+
+
+_FAR_GROUPS = {"schottky": (hf.schottky_pair(), 10), "gamma2": (_group("gamma2"), 10),
+               "psl2z": (_group("psl2z"), 20)}
+
+
+@pytest.mark.parametrize("band", [(1e-100, 1e100), (1e-300, 1e300), (5e-324, 1.0)])
+@pytest.mark.parametrize("x", [3e7, -1e8, 1e8 + 0.1, 1e12, 1e16])
+@pytest.mark.parametrize("name", _FAR_GROUPS)
+def test_displacement_probe_at_far_endpoints(name, x, band):
+    # conjugated far out, some rows send i|b| to an image whose imaginary
+    # part is 0 in floats; the probe leaves them out, as it does b = 0
+    spec, depth = _FAR_GROUPS[name]
+    u = hf.UnitTangent(hf.Mobius(x, -1.0, 1.0, 0.0))
+    report = hf.run_dichotomy(spec, u, band, depth=depth)
+    resid, measured, skipped = _probe(report.sequence.elements)
+    assert skipped > 0
+    coef = report.coefficients
+    assert float.hex(coef.probe_max_residual) == float.hex(resid)
+    assert coef.probe_diverging == dichotomy._strictly_increasing_tail(measured, dichotomy.WINDOW)
 
 
 def test_candidate_rejects_repeated_elements():

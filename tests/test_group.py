@@ -276,8 +276,8 @@ _TIED_BALLS = {"gamma2": (GAMMA2, 10), "psl2z": (PSL2Z, 20)}
 
 @pytest.mark.parametrize("spec, depth", _TIED_BALLS.values(), ids=_TIED_BALLS.keys())
 def test_readers_of_the_height_order_take_its_ties_in_any_order(spec, depth, monkeypatch):
-    # the search sorts its slice back into row order and orbit_heights reads
-    # values only: both give what the stable order of the heights gives
+    # the search sorts its slice back into row order, and orbit_heights does
+    # not read the order: both give what the stable order of the heights gives
     ball = ball_arrays(spec, depth)
     stable = np.argsort(ball.inf_heights, kind="stable")
     assert (np.diff(ball.inf_heights[stable]) == 0.0).any()
