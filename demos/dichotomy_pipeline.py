@@ -35,8 +35,7 @@ report = hf.run_dichotomy(hf.cyclic_hyperbolic(), candidate=candidate, band=(0.1
 print(f"verdict: {report.verdict.kind}, t = {report.verdict.t:.12f} "
       f"(ln 4 = {math.log(4.0):.12f})")
 coef = report.coefficients
-print(f"coefficient evidence: c_n -> 0: {coef.c_limit_zero}, "
-      f"d_n -> {coef.d_limit}, displacement probe residual {coef.probe_max_residual:.3e}")
+print(f"coefficient evidence: c_n -> 0: {coef.c_limit_zero}, d_n -> {coef.d_limit}")
 
 section("A vector aimed at a finite limit point")
 # Frame turning the upward ray toward 0; the group is a parabolic fixing 0.

@@ -215,8 +215,6 @@ def _cmd_diagnose(args, out) -> int:
             "a_diverging": co.a_diverging, "c_limit_zero": co.c_limit_zero,
             "d_limit": co.d_limit, "min_cd_norm": co.min_cd_norm,
             "cd_bound_ok": co.cd_bound_ok,
-            "probe_max_residual": co.probe_max_residual,
-            "probe_diverging": co.probe_diverging,
         }
     bl = report.busemann_limit
     data["busemann"] = {

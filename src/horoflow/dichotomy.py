@@ -60,6 +60,8 @@ class SequenceCandidate:
     def __post_init__(self):
         m, M = _check_band(self.height_band)
         object.__setattr__(self, "height_band", (m, M))
+        if not self.elements:
+            raise ValueError("sequence is empty")
         slack = 1e-12 * max(1.0, M)
         for h in self.heights:
             if not (m - slack <= h <= M + slack):
@@ -116,11 +118,9 @@ class ConvergenceVerdict:
 
 @dataclass(frozen=True)
 class CoefficientAsymptotics:
-    """Report on the coefficient behavior of an escaping sequence.
-
-    Includes the displacement probe: distances from i*e^{t_n} to its image at
-    t_n = ln|b_n|, which the coefficient identity predicts to be
-    2*argsinh(sqrt(b^2 c^2 + d^2 + a^2 - 1)/2).
+    """Report on the coefficient behavior of an escaping sequence: |a_n|,
+    c_n and d_n as streams, whether |a_n| diverges and c_n tends to 0, and
+    the least c_n^2 + d_n^2 against the band's bound 1/M.
     """
 
     a_abs: tuple[float, ...]
@@ -131,8 +131,6 @@ class CoefficientAsymptotics:
     d_limit: float
     min_cd_norm: float
     cd_bound_ok: bool
-    probe_max_residual: float
-    probe_diverging: bool
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,13 @@ class DiagnosticsReport:
 
 
 def _check_band(band) -> tuple[float, float]:
-    """The height band (m, M) as floats: real numbers with 0 < m < M, else ValueError."""
-    m, M = (_check_real("a height band bound", x) for x in band)
+    """The height band (m, M) as floats: a pair of real numbers with
+    0 < m < M, else ValueError."""
+    try:
+        m, M = band
+    except (TypeError, ValueError):
+        raise ValueError(f"a height band is a pair (m, M), got {band!r}") from None
+    m, M = _check_real("a height band bound", m), _check_real("a height band bound", M)
     if not 0.0 < m < M:
         raise ValueError(f"height band needs 0 < m < M, got ({m}, {M})")
     return m, M
@@ -319,10 +322,10 @@ def _strictly_increasing_tail(values, window: int) -> bool:
 
 def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
                                   window: int = WINDOW) -> CoefficientAsymptotics:
-    """Coefficient-stream evidence: |a_n| divergence, c_n -> 0, the bound
-    c_n^2 + d_n^2 >= 1/M, and the ln|b_n| displacement probe."""
+    """Coefficient-stream evidence: |a_n| divergence over the trailing
+    window, c_n -> 0 within eps, and the bound c_n^2 + d_n^2 >= 1/M."""
     _check_settle(eps, window)
-    a, b, c, d = _coefficients(seq.elements)
+    a, _, c, d = _coefficients(seq.elements)
     n = len(seq.elements)
     a_abs = np.abs(a)
     a_div = _strictly_increasing_tail(a_abs, window)
@@ -332,28 +335,10 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
     bound = 1.0 / M
     min_cd = float(cd.min())
     cd_ok = min_cd >= bound - 1e-12 * max(1.0, bound)
-
-    # dist(z, g z) at z = i|b|, with the complex arithmetic of apply and
-    # dist; a row whose image leaves the half-plane in floats (far conjugates)
-    # or whose distance denominator underflows is left out, as b = 0 is
-    measured, expected = [], []
-    for k in np.flatnonzero(b != 0.0).tolist():
-        g, z = seq.elements[k].mobius, complex(0.0, abs(b[k]))
-        gz = complex((g.a * z + g.b) / (g.c * z + g.d))
-        den = 2.0 * math.sqrt(z.imag * gz.imag) if gz.imag > 0.0 else 0.0
-        if den == 0.0:
-            continue
-        measured.append(2.0 * math.asinh(abs(z - gz) / den))
-        rad = max(b[k] * b[k] * c[k] * c[k] + d[k] * d[k] + a[k] * a[k] - 1.0, 0.0)
-        expected.append(2.0 * math.asinh(math.sqrt(rad) / 2.0))
-    resid = float(np.max(np.abs(np.subtract(measured, expected)))) if measured else math.nan
-    probe_div = _strictly_increasing_tail(measured, window)
-
     return CoefficientAsymptotics(
         a_abs=tuple(a_abs), c_values=tuple(c), d_values=tuple(d),
         a_diverging=a_div, c_limit_zero=c_zero, d_limit=float(d[-1]),
         min_cd_norm=min_cd, cd_bound_ok=bool(cd_ok),
-        probe_max_residual=resid, probe_diverging=probe_div,
     )
 
 

@@ -145,13 +145,16 @@ def _ray_terms(ball, frame: Mobius):
 @np.errstate(over="ignore")  # an overflowed square is redone below
 def _min_2sinh(s: np.ndarray, ch, bh, eh) -> np.ndarray:
     """Min over the rows of sqrt((c_h s + b_h/s)^2 + e_h^2), which is
-    2 sinh(dist(z, g z)/2) at z = frame(i s), per sample s."""
+    2 sinh(dist(z, g z)/2) at z = frame(i s), per sample s. A sample whose
+    least square overflows, or underflows below the normal range, is redone
+    with hypot."""
     x = ch[:, None] * s + bh[:, None] / s
     e = eh[:, None]
-    m = np.sqrt((x * x + e * e).min(axis=0))
-    over = np.isinf(m)
-    if over.any():
-        m[over] = np.hypot(x[:, over], e).min(axis=0)
+    sq = (x * x + e * e).min(axis=0)
+    m = np.sqrt(sq)
+    lost = np.isinf(sq) | (sq < _TINY)
+    if lost.any():
+        m[lost] = np.hypot(x[:, lost], e).min(axis=0)
     return m
 
 

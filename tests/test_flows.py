@@ -148,6 +148,15 @@ def test_profile_survives_squares_past_the_float_range(schottky_spec):
     assert p.inj_estimates[2] - p.inj_estimates[1] == pytest.approx(350.0, abs=1e-6)
 
 
+def test_profile_survives_squares_below_the_normal_range(parabolic_spec):
+    # Into the cusp the least squared sinh, e^-2t, leaves the normal range
+    # past t ~ 354; the hypot fallback keeps every digit down to t = 700.
+    p = hf.injectivity_profile(parabolic_spec, t_max=700.0, step=10.0)
+    for t, v in zip(p.times.tolist(), p.inj_estimates.tolist()):
+        want = math.asinh(math.exp(-t) / 2.0)
+        assert abs(v - want) <= 1e-14 * want, (t, v, want)
+
+
 @pytest.mark.parametrize("flow, t", [(hf.ray_point, 1e4), (hf.geodesic_flow, 1e4),
                                      (hf.geodesic_flow, -1e4), (hf.ray_point, math.nan)])
 def test_flow_times_past_the_float_range_are_refused(flow, t):

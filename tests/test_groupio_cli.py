@@ -391,6 +391,14 @@ def test_cli_diagnose_verdicts(group_files):
     assert r.stdout == r3.stdout
 
 
+def test_cli_diagnose_coefficient_keys(group_files):
+    r = _cli("diagnose", "--group", group_files["parabolic"])
+    assert r.returncode == 0
+    assert list(json.loads(r.stdout)["coefficients"]) == [
+        "a_abs", "c", "d", "a_diverging", "c_limit_zero", "d_limit", "min_cd_norm",
+        "cd_bound_ok"]
+
+
 def test_cli_exit_codes(group_files, tmp_path):
     assert _cli("classify", "--group", group_files["bad"], "--point", "0").returncode == 1
     missing = str(tmp_path / "nope.json")
