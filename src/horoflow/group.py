@@ -1,9 +1,14 @@
 """Finitely generated Fuchsian groups: word balls, classification, presets.
 
 A group is given by its generators (unit-determinant Moebius values); elements
-are enumerated breadth-first as reduced words up to a maximum word length,
-deduplicated up to sign on a rounding grid, in a deterministic order (word
-length first, then lexicographic word).
+are enumerated breadth-first as reduced words up to a maximum word length, in
+a deterministic order (word length first, then lexicographic word).
+
+A spec whose generators pass the ping-pong test (the isometric disks of its
+letters have pairwise disjoint interiors; see ``_ping_pong_disks``) carries
+that certificate: its distinct reduced words are distinct elements, so its
+ball is every reduced word and nothing is deduplicated. Every other spec has
+its products deduplicated up to sign on a rounding grid, first one kept.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import functools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,11 +73,19 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Generators plus enumeration parameters."""
+    """Generators plus enumeration parameters.
+
+    ``certificate`` is derived from the generators at construction: the
+    ping-pong disks of ``_ping_pong_disks``, or None. It takes no part in
+    equality, hashing or the repr, since the generators determine it. On a
+    certified spec ``dedup_tol`` is unused: its ball keeps every reduced word.
+    """
 
     generators: tuple[Mobius, ...]
     max_word_length: int = 10
     dedup_tol: float = DEDUP_TOL
+    certificate: tuple[tuple[float, float], ...] | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -89,6 +102,75 @@ class GroupSpec:
         object.__setattr__(self, "dedup_tol", tol)
         object.__setattr__(self, "max_word_length",
                            _invalid(_check_int, "max_word_length", self.max_word_length, 1))
+        object.__setattr__(self, "certificate", _ping_pong_disks(gens))
+
+
+def _ping_pong_disks(gens) -> tuple[tuple[float, float], ...] | None:
+    """The ping-pong certificate of the generators, or None when they fail it.
+
+    Each letter (the generators and their inverses, in the ball's letter
+    order +1, -1, +2, -2, ...) gets a closed disk. A letter g with c != 0
+    gets its isometric disk |cz + d| <= sqrt(ad - bc); g maps the outside
+    of it onto the inside of its inverse's. At most one generator may have
+    c = 0, and it must be a translation z -> z + t. It gets the two
+    half-planes bounding a strip of width |t| that holds every other disk,
+    its own one first (Re z <= x for t > 0). The generators pass when all
+    these disks have pairwise disjoint interiors; tangencies are allowed.
+    Then by the ping-pong lemma the group is free on them, and distinct
+    reduced words are distinct elements (Beardon, *The Geometry of Discrete
+    Groups*, GTM 91, ch. 5; Mumford, Series and Wright, *Indra's Pearls*,
+    ch. 4). This admits schottky_pair, truncated_flute, cyclic_parabolic
+    and Gamma(2) on z -> z + 2 and z -> z/(2z + 1), whose disks touch at 0
+    and +-1. It refuses elliptic generators (their two disks overlap),
+    dilations and PSL(2,Z).
+
+    The decision is exact: each entry is an integer over one power of two
+    (float.as_integer_ratio), and every comparison is one of integers.
+    A disk is returned as the interval (lo, hi) that it spans on the real
+    line, in floats: center -+ radius of isometric_circle for a circle;
+    lo = -inf or hi = inf for a half-plane, the strip centred on the span
+    of the circles.
+    """
+    ratios = [x.as_integer_ratio() for g in gens for x in (g.a, g.b, g.c, g.d)]
+    unit = max(q for _, q in ratios)  # a power of two
+    ints = [p * (unit // q) for p, q in ratios]
+    circles, shift = [], None  # (p, k, e): centre p/k with k > 0, radius sqrt(e)/k
+    for i in range(len(gens)):
+        a, b, c, d = ints[4 * i:4 * i + 4]
+        if c == 0:
+            if shift is not None or a != d:  # a second translation, or a dilation
+                return None
+            shift = i
+        else:
+            s = 1 if c > 0 else -1
+            circles += [(-d * s, c * s, a * d - b * c), (a * s, c * s, a * d - b * c)]
+    # r1 + r2 <= |x1 - x2|, times k1 k2
+    if not all(_roots_at_most(e1 * k2 * k2, e2 * k1 * k1, abs(p1 * k2 - p2 * k1))
+               for i, (p1, k1, e1) in enumerate(circles) for p2, k2, e2 in circles[i + 1:]):
+        return None
+    disks = [(x - r, x + r) for g in gens if g.c != 0.0
+             for x, r in (isometric_circle(g), isometric_circle(g.inverse()))]
+    if shift is None:
+        return tuple(disks)
+    a, b = ints[4 * shift:4 * shift + 2]  # t = b/a, with a > 0 by the sign rule
+    # (x2 + r2) - (x1 - r1) <= |t|, times k1 k2 a
+    if not all(_roots_at_most(e1 * (k2 * a) ** 2, e2 * (k1 * a) ** 2,
+                              abs(b) * k1 * k2 - a * (p2 * k1 - p1 * k2))
+               for p1, k1, e1 in circles for p2, k2, e2 in circles):
+        return None
+    t = abs(gens[shift].b / gens[shift].a)
+    edge = (min((lo for lo, _ in disks), default=-t / 2.0)
+            + max((hi for _, hi in disks), default=t / 2.0) - t) / 2.0
+    pair = [(-math.inf, edge), (edge + t, math.inf)]
+    disks[2 * shift:2 * shift] = pair if b > 0 else pair[::-1]
+    return tuple(disks)
+
+
+def _roots_at_most(u: int, v: int, w: int) -> bool:
+    # sqrt(u) + sqrt(v) <= w, exactly, for integers u, v >= 0:
+    # w >= 0 and u + v + 2 sqrt(uv) <= w^2
+    rest = w * w - u - v
+    return w >= 0 and rest >= 0 and 4 * u * v <= rest * rest
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
@@ -133,23 +215,30 @@ def _check_det(p: np.ndarray, length: int) -> None:
 
 def _first_new(coef: np.ndarray, hashes: np.ndarray, n: int, m: int, tol: float) -> np.ndarray:
     # The candidates in buffer rows n..n+m-1 (as offsets from n) whose cell
-    # no lower row has: rows sorted by hash, ties compared on cells, and runs
-    # holding distinct cells sorted by (hash, cell), so exact for any hash.
-    order = np.argsort(hashes[:n + m])
-    tie = hashes[order[1:]] == hashes[order[:-1]]
+    # no lower row has. Each row's key is its hash with the row number in
+    # its low bits, so one value sort groups the rows by hash prefix, each
+    # run in ascending rows: its first row is the one kept. Ties are
+    # compared on cells, and runs holding distinct cells sorted stably by
+    # (prefix, cell), so exact for any hash.
+    bits = np.uint64(coef.shape[1].bit_length())  # every buffer row fits
+    low = (np.uint64(1) << bits) - np.uint64(1)
+    key = hashes[:n + m] & ~low
+    key |= np.arange(n + m, dtype=np.uint64)
+    key.sort()
+    prefix = key >> bits
+    tie = prefix[1:] == prefix[:-1]
     if not tie.any():
         return np.arange(m)
-    rows = order[np.r_[tie, False] | np.r_[False, tie]]  # grouped by hash
-    keys = [hashes[rows], *dedup_keys(coef[:, rows], tol)]
+    at = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+    rows = (key[at] & low).astype(np.intp)
+    keys = [prefix[at], *dedup_keys(coef[:, rows], tol)]
     split = np.any([k[1:] != k[:-1] for k in keys], axis=0)
     if (split & (keys[0][1:] == keys[0][:-1])).any():
         o = np.lexsort(keys[::-1])
         rows, split = rows[o], np.any([k[o][1:] != k[o][:-1] for k in keys], axis=0)
-    first = np.minimum.reduceat(rows, np.flatnonzero(np.r_[True, split]))
-    keep = np.ones(n + m, dtype=bool)
-    keep[rows] = False
-    keep[first] = True
-    return np.flatnonzero(keep[n:])
+    keep = np.ones(m, dtype=bool)
+    keep[rows[1:][~split] - n] = False  # a later row of one cell; kept rows lead theirs
+    return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +252,9 @@ class Ball(Sequence):
     1-based generator index (+k for the k-th generator, -k for its inverse).
     ``word_lengths``, ``parent`` and ``letter`` are int32: a ball holds at most
     ENUM_CAP rows. Rows run by word length, then lexicographically by word
-    with +1 < -1 < +2 < -2 < ... Of elements equal up to sign on the dedup
-    grid only the first is kept.
+    with +1 < -1 < +2 < -2 < ... On a spec with a ping-pong certificate
+    every reduced word is a row, each a distinct element; on any other, of
+    elements equal up to sign on the dedup grid only the first is kept.
     """
 
     a: np.ndarray
@@ -230,55 +320,77 @@ class Ball(Sequence):
         return order
 
 
-@np.errstate(over="ignore", invalid="ignore")  # dedup_keys checks overflow
-def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
+def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
+                dedup: bool | None = None) -> Ball:
     # Breadth-first, level by level, in slices of frontier rows: each row
     # times every letter but the one undoing its last letter, in row-major
     # order, so that rows come out in word order. Buffer row 0 is the identity;
     # a slice's products go after the kept rows, and its new ones move down.
+    # ``dedup`` defaults to a spec without a ping-pong certificate: under one,
+    # every product is a new element and is kept as it comes.
+    if dedup is None:
+        dedup = spec.certificate is None
     gens = [m for g in spec.generators for m in (g, g.inverse())]
     ga, gb, gc, gd = _coefficients(gens)
-    codes = np.array([s * (k + 1) for k in range(len(spec.generators)) for s in (1, -1)],
-                     dtype=np.int32)
+    r = len(spec.generators)
+    codes = np.array([s * (k + 1) for k in range(r) for s in (1, -1)], dtype=np.int32)
     nc, tol = codes.size, spec.dedup_tol
+    # the letters that may follow each letter (row code + r), in code order
+    follow = np.zeros((2 * r + 1, nc - 1), dtype=np.intp)
+    for x in codes:
+        follow[x + r] = [j for j in range(nc) if codes[j] != -x]
     step = max(1, max_elements // nc)  # products per slice <= max_elements
     # rows for the reduced words of length <= depth or the cap and one slice
     words = nc * depth if nc == 2 else nc * ((nc - 1) ** min(depth, 64) - 1) // (nc - 2)
     cap = 1 + min(words, max_elements + step * nc)
-    coef, hashes = np.empty((4, cap)), np.empty(cap, dtype=np.uint64)
+    coef, hashes = np.empty((4, cap)), np.empty(cap if dedup else 0, dtype=np.uint64)
     parent, letter = np.empty(cap, dtype=np.int32), np.zeros(cap, dtype=np.int32)
-    prod = np.empty((2, min(step, cap) * nc))  # a product term, before and after the mask
+    buf = np.empty((3, min(step, cap) * nc))  # two letter entries and a product term
     coef[:, 0] = (1.0, 0.0, 0.0, 1.0)
-    hashes[0] = _cell_hash(dedup_keys(coef[:, :1], tol))[0]
+    if dedup:
+        hashes[0] = _cell_hash(dedup_keys(coef[:, :1], tol))[0]
     n, bounds = 1, [0, 1]  # word length k fills buffer rows bounds[k]..bounds[k + 1]
     for length in range(1, depth + 1):
         start, stop = bounds[-2:]
         for s in range(start, stop, step):
             e = min(s + step, stop)
-            a, b, c, d = coef[:, s:e, None]
-            mask = (codes != -letter[s:e, None]).ravel()
-            flat = np.flatnonzero(mask)
-            m = flat.size
+            # the letters of each row, one row of them per frontier row: every
+            # letter after the identity, else those following its last letter
+            lets = np.arange(nc)[None, :] if length == 1 else follow[letter[s:e] + r]
+            m = lets.size
             p = coef[:, n:n + m]
-            term, kept = prod[0, :mask.size].reshape(e - s, nc), prod[1, :m]
-            for out, x, gx, y, gy in zip(p, (a, a, c, c), (ga, gb, ga, gb),
-                                         (b, b, d, d), (gc, gd, gc, gd)):
-                np.compress(mask, np.multiply(x, gx, out=term), out=out)
-                out += np.compress(mask, np.multiply(y, gy, out=term), out=kept)
+            gx, gy, term = (x[:m].reshape(lets.shape) for x in buf)
+            a, b, c, d = coef[:, s:e, None]
+            for k, (g1, g2) in enumerate(((ga, gc), (gb, gd))):  # columns 1 and 2 of a letter
+                np.take(g1, lets, out=gx)
+                np.take(g2, lets, out=gy)
+                for out, x, y in ((p[k], a, b), (p[k + 2], c, d)):
+                    out = out.reshape(lets.shape)  # a view: p[k] is contiguous
+                    np.multiply(x, gx, out=out)
+                    out += np.multiply(y, gy, out=term)
             lead = np.zeros(m)  # the Mobius sign rule: the first entry above SIGN_TOL is > 0
             for x in p[::-1]:
                 np.copyto(lead, x, where=np.abs(x) > SIGN_TOL)
             np.negative(p, out=p, where=lead < 0.0)
-            hashes[n:n + m] = _cell_hash(dedup_keys(p, tol))
+            if dedup:
+                hashes[n:n + m] = _cell_hash(dedup_keys(p, tol))
+            elif not np.isfinite(p).all():
+                raise CoefficientOverflow("a word-ball coefficient leaves the float range; "
+                                          "use a smaller depth")
             _check_det(p, length)
-            new = _first_new(coef, hashes, n, m, tol)
-            if new.size < m:
-                for x in (*p, hashes[n:n + m]):
-                    x[:new.size] = x[new]
-                flat = flat[new]
-            parent[n:n + new.size] = flat // nc + (s - 1)  # buffer row s is ball row s - 1
-            letter[n:n + new.size] = codes[flat % nc]
-            n += new.size
+            # buffer row s is ball row s - 1
+            rows = np.repeat(np.arange(s - 1, e - 1, dtype=np.int32), lets.shape[1])
+            lets = lets.ravel()
+            if dedup:
+                new = _first_new(coef, hashes, n, m, tol)
+                if new.size < m:
+                    for x in (*p, hashes[n:n + m]):
+                        x[:new.size] = x[new]
+                    rows, lets = rows[new], lets[new]
+            parent[n:n + rows.size] = rows
+            letter[n:n + rows.size] = codes[lets]
+            n += rows.size
             if n - 1 > max_elements:
                 raise BallTooLarge(f"word ball exceeds the cap of {max_elements} elements")
         if n == stop:

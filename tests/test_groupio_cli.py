@@ -294,7 +294,8 @@ def _horoflow(*names):
 ], ids=["version", "classify", "inj", "orbit", "diagnose", "verify"])
 def test_cold_calls_do_not_import_numpy_ma(group_files, argv, absent):
     # each subcommand imports only its own modules; np.unique would import
-    # numpy.ma (NumPy 2), about 13 ms of a cold call
+    # numpy.ma (NumPy 2), about 13 ms of a cold call, and fractions pulls in
+    # decimal (the ping-pong certificate is decided in plain integers)
     argv = [group_files.get(a, a) for a in argv]
     code = ("import sys\nfrom horoflow.cli import main\n"
             "try:\n    sys.exit(main(sys.argv[1:]))\n"
@@ -303,7 +304,7 @@ def test_cold_calls_do_not_import_numpy_ma(group_files, argv, absent):
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0
     (loaded,) = r.stderr.splitlines()  # nothing else on stderr
-    assert not {"numpy.ma", *absent} & set(loaded.split())
+    assert not {"numpy.ma", "fractions", "decimal", *absent} & set(loaded.split())
 
 
 def test_cli_classify_far_point_is_quiet(group_files):
