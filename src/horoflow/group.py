@@ -213,29 +213,32 @@ def _check_det(p: np.ndarray, length: int) -> None:
         raise ValueError(f"matrix {tuple(p[:, i].tolist())} has det {float(det[i])}, not 1")
 
 
-def _first_new(coef: np.ndarray, hashes: np.ndarray, n: int, m: int, tol: float) -> np.ndarray:
+def _row_keys(h: np.ndarray, start: int, bits: np.uint64) -> None:
+    # hashes h of buffer rows start, start + 1, ... made their sort keys in
+    # place: the row number in the low ``bits`` bits, the hash above them
+    h &= ~((np.uint64(1) << bits) - np.uint64(1))
+    h |= np.arange(start, start + h.size, dtype=np.uint64)
+
+
+def _first_new(coef: np.ndarray, keys: np.ndarray, n: int, m: int, tol: float,
+               bits: np.uint64) -> np.ndarray:
     # The candidates in buffer rows n..n+m-1 (as offsets from n) whose cell
-    # no lower row has. Each row's key is its hash with the row number in
-    # its low bits, so one value sort groups the rows by hash prefix, each
-    # run in ascending rows: its first row is the one kept. Ties are
-    # compared on cells, and runs holding distinct cells sorted stably by
-    # (prefix, cell), so exact for any hash.
-    bits = np.uint64(coef.shape[1].bit_length())  # every buffer row fits
-    low = (np.uint64(1) << bits) - np.uint64(1)
-    key = hashes[:n + m] & ~low
-    key |= np.arange(n + m, dtype=np.uint64)
-    key.sort()
+    # no lower row has. One value sort of the rows' keys (_row_keys) groups
+    # them by hash prefix, each run in ascending rows: its first row is the
+    # one kept. Ties are compared on cells, and runs holding distinct cells
+    # sorted stably by (prefix, cell), so exact for any hash.
+    key = np.sort(keys[:n + m])
     prefix = key >> bits
     tie = prefix[1:] == prefix[:-1]
     if not tie.any():
         return np.arange(m)
     at = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
-    rows = (key[at] & low).astype(np.intp)
-    keys = [prefix[at], *dedup_keys(coef[:, rows], tol)]
-    split = np.any([k[1:] != k[:-1] for k in keys], axis=0)
-    if (split & (keys[0][1:] == keys[0][:-1])).any():
-        o = np.lexsort(keys[::-1])
-        rows, split = rows[o], np.any([k[o][1:] != k[o][:-1] for k in keys], axis=0)
+    rows = (key[at] & ((np.uint64(1) << bits) - np.uint64(1))).astype(np.intp)
+    cmp = [prefix[at], *dedup_keys(coef[:, rows], tol)]
+    split = np.any([k[1:] != k[:-1] for k in cmp], axis=0)
+    if (split & (cmp[0][1:] == cmp[0][:-1])).any():
+        o = np.lexsort(cmp[::-1])
+        rows, split = rows[o], np.any([k[o][1:] != k[o][:-1] for k in cmp], axis=0)
     keep = np.ones(m, dtype=bool)
     keep[rows[1:][~split] - n] = False  # a later row of one cell; kept rows lead theirs
     return np.flatnonzero(keep)
@@ -344,12 +347,14 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
     # rows for the reduced words of length <= depth or the cap and one slice
     words = nc * depth if nc == 2 else nc * ((nc - 1) ** min(depth, 64) - 1) // (nc - 2)
     cap = 1 + min(words, max_elements + step * nc)
-    coef, hashes = np.empty((4, cap)), np.empty(cap if dedup else 0, dtype=np.uint64)
+    coef, keys = np.empty((4, cap)), np.empty(cap if dedup else 0, dtype=np.uint64)
     parent, letter = np.empty(cap, dtype=np.int32), np.zeros(cap, dtype=np.int32)
-    buf = np.empty((3, min(step, cap) * nc))  # two letter entries and a product term
+    buf = np.empty((2, min(step, cap) * nc))  # letter entries, then product terms
+    bits = np.uint64(cap.bit_length())  # every buffer row number fits in a key's low bits
     coef[:, 0] = (1.0, 0.0, 0.0, 1.0)
     if dedup:
-        hashes[0] = _cell_hash(dedup_keys(coef[:, :1], tol))[0]
+        keys[:1] = _cell_hash(dedup_keys(coef[:, :1], tol))
+        _row_keys(keys[:1], 0, bits)
     n, bounds = 1, [0, 1]  # word length k fills buffer rows bounds[k]..bounds[k + 1]
     for length in range(1, depth + 1):
         start, stop = bounds[-2:]
@@ -360,21 +365,27 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
             lets = np.arange(nc)[None, :] if length == 1 else follow[letter[s:e] + r]
             m = lets.size
             p = coef[:, n:n + m]
-            gx, gy, term = (x[:m].reshape(lets.shape) for x in buf)
+            gx, gy = (x[:m].reshape(lets.shape) for x in buf)
             a, b, c, d = coef[:, s:e, None]
-            for k, (g1, g2) in enumerate(((ga, gc), (gb, gd))):  # columns 1 and 2 of a letter
-                np.take(g1, lets, out=gx)
-                np.take(g2, lets, out=gy)
-                for out, x, y in ((p[k], a, b), (p[k + 2], c, d)):
-                    out = out.reshape(lets.shape)  # a view: p[k] is contiguous
-                    np.multiply(x, gx, out=out)
-                    out += np.multiply(y, gy, out=term)
+            for k, (g1, g2) in enumerate(((ga, gc), (gb, gd))):  # column k of each letter
+                # (a, c) g1 + (b, d) g2 into rows k and k + 2 of p (views: rows
+                # of p are contiguous), gx then gy reused for the second terms;
+                # the letters are valid indices, and mode "clip" takes them
+                # straight into out, where "raise" would buffer a copy
+                top, bottom = p[k].reshape(lets.shape), p[k + 2].reshape(lets.shape)
+                np.take(g1, lets, out=gx, mode="clip")
+                np.multiply(a, gx, out=top)
+                np.multiply(c, gx, out=bottom)
+                np.take(g2, lets, out=gy, mode="clip")
+                top += np.multiply(b, gy, out=gx)
+                bottom += np.multiply(d, gy, out=gy)
             lead = np.zeros(m)  # the Mobius sign rule: the first entry above SIGN_TOL is > 0
             for x in p[::-1]:
                 np.copyto(lead, x, where=np.abs(x) > SIGN_TOL)
             np.negative(p, out=p, where=lead < 0.0)
             if dedup:
-                hashes[n:n + m] = _cell_hash(dedup_keys(p, tol))
+                keys[n:n + m] = _cell_hash(dedup_keys(p, tol))
+                _row_keys(keys[n:n + m], n, bits)
             elif not np.isfinite(p).all():
                 raise CoefficientOverflow("a word-ball coefficient leaves the float range; "
                                           "use a smaller depth")
@@ -383,10 +394,11 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
             rows = np.repeat(np.arange(s - 1, e - 1, dtype=np.int32), lets.shape[1])
             lets = lets.ravel()
             if dedup:
-                new = _first_new(coef, hashes, n, m, tol)
+                new = _first_new(coef, keys, n, m, tol, bits)
                 if new.size < m:
-                    for x in (*p, hashes[n:n + m]):
+                    for x in (*p, keys[n:n + m]):
                         x[:new.size] = x[new]
+                    _row_keys(keys[n:n + new.size], n, bits)
                     rows, lets = rows[new], lets[new]
             parent[n:n + rows.size] = rows
             letter[n:n + rows.size] = codes[lets]
