@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import NoSequenceFound
 from .flows import BASE_TANGENT, UnitTangent
-from .group import (DEDUP_TOL, GroupElement, GroupSpec, _boundary_images, _check_depth,
-                    _check_int, _check_real, _coefficients, _minus_xi, _split, ball_arrays,
-                    dedup_keys, orbit_height)
+from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _check_int,
+                    _check_real, _coefficients, _minus_xi, _split, ball_arrays, dedup_keys,
+                    orbit_height)
 from .halfplane import INFINITY, BoundaryPoint, Mobius, apply_boundary, bp
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
@@ -260,10 +260,7 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     xi = bp(xi)
     ball = ball_arrays(spec, depth)
     if xi.is_infinity:
-        # the band is a slice of the ball's height order; rows back in ball order
-        heights, order = ball.inf_heights, ball.inf_order
-        rows = np.sort(order[np.searchsorted(heights, m, "left", sorter=order):
-                             np.searchsorted(heights, M, "right", sorter=order)])
+        heights = ball.inf_heights
     else:
         # the heights 1/(c^2 + d^2) of the conjugated rows, in place; a row
         # past the float range reads 0, inf or NaN, none of them in the band
@@ -273,7 +270,7 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
             heights *= heights
             heights += w
             np.divide(1.0, heights, out=heights)
-        rows = np.flatnonzero((heights >= m) & (heights <= M))
+    rows = np.flatnonzero((heights >= m) & (heights <= M))
     heights = heights[rows]
     coeffs = _conjugate(ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows], xi)
     with np.errstate(over="ignore"):  # a modulus past the float range reads inf
@@ -398,7 +395,7 @@ def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
     rows = _coefficients(seq.elements if isinstance(seq, SequenceCandidate) else seq)
     if not rows.size:
         raise ValueError("sequence is empty")
-    if len(set(zip(*dedup_keys(rows, DEDUP_TOL).tolist()))) != rows.shape[1]:
+    if len(set(zip(*dedup_keys(rows).tolist()))) != rows.shape[1]:
         raise ValueError("sequence elements must be pairwise distinct")
     values, residuals, settled = _settle(u, rows, *_coefficients([alpha]), eps, window)
     unsettled = tuple(name for name, ok in zip(("endpoint", "Busemann"), settled[:, 0])

@@ -77,13 +77,11 @@ class GroupSpec:
 
     ``certificate`` is derived from the generators at construction: the
     ping-pong disks of ``_ping_pong_disks``, or None. It takes no part in
-    equality, hashing or the repr, since the generators determine it. On a
-    certified spec ``dedup_tol`` is unused: its ball keeps every reduced word.
+    equality, hashing or the repr, since the generators determine it.
     """
 
     generators: tuple[Mobius, ...]
     max_word_length: int = 10
-    dedup_tol: float = DEDUP_TOL
     certificate: tuple[tuple[float, float], ...] | None = field(
         init=False, repr=False, compare=False)
 
@@ -92,14 +90,11 @@ class GroupSpec:
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise InvalidGenerator("a group spec needs at least one generator")
-        # checked before the identity test, which every generator passes on an infinite grid
-        tol = _invalid(_check_real, "dedup_tol", self.dedup_tol, 0.0, True)
         for g in gens:
             if not isinstance(g, Mobius):
                 raise InvalidGenerator(f"generator {g!r} is not a Mobius value")
-            if g.is_identity(tol):
+            if g.is_identity(DEDUP_TOL):
                 raise InvalidGenerator("the identity is not an admissible generator")
-        object.__setattr__(self, "dedup_tol", tol)
         object.__setattr__(self, "max_word_length",
                            _invalid(_check_int, "max_word_length", self.max_word_length, 1))
         object.__setattr__(self, "certificate", _ping_pong_disks(gens))
@@ -174,19 +169,19 @@ def _roots_at_most(u: int, v: int, w: int) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
-def dedup_keys(coeffs: np.ndarray, tol: float) -> np.ndarray:
-    """The cell of each column (a, b, c, d) on the dedup grid of spacing ``tol``,
+def dedup_keys(coeffs: np.ndarray) -> np.ndarray:
+    """The cell of each column (a, b, c, d) on the dedup grid of spacing DEDUP_TOL,
     as a (4, n) array of its floats' uint64 bits; elements merge when cells match.
 
     Raises CoefficientOverflow when an entry or its cell is not finite, since
     such columns would merge with each other.
     """
-    cells = np.divide(coeffs, tol)
+    cells = np.divide(coeffs, DEDUP_TOL)
     np.rint(cells, out=cells)
     cells += 0.0  # turns -0.0 into 0.0
     if not np.isfinite(cells).all():
         raise CoefficientOverflow(f"a word-ball coefficient overflows the dedup grid "
-                                  f"of spacing {tol:g}; use a smaller depth")
+                                  f"of spacing {DEDUP_TOL:g}; use a smaller depth")
     return cells.view(np.uint64)
 
 
@@ -220,7 +215,7 @@ def _row_keys(h: np.ndarray, start: int, bits: np.uint64) -> None:
     h |= np.arange(start, start + h.size, dtype=np.uint64)
 
 
-def _first_new(coef: np.ndarray, keys: np.ndarray, n: int, m: int, tol: float,
+def _first_new(coef: np.ndarray, keys: np.ndarray, n: int, m: int,
                bits: np.uint64) -> np.ndarray:
     # The candidates in buffer rows n..n+m-1 (as offsets from n) whose cell
     # no lower row has. One value sort of the rows' keys (_row_keys) groups
@@ -234,7 +229,7 @@ def _first_new(coef: np.ndarray, keys: np.ndarray, n: int, m: int, tol: float,
         return np.arange(m)
     at = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
     rows = (key[at] & ((np.uint64(1) << bits) - np.uint64(1))).astype(np.intp)
-    cmp = [prefix[at], *dedup_keys(coef[:, rows], tol)]
+    cmp = [prefix[at], *dedup_keys(coef[:, rows])]
     split = np.any([k[1:] != k[:-1] for k in cmp], axis=0)
     if (split & (cmp[0][1:] == cmp[0][:-1])).any():
         o = np.lexsort(cmp[::-1])
@@ -257,7 +252,7 @@ class Ball(Sequence):
     ENUM_CAP rows. Rows run by word length, then lexicographically by word
     with +1 < -1 < +2 < -2 < ... On a spec with a ping-pong certificate
     every reduced word is a row, each a distinct element; on any other, of
-    elements equal up to sign on the dedup grid only the first is kept.
+    elements equal up to sign on the DEDUP_TOL grid only the first is kept.
     """
 
     a: np.ndarray
@@ -313,15 +308,6 @@ class Ball(Sequence):
         h.flags.writeable = False
         return h
 
-    @functools.cached_property
-    def inf_order(self) -> np.ndarray:
-        """Row indices in ascending order of inf_heights, ties in no set
-        order, so that a height band at infinity is a slice found by
-        searchsorted. Computed once per ball, as a read-only array."""
-        order = np.argsort(self.inf_heights)
-        order.flags.writeable = False
-        return order
-
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
 def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
@@ -338,7 +324,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
     ga, gb, gc, gd = _coefficients(gens)
     r = len(spec.generators)
     codes = np.array([s * (k + 1) for k in range(r) for s in (1, -1)], dtype=np.int32)
-    nc, tol = codes.size, spec.dedup_tol
+    nc = codes.size
     # the letters that may follow each letter (row code + r), in code order
     follow = np.zeros((2 * r + 1, nc - 1), dtype=np.intp)
     for x in codes:
@@ -353,7 +339,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
     bits = np.uint64(cap.bit_length())  # every buffer row number fits in a key's low bits
     coef[:, 0] = (1.0, 0.0, 0.0, 1.0)
     if dedup:
-        keys[:1] = _cell_hash(dedup_keys(coef[:, :1], tol))
+        keys[:1] = _cell_hash(dedup_keys(coef[:, :1]))
         _row_keys(keys[:1], 0, bits)
     n, bounds = 1, [0, 1]  # word length k fills buffer rows bounds[k]..bounds[k + 1]
     for length in range(1, depth + 1):
@@ -384,7 +370,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
                 np.copyto(lead, x, where=np.abs(x) > SIGN_TOL)
             np.negative(p, out=p, where=lead < 0.0)
             if dedup:
-                keys[n:n + m] = _cell_hash(dedup_keys(p, tol))
+                keys[n:n + m] = _cell_hash(dedup_keys(p))
                 _row_keys(keys[n:n + m], n, bits)
             elif not np.isfinite(p).all():
                 raise CoefficientOverflow("a word-ball coefficient leaves the float range; "
@@ -394,7 +380,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
             rows = np.repeat(np.arange(s - 1, e - 1, dtype=np.int32), lets.shape[1])
             lets = lets.ravel()
             if dedup:
-                new = _first_new(coef, keys, n, m, tol, bits)
+                new = _first_new(coef, keys, n, m, bits)
                 if new.size < m:
                     for x in (*p, keys[n:n + m]):
                         x[:new.size] = x[new]
@@ -629,8 +615,9 @@ def cyclic_hyperbolic(factor: float = 4.0, **spec_kwargs) -> GroupSpec:
 def _pairing(c1: tuple[float, float], c2: tuple[float, float]) -> Mobius:
     """Hyperbolic map sending the exterior of circle c1 onto the interior of c2.
 
-    Circles are (center, radius) on the real line; the isometric circle of the
-    result is c1 and that of its inverse is c2.
+    Circles are (center, radius) on the real line. The isometric circles of
+    the result and of its inverse are centred at x1 and x2, both of radius
+    sqrt(r1 r2): they are c1 and c2 only when r1 = r2.
     """
     (x1, r1), (x2, r2) = c1, c2
     return Mobius.normalized(-x2, x1 * x2 + r1 * r2, -1.0, x1)
@@ -701,8 +688,8 @@ def truncated_flute(lengths=(2.0, 2.5, 3.0), spacing: float = 2.0,
     length lengths[k]. This is a truncation: the infinite-stage surfaces the
     construction mimics are not reachable at finite rank, so conclusions drawn
     from these presets are desk-scale surrogates only. The prescribed lengths
-    must be long enough that all isometric circles are disjoint (the ping-pong
-    condition); otherwise InvalidGenerator is raised.
+    must be long enough for the spec's ping-pong certificate (isometric disks
+    with disjoint interiors); otherwise InvalidGenerator is raised.
 
     The default max_word_length is 6 rather than 10: free balls of rank r
     grow like (2r)(2r-1)^(k-1), and three or more generators overflow the
@@ -715,16 +702,11 @@ def truncated_flute(lengths=(2.0, 2.5, 3.0), spacing: float = 2.0,
     spacing = _param("spacing", spacing)
     if not lengths:
         raise InvalidGenerator("need at least one translation length")
-    gens = []
-    circles = []
-    for k, length in enumerate(lengths):
-        u = k * spacing
-        g = hyperbolic_element(u, u + 1.0, length)
-        gens.append(g)
-        circles.append(isometric_circle(g))
-        circles.append(isometric_circle(g.inverse()))
-    if not _circles_disjoint(circles):
+    gens = tuple(hyperbolic_element(k * spacing, k * spacing + 1.0, length)
+                 for k, length in enumerate(lengths))
+    spec_kwargs.setdefault("max_word_length", 6)
+    spec = GroupSpec(gens, **spec_kwargs)
+    if spec.certificate is None:
         raise InvalidGenerator(
             "translation lengths too short for disjoint isometric circles at this spacing")
-    spec_kwargs.setdefault("max_word_length", 6)
-    return GroupSpec(tuple(gens), **spec_kwargs)
+    return spec

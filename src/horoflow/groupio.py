@@ -10,10 +10,10 @@ A group file holds exactly one of:
   ``flute-truncated`` (``lengths``, ``spacing``); a parameter left out
   takes its preset's default.
 
-Every number is a JSON number, never a bool or a string. Optional keys:
-``max_word_length`` and ``dedup_tol``; left out, they take ``GroupSpec``'s
-defaults (10 and 1e-9), or in a family file its preset's (6 for
-``flute-truncated``).
+Every number is a JSON number, never a bool or a string. One optional key,
+``max_word_length``: left out, it takes ``GroupSpec``'s default (10), or in a
+family file its preset's (6 for ``flute-truncated``). Any other key is a
+``ParseError``.
 ``dump_group_spec`` always writes resolved generator matrices, so a family
 file round-trips to an equivalent explicit-generator file.
 """
@@ -23,8 +23,7 @@ from __future__ import annotations
 import json
 
 from .errors import InvalidGenerator, ParseError
-from .group import (DEDUP_TOL, GroupSpec, cyclic_hyperbolic, cyclic_parabolic,
-                    schottky_pair, truncated_flute)
+from .group import GroupSpec, cyclic_hyperbolic, cyclic_parabolic, schottky_pair, truncated_flute
 from .halfplane import Mobius
 
 
@@ -90,7 +89,7 @@ def parse_group_spec(data) -> GroupSpec:
     has_family = "family" in data
     if has_gens == has_family:
         raise ParseError("give exactly one of 'generators' or 'family'")
-    known = {"generators", "family", "max_word_length", "dedup_tol"}
+    known = {"generators", "family", "max_word_length"}
     extra = set(data) - known
     if extra:
         raise ParseError(f"unknown keys: {sorted(extra, key=str)}")
@@ -100,8 +99,6 @@ def parse_group_spec(data) -> GroupSpec:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ParseError(f"'max_word_length' must be an integer, got {v!r}")
         kwargs["max_word_length"] = v
-    if "dedup_tol" in data:
-        kwargs["dedup_tol"] = _number(data["dedup_tol"], "'dedup_tol'")
     if has_family:
         # a key left out keeps the preset's default (the flute's depth is 6)
         return _resolve_family(data["family"], kwargs)
@@ -126,13 +123,10 @@ def load_group_spec(path) -> GroupSpec:
 
 def spec_to_data(spec: GroupSpec) -> dict:
     """JSON-ready dict with resolved generators (families do not survive)."""
-    out = {
+    return {
         "generators": [[[g.a, g.b], [g.c, g.d]] for g in spec.generators],
         "max_word_length": spec.max_word_length,
     }
-    if spec.dedup_tol != DEDUP_TOL:
-        out["dedup_tol"] = spec.dedup_tol
-    return out
 
 
 def dump_group_spec(spec: GroupSpec, path) -> None:

@@ -140,14 +140,15 @@ def test_certified_build_equals_the_dedup_build(spec, depth):
                       _build_ball(spec, depth, ENUM_CAP, dedup=True))
 
 
-@pytest.mark.parametrize("dedup", [None, True], ids=["certified", "dedup"])
-def test_products_past_the_float_range_raise_coefficient_overflow(dedup):
-    # z -> z + 2 t is past the float range; a grid of spacing 1 holds t
-    spec = hf.cyclic_parabolic(1.5e308, dedup_tol=1.0)
+@pytest.mark.parametrize("dedup, depth", [(None, 2), (True, 1)], ids=["certified", "dedup"])
+def test_products_past_the_float_range_raise_coefficient_overflow(dedup, depth):
+    # z -> z + 2 t is past the float range, and so is t's cell on the dedup
+    # grid: the certified build fails at depth 2, the dedup build at depth 1
+    spec = hf.cyclic_parabolic(1.5e308)
     assert spec.certificate is not None
-    assert len(_build_ball(spec, 1, ENUM_CAP, dedup)) == 2
+    assert len(_build_ball(spec, depth - 1, ENUM_CAP, dedup)) == 2 * (depth - 1)
     with pytest.raises(hf.CoefficientOverflow):
-        _build_ball(spec, 2, ENUM_CAP, dedup)
+        _build_ball(spec, depth, ENUM_CAP, dedup)
 
 
 def test_a_determinant_drift_raises_the_same_error_on_both_paths(monkeypatch):
@@ -160,14 +161,6 @@ def test_a_determinant_drift_raises_the_same_error_on_both_paths(monkeypatch):
             _build_ball(spec, 3, ENUM_CAP, dedup)
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
-
-
-def test_dedup_tol_is_unused_on_a_certified_spec():
-    # a grid this fine overflows at the identity's cells; no grid is formed
-    spec = hf.schottky_pair(dedup_tol=1e-320, max_word_length=3)
-    _assert_same_ball(hf.ball_arrays(spec), hf.ball_arrays(hf.schottky_pair(max_word_length=3)))
-    with pytest.raises(hf.CoefficientOverflow):
-        _build_ball(spec, 3, ENUM_CAP, dedup=True)
 
 
 def test_the_relations_path_still_merges():

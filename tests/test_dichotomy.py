@@ -838,8 +838,9 @@ _EDGE_POINTS += [pytest.param(name, hf.bp(0.0), id=f"{name}-xi0") for name in ("
 @pytest.mark.parametrize("band", _EDGE_BANDS, ids=map(str, _EDGE_BANDS))
 @pytest.mark.parametrize("name, xi", _EDGE_POINTS)
 def test_search_at_infinity_takes_the_masked_rows(name, xi, band):
-    # both band ends are inclusive: at infinity a slice of the ball's height
-    # order, at 0 a mask over the conjugated heights, which are exact there
+    # both band ends are inclusive: the search masks the heights at both
+    # endpoints, the ball's own at infinity and the conjugated ones at 0,
+    # which are exact there
     spec, depth = _EDGE_SPECS[name]
     want = _masked_search(spec, band, depth, xi)
     try:

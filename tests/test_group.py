@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import horoflow as hf
-from horoflow.group import Ball, _check_det, _split, ball_arrays, orbit_height
+from horoflow.group import DEDUP_TOL, Ball, _check_det, _split, ball_arrays, orbit_height
 from horoflow.halfplane import DET_TOL, _near_identity
 
 
@@ -114,7 +114,7 @@ def _scalar_ball(spec, depth):
         letters += [(k + 1, g), (-(k + 1), g.inverse())]
 
     def cell(m):
-        return tuple(round(x / spec.dedup_tol) for x in (m.a, m.b, m.c, m.d))
+        return tuple(round(x / DEDUP_TOL) for x in (m.a, m.b, m.c, m.d))
 
     seen = {cell(hf.Mobius.identity())}
     ball, frontier = [], [((), hf.Mobius.identity())]
@@ -255,44 +255,16 @@ def test_isometry_rows_are_memoized_and_read_only():
 @pytest.mark.parametrize("spec, depth", REFERENCE_BALLS.values(), ids=REFERENCE_BALLS.keys())
 def test_heights_at_infinity_and_their_order_are_memoized_and_read_only(spec, depth):
     ball = ball_arrays(spec, depth)
-    heights, order = ball.inf_heights, ball.inf_order
-    assert ball.inf_heights is heights and ball.inf_order is order
-    for arr in (heights, order):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    heights = ball.inf_heights
+    assert ball.inf_heights is heights
+    with pytest.raises(ValueError):
+        heights[0] = 0
     fresh = orbit_height(ball, hf.INFINITY)
     assert fresh.dtype == heights.dtype and fresh.tobytes() == heights.tobytes()
-    # an ascending permutation of the rows, ties in any order
-    assert order.dtype == np.intp and np.array_equal(np.sort(order), np.arange(len(ball)))
-    assert (heights[order][1:] >= heights[order][:-1]).all()
     # the public height pass still hands out a fresh array of the caller's own
     assert fresh.flags.writeable and fresh is not orbit_height(ball, hf.INFINITY)
     fresh[:] = -1.0
     assert heights.tobytes() == orbit_height(ball, hf.INFINITY).tobytes()
-
-
-_TIED_BALLS = {"gamma2": (GAMMA2, 10), "psl2z": (PSL2Z, 20)}
-
-
-@pytest.mark.parametrize("spec, depth", _TIED_BALLS.values(), ids=_TIED_BALLS.keys())
-def test_readers_of_the_height_order_take_its_ties_in_any_order(spec, depth, monkeypatch):
-    # the search sorts its slice back into row order, and orbit_heights does
-    # not read the order: both give what the stable order of the heights gives
-    ball = ball_arrays(spec, depth)
-    stable = np.argsort(ball.inf_heights, kind="stable")
-    assert (np.diff(ball.inf_heights[stable]) == 0.0).any()
-    bands = [(0.5, 2.0), (0.1, 10.0), (0.001, 1000.0)]
-
-    def outputs():
-        seqs = [hf.find_bounded_escaping_sequence(spec, band, depth, min_len=1)
-                for band in bands]
-        return seqs, hf.orbit_heights(spec, hf.INFINITY, depth).tobytes()
-
-    got = outputs()
-    stable.flags.writeable = False
-    monkeypatch.setitem(vars(ball), "inf_order", stable)
-    assert ball.inf_order is stable
-    assert outputs() == got
 
 
 def _subtracted_heights(ball, x):
@@ -325,7 +297,7 @@ def test_a_ball_dies_with_its_memo_entry():
     hf.orbit_heights(spec, hf.INFINITY)
     hf.run_dichotomy(spec, band=(0.1, 10.0))
     ref = weakref.ref(ball_arrays(spec))
-    assert {"isometry_rows", "inf_heights", "inf_order"} <= vars(ref()).keys()
+    assert {"isometry_rows", "inf_heights"} <= vars(ref()).keys()
     hf.group._cached_ball.cache_clear()
     gc.collect()
     assert ref() is None

@@ -35,16 +35,8 @@ def test_round_trip_preserves_spec(tmp_path, schottky_spec):
     hf.dump_group_spec(schottky_spec, p)
     back = hf.load_group_spec(p)
     assert back.max_word_length == schottky_spec.max_word_length
-    assert back.dedup_tol == schottky_spec.dedup_tol
     for g, h in zip(back.generators, schottky_spec.generators):
         assert (g.a, g.b, g.c, g.d) == (h.a, h.b, h.c, h.d)
-
-
-def test_round_trip_keeps_a_dedup_tol(tmp_path):
-    p = tmp_path / "group.json"
-    hf.dump_group_spec(hf.cyclic_parabolic(dedup_tol=1e-8), p)
-    assert json.loads(p.read_text())["dedup_tol"] == 1e-8
-    assert hf.load_group_spec(p).dedup_tol == 1e-8
 
 
 def test_family_entries_match_presets(tmp_path):
@@ -62,8 +54,8 @@ def test_family_entries_match_presets(tmp_path):
 def test_family_files_pass_their_spec_keys_to_the_preset(tmp_path):
     p = tmp_path / "f.json"
     p.write_text(json.dumps({"family": {"kind": "flute-truncated", "lengths": [2.0, 2.5]},
-                             "dedup_tol": 1e-8}))
-    assert hf.load_group_spec(p) == hf.truncated_flute((2.0, 2.5), dedup_tol=1e-8)
+                             "max_word_length": 4}))
+    assert hf.load_group_spec(p) == hf.truncated_flute((2.0, 2.5), max_word_length=4)
     p.write_text(json.dumps({"family": {"kind": "flute-truncated"}, "max_word_length": 3}))
     assert hf.load_group_spec(p) == hf.truncated_flute(max_word_length=3)
 
@@ -92,25 +84,14 @@ def test_non_finite_generator_entries_are_invalid_generators(tmp_path, entry):
         hf.load_group_spec(p)
 
 
-def test_non_finite_dedup_tol_is_rejected_by_name(tmp_path):
-    g = hf.Mobius(1.0, 1.0, 0.0, 1.0)
-    for tol in (math.inf, math.nan, 0.0, True, "1e-9", None):
-        with pytest.raises(hf.InvalidGenerator, match="dedup_tol"):
-            hf.GroupSpec((g,), dedup_tol=tol)
-    p = tmp_path / "g.json"
-    p.write_text('{"generators": [[1, 1, 0, 1]], "dedup_tol": Infinity}')
-    with pytest.raises(hf.InvalidGenerator, match="dedup_tol"):
-        hf.load_group_spec(p)
-
-
 @pytest.mark.parametrize("data", [
-    {"generators": [[1, 1, 0, 1]], "dedup_tol": True},
+    {"generators": [[1, 1, 0, 1]], "max_word_length": True},
     {"generators": [[True, 1, 0, True]]},
     {"generators": [[["1", 1], [0, 1]]]},
     {"family": {"kind": "flute-truncated", "lengths": "345"}},
     {"family": {"kind": "cyclic-parabolic", "shift": True}},
     {"family": {"kind": "cyclic-hyperbolic", "lambda": "9"}},
-], ids=["dedup_tol-true", "entries-true", "entry-str", "lengths-str", "shift-true",
+], ids=["max_word_length-true", "entries-true", "entry-str", "lengths-str", "shift-true",
         "lambda-str"])
 def test_group_file_numbers_are_json_numbers(data):
     with pytest.raises(hf.ParseError):
@@ -167,16 +148,23 @@ def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
     assert r.stderr.startswith(f"horoflow: error: {p}: ") and "Traceback" not in r.stderr
 
 
-def test_unknown_keys_of_mixed_types_are_a_parse_error():
+def test_unknown_keys_of_mixed_types_are_a_parse_error(tmp_path):
+    # the dedup grid is a constant: a file that sets it is refused
+    grid = {"generators": [[1, 1, 0, 1]], "dedup_tol": 1e-9}
     for data in ({"generators": [[1, 1, 0, 1]], 1: 2, "x": 3},
-                 {"family": {"kind": "cyclic-parabolic", 1: 2, "x": 3}}):
+                 {"family": {"kind": "cyclic-parabolic", 1: 2, "x": 3}}, grid):
         with pytest.raises(hf.ParseError, match="unknown"):
             hf.parse_group_spec(data)
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(grid))
+    r = _cli("classify", "--group", str(p), "--point", "0")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("horoflow: error: ") and "unknown keys" in r.stderr
 
 
 def test_spec_to_data_omits_default_dedup(parabolic_spec):
     data = spec_to_data(parabolic_spec)
-    assert "dedup_tol" not in data
+    assert set(data) == {"generators", "max_word_length"}
     assert data["generators"] == [[[1.0, 1.0], [0.0, 1.0]]]
 
 
@@ -203,7 +191,7 @@ _FAMILY = st.fixed_dictionaries(
                                             min_size=4, max_size=4), _JSON),
               "spin": _JSON})
 _OPTIONAL = {"max_word_length": st.one_of(st.integers(), _JSON),
-             "dedup_tol": st.one_of(_NUMBER, _JSON), "colour": _JSON}
+             "colour": _JSON}
 _SPEC = st.one_of(
     st.fixed_dictionaries({"generators": st.lists(_MATRIX, min_size=1, max_size=3)},
                           optional=_OPTIONAL),
@@ -217,7 +205,6 @@ _SPEC = st.one_of(
 @example(data={"generators": [[1, 1, 0, math.nan]]})
 @example(data={"generators": [[[math.inf, 0], [0, 1]]]})
 @example(data={"generators": [[10 ** 400, 0, 0, 1]]})
-@example(data={"generators": [[1, 1, 0, 1]], "dedup_tol": math.inf})
 @example(data={"family": {"kind": "cyclic-parabolic", "shift": 10 ** 400}})
 @example(data={"family": {"kind": "flute-truncated", "lengths": [1e300]}})
 def test_parse_group_spec_returns_a_spec_or_a_domain_error(data):
