@@ -125,6 +125,14 @@ def _ping_pong_disks(gens) -> tuple[tuple[float, float], ...] | None:
     line, in floats: center -+ radius of isometric_circle for a circle;
     lo = -inf or hi = inf for a half-plane, the strip centred on the span
     of the circles.
+
+    limits.classify_boundary_point walks the ball down these disks read as
+    isometric disks: its lemma bounds a row's subtree by the isometric disk
+    of the row's inverse, through the certificate disk of the row's last
+    letter, which must be that letter's isometric disk (or the strip's
+    half-plane for the translation). A certificate built from other circles,
+    such as the circles a schottky_pair generator pairs when their radii
+    differ, must keep that lemma true or prove it again.
     """
     ratios = [x.as_integer_ratio() for g in gens for x in (g.a, g.b, g.c, g.d)]
     unit = max(q for _, q in ratios)  # a power of two
@@ -245,7 +253,9 @@ class Ball(Sequence):
     and the read-only sequence of those elements: ``ball[i]`` builds row i's
     GroupElement, a slice a tuple of them.
 
-    Row i has coefficients (a[i], b[i], c[i], d[i]) (float64) and the word of
+    Row i has coefficients (a[i], b[i], c[i], d[i]) (float64; a, b, c, d
+    are the rows of one (4, n) array, so that a gather takes all four at
+    once) and the word of
     row parent[i] (the empty word for -1) followed by letter[i], a signed
     1-based generator index (+k for the k-th generator, -k for its inverse).
     ``word_lengths``, ``parent`` and ``letter`` are int32: a ball holds at most
@@ -255,17 +265,23 @@ class Ball(Sequence):
     elements equal up to sign on the DEDUP_TOL grid only the first is kept.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
+    _coef: np.ndarray = field(repr=False)
     word_lengths: np.ndarray
     parent: np.ndarray
     letter: np.ndarray
+    # the spec's ping-pong certificate when the ball was built under it
+    # without dedup, so that every reduced word is a row; else None
+    _certificate: tuple[tuple[float, float], ...] | None = field(default=None, repr=False)
+    a: np.ndarray = field(init=False)
+    b: np.ndarray = field(init=False)
+    c: np.ndarray = field(init=False)
+    d: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for arr in vars(self).values():
+        for arr in (self._coef, self.word_lengths, self.parent, self.letter):
             arr.flags.writeable = False
+        for name, row in zip("abcd", self._coef):
+            object.__setattr__(self, name, row)
 
     def __len__(self) -> int:
         return self.a.size
@@ -299,6 +315,29 @@ class Ball(Sequence):
         for arr in out:
             arr.flags.writeable = False
         return out
+
+    @functools.cached_property
+    def _level_starts(self) -> np.ndarray:
+        # the first row of each word length 1, 2, ..., top, then len(self)
+        lengths = self.word_lengths
+        top = int(lengths[-1]) if lengths.size else 0
+        return np.searchsorted(lengths, np.arange(1, top + 2, dtype=lengths.dtype))
+
+    @functools.cached_property
+    def _walk_tree(self) -> tuple[np.ndarray, list[np.ndarray]] | None:
+        # (_level_starts, fans) when limits' pruned walk applies, else None:
+        # the ball holds every reduced word of a certificate whose disks all
+        # leave i outside their interiors. A disk spanning (lo, hi) on the
+        # line does when 1 + lo hi >= 0 (|i - x|^2 - r^2 for its centre x
+        # and radius r), a half-plane when lo hi is +inf or, i on its edge,
+        # NaN. Then row r of length k has the n = 2 (generators) - 1
+        # children r n + fans[k - 1], in its order.
+        cert = self._certificate
+        if cert is None or any(lo * hi < -1.0 for lo, hi in cert):
+            return None
+        starts = self._level_starts
+        n = int(starts[1]) - 1
+        return starts, [np.arange(n) + off for off in (starts[1:-1] - starts[:-2] * n).tolist()]
 
     @functools.cached_property
     def inf_heights(self) -> np.ndarray:
@@ -395,7 +434,8 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
             break
         bounds.append(n)
     lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))[1:]
-    return Ball(*coef[:, 1:n].copy(), lengths, parent[1:n].copy(), letter[1:n].copy())
+    return Ball(coef[:, 1:n].copy(), lengths, parent[1:n].copy(), letter[1:n].copy(),
+                None if dedup else spec.certificate)
 
 
 @functools.lru_cache(maxsize=64)

@@ -14,12 +14,13 @@ element fixing the point settles the matter exactly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _check_real,
-                    ball_arrays, orbit_height)
+                    _split, ball_arrays, orbit_height)
 from .halfplane import GEOM_TOL, BoundaryPoint, Mobius, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
@@ -81,6 +82,115 @@ def _find_cluster(heights: np.ndarray) -> float | None:
     return None
 
 
+class _Walk:
+    """The heights at a finite xi of the rows of a certified ball that can
+    still matter, read down the word tree one length at a time.
+
+    Row w = (a, b, c, d) with c != 0 bounds every height of its subtree by
+    B_w = |c| / ((a - xi c)^2 - 1) when (a - xi c)^2 > 1 (the lemma of
+    classify_boundary_point). The walk reads the rows of lengths 1 and 2
+    whole, then the children of every row kept: a row is kept unless
+    2 B_w < T. T = the running sup S keeps every length's sup; T = min(S,
+    floor) also reads every height at or above floor, which the cluster
+    search needs. The walk takes the latter at a length whose rows leave the
+    sup flat and S where they raise it: a sup that rises to the last length
+    is the horocyclic verdict, which needs no cluster, and there floor would
+    read most of a lattice's ball. ``heights`` resumes from the rows
+    skipped under S alone.
+    """
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def __init__(self, ball, xi: BoundaryPoint, h0: float, floor: float):
+        starts, self.fans = ball._walk_tree
+        self.coef, self.floor, self.top = ball._coef, floor, starts.size - 1
+        self.head, self.tail = _split(xi.value)
+        self.sups = np.full(self.top, -np.inf)  # per length; -inf when every row was skipped
+        # the heights read; per length, the rows whose children were skipped
+        # under a T above floor
+        self.seen, self.skipped = [], {}
+        first = min(2, self.top)
+        lo, hi = int(starts[first - 1]), int(starts[first])
+        h, lhs, q, c = self._read(self.coef[:, :hi], lo)
+        self.sups[:first] = np.maximum.reduceat(h, starts[:first])
+        # s: the sup over lengths up to the frontier's length k; last: up to k - 1
+        last = max(h0, self.sups[0])
+        s = max(last, self.sups[first - 1])
+        rows = np.arange(lo, hi)
+        for k in range(first, self.top):
+            t = s if s > last else min(s, floor)
+            skip = self._skip(lhs, q, c, 0.5 * t)
+            if t > floor:
+                self.skipped[k] = (rows, lhs, q, skip)
+            rows = self._children(k, rows[~skip])
+            if not rows.size:
+                break
+            h, lhs, q, c = self._read(self.coef.take(rows, axis=1))
+            self.sups[k] = m = h.max()
+            last, s = s, max(s, m)
+
+    def _read(self, x, lo=0):
+        # the heights of the columns (a, b, c, d) of x, by _orbit_height's
+        # operations on the (c, d) and (a, b) pairs at once, so the same
+        # bits; and for the columns from lo on, |c|, q = (a - xi c)^2 - 1
+        # and c, so that 2 B_w < T reads |c| < q T / 2
+        p = x[2:] * -self.head
+        p += x[:2]
+        p += x[2:] * -self.tail
+        p *= p
+        h = p[0] + p[1]
+        np.divide(1.0, h, out=h)
+        np.fmax(h, 0.0, out=h)
+        self.seen.append(h)
+        q, c = p[0, lo:], x[2, lo:]
+        q -= 1.0
+        return h, np.abs(c), q, c
+
+    @staticmethod
+    def _skip(lhs, q, c, t):
+        # 2 B_w < T, with t = T / 2; a NaN, q <= 0 and c = 0 read False
+        skip = lhs < q * t
+        return np.logical_and(skip, c, out=skip)
+
+    def _children(self, k, rows):
+        # every reduced word is a row, its children contiguous in its order
+        fan = self.fans[k - 1]
+        return ((rows * fan.size)[:, None] + fan).ravel()
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def heights(self) -> np.ndarray:
+        """Every height read, once the skipped rows whose subtree can reach
+        the floor have been read down to the last length. Called once."""
+        t = 0.5 * self.floor
+        rows = np.zeros(0, dtype=np.intp)
+        for k in range(min(self.skipped, default=self.top), self.top):
+            if k in self.skipped:
+                skipped, lhs, q, skip = self.skipped[k]
+                skip &= lhs >= q * t  # the skipped rows whose subtree can reach floor
+                rows = np.concatenate((rows, skipped[skip]))
+            if rows.size:
+                rows = self._children(k, rows)
+                _, lhs, q, c = self._read(self.coef.take(rows, axis=1))
+                rows = rows[~self._skip(lhs, q, c, t)]
+        return np.concatenate(self.seen)
+
+
+def _fixing_row(ball, xi: BoundaryPoint, tol: float) -> int | None:
+    # the first parabolic row fixing xi, or None; one with c = 0 is
+    # z -> z + b, which fixes only infinity, though xi + b rounds to xi at
+    # a huge xi
+    rows = ball.isometry_rows[0]
+    if not rows.size:
+        return None
+    a, b, c, d = ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows]
+    images, at_inf = _boundary_images(a, b, c, d, xi)
+    if xi.is_infinity:
+        fixed = at_inf
+    else:
+        with np.errstate(over="ignore"):  # an image near the float range minus xi
+            fixed = (c != 0.0) & (np.abs(images - xi.value) <= tol)
+    return int(rows[fixed.argmax()]) if fixed.any() else None
+
+
 def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
                             tol: float = GEOM_TOL) -> LimitPointEvidence:
     """Finite-depth classification of a boundary point, in fixed test order.
@@ -94,6 +204,41 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     otherwise inconclusive (depth too shallow to judge growth, or growth that
     has not yet cleared the factor). An element fixes xi when |g(xi) - xi|
     <= tol; tol must be finite and non-negative.
+
+    The tests need the sup of the heights at each length and, for the
+    cluster, the heights at or above ACCUM_FLOOR. At a finite xi on a spec
+    with a ping-pong certificate (group._ping_pong_disks) whose disks all
+    leave i outside their interiors, they come from a walk down the word
+    tree that reads only the subtrees that can still reach them, with the
+    same result to the bit as a pass over every row. It rests on a lemma:
+    for a row w = (a, b, c, d) with c != 0, w(i) and the orbit point
+    w v(i) of every descendant lie in the closed disk
+    |z - a/c| <= sqrt(ad - bc)/|c|, the isometric disk I(w^-1). Proof
+    sketch, with l the last letter of w and D(l) its certificate disk:
+
+    * by ping-pong, v(i) lies outside the interior of D(l): each letter m
+      maps the outside of the interior of D(m) into D(m^-1), and the first
+      letter m of v is not l^-1, so v(i) lies in D(m^-1), whose interior
+      misses that of D(l) (v(i) = i for the empty v);
+    * by induction on the length, I(w) is in D(l): for w = u l, outside the
+      interior of D(l) |l'| <= 1 and l(z) lies in D(l^-1), outside the
+      interior of D(last letter of u), which holds I(u), so
+      |w'(z)| = |u'(l(z))| |l'(z)| <= 1. It holds as well when l is the
+      translation of Gamma(2), whose D is a half-plane and |l'| = 1.
+
+    So z = v(i) has |cz + d| >= sqrt(det), det = ad - bc, and
+    |w(z) - a/c| = det / (|c| |cz + d|) <= sqrt(det)/|c|. The height at xi
+    peaks on that disk at r / (delta^2 - r^2), delta = |a/c - xi| and r its
+    radius, so every height in the subtree is at most
+    B_w = |c| sqrt(det) / ((a - xi c)^2 - det) when (a - xi c)^2 > det. The
+    rows are group elements, det = 1 (the rounded ad - bc of a deep row
+    carries the rounding of ad and bc, so the walk takes 1), and a - xi c
+    is formed with orbit_height's split of xi. The walk reads a row's
+    children unless 2 B_w < T, T the sup so far or the floor; the factor 2
+    covers the rows' rounding. At infinity (which reads Ball.inf_heights),
+    on a spec without a certificate (PSL(2,Z) and other groups with
+    relations) and where i lies inside a certificate disk, every row's
+    height is computed.
     """
     xi = bp(xi)
     depth = _check_depth(spec, depth)
@@ -102,35 +247,33 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     tol = _check_real("tol", tol, 0.0)
     ball = ball_arrays(spec, depth)
     h0 = orbit_height(Mobius.identity(), xi)
-    heights = ball.inf_heights if xi.is_infinity else orbit_height(ball, xi)
+    fixing = _fixing_row(ball, xi, tol)
 
     # sups[k]: the sup over word lengths <= k, from the identity's height on.
     # Ball rows run by word length, and every length up to the longest word
     # has rows; past it (a finite group's ball ends before depth) the sup
     # stays put, so nothing here grows with the depth itself
-    lengths = ball.word_lengths
-    top = int(lengths[-1]) if lengths.size else 0
+    starts = ball._level_starts
+    if xi.is_infinity or ball._walk_tree is None:
+        walk = None
+        heights = ball.inf_heights if xi.is_infinity else orbit_height(ball, xi)
+        level_sups = np.maximum.reduceat(heights, starts[:-1]) if heights.size else []
+    else:
+        # the cluster search may need every height at or above the floor
+        floor = math.inf if fixing is not None or depth <= UNBOUNDED_RUN else ACCUM_FLOOR
+        walk = _Walk(ball, xi, h0, floor)
+        level_sups = walk.sups
+    top = starts.size - 1
     sups = np.empty(top + 1)
     sups[0] = h0
-    starts = np.searchsorted(lengths, np.arange(1, top + 1, dtype=lengths.dtype))
-    sups[1:] = np.maximum.reduceat(heights, starts)
+    sups[1:] = level_sups
     sups = np.maximum.accumulate(sups).tolist()
     sup_height = sups[-1]
 
-    # the first parabolic element fixing xi; one with c = 0 is z -> z + b,
-    # which fixes only infinity, though xi + b rounds to xi at a huge xi
     verdict, cluster, witness = LimitVerdict.INCONCLUSIVE, None, None
-    rows = ball.isometry_rows[0]
-    a, b, c, d = ball.a[rows], ball.b[rows], ball.c[rows], ball.d[rows]
-    images, at_inf = _boundary_images(a, b, c, d, xi)
-    if xi.is_infinity:
-        fixed = at_inf
-    else:
-        with np.errstate(over="ignore"):  # an image near the float range minus xi
-            fixed = (c != 0.0) & (np.abs(images - xi.value) <= tol)
-    if fixed.any():
+    if fixing is not None:
         verdict = LimitVerdict.PARABOLIC
-        witness = ball[rows[fixed.argmax()]]
+        witness = ball[fixing]
     elif depth >= UNBOUNDED_RUN + 1:
         # a sup that stops at a length below depth does not rise at its end
         if top == depth and all(sups[-j] > sups[-j - 1] for j in range(1, UNBOUNDED_RUN + 1)):
@@ -140,6 +283,8 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
             # no height reaches the floor when the sup does not; otherwise
             # only the few that do are joined to the identity's
             if sup_height >= ACCUM_FLOOR:
+                if walk is not None:
+                    heights = walk.heights()
                 cluster = _find_cluster(np.append(h0, heights[heights >= ACCUM_FLOOR]))
             verdict = (LimitVerdict.DISCRETE_EVIDENCE if cluster is None
                        else LimitVerdict.IRREGULAR_EVIDENCE)

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horoflow as hf
-from horoflow.group import Ball, ball_arrays, orbit_height
+from horoflow.group import ENUM_CAP, Ball, _build_ball, ball_arrays, orbit_height
 from horoflow.halfplane import GEOM_TOL
-from horoflow.limits import (UNBOUNDED_FACTOR, UNBOUNDED_RUN, LimitPointEvidence,
-                             LimitVerdict, _find_cluster)
+from horoflow.limits import (ACCUM_FLOOR, UNBOUNDED_FACTOR, UNBOUNDED_RUN, LimitPointEvidence,
+                             LimitVerdict, _find_cluster, _Walk)
 
 
 def test_orbit_heights_translation_orbit(parabolic_spec):
@@ -434,3 +434,156 @@ def test_a_depth_past_int32_reads_the_ball_it_ends_at(depth):
     with pytest.raises(hf.NoSequenceFound) as exc:
         hf.find_bounded_escaping_sequence(_ORDER3, (0.1, 10.0), depth)
     assert exc.value.found == 1
+
+
+# ---------------------------------------------------------------------------
+# the pruned walk at a finite point on a certified ball
+
+_BENCH_BALLS = {
+    "schottky": (hf.schottky_pair(max_word_length=10), 10),
+    "flute": (hf.truncated_flute(), 6),
+    "gamma2": (hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)),
+                            max_word_length=10), 10),
+}
+# certified, but the isometric disk of its first generator, (-3, 3), holds i
+_I_INSIDE = hf.schottky_pair(((-10.0, 3.0), (0.0, 3.0), (8.0, 0.5), (12.0, 0.5)))
+
+
+def _walk_points(name, spec):
+    rng = np.random.default_rng(24)
+    points = rng.uniform(-10.0, 10.0, 40).tolist()
+    if name == "gamma2":
+        points += sorted({p / q for q in range(1, 7) for p in range(-3 * q, 3 * q + 1)})
+    points += [math.sqrt(2.0) - 1.0, (math.sqrt(5.0) - 1.0) / 2.0, math.e - 2.0]
+    points += [x for disk in spec.certificate for x in disk if math.isfinite(x)]
+    return points + [0.0, 1.0, -1.0, 1e16, -1e16, 1e200, -1e200, -0.0]
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_BALLS))
+def test_classify_equals_reference_at_the_bench_depths(name):
+    # the hypothesis test above stops at depths 6, 4 and 8; the walk prunes
+    # most at the bench balls' depths. Beside the verdicts, which few rows
+    # can move, the walk's running sups and its heights at or above the
+    # floor must be the full pass's
+    spec, depth = _BENCH_BALLS[name]
+    ball = ball_arrays(spec, depth)
+    starts = ball._walk_tree[0]
+    for x in _walk_points(name, spec):
+        got = hf.classify_boundary_point(spec, x, depth=depth)
+        with np.errstate(over="ignore"):  # the reference's squares at 1e200
+            want = _reference_classify(spec, x, depth)
+        assert _bits(got) == _bits(want), x
+        xi = hf.bp(x)
+        h0 = orbit_height(hf.Mobius.identity(), xi)
+        walk = _Walk(ball, xi, h0, ACCUM_FLOOR)
+        full = orbit_height(ball, xi)
+        sups = np.maximum.accumulate(np.r_[h0, walk.sups])
+        assert np.array_equal(sups, np.maximum.accumulate(
+            np.r_[h0, np.maximum.reduceat(full, starts[:-1])])), x
+        read = walk.heights()
+        assert np.array_equal(np.sort(read[read >= ACCUM_FLOOR]),
+                              np.sort(full[full >= ACCUM_FLOOR])), x
+
+
+def _orbit_point(a, b, c, d):
+    # w(i) = ((ac + bd) + i) / (c^2 + d^2) for ad - bc = 1, as (x, y)
+    n = c * c + d * d
+    return (a * c + b * d) / n, 1 / n
+
+
+def _ancestors(ball, row):
+    while row >= 0:
+        yield row
+        row = int(ball.parent[row])
+
+
+def test_descendants_lie_in_their_ancestors_disks_exactly_on_gamma2():
+    # the lemma of the walk, in rationals: Gamma(2)'s rows are integers
+    ball = ball_arrays(_BENCH_BALLS["gamma2"][0], 5)
+    rows = [tuple(Fraction(v) for v in (ball.a[r], ball.b[r], ball.c[r], ball.d[r]))
+            for r in range(len(ball))]
+    checked = 0
+    for r, (a, b, c, d) in enumerate(rows):
+        assert a * d - b * c == 1
+        x, y = _orbit_point(a, b, c, d)
+        for w in _ancestors(ball, r):
+            aw, _, cw, _ = rows[w]
+            if cw != 0:
+                # |w v(i) - a/c|^2 <= det / c^2, det = 1
+                assert (x - aw / cw) ** 2 + y * y <= 1 / (cw * cw)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("name, depth", [("schottky", 5), ("flute", 4)])
+def test_descendants_lie_in_their_ancestors_disks(name, depth):
+    # the lemma in floats, to a relative margin of 1e-9 (the rows' rounding
+    # is about 1e-15 at these depths), and the sup of the height at xi over
+    # an ancestor's disk bounding its descendants' heights
+    ball = ball_arrays(_BENCH_BALLS[name][0], depth)
+    a, b, c, d = ball.a, ball.b, ball.c, ball.d
+    x, y = _orbit_point(a, b, c, d)
+    points = [hf.bp(v) for v in (-7.2, -2.36, 0.3, 5.15, 5.69, 8.24)]
+    heights = [orbit_height(ball, xi) for xi in points]
+    checked = 0
+    for r in range(len(ball)):
+        for w in _ancestors(ball, r):
+            det = a[w] * d[w] - b[w] * c[w]
+            assert (x[r] - a[w] / c[w]) ** 2 + y[r] ** 2 <= det / c[w] ** 2 * (1 + 1e-9)
+            for xi, h in zip(points, heights):
+                q = (a[w] - xi.value * c[w]) ** 2
+                if q > det:
+                    assert h[r] <= abs(c[w]) * math.sqrt(det) / (q - det) * (1 + 1e-9)
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_BALLS))
+def test_i_lies_outside_every_certificate_disk(name):
+    # the lemma's hypothesis, exactly: 1 + lo hi >= 0 for a circle spanning
+    # (lo, hi), and i off the open half-plane for a strip's side
+    spec, _ = _BENCH_BALLS[name]
+    for lo, hi in spec.certificate:
+        if math.isinf(lo):
+            assert hi <= 0.0
+        elif math.isinf(hi):
+            assert lo >= 0.0
+        else:
+            assert 1 + Fraction(lo) * Fraction(hi) >= 0
+
+
+def test_a_certificate_disk_holding_i_takes_the_full_pass():
+    assert (-3.0, 3.0) in _I_INSIDE.certificate
+    assert ball_arrays(_I_INSIDE, 6)._walk_tree is None
+    for x in _walk_points("i-inside", _I_INSIDE):
+        got = hf.classify_boundary_point(_I_INSIDE, x, depth=6)
+        with np.errstate(over="ignore"):
+            want = _reference_classify(_I_INSIDE, x, 6)
+        assert _bits(got) == _bits(want), x
+
+
+def test_only_a_certified_reduced_word_ball_is_walked():
+    # PSL(2,Z) has no certificate, and a certified spec's ball built with
+    # dedup is not known to hold every reduced word
+    assert ball_arrays(_PSL2Z)._walk_tree is None
+    spec, _ = _BENCH_BALLS["schottky"]
+    assert _build_ball(spec, 4, ENUM_CAP)._walk_tree is not None
+    assert _build_ball(spec, 4, ENUM_CAP, dedup=True)._walk_tree is None
+
+
+@pytest.mark.parametrize("name, x, floor, share", [
+    ("schottky", 5.150602, ACCUM_FLOOR, 0.02),
+    ("gamma2", -1.8, math.inf, 0.03),
+])
+def test_the_walk_reads_a_small_share_of_the_ball(name, x, floor, share):
+    # schottky at an ordinary point needs the cluster's rows (a discrete
+    # verdict with its sup above the floor); Gamma(2) at a cusp only the sups
+    spec, depth = _BENCH_BALLS[name]
+    ball = ball_arrays(spec, depth)
+    xi = hf.bp(x)
+    walk = _Walk(ball, xi, orbit_height(hf.Mobius.identity(), xi), floor)
+    assert walk.heights().size < share * len(ball)
+    ev = hf.classify_boundary_point(spec, x)
+    assert ev.verdict is (LimitVerdict.DISCRETE_EVIDENCE if name == "schottky"
+                          else LimitVerdict.PARABOLIC)
+    assert ev.sup_height >= ACCUM_FLOOR
