@@ -321,10 +321,12 @@ class Ball(Sequence):
         # the first row of each word length 1, 2, ..., top, then len(self)
         lengths = self.word_lengths
         top = int(lengths[-1]) if lengths.size else 0
-        return np.searchsorted(lengths, np.arange(1, top + 2, dtype=lengths.dtype))
+        starts = np.searchsorted(lengths, np.arange(1, top + 2, dtype=lengths.dtype))
+        starts.flags.writeable = False
+        return starts
 
     @functools.cached_property
-    def _walk_tree(self) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    def _walk_tree(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | None:
         # (_level_starts, fans) when limits' pruned walk applies, else None:
         # the ball holds every reduced word of a certificate whose disks all
         # leave i outside their interiors. A disk spanning (lo, hi) on the
@@ -337,7 +339,9 @@ class Ball(Sequence):
             return None
         starts = self._level_starts
         n = int(starts[1]) - 1
-        return starts, [np.arange(n) + off for off in (starts[1:-1] - starts[:-2] * n).tolist()]
+        fans = (starts[1:-1] - starts[:-2] * n)[:, None] + np.arange(n)
+        fans.flags.writeable = False
+        return starts, tuple(fans)
 
     @functools.cached_property
     def inf_heights(self) -> np.ndarray:
