@@ -31,7 +31,7 @@ from .flows import BASE_TANGENT, UnitTangent
 from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _check_int,
                     _check_real, _coefficients, _minus_xi, _split, ball_arrays, dedup_keys,
                     orbit_height)
-from .halfplane import INFINITY, BoundaryPoint, Mobius, apply_boundary, bp
+from .halfplane import _IDENTITY, INFINITY, BoundaryPoint, Mobius, apply_boundary, bp
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
 WINDOW = 5          # trailing terms that must sit below eps to settle
@@ -414,7 +414,7 @@ def test_recurrence(u: UnitTangent, seq, eps: float = EPS,
                     window: int = WINDOW) -> ConvergenceVerdict:
     """Return-time test with alpha = identity; recurrence evidence needs the
     settled value to be 0 within eps on top of convergence."""
-    return test_return_time(u, Mobius.identity(), seq, eps, window)
+    return test_return_time(u, _IDENTITY, seq, eps, window)
 
 
 # library functions, not tests, for pytest modules that import them

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBall, NegativeTime
-from .group import GroupSpec, _check_real, ball_arrays
-from .halfplane import INFINITY, POINT_I, BoundaryPoint, Mobius, PointH, apply, apply_boundary
+from .group import _ULP, GroupSpec, _check_real, ball_arrays
+from .halfplane import (_IDENTITY, INFINITY, POINT_I, BoundaryPoint, Mobius, PointH, apply,
+                        apply_boundary)
 
 TAIL_FRACTION = 0.25  # share of trailing samples feeding the liminf estimate
 
 _CHUNK_ROWS = 512  # rows per kernel slice; its temporaries stay in cache
-_SEED_ROWS = 512   # rows evaluated at every sample to bound its minimum
 _BLOCK = 8         # samples sharing one pruning threshold
-_ULP = float(np.finfo(float).eps)
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 MAX_SAMPLES = 2_000_000  # longest sample grid of a profile or an orbit table
 
@@ -78,7 +77,7 @@ class UnitTangent:
         return UnitTangent(m @ self.frame)
 
 
-BASE_TANGENT = UnitTangent(Mobius.identity())
+BASE_TANGENT = UnitTangent(_IDENTITY)
 
 
 def geodesic_flow(u: UnitTangent, t: float) -> UnitTangent:
@@ -129,12 +128,13 @@ class RayProfile:
     liminf_estimate: float
 
 
-def _ray_terms(ball, frame: Mobius):
-    """Per row g, (c_h, b_h, e_h = d_h - a_h) of h = adj(frame) g frame. On the
-    ray z = frame(i s), 4 sinh^2(dist(z, g z)/2) = (c_h s + b_h/s)^2 + e_h^2
-    exactly (Beardon, GTM 91); the kernel and both bounds read these only."""
+def _ray_terms(ball, frame: Mobius, rows=None):
+    """Per row g (every row, or those indexed by ``rows``), (c_h, b_h,
+    e_h = d_h - a_h) of h = adj(frame) g frame. On the ray z = frame(i s),
+    4 sinh^2(dist(z, g z)/2) = (c_h s + b_h/s)^2 + e_h^2 exactly (Beardon,
+    GTM 91); the kernel, ``_floor`` and ``_block_floor`` read these only."""
     p, q, r, s = frame.a, frame.b, frame.c, frame.d
-    a, b, c, d = ball.a, ball.b, ball.c, ball.d
+    a, b, c, d = ball._coef if rows is None else ball._coef.take(rows, axis=1)
     dma = d - a
     ch = (p * p) * c - (r * r) * b + (p * r) * dma
     bh = (s * s) * b - (q * q) * c - (q * s) * dma
@@ -177,33 +177,48 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     """Min over the ball of dist(z, g z), per sample z = frame(i s) of the ray,
     s increasing.
 
-    The rows with the smallest ``_floor`` give each sample an upper bound on
-    its minimum. Every other row is evaluated only on the blocks of samples
-    where both its bounds, ``_floor`` and ``_block_floor``, are at most twice
-    the block's largest upper bound; the factor leaves room for squares that
-    underflow, where the kernel's rounding is no longer relative. A pruned
-    row is larger than a kept one, so the min, an exact selection, is that
-    of the full scan bit for bit.
+    The seed rows of ``Ball.displacement_floor``, those of least frame-free
+    floor, give each sample an upper bound on its minimum. Of the other
+    rows, only those whose floor is at most twice the largest upper bound
+    get their ray terms, and only those whose ``_floor`` also is stay. When
+    they fit in one chunk they are evaluated at every sample in one call;
+    otherwise only on the blocks of samples where ``_block_floor`` too is
+    at most twice the block's largest upper bound. The factor leaves room
+    for the rounding of the ray terms and for squares that underflow, where
+    the kernel's rounding is no longer relative. A pruned row is larger
+    than a kept one, so the min, an exact selection, is that of the full
+    scan bit for bit.
+
+    The float32 floor meets a float64 bound: NumPy 2 (NEP 50) compares them
+    in float64, NumPy 1.24 (value-based casting) in float32, the bound
+    rounded to nearest. A float32 floor is above the bound's float32
+    rounding only when it is above the bound itself, so the latter rule
+    prunes no row the former keeps; a bound past float32's range is
+    compared in float64 or reads inf, which prunes nothing.
     """
-    ch, bh, eh = _ray_terms(ball, frame)
+    floor, seeds = ball.displacement_floor
+    best = _min_2sinh(s, *_ray_terms(ball, frame, seeds))
+    top = 2.0 * best.max()
+    # not (x > top) keeps the rows whose bound is NaN
+    near = ~(floor > top)
+    near[seeds] = False
+    ch, bh, eh = _ray_terms(ball, frame, np.flatnonzero(near))
     low = _floor(ch, bh, eh)
-    seed = np.argpartition(low, _SEED_ROWS)[:_SEED_ROWS] if low.size > _SEED_ROWS else slice(None)
-    best = _min_2sinh(s, ch[seed], bh[seed], eh[seed])
-    rest = np.ones(low.size, dtype=bool)
-    rest[seed] = False
-    # not (low > bound) keeps the rows whose bound is NaN
-    rows = np.nonzero(rest & ~(low > 2.0 * best.max()))[0]
+    rows = np.flatnonzero(~(low > top))
     low, ch, bh, eh = low[rows], ch[rows], bh[rows], eh[rows]
-    abs_ch, abs_bh = np.abs(ch), np.abs(bh)
-    for k in range(0, s.size, _BLOCK):
-        blk = slice(k, k + _BLOCK)
-        top = 2.0 * best[blk].max()
-        near = np.nonzero(~(low > top))[0]
-        bound = _block_floor(abs_ch[near], abs_bh[near], s[k], s[blk][-1])
-        keep = near[~(bound > top)]
-        for i in range(0, keep.size, _CHUNK_ROWS):
-            sl = keep[i:i + _CHUNK_ROWS]
-            best[blk] = np.minimum(best[blk], _min_2sinh(s[blk], ch[sl], bh[sl], eh[sl]))
+    if 0 < rows.size <= _CHUNK_ROWS:
+        best = np.minimum(best, _min_2sinh(s, ch, bh, eh))
+    elif rows.size:
+        abs_ch, abs_bh = np.abs(ch), np.abs(bh)
+        for k in range(0, s.size, _BLOCK):
+            blk = slice(k, k + _BLOCK)
+            top = 2.0 * best[blk].max()
+            near = np.nonzero(~(low > top))[0]
+            bound = _block_floor(abs_ch[near], abs_bh[near], s[k], s[blk][-1])
+            keep = near[~(bound > top)]
+            for i in range(0, keep.size, _CHUNK_ROWS):
+                sl = keep[i:i + _CHUNK_ROWS]
+                best[blk] = np.minimum(best[blk], _min_2sinh(s[blk], ch[sl], bh[sl], eh[sl]))
     # asinh is increasing, so it is taken once per sample, after the min
     return 2.0 * np.arcsinh(0.5 * best)
 

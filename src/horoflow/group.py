@@ -29,6 +29,8 @@ from .halfplane import (DET_TOL, INFINITY, SIGN_TOL, BoundaryPoint, Mobius, _che
 DEDUP_TOL = 1e-9      # rounding grid for element deduplication
 CLASS_TOL = 1e-9      # tolerance on |trace| - 2 for the isometry trichotomy
 ENUM_CAP = 2_000_000  # hard cap on enumerated elements
+_SEED_ROWS = 512      # rows of least displacement floor, for the injectivity kernel
+_ULP = float(np.finfo(float).eps)
 
 
 def _check_int(name: str, value, least: int) -> int:
@@ -350,6 +352,44 @@ class Ball(Sequence):
         h = orbit_height(self, INFINITY)
         h.flags.writeable = False
         return h
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow or NaN keeps its row
+    def displacement_floor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(floor, seeds): per row g, a float32 lower bound on
+        2 sinh(dist(z, g z)/2) over every z in H, and the _SEED_ROWS rows
+        (all of them on a smaller ball) where it is least. Computed once per
+        ball, as read-only arrays.
+
+        For h = F^-1 g F and any z = F(i s), 4 sinh^2(dist(z, g z)/2) =
+        (c_h s + b_h/s)^2 + e_h^2 >= e_h^2 + 4 c_h b_h = tr^2 - 4 det
+        = (d - a)^2 + 4 b c, a conjugation invariant that needs no det = 1.
+        Its float carries at most a few ulps of (d - a)^2 + 4 |b c|, so 16
+        of them come off it before the square root, and the float32 cast is
+        rounded toward 0: one past float32's range reads its largest value.
+        A row whose terms overflow reads NaN.
+        """
+        a, b, c, d = self._coef
+        q = d - a
+        q *= q
+        bc = b * c
+        bc *= 4.0
+        slack = np.abs(bc)
+        slack += q
+        slack *= 16.0 * _ULP
+        q += bc
+        q -= slack
+        np.maximum(q, 0.0, out=q)
+        np.sqrt(q, out=q)
+        low = q.astype(np.float32)
+        up = low > q  # compared in float64
+        low[up] = np.nextafter(low[up], np.float32(0.0))
+        # a copy, so that the ball keeps no view of the whole partition
+        seeds = np.argpartition(low, _SEED_ROWS)[:_SEED_ROWS].copy() if low.size > _SEED_ROWS \
+            else np.arange(low.size)
+        for arr in (low, seeds):
+            arr.flags.writeable = False
+        return low, seeds
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below

@@ -184,6 +184,9 @@ class Mobius:
         return _near_identity(self.a, self.b, self.c, self.d, tol)
 
 
+_IDENTITY = Mobius.identity()  # one shared value: each construction checks its det
+
+
 def _near_identity(a, b, c, d, tol: float):
     # with & rather than and: arrays of rows give a mask, floats a bool
     return (abs(a - 1.0) <= tol) & (abs(b) <= tol) & (abs(c) <= tol) & (abs(d - 1.0) <= tol)

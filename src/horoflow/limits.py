@@ -21,7 +21,7 @@ import numpy as np
 
 from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _check_real,
                     _split, ball_arrays, orbit_height)
-from .halfplane import GEOM_TOL, BoundaryPoint, Mobius, bp
+from .halfplane import _IDENTITY, GEOM_TOL, BoundaryPoint, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
 UNBOUNDED_RUN = 3        # consecutive strictly-increasing depth steps required
@@ -55,7 +55,7 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
     """
     xi = bp(xi)
     h = np.append(orbit_height(ball_arrays(spec, depth), xi),
-                  orbit_height(Mobius.identity(), xi))
+                  orbit_height(_IDENTITY, xi))
     h.sort()
     return h[::-1]
 
@@ -72,14 +72,17 @@ def _find_cluster(heights: np.ndarray) -> float | None:
     vals = np.sort(heights[heights >= ACCUM_FLOOR])
     if vals.size:  # its distinct values; np.unique would import numpy.ma
         vals = vals[np.r_[True, vals[1:] != vals[:-1]]]
-    if vals.size < ACCUM_COUNT:
+    n = vals.size - ACCUM_COUNT + 1
+    if n < 1:
         return None
-    for i in range(vals.size - ACCUM_COUNT + 1):
-        window = vals[i:i + ACCUM_COUNT]
-        level = float(window.mean())
-        if window[-1] - window[0] <= ACCUM_WINDOW * level:
-            return level
-    return None
+    # every window's mean at once, with the floats of np.mean on one window:
+    # an add-reduce of fewer than 8 values sums them left to right
+    level = vals[:n] + vals[1:n + 1]
+    for j in range(2, ACCUM_COUNT):
+        level += vals[j:j + n]
+    level /= ACCUM_COUNT
+    hit = vals[ACCUM_COUNT - 1:] - vals[:n] <= ACCUM_WINDOW * level
+    return float(level[hit.argmax()]) if hit.any() else None
 
 
 class _Walk:
@@ -246,7 +249,7 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
         raise ValueError(f"depth must be at least 1, got {depth}")
     tol = _check_real("tol", tol, 0.0)
     ball = ball_arrays(spec, depth)
-    h0 = orbit_height(Mobius.identity(), xi)
+    h0 = orbit_height(_IDENTITY, xi)
     fixing = _fixing_row(ball, xi, tol)
 
     # sups[k]: the sup over word lengths <= k, from the identity's height on.

@@ -207,6 +207,18 @@ def _full_scan(ball, u, times):
     return 0.5 * (2.0 * np.arcsinh(x / 2.0))
 
 
+def _rows_left(ball, u, times):
+    # the rows the kernel evaluates besides the seeds: those whose cached
+    # floor and then whose _floor are at most twice the seeds' largest min
+    floor, seeds = ball.displacement_floor
+    s = np.exp(times)
+    top = 2.0 * hf.flows._min_2sinh(s, *hf.flows._ray_terms(ball, u.frame, seeds)).max()
+    near = ~(floor > top)
+    near[seeds] = False
+    low = hf.flows._floor(*hf.flows._ray_terms(ball, u.frame, np.flatnonzero(near)))
+    return int(np.count_nonzero(~(low > top)))
+
+
 @pytest.mark.parametrize("spec, depth", [
     (hf.schottky_pair(), 8), (hf.truncated_flute(), 5), (GAMMA2, 8), (PSL2Z, 14),
     (hf.schottky_pair(), 4),
@@ -216,10 +228,81 @@ def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sample
     if depth == 4:
         assert len(ball) < 512
     for u in _frames(rng, mobius_sampler):
-        for t_max, step in ((10.0, 0.1), (700.0, 350.0)):
+        # 121 samples at step 0.05: the last block of 8 is short
+        for t_max, step in ((10.0, 0.1), (6.0, 0.05), (700.0, 350.0)):
             prof = hf.injectivity_profile(spec, u, t_max=t_max, step=step, depth=depth)
             full = _full_scan(ball, u, prof.times)
             assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
+
+
+@pytest.mark.parametrize("spec, depth, one_call", [
+    (GAMMA2, 9, True), (hf.schottky_pair(), 8, False),
+], ids=["gamma2-one-call", "schottky-blocks"])
+def test_both_kernel_paths_are_bitwise_the_full_scan(spec, depth, one_call, rng,
+                                                     mobius_sampler):
+    # climbing rays leave a few Gamma(2) rows past both floors, which the
+    # kernel takes at every sample in one call, and thousands of schottky
+    # rows, which it takes block by block
+    ball = hf.ball_arrays(spec, depth)
+    for u in _frames(rng, mobius_sampler)[2:4]:
+        prof = hf.injectivity_profile(spec, u, t_max=10.0, step=0.5, depth=depth)
+        left = _rows_left(ball, u, prof.times)
+        assert (0 < left <= hf.flows._CHUNK_ROWS) if one_call else left > hf.flows._CHUNK_ROWS
+        full = _full_scan(ball, u, prof.times)
+        assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
+
+
+@pytest.mark.parametrize("spec, depth", [
+    (hf.truncated_flute(), 5), (hf.truncated_flute(), 6), (PSL2Z, 14), (hf.schottky_pair(), 8),
+], ids=["flute-d5", "flute-d6", "psl2z-elliptic", "schottky"])
+def test_displacement_floor_is_below_every_ray_floor(spec, depth, rng, mobius_sampler):
+    # the flute's deep rows drift from det 1 (up to 3.5e-7); the floor needs
+    # no det = 1, since (d - a)^2 + 4 bc = tr^2 - 4 det
+    ball = hf.ball_arrays(spec, depth)
+    floor, _ = ball.displacement_floor
+    for u in _frames(rng, mobius_sampler):
+        low = hf.flows._floor(*hf.flows._ray_terms(ball, u.frame))
+        assert np.all(floor <= low)
+
+
+def test_displacement_floor_is_read_only_and_cached(schottky_spec):
+    ball = hf.ball_arrays(schottky_spec, 6)
+    floor, seeds = cached = ball.displacement_floor
+    assert ball.displacement_floor is cached
+    assert floor.dtype == np.float32 and floor.shape == (len(ball),) and seeds.shape == (512,)
+    for arr in cached:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the seeds are the rows of least floor, kept without the whole partition
+    assert seeds.base is None
+    assert floor[seeds].max() <= np.delete(floor, seeds).min()
+
+
+def test_displacement_floor_past_the_float32_range(hyperbolic_spec):
+    # z -> 4z to the k-th power has d - a = 2^-k - 2^k: past k = 128 the
+    # floor leaves float32's range and reads its largest value; past
+    # k = 512, (d - a)^2 leaves float64's and the floor reads NaN, which
+    # keeps the row. Neither warns.
+    ball = hf.ball_arrays(hyperbolic_spec, 540)
+    floor, _ = ball.displacement_floor
+    exact = np.abs(ball.d - ball.a)
+    big = exact > np.finfo(np.float32).max
+    assert np.all(floor[big & np.isfinite(floor)] == np.finfo(np.float32).max)
+    assert np.all(np.isnan(floor) == (exact > math.sqrt(np.finfo(float).max)))
+    assert np.all(floor[~big] <= exact[~big])
+    prof = hf.injectivity_profile(hyperbolic_spec, t_max=10.0, step=0.5, depth=540)
+    full = _full_scan(ball, hf.BASE_TANGENT, prof.times)
+    assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
+
+
+def test_ray_terms_of_chosen_rows_are_those_of_the_whole_ball(schottky_spec, rng, mobius_sampler):
+    ball = hf.ball_arrays(schottky_spec, 6)
+    rows = np.sort(rng.choice(len(ball), 300, replace=False))
+    for u in _frames(rng, mobius_sampler):
+        whole = hf.flows._ray_terms(ball, u.frame)
+        for x, y in zip(hf.flows._ray_terms(ball, u.frame, rows), whole):
+            assert np.array_equal(x.view(np.int64), y[rows].view(np.int64))
 
 
 @pytest.mark.parametrize("spec, depth, u", [

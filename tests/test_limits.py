@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import horoflow as hf
 from horoflow.group import ENUM_CAP, Ball, _build_ball, ball_arrays, orbit_height
 from horoflow.halfplane import GEOM_TOL
-from horoflow.limits import (ACCUM_FLOOR, UNBOUNDED_FACTOR, UNBOUNDED_RUN, LimitPointEvidence,
-                             LimitVerdict, _find_cluster, _Walk)
+from horoflow.limits import (ACCUM_COUNT, ACCUM_FLOOR, ACCUM_WINDOW, UNBOUNDED_FACTOR,
+                             UNBOUNDED_RUN, LimitPointEvidence, LimitVerdict, _find_cluster,
+                             _Walk)
 
 
 def test_orbit_heights_translation_orbit(parabolic_spec):
@@ -300,6 +301,49 @@ def _reference_classify(spec, xi, depth):
         return LimitPointEvidence(xi, depth, sup_height, None, None,
                                   LimitVerdict.DISCRETE_EVIDENCE)
     return LimitPointEvidence(xi, depth, sup_height, None, None, LimitVerdict.INCONCLUSIVE)
+
+
+def _cluster_by_windows(heights):
+    # _find_cluster as one np.mean per window, in a Python loop
+    vals = np.sort(heights[heights >= ACCUM_FLOOR])
+    if vals.size:
+        vals = vals[np.r_[True, vals[1:] != vals[:-1]]]
+    for i in range(vals.size - ACCUM_COUNT + 1):
+        window = vals[i:i + ACCUM_COUNT]
+        level = float(window.mean())
+        if window[-1] - window[0] <= ACCUM_WINDOW * level:
+            return level
+    return None
+
+
+def test_cluster_means_are_those_of_np_mean_per_window(schottky_spec):
+    rng = np.random.default_rng(25)
+    cases = []
+    for _ in range(300):
+        # sorted values around a level, with gaps from 3e-5 to 3e-2 of it,
+        # so that the first cluster, if any, starts anywhere
+        n = int(rng.integers(ACCUM_COUNT, 400))
+        level = 10.0 ** rng.uniform(-3.5, 3.0)
+        gaps = 10.0 ** rng.uniform(-4.5, -1.5, n)
+        cases.append(level * (1.0 + np.cumsum(gaps)))
+    for _ in range(100):  # ties, in shuffled order
+        v = np.repeat(10.0 ** rng.uniform(-3.0, 1.0) * (1.0 + np.cumsum(
+            10.0 ** rng.uniform(-6.0, -3.0, int(rng.integers(2, 40))))),
+            rng.integers(1, 4, 1)[0])
+        cases.append(rng.permutation(v))
+    cases += [np.full(k, 0.5) for k in range(8)]  # fewer than ACCUM_COUNT distinct values
+    cases += [np.linspace(1.0, 1.0001, k) for k in range(ACCUM_COUNT)]
+    heights = hf.orbit_heights(schottky_spec, 2.5)
+    cases.append(heights[heights >= ACCUM_FLOOR])
+    assert cases[-1].size == 326
+    found = 0
+    for h in cases:
+        want, got = _cluster_by_windows(h), _find_cluster(h)
+        assert (got is None) == (want is None)
+        if want is not None:
+            found += 1
+            assert got.hex() == want.hex()
+    assert found > 100 and len(cases) - found > 50, found
 
 
 def _bits(ev):
