@@ -369,6 +369,9 @@ class Ball(Sequence):
         rounded toward 0: one past float32's range reads its largest value.
         A row whose terms overflow reads NaN.
         """
+        # allocated before its temporaries, so that what the ball keeps
+        # does not sit in the heap above the space they free
+        low = np.empty(len(self), dtype=np.float32)
         a, b, c, d = self._coef
         q = d - a
         q *= q
@@ -381,7 +384,7 @@ class Ball(Sequence):
         q -= slack
         np.maximum(q, 0.0, out=q)
         np.sqrt(q, out=q)
-        low = q.astype(np.float32)
+        low[...] = q
         up = low > q  # compared in float64
         low[up] = np.nextafter(low[up], np.float32(0.0))
         # a copy, so that the ball keeps no view of the whole partition
