@@ -19,8 +19,8 @@ from .halfplane import (_IDENTITY, INFINITY, POINT_I, BoundaryPoint, Mobius, Poi
 
 TAIL_FRACTION = 0.25  # share of trailing samples feeding the liminf estimate
 
-_CHUNK_ROWS = 512  # rows per kernel slice; its temporaries stay in cache
-_BLOCK = 8         # samples sharing one pruning threshold
+_CELLS = 1 << 16  # rows x samples per kernel call, so its temporaries stay bounded
+_BLOCK = 8        # fewest samples sharing one pruning threshold
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 MAX_SAMPLES = 2_000_000  # longest sample grid of a profile or an orbit table
 
@@ -172,6 +172,12 @@ def _block_floor(abs_ch, abs_bh, s0: float, s1: float) -> np.ndarray:
     return np.maximum(abs_ch * s0 - abs_bh / s0, abs_bh / s1 - abs_ch * s1)
 
 
+def _blocks(n: int, rows: int):
+    """Slices of n samples: about _CELLS cells over ``rows`` rows, at least _BLOCK samples."""
+    w = max(_BLOCK, _CELLS // max(rows, 1))
+    return (slice(k, k + w) for k in range(0, n, w))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a NaN bound keeps its row
 def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     """Min over the ball of dist(z, g z), per sample z = frame(i s) of the ray,
@@ -180,14 +186,14 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     The seed rows of ``Ball.displacement_floor``, those of least frame-free
     floor, give each sample an upper bound on its minimum. Of the other
     rows, only those whose floor is at most twice the largest upper bound
-    get their ray terms, and only those whose ``_floor`` also is stay. When
-    they fit in one chunk they are evaluated at every sample in one call;
-    otherwise only on the blocks of samples where ``_block_floor`` too is
+    get their ray terms, and only those whose ``_floor`` also is stay. Each
+    block of samples (``_blocks``: a few rows take the whole grid at once,
+    thousands _BLOCK samples) evaluates those whose ``_block_floor`` too is
     at most twice the block's largest upper bound. The factor leaves room
     for the rounding of the ray terms and for squares that underflow, where
     the kernel's rounding is no longer relative. A pruned row is larger
     than a kept one, so the min, an exact selection, is that of the full
-    scan bit for bit.
+    scan bit for bit. No call's temporaries grow with the samples.
 
     The float32 floor meets a float64 bound: NumPy 2 (NEP 50) compares them
     in float64, NumPy 1.24 (value-based casting) in float32, the bound
@@ -197,7 +203,10 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     compared in float64 or reads inf, which prunes nothing.
     """
     floor, seeds = ball.displacement_floor
-    best = _min_2sinh(s, *_ray_terms(ball, frame, seeds))
+    terms = _ray_terms(ball, frame, seeds)
+    best = np.empty_like(s)
+    for blk in _blocks(s.size, seeds.size):
+        best[blk] = _min_2sinh(s[blk], *terms)
     top = 2.0 * best.max()
     # not (x > top) keeps the rows whose bound is NaN
     near = ~(floor > top)
@@ -206,19 +215,14 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     low = _floor(ch, bh, eh)
     rows = np.flatnonzero(~(low > top))
     low, ch, bh, eh = low[rows], ch[rows], bh[rows], eh[rows]
-    if 0 < rows.size <= _CHUNK_ROWS:
-        best = np.minimum(best, _min_2sinh(s, ch, bh, eh))
-    elif rows.size:
-        abs_ch, abs_bh = np.abs(ch), np.abs(bh)
-        for k in range(0, s.size, _BLOCK):
-            blk = slice(k, k + _BLOCK)
-            top = 2.0 * best[blk].max()
-            near = np.nonzero(~(low > top))[0]
-            bound = _block_floor(abs_ch[near], abs_bh[near], s[k], s[blk][-1])
-            keep = near[~(bound > top)]
-            for i in range(0, keep.size, _CHUNK_ROWS):
-                sl = keep[i:i + _CHUNK_ROWS]
-                best[blk] = np.minimum(best[blk], _min_2sinh(s[blk], ch[sl], bh[sl], eh[sl]))
+    abs_ch, abs_bh = np.abs(ch), np.abs(bh)
+    for blk in _blocks(s.size, rows.size):
+        sb = s[blk]
+        top = 2.0 * best[blk].max()
+        near = np.flatnonzero(~(low > top))
+        keep = near[~(_block_floor(abs_ch[near], abs_bh[near], sb[0], sb[-1]) > top)]
+        if keep.size:  # the min over zero rows raises
+            best[blk] = np.minimum(best[blk], _min_2sinh(sb, ch[keep], bh[keep], eh[keep]))
     # asinh is increasing, so it is taken once per sample, after the min
     return 2.0 * np.arcsinh(0.5 * best)
 

@@ -661,12 +661,6 @@ def _polish_root(a: float, b: float, c: float, d: float, x: float) -> float:
     return x
 
 
-def check_elliptic_free(spec: GroupSpec, depth: int | None = None) -> list[GroupElement]:
-    """Elliptic elements found in the word ball; empty means none detected."""
-    ball = ball_arrays(spec, depth)
-    return [ball[i] for i in ball.isometry_rows[1].tolist()]
-
-
 def conjugate_spec(spec: GroupSpec, h: Mobius) -> GroupSpec:
     """The same group presented with every generator conjugated by h."""
     hinv = h.inverse()

@@ -1,6 +1,8 @@
 """Geodesic/horocycle flows on frames and the injectivity-radius profile."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,28 +230,63 @@ def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sample
     if depth == 4:
         assert len(ball) < 512
     for u in _frames(rng, mobius_sampler):
-        # 121 samples at step 0.05: the last block of 8 is short
-        for t_max, step in ((10.0, 0.1), (6.0, 0.05), (700.0, 350.0)):
+        # 121 samples at step 0.05: the last block of 8 is short; 667 at
+        # step 0.03 span several seed blocks, the last one short
+        for t_max, step in ((10.0, 0.1), (6.0, 0.05), (700.0, 350.0), (20.0, 0.03)):
             prof = hf.injectivity_profile(spec, u, t_max=t_max, step=step, depth=depth)
             full = _full_scan(ball, u, prof.times)
             assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
 
 
-@pytest.mark.parametrize("spec, depth, one_call", [
+@pytest.mark.parametrize("spec, depth, one_block", [
     (GAMMA2, 9, True), (hf.schottky_pair(), 8, False),
-], ids=["gamma2-one-call", "schottky-blocks"])
-def test_both_kernel_paths_are_bitwise_the_full_scan(spec, depth, one_call, rng,
+], ids=["gamma2-one-block", "schottky-blocks"])
+def test_both_kernel_paths_are_bitwise_the_full_scan(spec, depth, one_block, rng,
                                                      mobius_sampler):
-    # climbing rays leave a few Gamma(2) rows past both floors, which the
-    # kernel takes at every sample in one call, and thousands of schottky
-    # rows, which it takes block by block
+    # the kernel's blocks hold about _CELLS rows x samples: climbing rays
+    # leave a few Gamma(2) rows past both floors, which take the whole grid
+    # in one block, and thousands of schottky rows, which take _BLOCK
+    # samples at a time
     ball = hf.ball_arrays(spec, depth)
     for u in _frames(rng, mobius_sampler)[2:4]:
-        prof = hf.injectivity_profile(spec, u, t_max=10.0, step=0.5, depth=depth)
-        left = _rows_left(ball, u, prof.times)
-        assert (0 < left <= hf.flows._CHUNK_ROWS) if one_call else left > hf.flows._CHUNK_ROWS
-        full = _full_scan(ball, u, prof.times)
-        assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
+        for t_max, step in ((10.0, 0.5), (20.0, 0.03)):
+            prof = hf.injectivity_profile(spec, u, t_max=t_max, step=step, depth=depth)
+            left = _rows_left(ball, u, prof.times)
+            blocks = list(hf.flows._blocks(prof.times.size, left))
+            if one_block:
+                assert left > 0 and len(blocks) == 1
+            else:
+                assert all(b.stop - b.start == hf.flows._BLOCK for b in blocks)
+            full = _full_scan(ball, u, prof.times)
+            assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
+
+
+# peak RSS of a profile over a grid of argv[1] steps on [0, 10], in KiB on
+# Linux (bytes on macOS), after the ball, its floor and a first profile
+_RSS_CHILD = """
+import resource, sys
+import horoflow as hf
+spec = hf.schottky_pair()
+hf.ball_arrays(spec, 6).displacement_floor
+hf.injectivity_profile(spec, depth=6)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+prof = hf.injectivity_profile(spec, t_max=10.0, step=10.0 / int(sys.argv[1]), depth=6)
+print(prof.times.size, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_profile_memory_does_not_grow_with_the_rows_times_samples():
+    # the kernel's temporaries are bounded per block of samples, so a long
+    # grid costs only its own few arrays, under 50 bytes a sample; 512 seed
+    # rows taken over every sample at once would cost about 12 KB
+    pytest.importorskip("resource")
+    r = subprocess.run([sys.executable, "-c", _RSS_CHILD, "200000"],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    n, before, after = map(int, r.stdout.split())
+    assert n == 200_001
+    unit = 1 if sys.platform == "darwin" else 1024
+    assert (after - before) * unit < 1024 * n
 
 
 @pytest.mark.parametrize("spec, depth", [
@@ -315,7 +352,9 @@ def test_lower_bounds_hold_at_every_sample(spec, depth, u):
     s = np.exp(0.1 * np.arange(101))
     ch, bh, eh = hf.flows._ray_terms(ball, u.frame)
     low = hf.flows._floor(ch, bh, eh)
+    # the narrowest blocks, and one block over the whole grid
     blocks = [slice(k, k + hf.flows._BLOCK) for k in range(0, s.size, hf.flows._BLOCK)]
+    blocks.append(slice(0, s.size))
     bounds = [hf.flows._block_floor(np.abs(ch), np.abs(bh), s[blk][0], s[blk][-1])
               for blk in blocks]
     for i in range(len(ball)):

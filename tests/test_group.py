@@ -51,11 +51,11 @@ def test_a_numpy_integer_is_a_max_word_length():
 
 
 def test_elliptic_generator_is_constructible_but_flagged():
-    # Construction stays permissive; the dedicated scan reports the offenders.
-    spec = hf.GroupSpec((_rotation(0.4),), max_word_length=3)
-    words = [e.word for e in hf.check_elliptic_free(spec)]
+    # Construction stays permissive; the ball's elliptic rows report the offenders.
+    ball = ball_arrays(hf.GroupSpec((_rotation(0.4),), max_word_length=3))
+    words = [ball[i].word for i in ball.isometry_rows[1].tolist()]
     assert (1,) in words
-    assert hf.check_elliptic_free(hf.schottky_pair(), depth=4) == []
+    assert ball_arrays(hf.schottky_pair(), 4).isometry_rows[1].size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_elliptic_scan_matches_scalar_classification():
     # PSL(2,Z) has the elliptic S (order 2) and ST (order 3)
     ball = hf.enumerate_ball(PSL2Z, 6)
     want = [e for e in ball if hf.classify_isometry(e) is hf.IsometryClass.ELLIPTIC]
-    assert hf.check_elliptic_free(PSL2Z, 6) == want
+    assert [ball[i] for i in ball.isometry_rows[1].tolist()] == want
     assert (1,) in [e.word for e in want]
 
 
@@ -249,7 +249,7 @@ def test_isometry_rows_are_memoized_and_read_only():
     # 2 - tr = 2 - 2 cos(k 1e-3) lies in (1e-9, 1e-5] for k <= 3: elliptic
     # at the default tolerance
     spec = hf.GroupSpec((_rotation(1e-3),), max_word_length=3)
-    assert len(hf.check_elliptic_free(spec)) == 6
+    assert ball_arrays(spec).isometry_rows[1].size == 6
 
 
 @pytest.mark.parametrize("spec, depth", REFERENCE_BALLS.values(), ids=REFERENCE_BALLS.keys())
