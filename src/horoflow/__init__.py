@@ -37,10 +37,9 @@ _EXPORTS = {
     "flows": ("BASE_TANGENT", "RayProfile", "UnitTangent", "geodesic_flow",
               "horocycle_flow", "injectivity_profile", "orbit_points", "ray_point"),
     "group": ("Ball", "GroupElement", "GroupSpec", "IsometryClass", "ball_arrays",
-              "classify_isometry", "conjugate_spec", "cyclic_hyperbolic",
-              "cyclic_parabolic", "enumerate_ball", "fixed_points",
-              "hyperbolic_element", "isometric_circle", "schottky_pair",
-              "truncated_flute"),
+              "classify_isometry", "cyclic_hyperbolic", "cyclic_parabolic",
+              "enumerate_ball", "fixed_points", "hyperbolic_element",
+              "isometric_circle", "schottky_pair", "truncated_flute"),
     "groupio": ("dump_group_spec", "load_group_spec", "parse_group_spec"),
     "halfplane": ("INFINITY", "POINT_I", "BoundaryPoint", "Geodesic", "Horocycle",
                   "Mobius", "PointH", "angle_between", "apply", "apply_boundary",

@@ -21,6 +21,7 @@ from . import __version__
 from .errors import HoroflowError
 
 TOOL = "horoflow"
+_CSV_ROWS = 4096  # CSV rows formatted per write
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,21 @@ def dumps_17g(value, _indent: int = 0) -> str:
         inner = ",\n".join(pad + "  " + s for s in items)
         return "[\n" + inner + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _write_csv(out, header: str, *columns) -> None:
+    """Write ``header`` and one row per index of the float arrays, each value
+    at 17 significant digits, _CSV_ROWS rows at a time, each chunk formatted
+    by one % over its values: the text held at once stays bounded."""
+    n, width = len(columns[0]), len(columns)
+    row = ",".join(["%.17g"] * width) + "\n"
+    out.write(header + "\n")
+    for k in range(0, n, _CSV_ROWS):
+        m = min(_CSV_ROWS, n - k)
+        values = [0.0] * (m * width)
+        for j, col in enumerate(columns):
+            values[j::width] = col[k:k + m].tolist()
+        out.write(row * m % tuple(values))
 
 
 def _bp_data(p):
@@ -156,10 +172,7 @@ def _cmd_orbit(args, out) -> int:
     n = sample_count(args.end - args.start, args.step)
     times = args.start + args.step * np.arange(n)
     pts = orbit_points(BASE_TANGENT, args.flow, times)
-    lines = ["s_or_t,re,im"]
-    lines += ["%.17g,%.17g,%.17g" % row
-              for row in zip(times.tolist(), pts.real.tolist(), pts.imag.tolist())]
-    out.write("\n".join(lines) + "\n")
+    _write_csv(out, "s_or_t,re,im", times, pts.real, pts.imag)
     return 0
 
 
@@ -169,14 +182,11 @@ def _cmd_inj(args, out) -> int:
     spec = _load_spec(args)
     profile = injectivity_profile(spec, t_max=args.tmax, step=args.step,
                                   depth=args.depth)
-    lines = ["t,inj_estimate"]
-    lines += ["%.17g,%.17g" % row
-              for row in zip(profile.times.tolist(), profile.inj_estimates.tolist())]
-    out.write("\n".join(lines) + "\n")
+    _write_csv(out, "t,inj_estimate", profile.times, profile.inj_estimates)
     if args.out is not None:
         summary = _header("inj", {"group": args.group, "tmax": args.tmax,
                                   "step": args.step, "out": args.out})
-        summary["rows"] = len(lines) - 1
+        summary["rows"] = profile.times.size
         summary["liminf_estimate"] = profile.liminf_estimate
         sys.stdout.write(dumps_17g(summary) + "\n")
     return 0

@@ -172,6 +172,27 @@ def _block_floor(abs_ch, abs_bh, s0: float, s1: float) -> np.ndarray:
     return np.maximum(abs_ch * s0 - abs_bh / s0, abs_bh / s1 - abs_ch * s1)
 
 
+def _c_bound(s: np.ndarray, top: np.ndarray, frame: Mobius) -> np.ndarray:
+    """Per sample s, (T + sqrt(T^2 + 8)) / (2 Y) for T = ``top``, where
+    Y = s / (r^2 s^2 + w^2) is the height of z = frame(i s) and frame =
+    [[p, q], [r, w]]: a row whose |c| is above it has a kernel above T.
+
+    For a row g = (a, b, c, d) of det delta <= 2 and x = |c z + d| >= |c| Y,
+    the kernel is |c z^2 + (d - a) z - b| / Y = x |z - g z| / Y and
+    Im g z = delta Y / x^2, so it is at least x - delta / x >= x - 2 / x,
+    which increases with x and passes T once x > (T + sqrt(T^2 + 8)) / 2
+    (Beardon, GTM 91). A row with c = 0 is never above the bound.
+    ``_check_det`` admits a row of word length L with |delta - 1| <=
+    DET_TOL L max(1, |ad|, |bc|), below 1 while L max(|ad|, |bc|) < 1e12;
+    the presets' rows drift by at most 3.5e-7 (flute d6, row 3780). The
+    bound's few roundings, of positive terms, move it by a few ulps: where
+    T is large the kernel's factor 2 covers them, and where it is small
+    the margin (2 - delta) / x, about 1 / sqrt(2) for delta near 1, does.
+    """
+    half_inv_y = (0.5 * frame.c ** 2) * s + (0.5 * frame.d ** 2) / s
+    return (top + np.sqrt(top * top + 8.0)) * half_inv_y
+
+
 def _blocks(n: int, rows: int):
     """Slices of n samples: about _CELLS cells over ``rows`` rows, at least _BLOCK samples."""
     w = max(_BLOCK, _CELLS // max(rows, 1))
@@ -184,34 +205,44 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     s increasing.
 
     The seed rows of ``Ball.displacement_floor``, those of least frame-free
-    floor, give each sample an upper bound on its minimum. Of the other
-    rows, only those whose floor is at most twice the largest upper bound
-    get their ray terms, and only those whose ``_floor`` also is stay. Each
+    floor, give each sample an upper bound on its minimum; twice it is the
+    sample's threshold T. Two frame-free tests prune the other rows before
+    any is gathered: a floor above the largest T, and a |c| above the
+    largest ``_c_bound`` (a bound that is NaN, or below the normal range as
+    where Y overflows, prunes nothing). The rows left get their ray terms,
+    and those whose ``_floor`` also is at most the largest T stay. Each
     block of samples (``_blocks``: a few rows take the whole grid at once,
     thousands _BLOCK samples) evaluates those whose ``_block_floor`` too is
-    at most twice the block's largest upper bound. The factor leaves room
-    for the rounding of the ray terms and for squares that underflow, where
-    the kernel's rounding is no longer relative. A pruned row is larger
-    than a kept one, so the min, an exact selection, is that of the full
-    scan bit for bit. No call's temporaries grow with the samples.
+    at most the block's largest T. The factor 2 leaves room for the
+    rounding of the ray terms and for squares that underflow, where the
+    kernel's rounding is no longer relative. A pruned row is larger than a
+    kept one, so the min, an exact selection, is that of the full scan bit
+    for bit. No call's temporaries grow with the samples.
 
     The float32 floor meets a float64 bound: NumPy 2 (NEP 50) compares them
     in float64, NumPy 1.24 (value-based casting) in float32, the bound
     rounded to nearest. A float32 floor is above the bound's float32
     rounding only when it is above the bound itself, so the latter rule
     prunes no row the former keeps; a bound past float32's range is
-    compared in float64 or reads inf, which prunes nothing.
+    compared in float64 or reads inf, which prunes nothing. The |c| test
+    compares float64 with float64 under either rule.
     """
     floor, seeds = ball.displacement_floor
     terms = _ray_terms(ball, frame, seeds)
     best = np.empty_like(s)
     for blk in _blocks(s.size, seeds.size):
         best[blk] = _min_2sinh(s[blk], *terms)
-    top = 2.0 * best.max()
-    # not (x > top) keeps the rows whose bound is NaN
-    near = ~(floor > top)
-    near[seeds] = False
-    ch, bh, eh = _ray_terms(ball, frame, np.flatnonzero(near))
+    thresholds = 2.0 * best
+    c_max = _c_bound(s, thresholds, frame)
+    # below the normal range, its rounding is no longer relative
+    c_max = c_max.max() if c_max.min() >= _TINY else np.inf
+    top = thresholds.max()
+    # a NaN bound is not above top, so it keeps its row
+    far = floor > top
+    far |= ball.c > c_max
+    far |= ball.c < -c_max
+    far[seeds] = True
+    ch, bh, eh = _ray_terms(ball, frame, np.flatnonzero(~far))
     low = _floor(ch, bh, eh)
     rows = np.flatnonzero(~(low > top))
     low, ch, bh, eh = low[rows], ch[rows], bh[rows], eh[rows]

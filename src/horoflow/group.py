@@ -18,7 +18,7 @@ import functools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -659,12 +659,6 @@ def _polish_root(a: float, b: float, c: float, d: float, x: float) -> float:
             return x
         x -= step
     return x
-
-
-def conjugate_spec(spec: GroupSpec, h: Mobius) -> GroupSpec:
-    """The same group presented with every generator conjugated by h."""
-    hinv = h.inverse()
-    return replace(spec, generators=tuple(h @ g @ hinv for g in spec.generators))
 
 
 # ---------------------------------------------------------------------------

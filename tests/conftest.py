@@ -1,5 +1,6 @@
 """Shared fixtures: deterministic RNG and the shipped preset groups."""
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -61,6 +62,12 @@ def sample_mobius(rng, shear=3.0):
         @ hf.Mobius(e, 0.0, 0.0, 1.0 / e)
         @ hf.Mobius(ct, st, -st, ct)
     )
+
+
+def conjugate_spec(spec, h):
+    """The same group presented with every generator conjugated by h."""
+    hinv = h.inverse()
+    return dataclasses.replace(spec, generators=tuple(h @ g @ hinv for g in spec.generators))
 
 
 def sample_point(rng):

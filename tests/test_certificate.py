@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import horoflow as hf
 from horoflow.group import ENUM_CAP, _build_ball
 
+from conftest import conjugate_spec
+
 M = hf.Mobius
 ULP = 2.0 ** -52  # the gap from 1 to the next float
 GAMMA2 = hf.GroupSpec((M(1, 2, 0, 1), M(1, 0, 2, 1)))
@@ -79,9 +81,9 @@ def test_the_certificate_is_read_only_and_out_of_eq_hash_and_repr():
     with pytest.raises(TypeError):
         hf.GroupSpec(spec.generators, certificate=None)
     # replace derives it again from the new generators
-    conj = hf.conjugate_spec(spec, M(1.0, 0.25, 0.0, 1.0))
+    conj = conjugate_spec(spec, M(1.0, 0.25, 0.0, 1.0))
     assert np.allclose(conj.certificate, np.add(spec.certificate, 0.25), rtol=0, atol=1e-14)
-    assert hf.conjugate_spec(GAMMA2, M(0, -1, 1, 0)).certificate is not None
+    assert conjugate_spec(GAMMA2, M(0, -1, 1, 0)).certificate is not None
     assert dataclasses.replace(PSL2Z, max_word_length=3).certificate is None
 
 

@@ -15,6 +15,8 @@ from horoflow import dichotomy
 from horoflow.group import _boundary_images, _coefficients, ball_arrays, orbit_height
 from horoflow.halfplane import apply_boundary
 
+from conftest import conjugate_spec
+
 LN4 = math.log(4.0)
 
 
@@ -660,7 +662,7 @@ def _report_fields(r):
 def _conjugated_run(spec, u, band):
     # the path that conjugates the whole group and builds its ball
     h = hf.Mobius(0.0, -1.0, 1.0, -u.forward_endpoint().value)
-    return hf.run_dichotomy(hf.conjugate_spec(spec, h), u.transform(h), band=band)
+    return hf.run_dichotomy(conjugate_spec(spec, h), u.transform(h), band=band)
 
 
 def _hexed(value):

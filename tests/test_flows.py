@@ -209,16 +209,20 @@ def _full_scan(ball, u, times):
     return 0.5 * (2.0 * np.arcsinh(x / 2.0))
 
 
-def _rows_left(ball, u, times):
-    # the rows the kernel evaluates besides the seeds: those whose cached
-    # floor and then whose _floor are at most twice the seeds' largest min
+def _prefilter(ball, u, times):
+    # (gathered, left): the rows besides the seeds whose ray terms the kernel
+    # gathers, those whose cached floor is at most twice the seeds' largest
+    # min and whose |c| at most the largest _c_bound, and of those the rows
+    # whose _floor too is at most that
     floor, seeds = ball.displacement_floor
     s = np.exp(times)
-    top = 2.0 * hf.flows._min_2sinh(s, *hf.flows._ray_terms(ball, u.frame, seeds)).max()
-    near = ~(floor > top)
+    top = 2.0 * hf.flows._min_2sinh(s, *hf.flows._ray_terms(ball, u.frame, seeds))
+    bound = hf.flows._c_bound(s, top, u.frame)
+    c_max = bound.max() if bound.min() >= hf.flows._TINY else np.inf
+    near = ~(floor > top.max()) & ~(np.abs(ball.c) > c_max)
     near[seeds] = False
     low = hf.flows._floor(*hf.flows._ray_terms(ball, u.frame, np.flatnonzero(near)))
-    return int(np.count_nonzero(~(low > top)))
+    return int(np.count_nonzero(near)), int(np.count_nonzero(~(low > top.max())))
 
 
 @pytest.mark.parametrize("spec, depth", [
@@ -238,20 +242,23 @@ def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sample
             assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
 
 
-@pytest.mark.parametrize("spec, depth, one_block", [
-    (GAMMA2, 9, True), (hf.schottky_pair(), 8, False),
+@pytest.mark.parametrize("spec, depth, one_block, frames", [
+    (GAMMA2, 9, True, (2, 3)), (hf.schottky_pair(), 8, False, (1, 5)),
 ], ids=["gamma2-one-block", "schottky-blocks"])
-def test_both_kernel_paths_are_bitwise_the_full_scan(spec, depth, one_block, rng,
+def test_both_kernel_paths_are_bitwise_the_full_scan(spec, depth, one_block, frames, rng,
                                                      mobius_sampler):
     # the kernel's blocks hold about _CELLS rows x samples: climbing rays
-    # leave a few Gamma(2) rows past both floors, which take the whole grid
-    # in one block, and thousands of schottky rows, which take _BLOCK
-    # samples at a time
+    # leave a few Gamma(2) rows past the prefilter, which take the whole grid
+    # in one block; rays that end at a point of the limit set (the diving
+    # ray and a general SL2 frame) leave thousands of schottky rows, which
+    # take _BLOCK samples at a time, since their height tends to 0 and the
+    # |c| test drops few rows
     ball = hf.ball_arrays(spec, depth)
-    for u in _frames(rng, mobius_sampler)[2:4]:
+    every = _frames(rng, mobius_sampler)
+    for u in (every[i] for i in frames):
         for t_max, step in ((10.0, 0.5), (20.0, 0.03)):
             prof = hf.injectivity_profile(spec, u, t_max=t_max, step=step, depth=depth)
-            left = _rows_left(ball, u, prof.times)
+            _, left = _prefilter(ball, u, prof.times)
             blocks = list(hf.flows._blocks(prof.times.size, left))
             if one_block:
                 assert left > 0 and len(blocks) == 1
@@ -261,8 +268,25 @@ def test_both_kernel_paths_are_bitwise_the_full_scan(spec, depth, one_block, rng
             assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
 
 
+def test_climbing_rays_gather_under_one_percent_of_the_ball(rng, mobius_sampler):
+    # on a ray that climbs into a funnel of the schottky group the height Y
+    # grows, so the |c| test drops all but a few rows before any is
+    # gathered; the floor test alone keeps about 92% of the d8 ball
+    ball = hf.ball_arrays(hf.schottky_pair(), 8)
+    times = 0.1 * np.arange(101)
+    for u in _frames(rng, mobius_sampler)[2:4]:
+        gathered, left = _prefilter(ball, u, times)
+        assert gathered < 0.01 * len(ball)
+        prof = hf.injectivity_profile(hf.schottky_pair(), u, depth=8)
+        full = _full_scan(ball, u, prof.times)
+        assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
+
+
 # peak RSS of a profile over a grid of argv[1] steps on [0, 10], in KiB on
-# Linux (bytes on macOS), after the ball, its floor and a first profile
+# Linux (bytes on macOS), after the ball, its floor and a first profile. It
+# runs through _DRIVER: a process inherits the peak of the one it was
+# started from, and pytest's is above this child's own first peak
+_DRIVER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 _RSS_CHILD = """
 import resource, sys
 import horoflow as hf
@@ -277,10 +301,10 @@ print(prof.times.size, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrs
 
 def test_profile_memory_does_not_grow_with_the_rows_times_samples():
     # the kernel's temporaries are bounded per block of samples, so a long
-    # grid costs only its own few arrays, under 50 bytes a sample; 512 seed
+    # grid costs only its own few arrays, about 50 bytes a sample; 512 seed
     # rows taken over every sample at once would cost about 12 KB
     pytest.importorskip("resource")
-    r = subprocess.run([sys.executable, "-c", _RSS_CHILD, "200000"],
+    r = subprocess.run([sys.executable, "-c", _DRIVER, sys.executable, "-c", _RSS_CHILD, "200000"],
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
     n, before, after = map(int, r.stdout.split())
@@ -346,12 +370,16 @@ def test_ray_terms_of_chosen_rows_are_those_of_the_whole_ball(schottky_spec, rng
     (hf.truncated_flute(), 5, DIVING),
     (PSL2Z, 14, hf.UnitTangent(M(1.3, 0.4, -0.7, 0.5538461538461539))),
     (hf.schottky_pair(), 7, hf.UnitTangent(M(1.2, 1.9, 0.0, 1.0 / 1.2))),
-], ids=["flute-diving", "psl2z-general", "schottky-funnel"])
+    (GAMMA2, 7, hf.UnitTangent(M(0.9, -0.7, 0.0, 1.0 / 0.9))),
+], ids=["flute-diving", "psl2z-general", "schottky-funnel", "gamma2-climbing"])
 def test_lower_bounds_hold_at_every_sample(spec, depth, u):
     ball = hf.ball_arrays(spec, depth)
     s = np.exp(0.1 * np.arange(101))
     ch, bh, eh = hf.flows._ray_terms(ball, u.frame)
     low = hf.flows._floor(ch, bh, eh)
+    # Gamma(2)'s translations have c = 0, which no |c| bound drops
+    abs_c = np.abs(ball.c)
+    assert spec is not GAMMA2 or np.any(abs_c == 0.0)
     # the narrowest blocks, and one block over the whole grid
     blocks = [slice(k, k + hf.flows._BLOCK) for k in range(0, s.size, hf.flows._BLOCK)]
     blocks.append(slice(0, s.size))
@@ -361,6 +389,9 @@ def test_lower_bounds_hold_at_every_sample(spec, depth, u):
         row = slice(i, i + 1)  # the kernel's min over one row is its value
         values = hf.flows._min_2sinh(s, ch[row], bh[row], eh[row])
         assert np.all(low[i] <= values), i
+        # the |c| test drops a row only where its kernel is above T, so at
+        # T = the row's own kernel it keeps the row at every sample
+        assert np.all(abs_c[i] <= hf.flows._c_bound(s, values, u.frame)), i
         # where rounding is tightest: at the row's least value s = sqrt(b_h/c_h),
         # or just past the root s = sqrt(-b_h/c_h) of c_h s + b_h/s
         m = math.sqrt(abs(bh[i] / ch[i])) if ch[i] * bh[i] != 0.0 else 1.0

@@ -11,6 +11,8 @@ import horoflow as hf
 from horoflow.group import DEDUP_TOL, Ball, _check_det, _split, ball_arrays, orbit_height
 from horoflow.halfplane import DET_TOL, _near_identity
 
+from conftest import conjugate_spec
+
 
 def _rotation(theta):
     return hf.Mobius(math.cos(theta), math.sin(theta), -math.sin(theta), math.cos(theta))
@@ -164,7 +166,7 @@ def test_determinant_drift_is_allowed_per_letter():
     # PSL(2,Z) in non-integer coordinates: 20 rounded products drift det by
     # 2.6e-12, past DET_TOL, on exact products of valid generators.
     h = M(math.sqrt(3.0), 0.0, 0.0, 1.0 / math.sqrt(3.0)) @ M(1.0, 0.37, 0.0, 1.0)
-    spec = hf.conjugate_spec(PSL2Z, h)
+    spec = conjugate_spec(PSL2Z, h)
     ball = ball_arrays(spec, 20)
     assert len(ball) == len(ball_arrays(PSL2Z, 20))
     drift = np.abs(ball.a * ball.d - ball.b * ball.c - 1.0)
@@ -291,7 +293,7 @@ def test_heights_at_a_finite_point_are_the_subtractions_bit_for_bit(spec, depth)
 def test_a_ball_dies_with_its_memo_entry():
     # the isometry rows and the heights at infinity live on the ball, so a
     # query keeps no ball alive
-    spec = hf.conjugate_spec(hf.schottky_pair(max_word_length=4), hf.Mobius(1.0, 0.25, 0.0, 1.0))
+    spec = conjugate_spec(hf.schottky_pair(max_word_length=4), hf.Mobius(1.0, 0.25, 0.0, 1.0))
     hf.classify_boundary_point(spec, 0.37)
     hf.classify_boundary_point(spec, hf.INFINITY)
     hf.orbit_heights(spec, hf.INFINITY)
@@ -560,7 +562,7 @@ def test_presets_take_a_translation_or_dilation_by_1e300():
 
 def test_conjugate_spec_moves_the_whole_ball(schottky_spec, rng):
     h = hf.Mobius(1.0, 0.7, 0.0, 1.0) @ hf.Mobius(2.0, 0.0, 0.0, 0.5)
-    conj = hf.conjugate_spec(schottky_spec, h)
+    conj = conjugate_spec(schottky_spec, h)
     ball = hf.enumerate_ball(schottky_spec, 2)
     cball = hf.enumerate_ball(conj, 2)
     assert [e.word for e in cball] == [e.word for e in ball]

@@ -366,6 +366,40 @@ def test_cli_inj_writes_csv_and_summary(group_files, tmp_path):
     assert summary["liminf_estimate"] == pytest.approx(v, rel=1e-12)
 
 
+# peak RSS of two `horoflow inj` calls on the schottky file argv[1] at depth
+# 6, over the default grid and over 200,001 samples on [0, 10], in KiB on
+# Linux (bytes on macOS). They run as grandchildren of this test: a process
+# inherits the peak of the one it was started from, here the small driver
+# and not pytest
+_INJ_RSS_CHILD = """
+import resource, subprocess, sys
+peaks = []
+for step in ("0.1", "0.00005"):
+    subprocess.run([sys.executable, "-m", "horoflow.cli", "inj", "--group", sys.argv[1],
+                    "--depth", "6", "--step", step, "--out", sys.argv[2]],
+                   stdout=subprocess.DEVNULL, check=True)
+    peaks.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(*peaks)
+"""
+
+
+def test_cli_inj_memory_grows_by_under_100_bytes_a_sample(group_files, tmp_path):
+    # the CSV is formatted in chunks of rows, so past the profile's own few
+    # arrays a long grid holds no text for every row at once (one string per
+    # row, then their join, took about 210 bytes a sample)
+    pytest.importorskip("resource")
+    out = tmp_path / "prof.csv"
+    r = subprocess.run([sys.executable, "-c", _INJ_RSS_CHILD, group_files["schottky"], str(out)],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    short, long = map(int, r.stdout.split())
+    n = 200_001
+    with out.open() as fh:
+        assert sum(1 for _ in fh) == n + 1
+    unit = 1 if sys.platform == "darwin" else 1024
+    assert (long - short) * unit < 100 * n
+
+
 def test_cli_diagnose_verdicts(group_files):
     r = _cli("diagnose", "--group", group_files["parabolic"])
     assert r.returncode == 0

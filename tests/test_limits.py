@@ -17,6 +17,8 @@ from horoflow.limits import (ACCUM_COUNT, ACCUM_FLOOR, ACCUM_WINDOW, UNBOUNDED_F
                              UNBOUNDED_RUN, LimitPointEvidence, LimitVerdict, _find_cluster,
                              _Walk)
 
+from conftest import conjugate_spec
+
 
 def test_orbit_heights_translation_orbit(parabolic_spec):
     # Translations fix every height at infinity; identity is included.
@@ -54,7 +56,7 @@ def test_far_points_raise_no_warning(schottky_spec):
 def test_orbit_heights_conjugation_scales_uniformly(hyperbolic_spec):
     # Moving the base point rescales all heights by one derivative factor.
     h = hf.Mobius(1.0, 0.5, 0.0, 1.0) @ hf.Mobius(2.0, 0.0, 0.0, 0.5)
-    conj = hf.conjugate_spec(hyperbolic_spec, h)
+    conj = conjugate_spec(hyperbolic_spec, h)
     h1 = hf.orbit_heights(hyperbolic_spec, hf.INFINITY, depth=6)
     h2 = hf.orbit_heights(conj, hf.apply_boundary(h, hf.INFINITY), depth=6)
     assert np.allclose(h2 / h2[0], h1 / h1[0], rtol=1e-9)
