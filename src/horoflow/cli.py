@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -294,6 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-len", type=int, default=None, dest="min_len")
     p.set_defaults(func=_cmd_diagnose)
 
+    # argparse reads -1.5 but not -1e-3 or -inf as a value; no option here looks like one
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.I)
     return parser
 
 

@@ -128,13 +128,11 @@ def _ping_pong_disks(gens) -> tuple[tuple[float, float], ...] | None:
     lo = -inf or hi = inf for a half-plane, the strip centred on the span
     of the circles.
 
-    limits.classify_boundary_point walks the ball down these disks read as
-    isometric disks: its lemma bounds a row's subtree by the isometric disk
-    of the row's inverse, through the certificate disk of the row's last
-    letter, which must be that letter's isometric disk (or the strip's
-    half-plane for the translation). A certificate built from other circles,
-    such as the circles a schottky_pair generator pairs when their radii
-    differ, must keep that lemma true or prove it again.
+    The walk of limits.classify_boundary_point (see limits._walkable) reads
+    each disk as its letter's isometric disk, or the strip's half-plane for
+    the translation. A certificate built from other circles, such as those a
+    schottky_pair generator pairs when their radii differ, must prove the
+    walk's lemma again.
     """
     ratios = [x.as_integer_ratio() for g in gens for x in (g.a, g.b, g.c, g.d)]
     unit = max(q for _, q in ratios)  # a power of two
@@ -271,9 +269,6 @@ class Ball(Sequence):
     word_lengths: np.ndarray
     parent: np.ndarray
     letter: np.ndarray
-    # the spec's ping-pong certificate when the ball was built under it
-    # without dedup, so that every reduced word is a row; else None
-    _certificate: tuple[tuple[float, float], ...] | None = field(default=None, repr=False)
     a: np.ndarray = field(init=False)
     b: np.ndarray = field(init=False)
     c: np.ndarray = field(init=False)
@@ -328,24 +323,6 @@ class Ball(Sequence):
         return starts
 
     @functools.cached_property
-    def _walk_tree(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | None:
-        # (_level_starts, fans) when limits' pruned walk applies, else None:
-        # the ball holds every reduced word of a certificate whose disks all
-        # leave i outside their interiors. A disk spanning (lo, hi) on the
-        # line does when 1 + lo hi >= 0 (|i - x|^2 - r^2 for its centre x
-        # and radius r), a half-plane when lo hi is +inf or, i on its edge,
-        # NaN. Then row r of length k has the n = 2 (generators) - 1
-        # children r n + fans[k - 1], in its order.
-        cert = self._certificate
-        if cert is None or any(lo * hi < -1.0 for lo, hi in cert):
-            return None
-        starts = self._level_starts
-        n = int(starts[1]) - 1
-        fans = (starts[1:-1] - starts[:-2] * n)[:, None] + np.arange(n)
-        fans.flags.writeable = False
-        return starts, tuple(fans)
-
-    @functools.cached_property
     def inf_heights(self) -> np.ndarray:
         """height_inf(g(i)) per row, the floats of orbit_height(self,
         INFINITY). Computed once per ball, as a read-only array."""
@@ -396,16 +373,14 @@ class Ball(Sequence):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
-def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
-                dedup: bool | None = None) -> Ball:
+def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
     # Breadth-first, level by level, in slices of frontier rows: each row
     # times every letter but the one undoing its last letter, in row-major
     # order, so that rows come out in word order. Buffer row 0 is the identity;
     # a slice's products go after the kept rows, and its new ones move down.
-    # ``dedup`` defaults to a spec without a ping-pong certificate: under one,
+    # Only a spec without a ping-pong certificate is deduplicated: under one,
     # every product is a new element and is kept as it comes.
-    if dedup is None:
-        dedup = spec.certificate is None
+    dedup = spec.certificate is None
     gens = [m for g in spec.generators for m in (g, g.inverse())]
     ga, gb, gc, gd = _coefficients(gens)
     r = len(spec.generators)
@@ -481,8 +456,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int,
             break
         bounds.append(n)
     lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))[1:]
-    return Ball(coef[:, 1:n].copy(), lengths, parent[1:n].copy(), letter[1:n].copy(),
-                None if dedup else spec.certificate)
+    return Ball(coef[:, 1:n].copy(), lengths, parent[1:n].copy(), letter[1:n].copy())
 
 
 @functools.lru_cache(maxsize=64)

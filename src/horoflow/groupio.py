@@ -21,6 +21,7 @@ file round-trips to an equivalent explicit-generator file.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import InvalidGenerator, ParseError
 from .group import GroupSpec, cyclic_hyperbolic, cyclic_parabolic, schottky_pair, truncated_flute
@@ -53,8 +54,9 @@ def _parse_generator(m, where: str) -> Mobius:
     entries = [_number(v, f"{where}: a matrix entry") for v in m]
     try:
         return Mobius(*entries)
-    except ValueError as exc:
-        raise InvalidGenerator(f"{where}: {exc}; rescale the matrix yourself") from None
+    except ValueError as exc:  # a non-finite entry, or the determinant
+        hint = "; rescale the matrix yourself" if all(map(math.isfinite, entries)) else ""
+        raise InvalidGenerator(f"{where}: {exc}{hint}") from None
 
 
 # each family kind: its preset, and the preset argument of each file parameter

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _check_real,
-                    _split, ball_arrays, orbit_height)
+                    _minus_xi, _split, ball_arrays, orbit_height)
 from .halfplane import _IDENTITY, GEOM_TOL, BoundaryPoint, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
@@ -104,7 +104,10 @@ class _Walk:
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def __init__(self, ball, xi: BoundaryPoint, h0: float, floor: float):
-        starts, self.fans = ball._walk_tree
+        # row r of length k has the children r n + fans[k - 1], n = 2 (generators) - 1
+        starts = ball._level_starts
+        n = int(starts[1]) - 1
+        self.fans = (starts[1:-1] - starts[:-2] * n)[:, None] + np.arange(n)
         self.coef, self.floor, self.top = ball._coef, floor, starts.size - 1
         self.head, self.tail = _split(xi.value)
         self.sups = np.full(self.top, -np.inf)  # per length; -inf when every row was skipped
@@ -133,12 +136,10 @@ class _Walk:
 
     def _read(self, x, lo=0):
         # the heights of the columns (a, b, c, d) of x, by _orbit_height's
-        # operations on the (c, d) and (a, b) pairs at once, so the same
+        # operations on the (a, b) and (c, d) pairs at once, so the same
         # bits; and for the columns from lo on, |c|, q = (a - xi c)^2 - 1
         # and c, so that 2 B_w < T reads |c| < q T / 2
-        p = x[2:] * -self.head
-        p += x[:2]
-        p += x[2:] * -self.tail
+        p, _ = _minus_xi(x[:2], x[2:], self.head, self.tail)
         p *= p
         h = p[0] + p[1]
         np.divide(1.0, h, out=h)
@@ -192,6 +193,15 @@ def _fixing_row(ball, xi: BoundaryPoint, tol: float) -> int | None:
         with np.errstate(over="ignore"):  # an image near the float range minus xi
             fixed = (c != 0.0) & (np.abs(images - xi.value) <= tol)
     return int(rows[fixed.argmax()]) if fixed.any() else None
+
+
+def _walkable(spec: GroupSpec) -> bool:
+    # the lemma's hypotheses (below): a certificate, so that the ball holds
+    # every reduced word, whose disks all leave i outside. A disk spanning
+    # (lo, hi) does when 1 + lo hi >= 0 (|i - x|^2 - r^2, centre x, radius
+    # r), a half-plane when lo hi is +inf or, i on its edge, NaN
+    cert = spec.certificate
+    return cert is not None and not any(lo * hi < -1.0 for lo, hi in cert)
 
 
 def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
@@ -257,7 +267,7 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     # has rows; past it (a finite group's ball ends before depth) the sup
     # stays put, so nothing here grows with the depth itself
     starts = ball._level_starts
-    if xi.is_infinity or ball._walk_tree is None:
+    if xi.is_infinity or not _walkable(spec):
         walk = None
         heights = ball.inf_heights if xi.is_infinity else orbit_height(ball, xi)
         level_sups = np.maximum.reduceat(heights, starts[:-1]) if heights.size else []

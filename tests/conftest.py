@@ -3,6 +3,7 @@
 import dataclasses
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ def conjugate_spec(spec, h):
     """The same group presented with every generator conjugated by h."""
     hinv = h.inverse()
     return dataclasses.replace(spec, generators=tuple(h @ g @ hinv for g in spec.generators))
+
+
+def stand_in(spec, certificate=None):
+    """A stand-in for ``spec`` in group._build_ball, which reads only its
+    generators and its certificate: None takes the dedup path and () keeps
+    every reduced word, whatever certificate the spec itself carries."""
+    return SimpleNamespace(generators=spec.generators, certificate=certificate)
 
 
 def sample_point(rng):

@@ -68,20 +68,25 @@ def test_generator_matrices_accept_nested_and_flat(tmp_path):
 
 
 def test_non_unit_determinant_is_rejected_with_advice():
-    with pytest.raises(hf.InvalidGenerator, match="rescale"):
+    with pytest.raises(hf.InvalidGenerator) as exc:
         hf.parse_group_spec({"generators": [[2.0, 0.0, 0.0, 1.0]]})
+    assert str(exc.value) == ("generators[0]: matrix (2.0, 0.0, 0.0, 1.0) has det 2.0, not 1; "
+                              "rescale the matrix yourself")
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
 def test_non_finite_generator_entries_are_invalid_generators(tmp_path, entry):
-    for m in ([[entry, 0.0], [0.0, 1.0]], [1.0, entry, 0.0, 1.0]):
-        with pytest.raises(hf.InvalidGenerator, match="rescale"):
+    # named without the advice to rescale, which cannot mend them
+    for m, name in (([[entry, 0.0], [0.0, 1.0]], "a"), ([1.0, entry, 0.0, 1.0], "b")):
+        with pytest.raises(hf.InvalidGenerator) as exc:
             hf.parse_group_spec({"generators": [m]})
+        assert str(exc.value) == f"generators[0]: {name} must be finite, got {entry!r}"
     # json reads NaN and Infinity from a file
     p = tmp_path / "g.json"
     p.write_text(json.dumps({"generators": [[[entry, 0.0], [0.0, 1.0]]]}))
-    with pytest.raises(hf.InvalidGenerator, match="rescale"):
+    with pytest.raises(hf.InvalidGenerator) as exc:
         hf.load_group_spec(p)
+    assert str(exc.value) == f"generators[0]: a must be finite, got {entry!r}"
 
 
 @pytest.mark.parametrize("data", [
@@ -598,3 +603,41 @@ def test_cli_fuzzed_argv_exits_cleanly_and_deterministically(group_files, argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert _main(argv)[:2] == (code, out)
+
+
+# ---------------------------------------------------------------------------
+# option values that look like options
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["classify", "--group", "{schottky}", "--depth", "4", "--point", "-1e-3"], None),
+    (["classify", "--group", "{schottky}", "--depth", "4", "--point", "-2.5E+0"], None),
+    (["classify", "--group", "{parabolic}", "--point", "-inf"], "inf"),
+    (["orbit", "--flow", "geodesic", "--end", "1", "--start", "-1e-3"], None),
+    (["inj", "--group", "{parabolic}", "--tmax", "1", "--step", "-1e-1"], None),
+], ids=["point-exponent", "point-exponent-sign", "point-minus-inf", "orbit-start", "inj-step"])
+def test_cli_reads_a_negative_exponent_or_minus_inf_as_a_value(group_files, argv, same_as):
+    # argparse alone reads only plain negative decimals as values; the
+    # spaced and the = spelling must print the same bytes on every Python
+    argv = [a.format(**group_files) for a in argv]
+    spaced = _main(argv)
+    assert spaced == _main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"])
+    assert spaced[0] in (0, 1) and "expected one argument" not in spaced[2]
+    if same_as is not None:  # -inf is the point at infinity
+        assert spaced == _main(argv[:-1] + [same_as])
+        assert json.loads(spaced[1])["result"]["point"] == "inf"
+
+
+def test_cli_band_takes_negative_exponents(group_files):
+    code, _, err = _main(["diagnose", "--group", group_files["parabolic"],
+                          "--band", "-1e-3", "2"])
+    assert code == 1 and "got (-0.001, 2.0)" in err
+
+
+def test_cli_group_file_errors_advise_rescaling_for_the_determinant_only(group_files, tmp_path):
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps({"generators": [[[math.nan, 0.0], [0.0, 1.0]]]}))
+    for path, tail in ((nan, "a must be finite, got nan\n"),
+                       (group_files["bad"], "not 1; rescale the matrix yourself\n")):
+        code, out, err = _main(["classify", "--group", str(path), "--point", "0"])
+        assert (code, out) == (1, "") and err.endswith(tail), err

@@ -1,5 +1,6 @@
 """Orbit heights and finite-depth limit-point classification."""
 
+import collections
 import dataclasses
 import math
 import warnings
@@ -11,13 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horoflow as hf
-from horoflow.group import ENUM_CAP, Ball, _build_ball, ball_arrays, orbit_height
+from horoflow.group import Ball, ball_arrays, orbit_height
 from horoflow.halfplane import GEOM_TOL
 from horoflow.limits import (ACCUM_COUNT, ACCUM_FLOOR, ACCUM_WINDOW, UNBOUNDED_FACTOR,
                              UNBOUNDED_RUN, LimitPointEvidence, LimitVerdict, _find_cluster,
-                             _Walk)
+                             _Walk, _walkable)
 
-from conftest import conjugate_spec
+from conftest import conjugate_spec, stand_in
 
 
 def test_orbit_heights_translation_orbit(parabolic_spec):
@@ -513,7 +514,7 @@ def test_classify_equals_reference_at_the_bench_depths(name):
     # floor must be the full pass's
     spec, depth = _BENCH_BALLS[name]
     ball = ball_arrays(spec, depth)
-    starts = ball._walk_tree[0]
+    starts = ball._level_starts
     for x in _walk_points(name, spec):
         got = hf.classify_boundary_point(spec, x, depth=depth)
         with np.errstate(over="ignore"):  # the reference's squares at 1e200
@@ -589,6 +590,7 @@ def test_i_lies_outside_every_certificate_disk(name):
     # the lemma's hypothesis, exactly: 1 + lo hi >= 0 for a circle spanning
     # (lo, hi), and i off the open half-plane for a strip's side
     spec, _ = _BENCH_BALLS[name]
+    assert _walkable(spec)
     for lo, hi in spec.certificate:
         if math.isinf(lo):
             assert hi <= 0.0
@@ -600,7 +602,7 @@ def test_i_lies_outside_every_certificate_disk(name):
 
 def test_a_certificate_disk_holding_i_takes_the_full_pass():
     assert (-3.0, 3.0) in _I_INSIDE.certificate
-    assert ball_arrays(_I_INSIDE, 6)._walk_tree is None
+    assert not _walkable(_I_INSIDE)
     for x in _walk_points("i-inside", _I_INSIDE):
         got = hf.classify_boundary_point(_I_INSIDE, x, depth=6)
         with np.errstate(over="ignore"):
@@ -609,12 +611,26 @@ def test_a_certificate_disk_holding_i_takes_the_full_pass():
 
 
 def test_only_a_certified_reduced_word_ball_is_walked():
-    # PSL(2,Z) has no certificate, and a certified spec's ball built with
-    # dedup is not known to hold every reduced word
-    assert ball_arrays(_PSL2Z)._walk_tree is None
+    # PSL(2,Z) has no certificate, and the stand-in of a certified spec
+    # without one builds its ball with dedup, not known to hold every
+    # reduced word: the certificate that picks the build picks the walk
+    assert not _walkable(_PSL2Z)
     spec, _ = _BENCH_BALLS["schottky"]
-    assert _build_ball(spec, 4, ENUM_CAP)._walk_tree is not None
-    assert _build_ball(spec, 4, ENUM_CAP, dedup=True)._walk_tree is None
+    assert _walkable(spec) and not _walkable(stand_in(spec))
+
+
+@pytest.mark.parametrize("disk, walked", [
+    ((-1.0, 1.0), True),            # i on the circle: 1 + lo hi = 0
+    ((-1.0, 1.0 + 2.0 ** -52), False),
+    ((0.5, 2.0), True),
+    ((-math.inf, 0.0), True),       # i on the edge: lo hi is NaN
+    ((-math.inf, -1.0), True),      # lo hi = +inf
+    ((-math.inf, 0.5), False),      # lo hi = -inf: i inside
+    ((-0.5, math.inf), False),
+], ids=str)
+def test_walkable_reads_each_disk_against_i(disk, walked):
+    spec = stand_in(_BENCH_BALLS["gamma2"][0], certificate=((3.0, 4.0), disk))
+    assert _walkable(spec) is walked
 
 
 @pytest.mark.parametrize("name, x, floor, share", [
@@ -633,3 +649,43 @@ def test_the_walk_reads_a_small_share_of_the_ball(name, x, floor, share):
     assert ev.verdict is (LimitVerdict.DISCRETE_EVIDENCE if name == "schottky"
                           else LimitVerdict.PARABOLIC)
     assert ev.sup_height >= ACCUM_FLOOR
+
+
+# ---------------------------------------------------------------------------
+# off-limit-set points, labelled exactly by the certificate
+
+# g(x) for a row g of the given length and x at least 1.5 radii from the
+# centre of every certificate disk: x lies outside every disk, so g(x) is an
+# ordinary point, off the limit set, and its truth is discrete. These are
+# the verdicts of today's rules, the audit's table before any rule changes:
+# every irregular and horocyclic count is a false verdict, and on the flute
+# a point of length 6 is as deep as the ball, where the right verdict is
+# inconclusive.
+_OFF_LIMIT_SET_BEFORE = {
+    ("schottky", 3): {"discrete-evidence": 179, "irregular-evidence": 21},
+    ("schottky", 6): {"discrete-evidence": 143, "irregular-evidence": 57},
+    ("flute", 3): {"discrete-evidence": 200},
+    ("flute", 6): {"discrete-evidence": 8, "horocyclic-evidence": 192},
+}
+
+
+def _off_limit_set_points(spec, depth, length, n=200):
+    rng = np.random.default_rng(3)
+    ball = ball_arrays(spec, depth)
+    disks = [((lo + hi) / 2.0, (hi - lo) / 2.0) for lo, hi in spec.certificate]
+    rows = np.flatnonzero(ball.word_lengths == length)
+    for _ in range(n):
+        x = rng.uniform(-8.0, 8.0)
+        while not all(abs(x - centre) >= 1.5 * r for centre, r in disks):
+            x = rng.uniform(-8.0, 8.0)
+        yield hf.apply_boundary(ball[int(rng.choice(rows))].mobius, hf.bp(x))
+
+
+@pytest.mark.parametrize("name, length", list(_OFF_LIMIT_SET_BEFORE),
+                         ids=[f"{name}-{length}" for name, length in _OFF_LIMIT_SET_BEFORE])
+def test_off_limit_set_verdicts_before_the_rule_fix(name, length):
+    spec, depth = _BENCH_BALLS[name]
+    verdicts = collections.Counter(
+        hf.classify_boundary_point(spec, xi, depth).verdict.value
+        for xi in _off_limit_set_points(spec, depth, length))
+    assert dict(verdicts) == _OFF_LIMIT_SET_BEFORE[name, length]
