@@ -128,13 +128,14 @@ class RayProfile:
     liminf_estimate: float
 
 
-def _ray_terms(ball, frame: Mobius, rows=None):
-    """Per row g (every row, or those indexed by ``rows``), (c_h, b_h,
-    e_h = d_h - a_h) of h = adj(frame) g frame. On the ray z = frame(i s),
-    4 sinh^2(dist(z, g z)/2) = (c_h s + b_h/s)^2 + e_h^2 exactly (Beardon,
-    GTM 91); the kernel, ``_floor`` and ``_block_floor`` read these only."""
+def _ray_terms(coef: np.ndarray, frame: Mobius):
+    """Per column g = (a, b, c, d) of ``coef`` (a ball's (4, n) coefficients,
+    or a gathered copy), (c_h, b_h, e_h = d_h - a_h) of h = adj(frame) g
+    frame. On the ray z = frame(i s), 4 sinh^2(dist(z, g z)/2) =
+    (c_h s + b_h/s)^2 + e_h^2 exactly (Beardon, GTM 91); the kernel,
+    ``_floor`` and ``_block_floor`` read these only."""
     p, q, r, s = frame.a, frame.b, frame.c, frame.d
-    a, b, c, d = ball._coef if rows is None else ball._coef.take(rows, axis=1)
+    a, b, c, d = coef
     dma = d - a
     ch = (p * p) * c - (r * r) * b + (p * r) * dma
     bh = (s * s) * b - (q * q) * c - (q * s) * dma
@@ -199,21 +200,58 @@ def _blocks(n: int, rows: int):
     return (slice(k, k + w) for k in range(0, n, w))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a NaN or inf U prunes nothing
+def _seed_min(s: np.ndarray, ch, bh, eh) -> np.ndarray:
+    """``_min_2sinh`` over the seed rows, bit for bit, evaluating per chunk
+    of samples (``_blocks``) only the seeds that can be the minimum there.
+
+    On a block of _BLOCK samples s0 <= s <= s1, |c_h s + b_h/s| is largest
+    at an end: if its terms share a sign it is convex, and its rounding is
+    within a few relative ulps; if not, it is monotone, and so is its
+    rounding. So U, the least over the seeds of the larger kernel at the
+    block's first and last sample, bounds the block's minimum from above,
+    and a seed whose ray floor or block floor is above 2U is larger than
+    that minimum at every sample of the block. A seed is evaluated over a
+    chunk unless that holds on every block of it. A U that is NaN or inf,
+    or whose square is below the normal range (where the kernel's rounding
+    is no longer relative), prunes nothing.
+    """
+    best = np.empty_like(s)
+    low, e2 = _floor(ch, bh, eh), eh * eh
+    for blk in _blocks(s.size, ch.size):
+        sb = s[blk]
+        # (blocks, seeds), the seeds the inner axis: each block's first and last sample
+        s0 = sb[::_BLOCK, None]
+        s1 = np.append(sb[_BLOCK - 1::_BLOCK], sb[-1])[:s0.size, None]
+        p0, q0, p1, q1 = ch * s0, bh / s0, ch * s1, bh / s1
+        sq = (np.maximum(np.square(p0 + q0), np.square(p1 + q1)) + e2).min(axis=1, keepdims=True)
+        top = np.where((sq >= _TINY) & (sq < np.inf), 2.0 * np.sqrt(sq), np.inf)
+        # _block_floor's floats, as |c_h| s = |c_h s| and |b_h|/s = |b_h/s| exactly
+        bound = np.maximum(np.abs(p0) - np.abs(q0), np.abs(q1) - np.abs(p1))
+        keep = ~(np.maximum(bound, low) > top).all(axis=0)
+        best[blk] = _min_2sinh(sb, ch[keep], bh[keep], eh[keep])
+    return best
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a NaN bound keeps its row
 def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     """Min over the ball of dist(z, g z), per sample z = frame(i s) of the ray,
     s increasing.
 
     The seed rows of ``Ball.displacement_floor``, those of least frame-free
-    floor, give each sample an upper bound on its minimum; twice it is the
-    sample's threshold T. Two frame-free tests prune the other rows before
-    any is gathered: a floor above the largest T, and a |c| above the
-    largest ``_c_bound`` (a bound that is NaN, or below the normal range as
-    where Y overflows, prunes nothing). The rows left get their ray terms,
-    and those whose ``_floor`` also is at most the largest T stay. Each
-    block of samples (``_blocks``: a few rows take the whole grid at once,
-    thousands _BLOCK samples) evaluates those whose ``_block_floor`` too is
-    at most the block's largest T. The factor 2 leaves room for the
+    floor, give each sample an upper bound on its minimum (``_seed_min``,
+    from their stored coefficients); twice it is the sample's threshold T.
+    Two frame-free tests prune the other rows before any is gathered: a
+    floor above the largest T, and a |c| above the largest ``_c_bound`` (a
+    bound that is NaN, or below the normal range as where Y overflows,
+    prunes nothing). They read only the rows shorter than the first word
+    length whose least floor or least |c| over it and every longer length
+    fails them, since each row past it does too, and the |c| test runs
+    only if the largest |c| over the rows read is above its bound. The rows left get their ray terms, and those whose
+    ``_floor`` also is at most the largest T stay. Each block of samples
+    (``_blocks``: a few rows take the whole grid at once, thousands
+    _BLOCK samples) evaluates those whose ``_block_floor`` too is at most
+    the block's largest T. The factor 2 leaves room for the
     rounding of the ray terms and for squares that underflow, where the
     kernel's rounding is no longer relative. A pruned row is larger than a
     kept one, so the min, an exact selection, is that of the full scan bit
@@ -224,25 +262,29 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     rounded to nearest. A float32 floor is above the bound's float32
     rounding only when it is above the bound itself, so the latter rule
     prunes no row the former keeps; a bound past float32's range is
-    compared in float64 or reads inf, which prunes nothing. The |c| test
-    compares float64 with float64 under either rule.
+    compared in float64 or reads inf, which prunes nothing. The least
+    floors per length are float32 floors, compared the same way. The |c|
+    test compares float64 with float64 under either rule.
     """
-    floor, seeds = ball.displacement_floor
-    terms = _ray_terms(ball, frame, seeds)
-    best = np.empty_like(s)
-    for blk in _blocks(s.size, seeds.size):
-        best[blk] = _min_2sinh(s[blk], *terms)
+    floor, seeds, seed_coef, least_c, least_floor, most_c = ball.displacement_floor
+    best = _seed_min(s, *_ray_terms(seed_coef, frame))
     thresholds = 2.0 * best
     c_max = _c_bound(s, thresholds, frame)
     # below the normal range, its rounding is no longer relative
     c_max = c_max.max() if c_max.min() >= _TINY else np.inf
     top = thresholds.max()
-    # a NaN bound is not above top, so it keeps its row
-    far = floor > top
-    far |= ball.c > c_max
-    far |= ball.c < -c_max
-    far[seeds] = True
-    ch, bh, eh = _ray_terms(ball, frame, np.flatnonzero(~far))
+    # the rows of the first length whose least floor or |c| is above its
+    # bound, and of every longer one, are pruned as a whole; a NaN floor is
+    # not above top, so it keeps its row and its length
+    k = np.count_nonzero(~((least_floor > top) | (least_c > c_max)))
+    n = ball._level_starts[k]
+    far = floor[:n] > top
+    if k and c_max < most_c[k - 1]:  # else no row read has its |c| above it
+        c = ball.c[:n]
+        far |= c > c_max
+        far |= c < -c_max
+    far[seeds[:np.searchsorted(seeds, n)]] = True
+    ch, bh, eh = _ray_terms(ball._coef.take(np.flatnonzero(~far), axis=1), frame)
     low = _floor(ch, bh, eh)
     rows = np.flatnonzero(~(low > top))
     low, ch, bh, eh = low[rows], ch[rows], bh[rows], eh[rows]

@@ -332,11 +332,15 @@ class Ball(Sequence):
 
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")  # an overflow or NaN keeps its row
-    def displacement_floor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(floor, seeds): per row g, a float32 lower bound on
-        2 sinh(dist(z, g z)/2) over every z in H, and the _SEED_ROWS rows
-        (all of them on a smaller ball) where it is least. Computed once per
-        ball, as read-only arrays.
+    def displacement_floor(self) -> tuple[np.ndarray, ...]:
+        """(floor, seeds, seed_coef, least_c, least_floor, most_c): per row
+        g, a float32 lower bound on 2 sinh(dist(z, g z)/2) over every z in
+        H; the _SEED_ROWS rows (all of them on a smaller ball) where it is
+        least, in row order, and their coefficients as one contiguous
+        (4, seeds) copy; and per word length, the least |c| and the least
+        floor over the rows of that length and every longer one, and the
+        largest |c| over the rows of that length and every shorter one.
+        Computed once per ball, as read-only arrays.
 
         For h = F^-1 g F and any z = F(i s), 4 sinh^2(dist(z, g z)/2) =
         (c_h s + b_h/s)^2 + e_h^2 >= e_h^2 + 4 c_h b_h = tr^2 - 4 det
@@ -364,12 +368,18 @@ class Ball(Sequence):
         low[...] = q
         up = low > q  # compared in float64
         low[up] = np.nextafter(low[up], np.float32(0.0))
-        # a copy, so that the ball keeps no view of the whole partition
-        seeds = np.argpartition(low, _SEED_ROWS)[:_SEED_ROWS].copy() if low.size > _SEED_ROWS \
+        # in row order, and a copy, so that the ball keeps no view of the whole partition
+        seeds = np.sort(np.argpartition(low, _SEED_ROWS)[:_SEED_ROWS]) if low.size > _SEED_ROWS \
             else np.arange(low.size)
-        for arr in (low, seeds):
+        starts, abs_c = self._level_starts[:-1], np.abs(c)
+        # a NaN floor propagates to the minima of its length and every shorter one
+        least = [np.minimum.accumulate(np.minimum.reduceat(x, starts)[::-1])[::-1]
+                 for x in (abs_c, low)]
+        most_c = np.maximum.accumulate(np.maximum.reduceat(abs_c, starts))
+        out = (low, seeds, self._coef.take(seeds, axis=1), *least, most_c)
+        for arr in out:
             arr.flags.writeable = False
-        return low, seeds
+        return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked below

@@ -205,7 +205,7 @@ def _frames(rng, sampler):
 
 def _full_scan(ball, u, times):
     # the kernel over the whole ball, unpruned
-    x = hf.flows._min_2sinh(np.exp(times), *hf.flows._ray_terms(ball, u.frame))
+    x = hf.flows._min_2sinh(np.exp(times), *hf.flows._ray_terms(ball._coef, u.frame))
     return 0.5 * (2.0 * np.arcsinh(x / 2.0))
 
 
@@ -214,32 +214,114 @@ def _prefilter(ball, u, times):
     # gathers, those whose cached floor is at most twice the seeds' largest
     # min and whose |c| at most the largest _c_bound, and of those the rows
     # whose _floor too is at most that
-    floor, seeds = ball.displacement_floor
+    floor, seeds, seed_coef, *_ = ball.displacement_floor
     s = np.exp(times)
-    top = 2.0 * hf.flows._min_2sinh(s, *hf.flows._ray_terms(ball, u.frame, seeds))
+    top = 2.0 * hf.flows._min_2sinh(s, *hf.flows._ray_terms(seed_coef, u.frame))
     bound = hf.flows._c_bound(s, top, u.frame)
     c_max = bound.max() if bound.min() >= hf.flows._TINY else np.inf
     near = ~(floor > top.max()) & ~(np.abs(ball.c) > c_max)
     near[seeds] = False
-    low = hf.flows._floor(*hf.flows._ray_terms(ball, u.frame, np.flatnonzero(near)))
+    coef = ball._coef.take(np.flatnonzero(near), axis=1)
+    low = hf.flows._floor(*hf.flows._ray_terms(coef, u.frame))
     return int(np.count_nonzero(near)), int(np.count_nonzero(~(low > top.max())))
 
 
-@pytest.mark.parametrize("spec, depth", [
+_RAY_BALLS = pytest.mark.parametrize("spec, depth", [
     (hf.schottky_pair(), 8), (hf.truncated_flute(), 5), (GAMMA2, 8), (PSL2Z, 14),
     (hf.schottky_pair(), 4),
 ], ids=["schottky", "flute", "gamma2", "psl2z-elliptic", "below-seed-rows"])
+# 121 samples at step 0.05: the last block of 8 is short; 667 at step 0.03
+# span several seed chunks, the last one short
+_GRIDS = ((10.0, 0.1), (6.0, 0.05), (700.0, 350.0), (20.0, 0.03))
+
+
+@_RAY_BALLS
 def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sampler):
     ball = hf.ball_arrays(spec, depth)
     if depth == 4:
         assert len(ball) < 512
     for u in _frames(rng, mobius_sampler):
-        # 121 samples at step 0.05: the last block of 8 is short; 667 at
-        # step 0.03 span several seed blocks, the last one short
-        for t_max, step in ((10.0, 0.1), (6.0, 0.05), (700.0, 350.0), (20.0, 0.03)):
+        for t_max, step in _GRIDS:
             prof = hf.injectivity_profile(spec, u, t_max=t_max, step=step, depth=depth)
             full = _full_scan(ball, u, prof.times)
             assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
+
+
+def _seed_rule(s, ch, bh, eh):
+    # per chunk of samples, the seeds that _seed_min must evaluate: those
+    # whose ray floor and block floor are at most 2U on some block, U the
+    # least over the seeds of the larger kernel at the block's ends
+    low = hf.flows._floor(ch, bh, eh)
+    for blk in hf.flows._blocks(s.size, ch.size):
+        sb = s[blk]
+        starts = np.arange(0, sb.size, hf.flows._BLOCK)
+        s0 = sb[starts][:, None]
+        s1 = sb[np.minimum(starts + hf.flows._BLOCK, sb.size) - 1][:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = [(ch * x + bh / x) ** 2 + eh ** 2 for x in (s0, s1)]
+            sq = np.maximum(*ends).min(axis=1)
+            u = np.where((sq >= hf.flows._TINY) & np.isfinite(sq), np.sqrt(sq), np.inf)
+            bound = np.maximum(low, hf.flows._block_floor(np.abs(ch), np.abs(bh), s0, s1))
+            yield sb, ~np.all(bound > 2.0 * u[:, None], axis=0)
+
+
+@_RAY_BALLS
+def test_seed_step_is_bitwise_the_min_over_every_seed(spec, depth, rng, mobius_sampler,
+                                                      monkeypatch):
+    # _seed_min evaluates, per chunk, exactly the seeds that _seed_rule
+    # keeps, and its min is _min_2sinh's over all of them, bit for bit
+    _, _, seed_coef, *_ = hf.ball_arrays(spec, depth).displacement_floor
+    full_min = hf.flows._min_2sinh
+    calls = []
+    monkeypatch.setattr(hf.flows, "_min_2sinh",
+                        lambda s, *terms: calls.append((s, terms)) or full_min(s, *terms))
+    pruned = 0
+    for u in _frames(rng, mobius_sampler):
+        terms = hf.flows._ray_terms(seed_coef, u.frame)
+        for t_max, step in _GRIDS:
+            s = np.exp(step * np.arange(hf.flows.sample_count(t_max, step)))
+            calls.clear()
+            got = hf.flows._seed_min(s, *terms)
+            want = full_min(s, *terms)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            rule = list(_seed_rule(s, *terms))
+            assert len(calls) == len(rule)
+            for (sb, kept), (sr, keep) in zip(calls, rule):
+                assert np.array_equal(sb, sr)
+                for x, y in zip(kept, terms):
+                    assert np.array_equal(x, y[keep])
+                pruned += int(np.count_nonzero(~keep))
+    assert pruned > 0
+
+
+@_RAY_BALLS
+def test_cached_per_length_extremes_bound_their_rows(spec, depth):
+    ball = hf.ball_arrays(spec, depth)
+    floor, _, _, least_c, least_floor, most_c = ball.displacement_floor
+    starts = ball._level_starts
+    abs_c = np.abs(ball.c)
+    assert least_c.size == least_floor.size == most_c.size == starts.size - 1
+    assert starts.size - 1 == ball.word_lengths[-1]
+    for k, start in enumerate(starts[:-1]):
+        # the minima over the rows of length k + 1 and every longer one
+        assert np.all(abs_c[start:] >= least_c[k])
+        assert np.all(floor[start:] >= least_floor[k])
+        assert least_c[k] == abs_c[start:].min()
+        assert least_floor[k] == floor[start:].min()
+        # the largest |c| over the rows of length k + 1 and every shorter one
+        assert np.all(abs_c[:starts[k + 1]] <= most_c[k])
+        assert most_c[k] == abs_c[:starts[k + 1]].max()
+
+
+def test_deep_gamma2_base_ray_is_bitwise_the_full_scan():
+    # at t = 420 the squares of the c = 0 rows' kernel, e^-2t, underflow to
+    # 0: a seed-step U read from them would prune every seed
+    ball = hf.ball_arrays(GAMMA2, 10)
+    prof = hf.injectivity_profile(GAMMA2, t_max=420.0, step=1.0, depth=10)
+    assert prof.times.size == 421
+    full = np.concatenate([_full_scan(ball, hf.BASE_TANGENT, prof.times[k:k + 4])
+                           for k in range(0, prof.times.size, 4)])
+    assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))
 
 
 @pytest.mark.parametrize("spec, depth, one_block, frames", [
@@ -317,24 +399,28 @@ def test_displacement_floor_is_below_every_ray_floor(spec, depth, rng, mobius_sa
     # the flute's deep rows drift from det 1 (up to 3.5e-7); the floor needs
     # no det = 1, since (d - a)^2 + 4 bc = tr^2 - 4 det
     ball = hf.ball_arrays(spec, depth)
-    floor, _ = ball.displacement_floor
+    floor, *_ = ball.displacement_floor
     for u in _frames(rng, mobius_sampler):
-        low = hf.flows._floor(*hf.flows._ray_terms(ball, u.frame))
+        low = hf.flows._floor(*hf.flows._ray_terms(ball._coef, u.frame))
         assert np.all(floor <= low)
 
 
 def test_displacement_floor_is_read_only_and_cached(schottky_spec):
     ball = hf.ball_arrays(schottky_spec, 6)
-    floor, seeds = cached = ball.displacement_floor
+    floor, seeds, seed_coef, least_c, least_floor, most_c = cached = ball.displacement_floor
     assert ball.displacement_floor is cached
     assert floor.dtype == np.float32 and floor.shape == (len(ball),) and seeds.shape == (512,)
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
-    # the seeds are the rows of least floor, kept without the whole partition
-    assert seeds.base is None
+    # the seeds are the rows of least floor, in row order and kept without
+    # the whole partition, and their coefficients one contiguous copy
+    assert seeds.base is None and np.all(np.diff(seeds) > 0)
     assert floor[seeds].max() <= np.delete(floor, seeds).min()
+    assert seed_coef.flags.c_contiguous and np.array_equal(seed_coef, ball._coef[:, seeds])
+    assert least_c.shape == least_floor.shape == most_c.shape == (6,)
+    assert least_floor.dtype == np.float32
 
 
 def test_displacement_floor_past_the_float32_range(hyperbolic_spec):
@@ -343,7 +429,7 @@ def test_displacement_floor_past_the_float32_range(hyperbolic_spec):
     # k = 512, (d - a)^2 leaves float64's and the floor reads NaN, which
     # keeps the row. Neither warns.
     ball = hf.ball_arrays(hyperbolic_spec, 540)
-    floor, _ = ball.displacement_floor
+    floor, *_ = ball.displacement_floor
     exact = np.abs(ball.d - ball.a)
     big = exact > np.finfo(np.float32).max
     assert np.all(floor[big & np.isfinite(floor)] == np.finfo(np.float32).max)
@@ -358,8 +444,8 @@ def test_ray_terms_of_chosen_rows_are_those_of_the_whole_ball(schottky_spec, rng
     ball = hf.ball_arrays(schottky_spec, 6)
     rows = np.sort(rng.choice(len(ball), 300, replace=False))
     for u in _frames(rng, mobius_sampler):
-        whole = hf.flows._ray_terms(ball, u.frame)
-        for x, y in zip(hf.flows._ray_terms(ball, u.frame, rows), whole):
+        whole = hf.flows._ray_terms(ball._coef, u.frame)
+        for x, y in zip(hf.flows._ray_terms(ball._coef.take(rows, axis=1), u.frame), whole):
             assert np.array_equal(x.view(np.int64), y[rows].view(np.int64))
 
 
@@ -372,7 +458,7 @@ def test_ray_terms_of_chosen_rows_are_those_of_the_whole_ball(schottky_spec, rng
 def test_lower_bounds_hold_at_every_sample(spec, depth, u):
     ball = hf.ball_arrays(spec, depth)
     s = np.exp(0.1 * np.arange(101))
-    ch, bh, eh = hf.flows._ray_terms(ball, u.frame)
+    ch, bh, eh = hf.flows._ray_terms(ball._coef, u.frame)
     low = hf.flows._floor(ch, bh, eh)
     # Gamma(2)'s translations have c = 0, which no |c| bound drops
     abs_c = np.abs(ball.c)

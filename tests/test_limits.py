@@ -689,3 +689,31 @@ def test_off_limit_set_verdicts_before_the_rule_fix(name, length):
         hf.classify_boundary_point(spec, xi, depth).verdict.value
         for xi in _off_limit_set_points(spec, depth, length))
     assert dict(verdicts) == _OFF_LIMIT_SET_BEFORE[name, length]
+
+
+# Fixed points of hyperbolic rows: each is a conical limit point, so its
+# truth is horocyclic. Drawn from 2,000 rows chosen with rng seed 1, the
+# first 200 that are hyperbolic; on the flute 166 of them have length 6, as
+# deep as the ball. Today's verdicts, before any rule changes (each discrete
+# count is a false verdict):
+_FIXED_POINT_BEFORE = {
+    "schottky": {"horocyclic-evidence": 200},
+    "flute": {"horocyclic-evidence": 177, "discrete-evidence": 23},
+}
+
+
+def _hyperbolic_fixed_points(ball, n=200):
+    rng = np.random.default_rng(1)
+    rows = (ball[int(i)] for i in rng.choice(len(ball), 2000, replace=False))
+    hyperbolic = [g for g in rows if hf.classify_isometry(g) is hf.IsometryClass.HYPERBOLIC]
+    return [hf.fixed_points(g)[0] for g in hyperbolic[:n]]
+
+
+@pytest.mark.parametrize("name", list(_FIXED_POINT_BEFORE))
+def test_hyperbolic_fixed_point_verdicts_before_the_rule_fix(name):
+    spec, depth = _BENCH_BALLS[name]
+    points = _hyperbolic_fixed_points(ball_arrays(spec, depth))
+    assert len(points) == 200
+    verdicts = collections.Counter(
+        hf.classify_boundary_point(spec, xi, depth).verdict.value for xi in points)
+    assert dict(verdicts) == _FIXED_POINT_BEFORE[name]
