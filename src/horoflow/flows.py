@@ -247,13 +247,14 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     prunes nothing). They read only the rows shorter than the first word
     length whose least floor or least |c| over it and every longer length
     fails them, since each row past it does too, and the |c| test runs
-    only if the largest |c| over the rows read is above its bound. The rows left get their ray terms, and those whose
-    ``_floor`` also is at most the largest T stay. Each block of samples
-    (``_blocks``: a few rows take the whole grid at once, thousands
-    _BLOCK samples) evaluates those whose ``_block_floor`` too is at most
-    the block's largest T. The factor 2 leaves room for the
-    rounding of the ray terms and for squares that underflow, where the
-    kernel's rounding is no longer relative. A pruned row is larger than a
+    only if the largest |c| over the rows read is above its bound. The
+    rows left get their ray terms, and those whose ``_floor`` also is at
+    most the largest T stay. Each block of samples (``_blocks``: a few
+    rows take the whole grid at once, thousands _BLOCK samples) evaluates
+    those whose ``_block_floor`` too is at most the block's largest T. The
+    factor 2 leaves room for the rounding of the ray terms and for
+    squares that underflow, where the kernel's rounding is no longer
+    relative. A pruned row is larger than a
     kept one, so the min, an exact selection, is that of the full scan bit
     for bit. No call's temporaries grow with the samples.
 
