@@ -205,29 +205,31 @@ def _seed_min(s: np.ndarray, ch, bh, eh) -> np.ndarray:
     """``_min_2sinh`` over the seed rows, bit for bit, evaluating per chunk
     of samples (``_blocks``) only the seeds that can be the minimum there.
 
-    On a block of _BLOCK samples s0 <= s <= s1, |c_h s + b_h/s| is largest
-    at an end: if its terms share a sign it is convex, and its rounding is
-    within a few relative ulps; if not, it is monotone, and so is its
-    rounding. So U, the least over the seeds of the larger kernel at the
-    block's first and last sample, bounds the block's minimum from above,
-    and a seed whose ray floor or block floor is above 2U is larger than
-    that minimum at every sample of the block. A seed is evaluated over a
-    chunk unless that holds on every block of it. A U that is NaN or inf,
-    or whose square is below the normal range (where the kernel's rounding
-    is no longer relative), prunes nothing.
+    A block runs from every _BLOCK-th sample of a chunk to the next, or to
+    the chunk's last sample. On a block s0 <= s <= s1, |c_h s + b_h/s|
+    is largest at an end: if its terms share a sign it is convex, and its
+    rounding is within a few relative ulps; if not, it is monotone, and so
+    is its rounding. So U, the least over the seeds of the larger kernel
+    at the block's ends, bounds the block's minimum from above, and a seed
+    whose ray floor or block floor is above 2U is larger than that minimum
+    at every sample of the block. A seed is evaluated over a chunk unless
+    that holds on every block of it. A U that is NaN or inf, or whose
+    square is below the normal range (where the kernel's rounding is no
+    longer relative), prunes nothing.
     """
     best = np.empty_like(s)
     low, e2 = _floor(ch, bh, eh), eh * eh
     for blk in _blocks(s.size, ch.size):
         sb = s[blk]
-        # (blocks, seeds), the seeds the inner axis: each block's first and last sample
-        s0 = sb[::_BLOCK, None]
-        s1 = np.append(sb[_BLOCK - 1::_BLOCK], sb[-1])[:s0.size, None]
-        p0, q0, p1, q1 = ch * s0, bh / s0, ch * s1, bh / s1
-        sq = (np.maximum(np.square(p0 + q0), np.square(p1 + q1)) + e2).min(axis=1, keepdims=True)
+        # (ends, seeds), the seeds the inner axis: block k is ends k and k + 1
+        x = np.append(sb[::_BLOCK], sb[-1])[:, None]
+        p, q = ch * x, bh / x
+        end = np.square(p + q)
+        sq = (np.maximum(end[:-1], end[1:]) + e2).min(axis=1, keepdims=True)
         top = np.where((sq >= _TINY) & (sq < np.inf), 2.0 * np.sqrt(sq), np.inf)
         # _block_floor's floats, as |c_h| s = |c_h s| and |b_h|/s = |b_h/s| exactly
-        bound = np.maximum(np.abs(p0) - np.abs(q0), np.abs(q1) - np.abs(p1))
+        p, q = np.abs(p), np.abs(q)
+        bound = np.maximum(p[:-1] - q[:-1], q[1:] - p[1:])
         keep = ~(np.maximum(bound, low) > top).all(axis=0)
         best[blk] = _min_2sinh(sb, ch[keep], bh[keep], eh[keep])
     return best
@@ -246,28 +248,22 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     bound that is NaN, or below the normal range as where Y overflows,
     prunes nothing). They read only the rows shorter than the first word
     length whose least floor or least |c| over it and every longer length
-    fails them, since each row past it does too, and the |c| test runs
-    only if the largest |c| over the rows read is above its bound. The
-    rows left get their ray terms, and those whose ``_floor`` also is at
-    most the largest T stay. Each block of samples (``_blocks``: a few
-    rows take the whole grid at once, thousands _BLOCK samples) evaluates
-    those whose ``_block_floor`` too is at most the block's largest T. The
-    factor 2 leaves room for the rounding of the ray terms and for
-    squares that underflow, where the kernel's rounding is no longer
-    relative. A pruned row is larger than a
-    kept one, so the min, an exact selection, is that of the full scan bit
-    for bit. No call's temporaries grow with the samples.
-
-    The float32 floor meets a float64 bound: NumPy 2 (NEP 50) compares them
-    in float64, NumPy 1.24 (value-based casting) in float32, the bound
-    rounded to nearest. A float32 floor is above the bound's float32
-    rounding only when it is above the bound itself, so the latter rule
-    prunes no row the former keeps; a bound past float32's range is
-    compared in float64 or reads inf, which prunes nothing. The least
-    floors per length are float32 floors, compared the same way. The |c|
-    test compares float64 with float64 under either rule.
+    fails them, since each row past it does too. The rows left get their
+    ray terms, and those whose ``_floor`` also is at most the largest T
+    stay. Each block of samples (``_blocks``: a few rows take the whole
+    grid at once, thousands _BLOCK samples) evaluates those whose
+    ``_block_floor`` too is at most the block's largest T, there also at
+    most 2 (r m + r - 1/r) for the minimum m at the block before's last
+    sample s0 and r = s1/s0 at the block's last s1: dist(z, g z) moves by
+    at most 2 |d log s| along the ray, and 2 sinh(x + log r) <= 2 r sinh x
+    + r - 1/r. The factor 2 leaves room for a det up to 2 (the last term's
+    sqrt(det)), for the rounding of the ray terms and for squares that
+    underflow, where the kernel's rounding is no longer relative. A pruned
+    row is larger than a kept one, so the min, an exact selection, is that
+    of the full scan bit for bit. No call's temporaries grow with the
+    samples.
     """
-    floor, seeds, seed_coef, least_c, least_floor, most_c = ball.displacement_floor
+    floor, seeds, seed_coef, least_c, least_floor = ball.displacement_floor
     best = _seed_min(s, *_ray_terms(seed_coef, frame))
     thresholds = 2.0 * best
     c_max = _c_bound(s, thresholds, frame)
@@ -280,7 +276,7 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     k = np.count_nonzero(~((least_floor > top) | (least_c > c_max)))
     n = ball._level_starts[k]
     far = floor[:n] > top
-    if k and c_max < most_c[k - 1]:  # else no row read has its |c| above it
+    if c_max < np.inf:  # else no |c| is above it
         c = ball.c[:n]
         far |= c > c_max
         far |= c < -c_max
@@ -290,13 +286,17 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     rows = np.flatnonzero(~(low > top))
     low, ch, bh, eh = low[rows], ch[rows], bh[rows], eh[rows]
     abs_ch, abs_bh = np.abs(ch), np.abs(bh)
+    s0, m0 = s[0], np.inf  # the block before's last sample and minimum
     for blk in _blocks(s.size, rows.size):
         sb = s[blk]
-        top = 2.0 * best[blk].max()
+        s1 = sb[-1]
+        # the bound from the block before, r - 1/r as (s1 - s0)(s1 + s0)/(s0 s1)
+        top = 2.0 * min(best[blk].max(), m0 * (s1 / s0) + (s1 - s0) / s0 * ((s1 + s0) / s1))
         near = np.flatnonzero(~(low > top))
-        keep = near[~(_block_floor(abs_ch[near], abs_bh[near], sb[0], sb[-1]) > top)]
+        keep = near[~(_block_floor(abs_ch[near], abs_bh[near], sb[0], s1) > top)]
         if keep.size:  # the min over zero rows raises
             best[blk] = np.minimum(best[blk], _min_2sinh(sb, ch[keep], bh[keep], eh[keep]))
+        s0, m0 = s1, best[blk][-1]
     # asinh is increasing, so it is taken once per sample, after the min
     return 2.0 * np.arcsinh(0.5 * best)
 

@@ -333,50 +333,46 @@ class Ball(Sequence):
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")  # an overflow or NaN keeps its row
     def displacement_floor(self) -> tuple[np.ndarray, ...]:
-        """(floor, seeds, seed_coef, least_c, least_floor, most_c): per row
-        g, a float32 lower bound on 2 sinh(dist(z, g z)/2) over every z in
-        H; the _SEED_ROWS rows (all of them on a smaller ball) where it is
-        least, in row order, and their coefficients as one contiguous
-        (4, seeds) copy; and per word length, the least |c| and the least
-        floor over the rows of that length and every longer one, and the
-        largest |c| over the rows of that length and every shorter one.
-        Computed once per ball, as read-only arrays.
+        """(floor, seeds, seed_coef, least_c, least_floor): per row g, a
+        lower bound on 2 sinh(dist(z, g z)/2) over every z in H; the
+        _SEED_ROWS rows (all of them on a smaller ball) where it is least,
+        ties going to the lower row and NaN last, in row order, and their
+        coefficients as one contiguous (4, seeds) copy; and per word
+        length, the least |c| and the least floor over the rows of that
+        length and every longer one. Computed once per ball, as read-only
+        arrays.
 
         For h = F^-1 g F and any z = F(i s), 4 sinh^2(dist(z, g z)/2) =
         (c_h s + b_h/s)^2 + e_h^2 >= e_h^2 + 4 c_h b_h = tr^2 - 4 det
         = (d - a)^2 + 4 b c, a conjugation invariant that needs no det = 1.
         Its float carries at most a few ulps of (d - a)^2 + 4 |b c|, so 16
-        of them come off it before the square root, and the float32 cast is
-        rounded toward 0: one past float32's range reads its largest value.
-        A row whose terms overflow reads NaN.
+        of them come off it before the square root. A row whose terms
+        overflow reads NaN.
         """
-        # allocated before its temporaries, so that what the ball keeps
-        # does not sit in the heap above the space they free
-        low = np.empty(len(self), dtype=np.float32)
         a, b, c, d = self._coef
-        q = d - a
-        q *= q
+        # in place, so that what the ball keeps is allocated before its
+        # temporaries and does not sit in the heap above the space they free
+        low = d - a
+        low *= low
         bc = b * c
         bc *= 4.0
         slack = np.abs(bc)
-        slack += q
+        slack += low
         slack *= 16.0 * _ULP
-        q += bc
-        q -= slack
-        np.maximum(q, 0.0, out=q)
-        np.sqrt(q, out=q)
-        low[...] = q
-        up = low > q  # compared in float64
-        low[up] = np.nextafter(low[up], np.float32(0.0))
-        # in row order, and a copy, so that the ball keeps no view of the whole partition
-        seeds = np.sort(np.argpartition(low, _SEED_ROWS)[:_SEED_ROWS]) if low.size > _SEED_ROWS \
-            else np.arange(low.size)
+        low += bc
+        low -= slack
+        np.maximum(low, 0.0, out=low)
+        np.sqrt(low, out=low)
+        if low.size <= _SEED_ROWS:
+            seeds = np.arange(low.size)
+        else:  # the cut by a partition, then a stable sort of the rows at or below it
+            near = np.flatnonzero(~(low > np.partition(low, _SEED_ROWS - 1)[_SEED_ROWS - 1]))
+            seeds = np.sort(near[np.argsort(low[near], kind="stable")[:_SEED_ROWS]])
         starts, abs_c = self._level_starts[:-1], np.abs(c)
         # a NaN floor propagates to the minima of its length and every shorter one
         least = [np.minimum.accumulate(np.minimum.reduceat(x, starts)[::-1])[::-1]
                  for x in (abs_c, low)]
-        most_c = np.maximum.accumulate(np.maximum.reduceat(abs_c, starts))
-        out = (low, seeds, self._coef.take(seeds, axis=1), *least, most_c)
+        out = (low, seeds, self._coef.take(seeds, axis=1), *least)
         for arr in out:
             arr.flags.writeable = False
         return out

@@ -250,13 +250,15 @@ def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sample
 def _seed_rule(s, ch, bh, eh):
     # per chunk of samples, the seeds that _seed_min must evaluate: those
     # whose ray floor and block floor are at most 2U on some block, U the
-    # least over the seeds of the larger kernel at the block's ends
+    # least over the seeds of the larger kernel at the block's ends; a
+    # block runs from its first sample to the next block's first sample,
+    # or to the chunk's last one
     low = hf.flows._floor(ch, bh, eh)
     for blk in hf.flows._blocks(s.size, ch.size):
         sb = s[blk]
         starts = np.arange(0, sb.size, hf.flows._BLOCK)
         s0 = sb[starts][:, None]
-        s1 = sb[np.minimum(starts + hf.flows._BLOCK, sb.size) - 1][:, None]
+        s1 = sb[np.append(starts[1:], sb.size - 1)][:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             ends = [(ch * x + bh / x) ** 2 + eh ** 2 for x in (s0, s1)]
             sq = np.maximum(*ends).min(axis=1)
@@ -297,10 +299,10 @@ def test_seed_step_is_bitwise_the_min_over_every_seed(spec, depth, rng, mobius_s
 @_RAY_BALLS
 def test_cached_per_length_extremes_bound_their_rows(spec, depth):
     ball = hf.ball_arrays(spec, depth)
-    floor, _, _, least_c, least_floor, most_c = ball.displacement_floor
+    floor, _, _, least_c, least_floor = ball.displacement_floor
     starts = ball._level_starts
     abs_c = np.abs(ball.c)
-    assert least_c.size == least_floor.size == most_c.size == starts.size - 1
+    assert least_c.size == least_floor.size == starts.size - 1
     assert starts.size - 1 == ball.word_lengths[-1]
     for k, start in enumerate(starts[:-1]):
         # the minima over the rows of length k + 1 and every longer one
@@ -308,9 +310,37 @@ def test_cached_per_length_extremes_bound_their_rows(spec, depth):
         assert np.all(floor[start:] >= least_floor[k])
         assert least_c[k] == abs_c[start:].min()
         assert least_floor[k] == floor[start:].min()
-        # the largest |c| over the rows of length k + 1 and every shorter one
-        assert np.all(abs_c[:starts[k + 1]] <= most_c[k])
-        assert most_c[k] == abs_c[:starts[k + 1]].max()
+
+
+@_RAY_BALLS
+def test_seeds_are_the_least_floors_ties_to_the_lower_row(spec, depth):
+    floor, seeds, *_ = hf.ball_arrays(spec, depth).displacement_floor
+    assert np.array_equal(seeds, np.sort(np.argsort(floor, kind="stable")[:512]))
+
+
+def test_gamma2_seeds_are_the_first_rows_of_floor_zero():
+    # the 1,452 parabolic rows of the d10 ball have floor 0: the seeds are
+    # the first 512 of them, whatever the NumPy version
+    floor, seeds, *_ = hf.ball_arrays(GAMMA2, 10).displacement_floor
+    zero = np.flatnonzero(floor == 0)
+    assert zero.size == 1452
+    assert np.array_equal(seeds, zero[:512])
+
+
+@_RAY_BALLS
+def test_ray_minimum_grows_at_most_as_its_lipschitz_bound(spec, depth, rng, mobius_sampler):
+    # t = log s is arc length along the ray, so the ball's least kernel m
+    # grows from a sample s0 to s1 = r s0 to at most r m + r - 1/r: the
+    # block loop's bound from the block before. S of PSL(2,Z) fixes i, the
+    # base ray's first point, where m = 0 and the bound is met; the flute's
+    # deep rows drift from det 1 by up to 3.5e-7
+    ball = hf.ball_arrays(spec, depth)
+    s = np.exp(0.1 * np.arange(101))
+    for u in _frames(rng, mobius_sampler):
+        m = hf.flows._min_2sinh(s, *hf.flows._ray_terms(ball._coef, u.frame))
+        for lag in (1, 8, 100):
+            r = s[lag:] / s[:-lag]
+            assert np.all(m[lag:] <= (r * m[:-lag] + (r - 1.0 / r)) * (1.0 + 1e-6))
 
 
 def test_deep_gamma2_base_ray_is_bitwise_the_full_scan():
@@ -407,9 +437,9 @@ def test_displacement_floor_is_below_every_ray_floor(spec, depth, rng, mobius_sa
 
 def test_displacement_floor_is_read_only_and_cached(schottky_spec):
     ball = hf.ball_arrays(schottky_spec, 6)
-    floor, seeds, seed_coef, least_c, least_floor, most_c = cached = ball.displacement_floor
+    floor, seeds, seed_coef, least_c, least_floor = cached = ball.displacement_floor
     assert ball.displacement_floor is cached
-    assert floor.dtype == np.float32 and floor.shape == (len(ball),) and seeds.shape == (512,)
+    assert floor.dtype == np.float64 and floor.shape == (len(ball),) and seeds.shape == (512,)
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -419,22 +449,20 @@ def test_displacement_floor_is_read_only_and_cached(schottky_spec):
     assert seeds.base is None and np.all(np.diff(seeds) > 0)
     assert floor[seeds].max() <= np.delete(floor, seeds).min()
     assert seed_coef.flags.c_contiguous and np.array_equal(seed_coef, ball._coef[:, seeds])
-    assert least_c.shape == least_floor.shape == most_c.shape == (6,)
-    assert least_floor.dtype == np.float32
+    assert least_c.shape == least_floor.shape == (6,)
+    assert least_floor.dtype == np.float64
 
 
-def test_displacement_floor_past_the_float32_range(hyperbolic_spec):
-    # z -> 4z to the k-th power has d - a = 2^-k - 2^k: past k = 128 the
-    # floor leaves float32's range and reads its largest value; past
-    # k = 512, (d - a)^2 leaves float64's and the floor reads NaN, which
-    # keeps the row. Neither warns.
+def test_displacement_floor_reads_nan_where_its_square_overflows(hyperbolic_spec):
+    # z -> 4z to the k-th power has d - a = 2^-k - 2^k: past k = 512,
+    # (d - a)^2 leaves float64's range and the floor reads NaN, which
+    # keeps the row. It does not warn.
     ball = hf.ball_arrays(hyperbolic_spec, 540)
     floor, *_ = ball.displacement_floor
     exact = np.abs(ball.d - ball.a)
-    big = exact > np.finfo(np.float32).max
-    assert np.all(floor[big & np.isfinite(floor)] == np.finfo(np.float32).max)
-    assert np.all(np.isnan(floor) == (exact > math.sqrt(np.finfo(float).max)))
-    assert np.all(floor[~big] <= exact[~big])
+    nan = np.isnan(floor)
+    assert np.all(nan == (exact > math.sqrt(np.finfo(float).max)))
+    assert np.all(floor[~nan] <= exact[~nan])
     prof = hf.injectivity_profile(hyperbolic_spec, t_max=10.0, step=0.5, depth=540)
     full = _full_scan(ball, hf.BASE_TANGENT, prof.times)
     assert np.array_equal(prof.inj_estimates.view(np.int64), full.view(np.int64))

@@ -691,6 +691,37 @@ def test_off_limit_set_verdicts_before_the_rule_fix(name, length):
     assert dict(verdicts) == _OFF_LIMIT_SET_BEFORE[name, length]
 
 
+# Lattice points, whose truth is known: each rational is a cusp of Gamma(2)
+# and of PSL(2,Z), so its truth is parabolic, and each quadratic irrational
+# is conical, so its truth is horocyclic (Hedlund 1936). The points are
+# every reduced p/q with 1 <= q <= 8 in (-3, 3), as floats, and sqrt(D) -
+# floor(sqrt(D)) for every non-square D <= 100. Today's verdicts, before any
+# rule changes: every horocyclic or irregular rational and every irregular
+# or inconclusive quadratic is a false verdict.
+_LATTICE_RATIONALS = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1 - 3 * q, 3 * q)})
+_LATTICE_QUADRATICS = [math.sqrt(n) - math.isqrt(n) for n in range(2, 101)
+                       if math.isqrt(n) ** 2 != n]
+_LATTICE_POINTS_BEFORE = {
+    ("gamma2", "rationals"): {"parabolic": 105, "horocyclic-evidence": 16,
+                              "irregular-evidence": 10},
+    ("gamma2", "quadratics"): {"horocyclic-evidence": 86, "inconclusive": 4},
+    ("psl2z", "rationals"): {"parabolic": 103, "horocyclic-evidence": 12,
+                             "irregular-evidence": 16},
+    ("psl2z", "quadratics"): {"horocyclic-evidence": 64, "irregular-evidence": 26},
+}
+
+
+@pytest.mark.parametrize("name, points", list(_LATTICE_POINTS_BEFORE),
+                         ids=[f"{name}-{points}" for name, points in _LATTICE_POINTS_BEFORE])
+def test_lattice_point_verdicts_before_the_rule_fix(name, points):
+    spec, depth = _BENCH_BALLS["gamma2"] if name == "gamma2" else (_PSL2Z, 20)
+    xs = [float(x) for x in _LATTICE_RATIONALS] if points == "rationals" else _LATTICE_QUADRATICS
+    assert len(xs) == (131 if points == "rationals" else 90)
+    verdicts = collections.Counter(
+        hf.classify_boundary_point(spec, x, depth).verdict.value for x in xs)
+    assert dict(verdicts) == _LATTICE_POINTS_BEFORE[name, points]
+
+
 # Fixed points of hyperbolic rows: each is a conical limit point, so its
 # truth is horocyclic. Drawn from 2,000 rows chosen with rng seed 1, the
 # first 200 that are hyperbolic; on the flute 166 of them have length 6, as
