@@ -85,97 +85,83 @@ def _find_cluster(heights: np.ndarray) -> float | None:
     return float(level[hit.argmax()]) if hit.any() else None
 
 
-class _Walk:
-    """The heights at a finite xi of the rows of a certified ball that can
-    still matter, read down the word tree one length at a time.
+def _read(x, head, tail, lo=0):
+    # the heights of the columns (a, b, c, d) of x, by _orbit_height's
+    # operations on the (a, b) and (c, d) pairs at once, so the same bits;
+    # and for the columns from lo on, |c|, q = (a - xi c)^2 - 1 and c, so
+    # that 2 B_w < T reads |c| < q T / 2
+    p, _ = _minus_xi(x[:2], x[2:], head, tail)
+    p *= p
+    h = p[0] + p[1]
+    np.divide(1.0, h, out=h)
+    np.fmax(h, 0.0, out=h)
+    q, c = p[0, lo:], x[2, lo:]
+    q -= 1.0
+    return h, np.abs(c), q, c
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _walk(ball, xi: BoundaryPoint, s: float, floor: float, skipped: dict | None = None):
+    """(sups, heights, skipped): the heights at a finite xi of the rows of a
+    certified ball that can still matter, read down the word tree one length
+    at a time from the running sup s.
 
     Row w = (a, b, c, d) with c != 0 bounds every height of its subtree by
     B_w = |c| / ((a - xi c)^2 - 1) when (a - xi c)^2 > 1 (the lemma of
-    classify_boundary_point). The walk reads the rows of lengths 1 and 2
-    whole, then the children of every row kept: a row is kept unless
-    2 B_w < T. T = the running sup S keeps every length's sup; T = min(S,
-    floor) also reads every height at or above floor, which the cluster
-    search needs. The walk takes the latter at a length whose rows leave the
-    sup flat and S where they raise it: a sup that rises to the last length
-    is the horocyclic verdict, which needs no cluster, and there floor would
-    read most of a lattice's ball. ``heights`` resumes from the rows
-    skipped under S alone.
+    classify_boundary_point). The walk reads the children of every row
+    kept: a row is kept unless 2 B_w < T. T = the running sup S keeps every
+    length's sup; T = min(S, floor) also reads every height at or above
+    floor, which the cluster search needs. The walk takes the latter at a
+    length whose rows leave the sup flat and S where they raise it: a sup
+    that rises to the last length is the horocyclic verdict, which needs no
+    cluster, and there floor would read most of a lattice's ball.
+
+    A first call reads the rows of lengths 1 and 2 whole and walks on from
+    them. It returns the sup of the rows read at each length (-inf where
+    none was), every height read, and, per length, the rows whose children
+    it skipped under a T above floor. A second call, given the final sup
+    and that record, reads on from the skipped rows whose subtree can reach
+    floor; it reads the record and never writes into it.
     """
-
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def __init__(self, ball, xi: BoundaryPoint, h0: float, floor: float):
-        # row r of length k has the children r n + fans[k - 1], n = 2 (generators) - 1
-        starts = ball._level_starts
-        n = int(starts[1]) - 1
-        self.fans = (starts[1:-1] - starts[:-2] * n)[:, None] + np.arange(n)
-        self.coef, self.floor, self.top = ball._coef, floor, starts.size - 1
-        self.head, self.tail = _split(xi.value)
-        self.sups = np.full(self.top, -np.inf)  # per length; -inf when every row was skipped
-        # the heights read; per length, the rows whose children were skipped
-        # under a T above floor
-        self.seen, self.skipped = [], {}
-        first = min(2, self.top)
-        lo, hi = int(starts[first - 1]), int(starts[first])
-        h, lhs, q, c = self._read(self.coef[:, :hi], lo)
-        self.sups[:first] = np.maximum.reduceat(h, starts[:first])
+    # every reduced word is a row, by length and then by word, so row r has
+    # the children r n + fan, fan = n + 1, ..., 2n, n = 2 (generators) - 1
+    starts = ball._level_starts
+    top, n = starts.size - 1, int(starts[1]) - 1
+    fan = np.arange(n + 1, 2 * n + 1)
+    coef, (head, tail) = ball._coef, _split(xi.value)
+    sups, seen, record, resume = np.full(top, -np.inf), [], {}, skipped or {}
+    if skipped is None:
+        k0 = min(2, top)
+        lo, hi = int(starts[k0 - 1]), int(starts[k0])
+        h, lhs, q, c = _read(coef[:, :hi], head, tail, lo)
+        seen.append(h)
+        sups[:k0] = np.maximum.reduceat(h, starts[:k0])
         # s: the sup over lengths up to the frontier's length k; last: up to k - 1
-        last = max(h0, self.sups[0])
-        s = max(last, self.sups[first - 1])
+        last = max(s, sups[0])
+        s = max(last, sups[k0 - 1])
         rows = np.arange(lo, hi)
-        for k in range(first, self.top):
+    else:
+        k0, last, rows = min(resume, default=top), s, np.zeros(0, dtype=np.intp)
+    for k in range(k0, top):
+        if rows.size:  # rows of length k, read: keep those with 2 B_w >= T
             t = s if s > last else min(s, floor)
-            skip = self._skip(lhs, q, c, 0.5 * t)
+            skip = lhs < q * (0.5 * t)
+            np.logical_and(skip, c, out=skip)  # a NaN, q <= 0 and c = 0 keep their row
             if t > floor:
-                self.skipped[k] = (rows, lhs, q, skip)
-            rows = self._children(k, rows[~skip])
-            if not rows.size:
-                break
-            h, lhs, q, c = self._read(self.coef.take(rows, axis=1))
-            self.sups[k] = m = h.max()
+                record[k] = (rows, lhs, q, skip)
+            rows = rows[~skip]
+        if k in resume:  # and the skipped rows whose subtree can reach floor
+            old, old_lhs, old_q, old_skip = resume[k]
+            rows = np.concatenate((rows, old[old_skip & (old_lhs >= old_q * (0.5 * floor))]))
+        if rows.size:
+            rows = ((rows * n)[:, None] + fan).ravel()
+            h, lhs, q, c = _read(coef.take(rows, axis=1), head, tail)
+            seen.append(h)
+            sups[k] = m = h.max()
             last, s = s, max(s, m)
-
-    def _read(self, x, lo=0):
-        # the heights of the columns (a, b, c, d) of x, by _orbit_height's
-        # operations on the (a, b) and (c, d) pairs at once, so the same
-        # bits; and for the columns from lo on, |c|, q = (a - xi c)^2 - 1
-        # and c, so that 2 B_w < T reads |c| < q T / 2
-        p, _ = _minus_xi(x[:2], x[2:], self.head, self.tail)
-        p *= p
-        h = p[0] + p[1]
-        np.divide(1.0, h, out=h)
-        np.fmax(h, 0.0, out=h)
-        self.seen.append(h)
-        q, c = p[0, lo:], x[2, lo:]
-        q -= 1.0
-        return h, np.abs(c), q, c
-
-    @staticmethod
-    def _skip(lhs, q, c, t):
-        # 2 B_w < T, with t = T / 2; a NaN, q <= 0 and c = 0 read False
-        skip = lhs < q * t
-        return np.logical_and(skip, c, out=skip)
-
-    def _children(self, k, rows):
-        # every reduced word is a row, its children contiguous in its order
-        fan = self.fans[k - 1]
-        return ((rows * fan.size)[:, None] + fan).ravel()
-
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def heights(self) -> np.ndarray:
-        """Every height read, once the skipped rows whose subtree can reach
-        the floor have been read down to the last length. Called once."""
-        t = 0.5 * self.floor
-        rows = np.zeros(0, dtype=np.intp)
-        for k in range(min(self.skipped, default=self.top), self.top):
-            if k in self.skipped:
-                skipped, lhs, q, skip = self.skipped[k]
-                skip &= lhs >= q * t  # the skipped rows whose subtree can reach floor
-                rows = np.concatenate((rows, skipped[skip]))
-            if rows.size:
-                rows = self._children(k, rows)
-                _, lhs, q, c = self._read(self.coef.take(rows, axis=1))
-                rows = rows[~self._skip(lhs, q, c, t)]
-        return np.concatenate(self.seen)
+        elif k >= max(resume, default=0):
+            break
+    return sups, np.concatenate(seen) if seen else np.zeros(0), record
 
 
 def _fixing_row(ball, xi: BoundaryPoint, tol: float) -> int | None:
@@ -248,7 +234,10 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     carries the rounding of ad and bc, so the walk takes 1), and a - xi c
     is formed with orbit_height's split of xi. The walk reads a row's
     children unless 2 B_w < T, T the sup so far or the floor; the factor 2
-    covers the rows' rounding. At infinity (which reads Ball.inf_heights),
+    covers the rows' rounding. One call of the walk gives the sups; when
+    the cluster search needs the heights, a second call of the same
+    function reads on from the rows the first skipped under the sup alone,
+    not from the root. At infinity (which reads Ball.inf_heights),
     on a spec without a certificate (PSL(2,Z) and other groups with
     relations) and where i lies inside a certificate disk, every row's
     height is computed.
@@ -268,19 +257,15 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     # stays put, so nothing here grows with the depth itself
     starts = ball._level_starts
     if xi.is_infinity or not _walkable(spec):
-        walk = None
+        skipped = None
         heights = ball.inf_heights if xi.is_infinity else orbit_height(ball, xi)
         level_sups = np.maximum.reduceat(heights, starts[:-1]) if heights.size else []
     else:
         # the cluster search may need every height at or above the floor
         floor = math.inf if fixing is not None or depth <= UNBOUNDED_RUN else ACCUM_FLOOR
-        walk = _Walk(ball, xi, h0, floor)
-        level_sups = walk.sups
+        level_sups, heights, skipped = _walk(ball, xi, h0, floor)
     top = starts.size - 1
-    sups = np.empty(top + 1)
-    sups[0] = h0
-    sups[1:] = level_sups
-    sups = np.maximum.accumulate(sups).tolist()
+    sups = np.maximum.accumulate(np.concatenate(([h0], level_sups))).tolist()
     sup_height = sups[-1]
 
     verdict, cluster, witness = LimitVerdict.INCONCLUSIVE, None, None
@@ -296,9 +281,11 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
             # no height reaches the floor when the sup does not; otherwise
             # only the few that do are joined to the identity's
             if sup_height >= ACCUM_FLOOR:
-                if walk is not None:
-                    heights = walk.heights()
-                cluster = _find_cluster(np.append(h0, heights[heights >= ACCUM_FLOOR]))
+                high = [[h0], heights[heights >= ACCUM_FLOOR]]
+                if skipped:  # a second walk reads on from the rows skipped under S alone
+                    more = _walk(ball, xi, sup_height, floor, skipped)[1]
+                    high.append(more[more >= ACCUM_FLOOR])
+                cluster = _find_cluster(np.concatenate(high))
             verdict = (LimitVerdict.DISCRETE_EVIDENCE if cluster is None
                        else LimitVerdict.IRREGULAR_EVIDENCE)
     return LimitPointEvidence(xi, depth, sup_height, cluster, witness, verdict)

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -16,7 +17,7 @@ from horoflow.group import Ball, ball_arrays, orbit_height
 from horoflow.halfplane import GEOM_TOL
 from horoflow.limits import (ACCUM_COUNT, ACCUM_FLOOR, ACCUM_WINDOW, UNBOUNDED_FACTOR,
                              UNBOUNDED_RUN, LimitPointEvidence, LimitVerdict, _find_cluster,
-                             _Walk, _walkable)
+                             _walk, _walkable)
 
 from conftest import conjugate_spec, stand_in
 
@@ -506,30 +507,63 @@ def _walk_points(name, spec):
     return points + [0.0, 1.0, -1.0, 1e16, -1e16, 1e200, -1e200, -0.0]
 
 
+def _walk_twice(ball, xi, floor=ACCUM_FLOOR):
+    # the running sups of a first call of the walk, every height it read,
+    # and every height read by a second call resuming from its record
+    h0 = orbit_height(hf.Mobius.identity(), xi)
+    level_sups, read, skipped = _walk(ball, xi, h0, floor)
+    sups = np.maximum.accumulate(np.r_[h0, level_sups])
+    return sups, read, _walk(ball, xi, sups[-1], floor, skipped)[1]
+
+
 @pytest.mark.parametrize("name", sorted(_BENCH_BALLS))
 def test_classify_equals_reference_at_the_bench_depths(name):
     # the hypothesis test above stops at depths 6, 4 and 8; the walk prunes
     # most at the bench balls' depths. Beside the verdicts, which few rows
     # can move, the walk's running sups and its heights at or above the
-    # floor must be the full pass's
+    # floor must be the full pass's, also at off-limit-set points, where
+    # the cluster search takes the second call
     spec, depth = _BENCH_BALLS[name]
     ball = ball_arrays(spec, depth)
     starts = ball._level_starts
-    for x in _walk_points(name, spec):
+    points = _walk_points(name, spec)
+    for x in points:
         got = hf.classify_boundary_point(spec, x, depth=depth)
         with np.errstate(over="ignore"):  # the reference's squares at 1e200
             want = _reference_classify(spec, x, depth)
         assert _bits(got) == _bits(want), x
+    off = [] if name == "gamma2" else list(itertools.islice(
+        _off_limit_set_points(spec, depth, 3), 50))
+    resumed = []
+    for x in points + off:
         xi = hf.bp(x)
-        h0 = orbit_height(hf.Mobius.identity(), xi)
-        walk = _Walk(ball, xi, h0, ACCUM_FLOOR)
+        sups, read, more = _walk_twice(ball, xi)
         full = orbit_height(ball, xi)
-        sups = np.maximum.accumulate(np.r_[h0, walk.sups])
         assert np.array_equal(sups, np.maximum.accumulate(
-            np.r_[h0, np.maximum.reduceat(full, starts[:-1])])), x
-        read = walk.heights()
+            np.r_[sups[0], np.maximum.reduceat(full, starts[:-1])])), x
+        read = np.append(read, more)
         assert np.array_equal(np.sort(read[read >= ACCUM_FLOOR]),
                               np.sort(full[full >= ACCUM_FLOOR])), x
+        resumed.append(more.size > 0)
+    assert name == "gamma2" or any(resumed[len(points):])
+
+
+def test_a_second_walk_leaves_the_first_ones_record_as_it_was():
+    # the second call reads the record of the first and writes nothing into
+    # it, so the same call twice reads the same rows
+    spec, depth = _BENCH_BALLS["schottky"]
+    ball = ball_arrays(spec, depth)
+    xi = next(_off_limit_set_points(spec, depth, 3))
+    h0 = orbit_height(hf.Mobius.identity(), xi)
+    level_sups, _, skipped = _walk(ball, xi, h0, ACCUM_FLOOR)
+    kept = {k: tuple(a.copy() for a in v) for k, v in skipped.items()}
+    s = max(h0, level_sups.max())
+    first, second = (_walk(ball, xi, s, ACCUM_FLOOR, skipped) for _ in range(2))
+    assert first[1].size and first[2] == second[2] == {}
+    assert all(np.array_equal(a, b) for a, b in zip(first[:2], second[:2]))
+    assert skipped.keys() == kept.keys()
+    for k, arrays in kept.items():
+        assert all(np.array_equal(a, b) for a, b in zip(skipped[k], arrays))
 
 
 def _orbit_point(a, b, c, d):
@@ -642,9 +676,8 @@ def test_the_walk_reads_a_small_share_of_the_ball(name, x, floor, share):
     # verdict with its sup above the floor); Gamma(2) at a cusp only the sups
     spec, depth = _BENCH_BALLS[name]
     ball = ball_arrays(spec, depth)
-    xi = hf.bp(x)
-    walk = _Walk(ball, xi, orbit_height(hf.Mobius.identity(), xi), floor)
-    assert walk.heights().size < share * len(ball)
+    _, read, more = _walk_twice(ball, hf.bp(x), floor)
+    assert read.size + more.size < share * len(ball)
     ev = hf.classify_boundary_point(spec, x)
     assert ev.verdict is (LimitVerdict.DISCRETE_EVIDENCE if name == "schottky"
                           else LimitVerdict.PARABOLIC)
@@ -681,14 +714,18 @@ def _off_limit_set_points(spec, depth, length, n=200):
         yield hf.apply_boundary(ball[int(rng.choice(rows))].mobius, hf.bp(x))
 
 
+def _verdict_counts(spec, depth, points):
+    # how many of the points read each verdict
+    return dict(collections.Counter(
+        hf.classify_boundary_point(spec, xi, depth).verdict.value for xi in points))
+
+
 @pytest.mark.parametrize("name, length", list(_OFF_LIMIT_SET_BEFORE),
                          ids=[f"{name}-{length}" for name, length in _OFF_LIMIT_SET_BEFORE])
 def test_off_limit_set_verdicts_before_the_rule_fix(name, length):
     spec, depth = _BENCH_BALLS[name]
-    verdicts = collections.Counter(
-        hf.classify_boundary_point(spec, xi, depth).verdict.value
-        for xi in _off_limit_set_points(spec, depth, length))
-    assert dict(verdicts) == _OFF_LIMIT_SET_BEFORE[name, length]
+    points = _off_limit_set_points(spec, depth, length)
+    assert _verdict_counts(spec, depth, points) == _OFF_LIMIT_SET_BEFORE[name, length]
 
 
 # Lattice points, whose truth is known: each rational is a cusp of Gamma(2)
@@ -711,15 +748,21 @@ _LATTICE_POINTS_BEFORE = {
 }
 
 
+def _lattice(name):
+    return _BENCH_BALLS["gamma2"] if name == "gamma2" else (_PSL2Z, 20)
+
+
+def _lattice_points(points):
+    return [float(x) for x in _LATTICE_RATIONALS] if points == "rationals" else _LATTICE_QUADRATICS
+
+
 @pytest.mark.parametrize("name, points", list(_LATTICE_POINTS_BEFORE),
                          ids=[f"{name}-{points}" for name, points in _LATTICE_POINTS_BEFORE])
 def test_lattice_point_verdicts_before_the_rule_fix(name, points):
-    spec, depth = _BENCH_BALLS["gamma2"] if name == "gamma2" else (_PSL2Z, 20)
-    xs = [float(x) for x in _LATTICE_RATIONALS] if points == "rationals" else _LATTICE_QUADRATICS
+    spec, depth = _lattice(name)
+    xs = _lattice_points(points)
     assert len(xs) == (131 if points == "rationals" else 90)
-    verdicts = collections.Counter(
-        hf.classify_boundary_point(spec, x, depth).verdict.value for x in xs)
-    assert dict(verdicts) == _LATTICE_POINTS_BEFORE[name, points]
+    assert _verdict_counts(spec, depth, xs) == _LATTICE_POINTS_BEFORE[name, points]
 
 
 # Fixed points of hyperbolic rows: each is a conical limit point, so its
@@ -745,6 +788,40 @@ def test_hyperbolic_fixed_point_verdicts_before_the_rule_fix(name):
     spec, depth = _BENCH_BALLS[name]
     points = _hyperbolic_fixed_points(ball_arrays(spec, depth))
     assert len(points) == 200
-    verdicts = collections.Counter(
-        hf.classify_boundary_point(spec, xi, depth).verdict.value for xi in points)
-    assert dict(verdicts) == _FIXED_POINT_BEFORE[name]
+    assert _verdict_counts(spec, depth, points) == _FIXED_POINT_BEFORE[name]
+
+
+# Pairs (xi, g(xi)) for 6 rows g of length 1 or 2 of the group's ball (rng
+# seed 11). xi and g(xi) lie on one orbit, so they have one truth, and a
+# definite verdict against a different definite one is false on one side.
+# The points are the lattice points above and, on schottky and flute, the
+# first 60 finite hyperbolic fixed points. Today's count of the pairs whose
+# verdicts differ, before any rule changes:
+_ORBIT_CONSISTENCY_BEFORE = {
+    ("gamma2", "rationals"): (786, 383),
+    ("gamma2", "quadratics"): (540, 14),   # each with an inconclusive side
+    ("psl2z", "quadratics"): (540, 106),
+    ("schottky", "fixed points"): (360, 0),
+    ("flute", "fixed points"): (360, 46),
+}
+
+
+@pytest.mark.parametrize("name, points", list(_ORBIT_CONSISTENCY_BEFORE),
+                         ids=[f"{name}-{points}".replace(" ", "-")
+                              for name, points in _ORBIT_CONSISTENCY_BEFORE])
+def test_orbit_consistency_before_the_rule_fix(name, points):
+    if points == "fixed points":
+        spec, depth = _BENCH_BALLS[name]
+        xs = [xi for xi in _hyperbolic_fixed_points(ball_arrays(spec, depth))
+              if not xi.is_infinity][:60]
+    else:
+        spec, depth = _lattice(name)
+        xs = _lattice_points(points)
+    ball = ball_arrays(spec, depth)
+    short = np.flatnonzero(ball.word_lengths <= 2)
+    rows = [ball[int(i)].mobius for i in np.random.default_rng(11).choice(short, 6, replace=False)]
+    pairs = [(hf.bp(x), hf.apply_boundary(g, hf.bp(x))) for x in xs for g in rows]
+    split = [c for c in (_verdict_counts(spec, depth, pair) for pair in pairs) if len(c) > 1]
+    assert (len(pairs), len(split)) == _ORBIT_CONSISTENCY_BEFORE[name, points]
+    if name == "gamma2" and points == "quadratics":
+        assert all("inconclusive" in c for c in split)
