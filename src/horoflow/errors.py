@@ -22,7 +22,8 @@ class BallTooLarge(HoroflowError):
 
 
 class CoefficientOverflow(HoroflowError, ValueError):
-    """Word-ball coefficients or their dedup keys left the finite float range."""
+    """Word-ball coefficients or their dedup keys left the finite float range,
+    or a row's determinant drifted from 1 past its word length's tolerance."""
 
 
 class InvalidGenerator(HoroflowError, ValueError):

@@ -204,16 +204,47 @@ def _cell_hash(cells: np.ndarray) -> np.ndarray:
     return h ^ (h >> 32)
 
 
+def _canonical_sign(p: np.ndarray) -> None:
+    # The Mobius sign rule on the columns (a, b, c, d) of p, in place: a
+    # column whose first entry above SIGN_TOL in magnitude is negative is
+    # negated, as Mobius._admitted does to one row. The sign of a decides
+    # all but the rare columns with |a| <= SIGN_TOL (or NaN), which take the
+    # full rule over b, c and d; then p *= sign, since x * -1.0 is -x bit
+    # for bit and x * 1.0 is x.
+    a = p[0]
+    sign = np.abs(a)
+    rare = np.flatnonzero(~(sign > SIGN_TOL))
+    np.copysign(1.0, a, out=sign)
+    if rare.size:
+        lead = np.zeros(rare.size)
+        for x in p[:0:-1, rare]:
+            np.copyto(lead, x, where=np.abs(x) > SIGN_TOL)
+        sign[rare] = np.where(lead < 0.0, -1.0, 1.0)
+    p *= sign
+
+
 def _check_det(p: np.ndarray, length: int) -> None:
     # The Mobius determinant check per column, its tolerance scaled by the
     # word length: each of the ``length`` rounded products may add its drift.
+    # |det - 1| <= DET_TOL length max(1, |ad|, |bc|), in place over the two
+    # products and det; a column off it raises CoefficientOverflow.
     a, b, c, d = p
-    det = a * d - b * c
-    scale = np.maximum(1.0, np.maximum(np.abs(a * d), np.abs(b * c)))
-    bad = ~(np.abs(det - 1.0) <= (DET_TOL * length) * scale)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(f"matrix {tuple(p[:, i].tolist())} has det {float(det[i])}, not 1")
+    ad = a * d
+    bc = b * c
+    det = np.subtract(ad, bc)
+    np.abs(ad, out=ad)
+    np.abs(bc, out=bc)
+    np.maximum(ad, bc, out=ad)
+    np.maximum(ad, 1.0, out=ad)
+    ad *= DET_TOL * length
+    det -= 1.0
+    np.abs(det, out=det)
+    ok = det <= ad
+    if not ok.all():
+        i = int(ok.argmin())  # det was overwritten: its float again, for the message
+        raise CoefficientOverflow(f"matrix {tuple(p[:, i].tolist())} has det "
+                                  f"{float(a[i] * d[i] - b[i] * c[i])}, not 1, "
+                                  f"at word length {length}")
 
 
 def _row_keys(h: np.ndarray, start: int, bits: np.uint64) -> None:
@@ -432,10 +463,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
                 np.take(g2, lets, out=gy, mode="clip")
                 top += np.multiply(b, gy, out=gx)
                 bottom += np.multiply(d, gy, out=gy)
-            lead = np.zeros(m)  # the Mobius sign rule: the first entry above SIGN_TOL is > 0
-            for x in p[::-1]:
-                np.copyto(lead, x, where=np.abs(x) > SIGN_TOL)
-            np.negative(p, out=p, where=lead < 0.0)
+            _canonical_sign(p)
             if dedup:
                 keys[n:n + m] = _cell_hash(dedup_keys(p))
                 _row_keys(keys[n:n + m], n, bits)
@@ -462,7 +490,16 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
             break
         bounds.append(n)
     lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))[1:]
-    return Ball(coef[:, 1:n].copy(), lengths, parent[1:n].copy(), letter[1:n].copy())
+    if n < cap:  # rows the ball does not keep: copy out the kept ones
+        return Ball(coef[:, 1:n].copy(), lengths, parent[1:n].copy(), letter[1:n].copy())
+    # every row kept: the four coefficient rows move down over the identity's
+    # column in place (each copy is 1-D and runs toward lower addresses, so
+    # NumPy copies it without a temporary), leaving one C-contiguous (4, n - 1)
+    # array: np.take(axis=1) copies a strided array whole before it gathers
+    flat = coef.reshape(-1)
+    for k in range(4):
+        flat[k * (n - 1):(k + 1) * (n - 1)] = flat[k * n + 1:(k + 1) * n]
+    return Ball(flat[:4 * (n - 1)].reshape(4, n - 1), lengths, parent[1:], letter[1:])
 
 
 @functools.lru_cache(maxsize=64)

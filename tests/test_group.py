@@ -1,15 +1,19 @@
 """Word-ball enumeration, element classification, fixed points, presets."""
 
 import gc
+import hashlib
 import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import horoflow as hf
-from horoflow.group import DEDUP_TOL, Ball, _check_det, _split, ball_arrays, orbit_height
-from horoflow.halfplane import DET_TOL, _near_identity
+from horoflow.group import (DEDUP_TOL, Ball, _canonical_sign, _check_det, _split, ball_arrays,
+                            orbit_height)
+from horoflow.halfplane import DET_TOL, SIGN_TOL, _near_identity
 
 from conftest import conjugate_spec
 
@@ -187,6 +191,132 @@ def test_builder_rejects_a_row_off_determinant_one():
     _check_det(rows[:, :1], 1)
     with pytest.raises(ValueError, match=r"matrix \(2\.0, 0\.0, 0\.0, 1\.0\) has det 2\.0, not 1"):
         _check_det(rows, 1)
+
+
+def test_a_determinant_drift_past_the_tolerance_is_a_typed_error():
+    # ROADMAP item 2's reproduction: Gamma(2) conjugated so that sqrt(2) - 1
+    # sits at infinity has no certificate, and a row of length 9 drifts
+    # 3.9e-11 off det 1, past DET_TOL * 9 of its products
+    spec = conjugate_spec(GAMMA2, M(0.0, -1.0, 1.0, -(math.sqrt(2.0) - 1.0)))
+    assert spec.certificate is None
+    with pytest.raises(hf.CoefficientOverflow, match=r"^matrix \(.*\) has det "
+                       r"1\.0000000000392513, not 1, at word length 9$"):
+        ball_arrays(spec, 10)
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, SIGN_TOL, -SIGN_TOL]),
+                   st.floats(-SIGN_TOL, SIGN_TOL), st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cols=st.lists(st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY), min_size=1, max_size=12))
+def test_the_array_sign_rule_is_the_mobius_sign_rule(cols):
+    # columns of a (4, m) view whose rows are contiguous, as in the builder;
+    # entries at or within SIGN_TOL of 0 in a leave the sign to b, c or d
+    buf = np.zeros((4, len(cols) + 2))
+    p = buf[:, 1:-1]
+    p[...] = np.array(cols).T
+    _canonical_sign(p)
+    want = np.array([[getattr(M._admitted(*col), x) for x in "abcd"] for col in cols]).T
+    assert np.array_equal(p.view(np.int64), want.view(np.int64))
+    assert not buf[:, [0, -1]].any()
+
+
+def test_the_psl2z_ball_takes_the_sign_rule_past_a():
+    # integer rows with a = 0 (S among them) run the four-entry path of
+    # _canonical_sign in the build; det 1 = -bc leaves b nonzero to decide
+    ball = ball_arrays(PSL2Z, 12)
+    rare = np.abs(ball.a) <= SIGN_TOL
+    assert rare.sum() == 23 and (ball.b[rare] > 0.0).all()
+
+
+PRESET_BALLS = {"schottky": (hf.schottky_pair(), 10), "flute": (hf.truncated_flute(), 6),
+                "gamma2": (GAMMA2, 10), "psl2z": (PSL2Z, 20)}
+
+
+@pytest.mark.parametrize("spec, depth", PRESET_BALLS.values(), ids=PRESET_BALLS.keys())
+def test_ball_arrays_are_c_contiguous_and_read_only(spec, depth):
+    # np.take(axis=1), the kernels' gather, copies a strided input whole
+    # before it gathers: a 600-row gather from schottky d10 costs over 100
+    # times more from a [:, 1:] view than from a C-contiguous array. So
+    # _coef must be one C-contiguous (4, n) array, and so must any prefix
+    # view of a ball grown in place
+    ball = ball_arrays(spec, depth)
+    assert ball._coef.flags.c_contiguous and ball._coef.shape == (4, len(ball))
+    if spec.certificate is not None:  # every row kept: the builder's own buffers
+        assert all(x.base is not None for x in (ball._coef, ball.parent, ball.letter))
+    arrays = [ball._coef, ball.a, ball.b, ball.c, ball.d, ball.word_lengths, ball.parent,
+              ball.letter, ball._level_starts, ball.inf_heights, *ball.isometry_rows,
+              *ball.displacement_floor]
+    assert not any(x.flags.writeable for x in arrays)
+
+
+def _digest(*arrays):
+    # floats as little-endian float64 and integers as little-endian int64,
+    # so that the digest does not depend on the platform's intp or byte order
+    h = hashlib.sha256()
+    for x in arrays:
+        h.update(x.astype("<f8" if x.dtype.kind == "f" else "<i8").tobytes())
+    return h.hexdigest()
+
+
+PINNED_DIGESTS = {
+    "schottky": {
+        "a": "4d870f901ced03da5d29d240660b85151b73d57c3f6832b744279527a9225bf9",
+        "b": "f19d4772d25cb65104f002a51d1918939a8cf401301a3554a41728091a4e7e45",
+        "c": "f76a086577e3a0ff95818aeb2e7bdb490e9e202a4d237feca30f08f09ca479f7",
+        "d": "c9ce3653e256f3d3fc9155e092d46841a2aedf98901d5e9267b358f6164b7e31",
+        "word_lengths": "e61752f2c0da2998d9a46c92138a39c6fd8181223e07e877ab6774c3b98398c0",
+        "parent": "1b0588eeb507a9b45d8f8517b9eed03dc6fc309ddae7bed6ef062c1e58b8e4e1",
+        "letter": "86498c9de7bbf18c0254f87173df57a6ebec4aa5812a2b4a2b9d4e5fb5d84201",
+        "inf_heights": "860825ab0c21ec49716dea6ce19cb9412b90eba986e71d5f089cfd9ca158a844",
+        "displacement_floor": "9da538b9867843fe907b15e88f6db3c37d22c6bdc41a9b7f2a7ddb414f836abc",
+    },
+    "flute": {
+        "a": "23ba68ba3c269e8df9548c2508c89519c879fc7109c7cea22e9e269f1ea9d0c8",
+        "b": "a315a22b7e87372f2183dfc234143b9294ba363f48ae287b75b1cf7b7d8d1834",
+        "c": "420d7a71cfd580c69484b3026a3939e0582c1fd8bd30640a48acb12fbe0fdc58",
+        "d": "b68994a0106525e8659438283bf6f0c0bf5643beb1ebeabcf951642f6dcd13e1",
+        "word_lengths": "ecea56e1fc08272603c6765e019ef422e6d9ed8ca17964d7bd9acb4c4282bb16",
+        "parent": "e8e3d12d94ee8560cd13227b837b76bf4c4a774d78fda2ea4ec2de44e85b72ac",
+        "letter": "e103271e2249ada2b14c4787ec0519c6c75911b5ba650330baa3b0d8e128487a",
+        "inf_heights": "99323826ab3d792a9f286af7212131c32ba4f1ad3ef87e6f2b4e041d128e3cac",
+        "displacement_floor": "f81889c9aa96e94a940772d75d7b7dd01690d88aa418fc527dc6fe0e39c407b4",
+    },
+    "gamma2": {
+        "a": "e46f56af1082b08682d184eba4f7bd783c3ebe63afbd42a2964dbf44a657e202",
+        "b": "e934f5a1291f11cd523d7c62facccce37dd1c065db619e719baae710214da675",
+        "c": "658297f609860559045779c0600621320689dae5ff5a1a598318b377ac55d99b",
+        "d": "226624f9d88c6e5311988ca286ede6a0224b112f2bb4d31ad5f8dcc375b673c6",
+        "word_lengths": "e61752f2c0da2998d9a46c92138a39c6fd8181223e07e877ab6774c3b98398c0",
+        "parent": "1b0588eeb507a9b45d8f8517b9eed03dc6fc309ddae7bed6ef062c1e58b8e4e1",
+        "letter": "86498c9de7bbf18c0254f87173df57a6ebec4aa5812a2b4a2b9d4e5fb5d84201",
+        "inf_heights": "97585c1b836ba49ed29fcbc1b157130254355cb0fd6d3782b91ef3f4ce4843d6",
+        "displacement_floor": "86d23fa4e4b5053338f480813ea48c585230727b4568f293d1b42e1cb969de5c",
+    },
+    "psl2z": {
+        "a": "9f4e9a8a613132001c3a445aa1ed104c39f18726e278cd6bc02318dc82868641",
+        "b": "f3dc1ee1c59a0afb70141d8bf519d7ec56fd1acc72ab9e95b12fb9a1c3e11b00",
+        "c": "c4e6d8aea4ea60068ef393d27a32f4125e6cf541f4b809aeb6b50c405dc6fe65",
+        "d": "0a0f3518a0f4e04975bd46b8e2140898e9bcaca344b8782ba4c7d840fbfd419b",
+        "word_lengths": "d50dd6197086a84313130a60f8e0bb36a0bfe51a19209c9f3a34c3e05feba350",
+        "parent": "ca8ef57e5ad1cb5201a8713646c92f85b72aaebf419fb207888cf5d9a3d0e310",
+        "letter": "cb4edfb66765ffb10c299fb23da23cac8a5288aeb72520fef6e9f1b3a3b67dcf",
+        "inf_heights": "4f1f6032d46eda942cf458ceb9f7b610d11606f7d3d7a1a2b086c2908110c6fd",
+        "displacement_floor": "7b171b7eaa7dd7a9a976c4664286d76fe59acb0430055f323a01cfcfba7c2cb3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", PRESET_BALLS)
+def test_the_preset_balls_keep_their_bytes(name):
+    # byte-identical output for a fixed seed starts at the ball: these are
+    # the builder's bytes before its in-place rewrite, on NumPy 1.24 and 2
+    spec, depth = PRESET_BALLS[name]
+    ball = ball_arrays(spec, depth)
+    got = {x: _digest(getattr(ball, x)) for x in PINNED_DIGESTS[name] if x != "displacement_floor"}
+    got["displacement_floor"] = _digest(*ball.displacement_floor)
+    assert got == PINNED_DIGESTS[name]
 
 
 def test_ball_too_large_counts_deduped_elements():

@@ -513,6 +513,19 @@ def test_cli_overflowing_family_is_a_domain_error(tmp_path):
     assert "Traceback" not in r.stderr and "overflows" in r.stderr
 
 
+def test_cli_determinant_drift_in_the_ball_exits_1(tmp_path):
+    # ROADMAP item 2's conjugated Gamma(2): a row of length 9 drifts off
+    # det 1 at depth 10, a typed error with the word length in its message
+    h = hf.Mobius(0.0, -1.0, 1.0, -(math.sqrt(2.0) - 1.0))
+    gens = [h @ g @ h.inverse() for g in (hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1))]
+    p = tmp_path / "gamma2-conjugated.json"
+    hf.dump_group_spec(hf.GroupSpec(tuple(gens), max_word_length=10), p)
+    code, out, err = _main(["classify", "--group", str(p), "--point", "0"])
+    assert (code, out) == (1, "")
+    assert err.startswith("horoflow: error: matrix (")
+    assert err.endswith(" has det 1.0000000000392513, not 1, at word length 9\n")
+
+
 def test_cli_rejects_nan_point(group_files):
     r = _cli("classify", "--group", group_files["parabolic"], "--point", "nan")
     assert r.returncode == 1
