@@ -20,7 +20,6 @@ the row of h g h^-1 by a closed form (``_conjugate``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -31,7 +30,7 @@ from .flows import BASE_TANGENT, UnitTangent
 from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _check_int,
                     _check_real, _coefficients, _minus_xi, _split, ball_arrays, dedup_keys,
                     orbit_height)
-from .halfplane import _IDENTITY, INFINITY, BoundaryPoint, Mobius, apply_boundary, bp
+from .halfplane import _IDENTITY, INFINITY, BoundaryPoint, Mobius, _record, apply_boundary, bp
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
 WINDOW = 5          # trailing terms that must sit below eps to settle
@@ -43,7 +42,7 @@ NON_MINIMALITY = "non-minimality-evidence"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@_record
 class SequenceCandidate:
     """A bounded escaping sequence drawn from (or injected into) a group.
 
@@ -97,7 +96,7 @@ class SequenceCandidate:
         return len(set(self.heights)) > 1
 
 
-@dataclass(frozen=True)
+@_record
 class ConvergenceVerdict:
     """Outcome of a two-stream settle test.
 
@@ -116,7 +115,7 @@ class ConvergenceVerdict:
     unsettled: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@_record
 class CoefficientAsymptotics:
     """Report on the coefficient behavior of an escaping sequence: |a_n|,
     c_n and d_n as streams, whether |a_n| diverges and c_n tends to 0, and
@@ -133,14 +132,19 @@ class CoefficientAsymptotics:
     cd_bound_ok: bool
 
 
-@dataclass(frozen=True)
+@_record
 class DichotomyVerdict:
+    """A verdict tag and the settled Busemann value t behind it, if any."""
+
     kind: str
     t: float | None = None
 
 
-@dataclass(frozen=True)
+@_record
 class DiagnosticsReport:
+    """run_dichotomy's sequence (None if none was found) and its reports, the
+    candidate times, the verdict, and a note saying why it is inconclusive."""
+
     sequence: SequenceCandidate | None
     coefficients: CoefficientAsymptotics | None
     busemann_limit: ConvergenceVerdict

@@ -8,14 +8,13 @@ multiplication of the frame, so they commute with the group acting on the left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyBall, NegativeTime
 from .group import _ULP, GroupSpec, _check_real, ball_arrays
-from .halfplane import (_IDENTITY, INFINITY, POINT_I, BoundaryPoint, Mobius, PointH, apply,
-                        apply_boundary)
+from .halfplane import (_IDENTITY, INFINITY, POINT_I, BoundaryPoint, Mobius, PointH, _record,
+                        apply, apply_boundary)
 
 TAIL_FRACTION = 0.25  # share of trailing samples feeding the liminf estimate
 
@@ -57,7 +56,7 @@ def _exp(t):
     return e
 
 
-@dataclass(frozen=True)
+@_record
 class UnitTangent:
     """Unit tangent vector, stored as the frame mapping the reference vector to it."""
 
@@ -114,7 +113,7 @@ def orbit_points(u: UnitTangent, kind: str, times: np.ndarray) -> np.ndarray:
     return (m.a * z + m.b) / (m.c * z + m.d)
 
 
-@dataclass(frozen=True)
+@_record
 class RayProfile:
     """Sampled injectivity-radius estimates along a geodesic ray.
 

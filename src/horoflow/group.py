@@ -18,13 +18,13 @@ import functools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .errors import BallTooLarge, CoefficientOverflow, EllipticElement, InvalidGenerator
 from .halfplane import (DET_TOL, INFINITY, SIGN_TOL, BoundaryPoint, Mobius, _check_real,
-                        _near_identity)
+                        _near_identity, _record)
 
 DEDUP_TOL = 1e-9      # rounding grid for element deduplication
 CLASS_TOL = 1e-9      # tolerance on |trace| - 2 for the isometry trichotomy
@@ -60,7 +60,7 @@ class IsometryClass(enum.Enum):
     IDENTITY = "identity"
 
 
-@dataclass(frozen=True)
+@_record
 class GroupElement:
     """A group element: its Moebius value and a shortest witnessing word.
 
@@ -73,7 +73,7 @@ class GroupElement:
     word: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
+@_record
 class GroupSpec:
     """Generators plus enumeration parameters.
 
@@ -278,7 +278,7 @@ def _first_new(coef: np.ndarray, keys: np.ndarray, n: int, m: int,
     return np.flatnonzero(keep)
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class Ball(Sequence):
     """A word ball as read-only arrays, one row per non-identity element,
     and the read-only sequence of those elements: ``ball[i]`` builds row i's
@@ -315,6 +315,7 @@ class Ball(Sequence):
         return self.a.size
 
     def word(self, i: int) -> tuple[int, ...]:
+        i = range(len(self))[i]  # as in __getitem__: from the end when negative
         w = []
         while i >= 0:
             w.append(int(self.letter[i]))

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _check_real,
                     _minus_xi, _split, ball_arrays, orbit_height)
-from .halfplane import _IDENTITY, GEOM_TOL, BoundaryPoint, bp
+from .halfplane import _IDENTITY, GEOM_TOL, BoundaryPoint, _record, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
 UNBOUNDED_RUN = 3        # consecutive strictly-increasing depth steps required
@@ -38,8 +37,11 @@ class LimitVerdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@_record
 class LimitPointEvidence:
+    """The orbit heights' sup and accumulation level at ``point`` over the
+    depth ball, a parabolic element fixing it, and the verdict they give."""
+
     point: BoundaryPoint
     depth: int
     sup_height: float
@@ -54,7 +56,9 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
     The orbit point i itself (the identity) is included.
     """
     xi = bp(xi)
-    h = np.append(orbit_height(ball_arrays(spec, depth), xi),
+    ball = ball_arrays(spec, depth)
+    # at infinity the ball's cache; np.append copies it, so it is never written
+    h = np.append(ball.inf_heights if xi.is_infinity else orbit_height(ball, xi),
                   orbit_height(_IDENTITY, xi))
     h.sort()
     return h[::-1]

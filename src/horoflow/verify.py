@@ -17,20 +17,22 @@ actually supports rather than asserting it blind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .flows import MAX_SAMPLES
 from .group import _check_int, _check_real
-from .halfplane import INFINITY, Mobius, PointH, apply, apply_boundary, bp, busemann, cross_ratio, dist
+from .halfplane import (INFINITY, Mobius, PointH, _record, apply, apply_boundary, bp, busemann,
+                        cross_ratio, dist)
 
 DEFAULT_SAMPLES = 1000
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@_record
 class CheckResult:
+    """One identity's worst residual over the samples, against ``tol``."""
+
     name: str
     max_residual: float
     tol: float
@@ -40,8 +42,10 @@ class CheckResult:
         return bool(self.max_residual <= self.tol)
 
 
-@dataclass(frozen=True)
+@_record
 class VerificationReport:
+    """The checks of run_verification, and the residual of t = ln(b^2)."""
+
     samples: int
     seed: int
     tol: float

@@ -505,6 +505,17 @@ def test_a_ball_is_the_sequence_of_its_elements(schottky_spec):
     assert ball[n - 1].word == ball.word(n - 1) and ball[n - 1] in ball
 
 
+def test_a_negative_word_index_counts_from_the_end(flute_spec):
+    ball = ball_arrays(flute_spec, 3)
+    n = len(ball)
+    assert n == 186
+    assert ball.word(-1) == ball.word(n - 1) == ball[-1].word == (-3, -3, -3)
+    assert ball.word(-n) == ball.word(0) == ball[-n].word
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ball.word(i)
+
+
 def test_ball_arrays_cached_and_read_only(schottky_spec):
     arrs = ball_arrays(schottky_spec, 3)
     assert arrs is ball_arrays(schottky_spec, 3)

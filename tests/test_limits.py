@@ -493,6 +493,26 @@ _BENCH_BALLS = {
     "gamma2": (hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)),
                             max_word_length=10), 10),
 }
+
+
+@pytest.mark.parametrize("name", [*sorted(_BENCH_BALLS), "psl2z"])
+def test_orbit_heights_at_infinity_read_the_balls_cache(name, monkeypatch):
+    spec, depth = _BENCH_BALLS.get(name, (_PSL2Z, 20))
+    ball = ball_arrays(spec, depth)
+    cache = ball.inf_heights
+    before = cache.copy()
+    want = np.append(orbit_height(ball, hf.INFINITY),
+                     orbit_height(hf.Mobius.identity(), hf.INFINITY))
+    want.sort()
+    passes = []
+    monkeypatch.setattr(hf.limits, "orbit_height",
+                        lambda g, xi: passes.append(g) or orbit_height(g, xi))
+    assert hf.orbit_heights(spec, hf.INFINITY, depth).tobytes() == want[::-1].tobytes()
+    assert not any(isinstance(g, Ball) for g in passes)  # no second pass over the ball
+    assert ball.inf_heights is cache and not cache.flags.writeable
+    assert cache.tobytes() == before.tobytes()
+
+
 # certified, but the isometric disk of its first generator, (-3, 3), holds i
 _I_INSIDE = hf.schottky_pair(((-10.0, 3.0), (0.0, 3.0), (8.0, 0.5), (12.0, 0.5)))
 
