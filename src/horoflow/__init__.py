@@ -1,19 +1,18 @@
 """Computational toolkit for horocycle dynamics on the hyperbolic plane.
 
-Core layers:
+Core layers, each importing only :mod:`horoflow.errors` and those above it:
 
-* :mod:`horoflow.halfplane` — points, boundary points, Moebius maps, the
-  distance and Busemann cocycle, cross-ratios, intersection angles;
+* :mod:`horoflow.halfplane` — points, boundary points, Moebius maps, unit
+  tangent frames, the distance and Busemann cocycle, cross-ratios,
+  intersection angles, and the input rules every module shares;
 * :mod:`horoflow.group` — finitely generated groups, word-ball enumeration,
   isometry classification, preset families;
-* :mod:`horoflow.limits` — finite-depth evidence classification of boundary
-  points;
-* :mod:`horoflow.flows` — geodesic/horocycle flows on unit tangent frames
-  and injectivity-radius profiles;
-* :mod:`horoflow.dichotomy` — bounded escaping sequences and the
-  recurrence-versus-non-minimality diagnostics;
-* :mod:`horoflow.groupio`, :mod:`horoflow.verify`, :mod:`horoflow.cli` —
-  JSON group files, the randomized identity suite, and the command line.
+* the analysis modules, none importing another: :mod:`horoflow.limits`
+  (boundary-point evidence), :mod:`horoflow.flows` (flows and injectivity
+  profiles), :mod:`horoflow.dichotomy` (the recurrence-versus-non-minimality
+  diagnostics), :mod:`horoflow.groupio` (JSON group files) and
+  :mod:`horoflow.verify` (the identity suite, on halfplane alone);
+* :mod:`horoflow.cli` — the command line.
 
 Names resolve lazily: ``horoflow.run_dichotomy`` imports
 :mod:`horoflow.dichotomy` on first use, so a command-line call loads only
@@ -34,17 +33,17 @@ _EXPORTS = {
                "EllipticElement", "EmptyBall", "HoroflowError", "InvalidGenerator",
                "InvalidPoint", "NegativeTime", "NoIntersection", "NoSequenceFound",
                "ParseError"),
-    "flows": ("BASE_TANGENT", "RayProfile", "UnitTangent", "geodesic_flow",
-              "horocycle_flow", "injectivity_profile", "orbit_points", "ray_point"),
+    "flows": ("RayProfile", "geodesic_flow", "horocycle_flow", "injectivity_profile",
+              "orbit_points", "ray_point"),
     "group": ("Ball", "GroupElement", "GroupSpec", "IsometryClass", "ball_arrays",
               "classify_isometry", "cyclic_hyperbolic", "cyclic_parabolic",
               "enumerate_ball", "fixed_points", "hyperbolic_element",
               "isometric_circle", "schottky_pair", "truncated_flute"),
     "groupio": ("dump_group_spec", "load_group_spec", "parse_group_spec"),
-    "halfplane": ("INFINITY", "POINT_I", "BoundaryPoint", "Geodesic", "Horocycle",
-                  "Mobius", "PointH", "angle_between", "apply", "apply_boundary",
-                  "bp", "busemann", "cross_ratio", "dist", "harmonic_conjugate",
-                  "height"),
+    "halfplane": ("BASE_TANGENT", "INFINITY", "POINT_I", "BoundaryPoint", "Geodesic",
+                  "Horocycle", "Mobius", "PointH", "UnitTangent", "angle_between", "apply",
+                  "apply_boundary", "bp", "busemann", "cross_ratio", "dist",
+                  "harmonic_conjugate", "height"),
     "limits": ("LimitPointEvidence", "LimitVerdict", "classify_boundary_point",
                "orbit_heights"),
     "verify": ("VerificationReport", "run_verification"),

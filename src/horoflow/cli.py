@@ -166,7 +166,8 @@ def _cmd_classify(args, out) -> int:
 def _cmd_orbit(args, out) -> int:
     import numpy as np
 
-    from .flows import BASE_TANGENT, orbit_points, sample_count
+    from .flows import orbit_points, sample_count
+    from .halfplane import BASE_TANGENT
 
     if not args.start < args.end:
         raise ValueError(f"need start < end, got {args.start}, {args.end}")

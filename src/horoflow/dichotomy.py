@@ -26,11 +26,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NoSequenceFound
-from .flows import BASE_TANGENT, UnitTangent
-from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _check_int,
-                    _check_real, _coefficients, _minus_xi, _split, ball_arrays, dedup_keys,
-                    orbit_height)
-from .halfplane import _IDENTITY, INFINITY, BoundaryPoint, Mobius, _record, apply_boundary, bp
+from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _coefficients,
+                    _minus_xi, _split, ball_arrays, dedup_keys, orbit_height)
+from .halfplane import (_IDENTITY, BASE_TANGENT, INFINITY, BoundaryPoint, Mobius, UnitTangent,
+                        _check_int, _check_real, _record, apply_boundary, bp)
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
 WINDOW = 5          # trailing terms that must sit below eps to settle

@@ -1,8 +1,7 @@
 """Geodesic and horocycle flows on unit tangent vectors, and injectivity profiles.
 
-A unit tangent vector is recorded as a frame: the Moebius map carrying the
-reference vector (based at i, pointing straight up) to it. Flows act by right
-multiplication of the frame, so they commute with the group acting on the left.
+Flows act on a vector's frame (``halfplane.UnitTangent``) by right
+multiplication, so they commute with the group acting on the left.
 """
 
 from __future__ import annotations
@@ -12,16 +11,15 @@ import math
 import numpy as np
 
 from .errors import EmptyBall, NegativeTime
-from .group import _ULP, GroupSpec, _check_real, ball_arrays
-from .halfplane import (_IDENTITY, INFINITY, POINT_I, BoundaryPoint, Mobius, PointH, _record,
-                        apply, apply_boundary)
+from .group import _ULP, GroupSpec, ball_arrays
+from .halfplane import (_TINY, BASE_TANGENT, MAX_SAMPLES, Mobius, PointH, UnitTangent,
+                        _check_real, _record, apply)
 
 TAIL_FRACTION = 0.25  # share of trailing samples feeding the liminf estimate
 
 _CELLS = 1 << 16  # rows x samples per kernel call, so its temporaries stay bounded
 _BLOCK = 8        # fewest samples sharing one pruning threshold
-_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
-MAX_SAMPLES = 2_000_000  # longest sample grid of a profile or an orbit table
+_HUGE = float(np.finfo(float).max)
 
 
 def sample_count(span: float, step: float) -> int:
@@ -56,43 +54,20 @@ def _exp(t):
     return e
 
 
-@_record
-class UnitTangent:
-    """Unit tangent vector, stored as the frame mapping the reference vector to it."""
-
-    frame: Mobius
-
-    def __post_init__(self):
-        if not isinstance(self.frame, Mobius):
-            raise ValueError(f"a frame must be a Mobius value, got {self.frame!r}")
-
-    def base_point(self) -> PointH:
-        return apply(self.frame, POINT_I)
-
-    def forward_endpoint(self) -> BoundaryPoint:
-        return apply_boundary(self.frame, INFINITY)
-
-    def transform(self, m: Mobius) -> "UnitTangent":
-        return UnitTangent(m @ self.frame)
-
-
-BASE_TANGENT = UnitTangent(_IDENTITY)
-
-
 def geodesic_flow(u: UnitTangent, t: float) -> UnitTangent:
     """Flow for time t along the geodesic the vector points along."""
-    e = _exp(t / 2.0)
+    e = _exp(_check_real("t", t) / 2.0)
     return UnitTangent(u.frame @ Mobius(e, 0.0, 0.0, 1.0 / e))
 
 
 def horocycle_flow(u: UnitTangent, s: float) -> UnitTangent:
     """Flow for time s along the horocycle the vector is perpendicular to."""
-    return UnitTangent(u.frame @ Mobius(1.0, float(s), 0.0, 1.0))
+    return UnitTangent(u.frame @ Mobius(1.0, _check_real("s", s), 0.0, 1.0))
 
 
 def ray_point(u: UnitTangent, t: float) -> PointH:
     """Point at time t >= 0 along the forward geodesic ray of u."""
-    if t < 0.0:
+    if _check_real("t", t) < 0.0:
         raise NegativeTime(f"ray time must be >= 0, got {t}")
     return apply(u.frame, PointH(0.0, _exp(t)))
 

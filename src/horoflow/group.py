@@ -16,33 +16,20 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import field
 
 import numpy as np
 
 from .errors import BallTooLarge, CoefficientOverflow, EllipticElement, InvalidGenerator
-from .halfplane import (DET_TOL, INFINITY, SIGN_TOL, BoundaryPoint, Mobius, _check_real,
-                        _near_identity, _record)
+from .halfplane import (DET_TOL, INFINITY, SIGN_TOL, BoundaryPoint, Mobius, _check_int,
+                        _check_real, _near_identity, _record)
 
 DEDUP_TOL = 1e-9      # rounding grid for element deduplication
 CLASS_TOL = 1e-9      # tolerance on |trace| - 2 for the isometry trichotomy
 ENUM_CAP = 2_000_000  # hard cap on enumerated elements
 _SEED_ROWS = 512      # rows of least displacement floor, for the injectivity kernel
 _ULP = float(np.finfo(float).eps)
-
-
-def _check_int(name: str, value, least: int) -> int:
-    """``value`` as a plain int: what operator.index takes (an int or a NumPy
-    integer) but a bool, at least ``least``; ValueError otherwise."""
-    try:
-        n = operator.index(None if isinstance(value, bool) else value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if n < least:
-        raise ValueError(f"{name} must be at least {least}, got {n}")
-    return n
 
 
 def _invalid(check, *args):

@@ -1,14 +1,16 @@
-"""Upper half-plane geometry: points, Moebius maps, distances, cross-ratios.
+"""Upper half-plane geometry: points, Moebius maps, frames, distances, cross-ratios.
 
 Points live in the open upper half-plane H = {z : Im z > 0}; the boundary is
 the extended real line R u {inf}. Isometries are real 2x2 matrices of unit
 determinant acting as z -> (az+b)/(cz+d), with M and -M identified (the sign
 is canonicalized so the first coefficient of (a, b, c, d) larger than a small
-threshold in magnitude is positive).
+threshold in magnitude is positive). A unit tangent vector is recorded as its
+frame: the map carrying the reference vector (at i, pointing up) to it.
 
 Boundary points are handled projectively: a finite x is the ray (x : 1) and
 infinity is (1 : 0), so cross-ratios and harmonic conjugates need no special
 casing beyond the projective "difference" D((p1:p2), (q1:q2)) = p1*q2 - q1*p2.
+``_check_real`` and ``_check_int`` are the input rules every module shares.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .errors import DegeneratePoints, InvalidPoint, NoIntersection
 DET_TOL = 1e-12       # relative determinant tolerance for Moebius values
 SIGN_TOL = 1e-12      # magnitude threshold for the sign canonicalization
 GEOM_TOL = 1e-9       # default tolerance for geometric comparisons
+MAX_SAMPLES = 2_000_000  # longest sample grid of a profile, an orbit table or a verify run
+_TINY = float(np.finfo(float).tiny)  # the least normal float
 
 
 def _check_real(name: str, value, least: float = -math.inf, strict: bool = False) -> float:
@@ -41,6 +45,18 @@ def _check_real(name: str, value, least: float = -math.inf, strict: bool = False
         bound = "" if least == -math.inf else f" and {'>' if strict else '>='} {least:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
     return x
+
+
+def _check_int(name: str, value, least: int) -> int:
+    """``value`` as a plain int: what operator.index takes (an int or a NumPy
+    integer) but a bool, at least ``least``; ValueError otherwise."""
+    try:
+        n = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return n
 
 
 def _record(cls=None, /, *, eq: bool = True):
@@ -117,8 +133,11 @@ class PointH:
     im: float
 
     def __post_init__(self):
-        if not self.im > 0.0:
+        re, im = _check_real("re", self.re), _check_real("im", self.im)
+        if not im > 0.0:
             raise ValueError(f"point must have im > 0, got im={self.im}")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @property
     def z(self) -> complex:
@@ -281,9 +300,13 @@ class Horocycle:
     base: BoundaryPoint
     level: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "base", bp(self.base))
+        object.__setattr__(self, "level", _check_real("level", self.level))
+
     @classmethod
     def through(cls, base: BoundaryPoint, p: PointH) -> "Horocycle":
-        return cls(bp(base), busemann(base, POINT_I, p))
+        return cls(base, busemann(base, POINT_I, p))
 
     def contains(self, p: PointH, tol: float = GEOM_TOL) -> bool:
         return abs(busemann(self.base, POINT_I, p) - self.level) <= tol
@@ -316,13 +339,38 @@ def apply_boundary(m: Mobius, x: BoundaryPoint) -> BoundaryPoint:
     return BoundaryPoint((m.a * x.value + m.b) / den)
 
 
+@_record
+class UnitTangent:
+    """Unit tangent vector, stored as the frame mapping the reference vector to it."""
+
+    frame: Mobius
+
+    def __post_init__(self):
+        if not isinstance(self.frame, Mobius):
+            raise ValueError(f"a frame must be a Mobius value, got {self.frame!r}")
+
+    def base_point(self) -> PointH:
+        return apply(self.frame, POINT_I)
+
+    def forward_endpoint(self) -> BoundaryPoint:
+        return apply_boundary(self.frame, INFINITY)
+
+    def transform(self, m: Mobius) -> "UnitTangent":
+        return UnitTangent(m @ self.frame)
+
+
+BASE_TANGENT = UnitTangent(_IDENTITY)
+
+
 # ---------------------------------------------------------------------------
 # metric
 
 
 def dist(z: PointH, w: PointH) -> float:
     """Hyperbolic distance 2*argsinh(|z - w| / (2*sqrt(Im z * Im w)))."""
-    return 2.0 * math.asinh(abs(z.z - w.z) / (2.0 * math.sqrt(z.im * w.im)))
+    h = z.im * w.im  # past the normal range it has lost digits or its value
+    root = math.sqrt(h) if _TINY <= h < math.inf else math.sqrt(z.im) * math.sqrt(w.im)
+    return 2.0 * math.asinh(abs(z.z - w.z) / (2.0 * root))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +473,9 @@ def _log_height(xi: BoundaryPoint, p: PointH) -> float:
     if xi.is_infinity:
         return math.log(p.im)
     dx = p.re - xi.value
-    return math.log(p.im) - math.log(dx * dx + p.im * p.im)
+    sq = dx * dx + p.im * p.im  # past the normal range it has lost digits or its value
+    log_sq = math.log(sq) if _TINY <= sq < math.inf else 2.0 * math.log(math.hypot(dx, p.im))
+    return math.log(p.im) - log_sq
 
 
 def height(xi, p: PointH) -> float:

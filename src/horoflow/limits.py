@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _check_real,
-                    _minus_xi, _split, ball_arrays, orbit_height)
-from .halfplane import _IDENTITY, GEOM_TOL, BoundaryPoint, _record, bp
+from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _minus_xi, _split,
+                    ball_arrays, orbit_height)
+from .halfplane import _IDENTITY, GEOM_TOL, BoundaryPoint, _check_real, _record, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
 UNBOUNDED_RUN = 3        # consecutive strictly-increasing depth steps required

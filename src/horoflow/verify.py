@@ -20,10 +20,8 @@ import math
 
 import numpy as np
 
-from .flows import MAX_SAMPLES
-from .group import _check_int, _check_real
-from .halfplane import (INFINITY, Mobius, PointH, _record, apply, apply_boundary, bp, busemann,
-                        cross_ratio, dist)
+from .halfplane import (INFINITY, MAX_SAMPLES, Mobius, PointH, _check_int, _check_real, _record,
+                        apply, apply_boundary, bp, busemann, cross_ratio, dist)
 
 DEFAULT_SAMPLES = 1000
 DEFAULT_TOL = 1e-9

@@ -160,9 +160,21 @@ def test_profile_survives_squares_below_the_normal_range(parabolic_spec):
 
 
 @pytest.mark.parametrize("flow, t", [(hf.ray_point, 1e4), (hf.geodesic_flow, 1e4),
-                                     (hf.geodesic_flow, -1e4), (hf.ray_point, math.nan)])
+                                     (hf.geodesic_flow, -1e4)])
 def test_flow_times_past_the_float_range_are_refused(flow, t):
     with pytest.raises(ValueError, match="float range"):
+        flow(hf.BASE_TANGENT, t)
+
+
+@pytest.mark.parametrize("flow, t", [(hf.horocycle_flow, "1"), (hf.horocycle_flow, True),
+                                     (hf.horocycle_flow, math.inf), (hf.geodesic_flow, "1"),
+                                     (hf.geodesic_flow, True), (hf.geodesic_flow, math.nan),
+                                     (hf.ray_point, "1"), (hf.ray_point, True),
+                                     (hf.ray_point, math.nan)])
+def test_flow_times_must_be_finite_real_numbers(flow, t):
+    # the error names the argument
+    name = "s" if flow is hf.horocycle_flow else "t"
+    with pytest.raises(ValueError, match=f"^{name} must be (a real number|finite), got "):
         flow(hf.BASE_TANGENT, t)
 
 

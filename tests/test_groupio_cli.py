@@ -281,8 +281,10 @@ def _horoflow(*names):
      _horoflow("dichotomy", "flows", "verify")),
     (["inj", "--group", "schottky", "--tmax", "1"], _horoflow("dichotomy", "limits", "verify")),
     (["orbit", "--flow", "horocycle", "--end", "1"], _horoflow("dichotomy", "limits", "verify")),
-    (["diagnose", "--group", "parabolic"], _horoflow("limits", "verify")),
-    (["verify", "--samples", "1000"], _horoflow("dichotomy", "limits", "groupio")),
+    (["diagnose", "--group", "parabolic"], _horoflow("flows", "limits", "verify")),
+    # verify loads horoflow, cli, errors, halfplane and verify alone
+    (["verify", "--samples", "1000"], _horoflow("dichotomy", "flows", "group", "groupio",
+                                                 "limits")),
 ], ids=["version", "classify", "inj", "orbit", "diagnose", "verify"])
 def test_cold_calls_do_not_import_numpy_ma(group_files, argv, absent):
     # each subcommand imports only its own modules; np.unique would import

@@ -22,6 +22,20 @@ def test_point_requires_positive_imaginary_part():
         hf.PointH(2.0, 0.0)
 
 
+@pytest.mark.parametrize("re, im, name", [("1", 2.0, "re"), (True, 2.0, "re"),
+                                          (math.nan, 1.0, "re"), (-math.inf, 1.0, "re"),
+                                          (0.0, "2", "im"), (0.0, math.inf, "im")])
+def test_point_coordinates_are_finite_real_numbers(re, im, name):
+    with pytest.raises(ValueError, match=f"^{name} must be (a real number|finite), got "):
+        hf.PointH(re, im)
+
+
+def test_point_stores_floats():
+    p = hf.PointH(np.float64(0.5), 2)
+    assert type(p.re) is float and type(p.im) is float
+    assert p == hf.PointH(0.5, 2.0)
+
+
 def test_boundary_point_coercion():
     assert hf.bp(1.5).value == 1.5
     assert hf.bp(hf.INFINITY) is hf.INFINITY or hf.bp(hf.INFINITY).is_infinity
@@ -105,6 +119,17 @@ def test_dist_vertical_segment_exact():
     )
 
 
+@pytest.mark.parametrize("z, w, want", [
+    # Im z * Im w overflows to inf, and underflows to 0
+    ((0.0, 1e200), (1e300, 1e200), 2.0 * math.asinh(0.5e100)),
+    ((0.0, 1e-200), (1e-200, 1e-200), 2.0 * math.asinh(0.5)),
+    ((0.0, 1e-300), (0.0, 1e300), 2.0 * math.log(1e300)),
+])
+def test_dist_at_extreme_heights(z, w, want):
+    d = hf.dist(hf.PointH(*z), hf.PointH(*w))
+    assert d == pytest.approx(want, rel=1e-14)
+
+
 def test_dist_properties(rng, mobius_sampler, point_sampler):
     for _ in range(300):
         z = point_sampler(rng)
@@ -137,6 +162,24 @@ def test_height_known_values():
 def test_busemann_vertical_oracle():
     got = hf.busemann(hf.INFINITY, hf.POINT_I, hf.PointH(0.0, 2.0))
     assert got == pytest.approx(math.log(2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("xi, z, w, want", [
+    # (x - xi)^2 + y^2 overflows to inf, and underflows to 0
+    (0.0, (1e200, 1.0), (1e200, 2.0), math.log(2.0)),
+    (0.0, (0.0, 1e-200), (0.0, 2e-200), -math.log(2.0)),
+    (1e-200, (0.0, 1e-200), (2e-200, 1e-200), 0.0),
+])
+def test_busemann_at_extreme_heights(xi, z, w, want):
+    # the logs of the two heights, near +-460 or 920, cancel to a few of their ulps
+    got = hf.busemann(xi, hf.PointH(*z), hf.PointH(*w))
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_height_at_extreme_heights():
+    # e^x carries the log's rounding, a few ulps of 460, into its last digits
+    assert hf.height(0.0, hf.PointH(0.0, 1e-200)) == pytest.approx(1e200, rel=1e-12)
+    assert hf.height(0.0, hf.PointH(1e200, 1e200)) == pytest.approx(0.5e-200, rel=1e-12)
 
 
 def test_busemann_matrix_entry_oracle(rng, mobius_sampler):
@@ -183,6 +226,17 @@ def test_horocycle_level_and_contains():
     h0 = hf.Horocycle.through(hf.bp(0.0), hf.POINT_I)
     assert h0.level == 0.0
     assert h0.contains(hf.apply(hf.Mobius(1.0, 0.0, 2.0, 1.0), hf.POINT_I))
+
+
+def test_horocycle_coerces_its_base_and_checks_its_level():
+    h = hf.Horocycle(0.0, 1)
+    assert h == hf.Horocycle(hf.bp(0.0), 1.0) and len({h, hf.Horocycle(hf.bp(0.0), 1.0)}) == 1
+    assert hf.Horocycle("inf", 0.0).base is hf.INFINITY
+    for level in ("x", True, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^level must be"):
+            hf.Horocycle(hf.bp(0.0), level)
+    with pytest.raises(hf.InvalidPoint):
+        hf.Horocycle("0", 1.0)
 
 
 # ---------------------------------------------------------------------------
