@@ -370,7 +370,16 @@ def dist(z: PointH, w: PointH) -> float:
     """Hyperbolic distance 2*argsinh(|z - w| / (2*sqrt(Im z * Im w)))."""
     h = z.im * w.im  # past the normal range it has lost digits or its value
     root = math.sqrt(h) if _TINY <= h < math.inf else math.sqrt(z.im) * math.sqrt(w.im)
-    return 2.0 * math.asinh(abs(z.z - w.z) / (2.0 * root))
+    try:
+        x = abs(z.z - w.z) / (2.0 * root)
+    except OverflowError:  # the modulus of a finite difference overflows
+        x = math.inf
+    if not x < math.inf:  # inf or inf/inf: the quarters, exact at that size, do not overflow
+        q = math.hypot(0.25 * z.re - 0.25 * w.re, 0.25 * z.im - 0.25 * w.im)
+        x = q / root * 2.0
+        if x == math.inf:  # there asinh(x) = ln(2x) to the last bit
+            return 2.0 * (math.log(q) - math.log(root) + math.log(4.0))
+    return 2.0 * math.asinh(x)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +483,13 @@ def _log_height(xi: BoundaryPoint, p: PointH) -> float:
         return math.log(p.im)
     dx = p.re - xi.value
     sq = dx * dx + p.im * p.im  # past the normal range it has lost digits or its value
-    log_sq = math.log(sq) if _TINY <= sq < math.inf else 2.0 * math.log(math.hypot(dx, p.im))
+    if _TINY <= sq < math.inf:
+        log_sq = math.log(sq)
+    elif (r := math.hypot(dx, p.im)) < math.inf:
+        log_sq = 2.0 * math.log(r)
+    else:  # dx or |p - xi| overflows: the quarters, exact at that size, do not
+        r = math.hypot(0.25 * p.re - 0.25 * xi.value, 0.25 * p.im)
+        log_sq = 2.0 * (math.log(r) + math.log(4.0))
     return math.log(p.im) - log_sq
 
 

@@ -14,7 +14,6 @@ element fixing the point settles the matter exactly.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -40,7 +39,10 @@ class LimitVerdict(enum.Enum):
 @_record
 class LimitPointEvidence:
     """The orbit heights' sup and accumulation level at ``point`` over the
-    depth ball, a parabolic element fixing it, and the verdict they give."""
+    depth ball, a parabolic element fixing it, and the verdict they give.
+
+    ``height_accumulation`` is None on a spec with a ping-pong certificate,
+    where no cluster is searched for (see classify_boundary_point)."""
 
     point: BoundaryPoint
     depth: int
@@ -89,43 +91,35 @@ def _find_cluster(heights: np.ndarray) -> float | None:
     return float(level[hit.argmax()]) if hit.any() else None
 
 
-def _read(x, head, tail, lo=0):
+def _read(x, head, tail):
     # the heights of the columns (a, b, c, d) of x, by _orbit_height's
     # operations on the (a, b) and (c, d) pairs at once, so the same bits;
-    # and for the columns from lo on, |c|, q = (a - xi c)^2 - 1 and c, so
-    # that 2 B_w < T reads |c| < q T / 2
+    # and |c|, q = (a - xi c)^2 - 1 and c, so that 2 B_w < S reads
+    # |c| < q S / 2
     p, _ = _minus_xi(x[:2], x[2:], head, tail)
     p *= p
     h = p[0] + p[1]
     np.divide(1.0, h, out=h)
     np.fmax(h, 0.0, out=h)
-    q, c = p[0, lo:], x[2, lo:]
+    q, c = p[0], x[2]
     q -= 1.0
     return h, np.abs(c), q, c
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _walk(ball, xi: BoundaryPoint, s: float, floor: float, skipped: dict | None = None):
-    """(sups, heights, skipped): the heights at a finite xi of the rows of a
-    certified ball that can still matter, read down the word tree one length
-    at a time from the running sup s.
+def _walk(ball, xi: BoundaryPoint, s: float) -> np.ndarray:
+    """The sup of the heights at a finite xi over each word length of a
+    certified ball, read down the word tree from the running sup s.
 
     Row w = (a, b, c, d) with c != 0 bounds every height of its subtree by
     B_w = |c| / ((a - xi c)^2 - 1) when (a - xi c)^2 > 1 (the lemma of
-    classify_boundary_point). The walk reads the children of every row
-    kept: a row is kept unless 2 B_w < T. T = the running sup S keeps every
-    length's sup; T = min(S, floor) also reads every height at or above
-    floor, which the cluster search needs. The walk takes the latter at a
-    length whose rows leave the sup flat and S where they raise it: a sup
-    that rises to the last length is the horocyclic verdict, which needs no
-    cluster, and there floor would read most of a lattice's ball.
-
-    A first call reads the rows of lengths 1 and 2 whole and walks on from
-    them. It returns the sup of the rows read at each length (-inf where
-    none was), every height read, and, per length, the rows whose children
-    it skipped under a T above floor. A second call, given the final sup
-    and that record, reads on from the skipped rows whose subtree can reach
-    floor; it reads the record and never writes into it.
+    classify_boundary_point). The walk reads the rows of length 1, then,
+    a length at a time, the children of every row it keeps: a row is kept
+    unless 2 B_w < S, S the sup of the heights read so far. A row skipped
+    has its whole subtree below S / 2, so no length's sup that could raise
+    the running one is missed, and the running sups are those of a pass
+    over every row, to the bit. A length none of whose rows is read has
+    sup -inf.
     """
     # every reduced word is a row, by length and then by word, so row r has
     # the children r n + fan, fan = n + 1, ..., 2n, n = 2 (generators) - 1
@@ -133,39 +127,23 @@ def _walk(ball, xi: BoundaryPoint, s: float, floor: float, skipped: dict | None 
     top, n = starts.size - 1, int(starts[1]) - 1
     fan = np.arange(n + 1, 2 * n + 1)
     coef, (head, tail) = ball._coef, _split(xi.value)
-    sups, seen, record, resume = np.full(top, -np.inf), [], {}, skipped or {}
-    if skipped is None:
-        k0 = min(2, top)
-        lo, hi = int(starts[k0 - 1]), int(starts[k0])
-        h, lhs, q, c = _read(coef[:, :hi], head, tail, lo)
-        seen.append(h)
-        sups[:k0] = np.maximum.reduceat(h, starts[:k0])
-        # s: the sup over lengths up to the frontier's length k; last: up to k - 1
-        last = max(s, sups[0])
-        s = max(last, sups[k0 - 1])
-        rows = np.arange(lo, hi)
-    else:
-        k0, last, rows = min(resume, default=top), s, np.zeros(0, dtype=np.intp)
-    for k in range(k0, top):
-        if rows.size:  # rows of length k, read: keep those with 2 B_w >= T
-            t = s if s > last else min(s, floor)
-            skip = lhs < q * (0.5 * t)
-            np.logical_and(skip, c, out=skip)  # a NaN, q <= 0 and c = 0 keep their row
-            if t > floor:
-                record[k] = (rows, lhs, q, skip)
-            rows = rows[~skip]
-        if k in resume:  # and the skipped rows whose subtree can reach floor
-            old, old_lhs, old_q, old_skip = resume[k]
-            rows = np.concatenate((rows, old[old_skip & (old_lhs >= old_q * (0.5 * floor))]))
-        if rows.size:
-            rows = ((rows * n)[:, None] + fan).ravel()
-            h, lhs, q, c = _read(coef.take(rows, axis=1), head, tail)
-            seen.append(h)
-            sups[k] = m = h.max()
-            last, s = s, max(s, m)
-        elif k >= max(resume, default=0):
+    sups = np.full(top, -np.inf)
+    rows = np.arange(n + 1)
+    h, lhs, q, c = _read(coef[:, :n + 1], head, tail)
+    for k in range(top):
+        sups[k] = m = h.max()
+        s = max(s, m)
+        if k + 1 == top:
             break
-    return sups, np.concatenate(seen) if seen else np.zeros(0), record
+        # keep the rows with 2 B_w >= S; a NaN, q <= 0 and c = 0 keep their row
+        skip = lhs < q * (0.5 * s)
+        np.logical_and(skip, c, out=skip)
+        rows = rows[~skip]
+        if not rows.size:
+            break
+        rows = ((rows * n)[:, None] + fan).ravel()
+        h, lhs, q, c = _read(coef.take(rows, axis=1), head, tail)
+    return sups
 
 
 def _fixing_row(ball, xi: BoundaryPoint, tol: float) -> int | None:
@@ -202,20 +180,29 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     2. unbounded-height growth (sup strictly rising over the last
        UNBOUNDED_RUN depth steps and past UNBOUNDED_FACTOR times the depth-1
        sup) -> horocyclic-evidence;
-    3. bounded heights with a cluster at a positive level -> irregular-evidence;
+    3. bounded heights with a cluster at a positive level -> irregular-evidence,
+       searched for only on a spec without a ping-pong certificate;
     4. bounded heights without one -> discrete-evidence;
     otherwise inconclusive (depth too shallow to judge growth, or growth that
     has not yet cleared the factor). An element fixes xi when |g(xi) - xi|
     <= tol; tol must be finite and non-negative.
 
-    The tests need the sup of the heights at each length and, for the
-    cluster, the heights at or above ACCUM_FLOOR. At a finite xi on a spec
-    with a ping-pong certificate (group._ping_pong_disks) whose disks all
-    leave i outside their interiors, they come from a walk down the word
-    tree that reads only the subtrees that can still reach them, with the
-    same result to the bit as a pass over every row. It rests on a lemma:
-    for a row w = (a, b, c, d) with c != 0, w(i) and the orbit point
-    w v(i) of every descendant lie in the closed disk
+    A spec with a certificate (group._ping_pong_disks) is discrete by
+    ping-pong and finitely generated, so geometrically finite (Katok,
+    *Fuchsian Groups*, 4.6; Beardon, *The Geometry of Discrete Groups*,
+    ch. 10): each of its limit points is conical or parabolic, and none is
+    irregular. There bounded heights read discrete-evidence, and
+    height_accumulation is None. Without a certificate discreteness is
+    unknown, and the cluster search runs on the heights at or above
+    ACCUM_FLOOR.
+
+    The tests on a certified spec need only the sup of the heights at each
+    length. At a finite xi, when the certificate's disks all leave i
+    outside their interiors, they come from a walk down the word tree
+    (_walk) that reads only the subtrees that can still raise the sup,
+    with the same result to the bit as a pass over every row. It rests on
+    a lemma: for a row w = (a, b, c, d) with c != 0, w(i) and the orbit
+    point w v(i) of every descendant lie in the closed disk
     |z - a/c| <= sqrt(ad - bc)/|c|, the isometric disk I(w^-1). Proof
     sketch, with l the last letter of w and D(l) its certificate disk:
 
@@ -237,14 +224,10 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     rows are group elements, det = 1 (the rounded ad - bc of a deep row
     carries the rounding of ad and bc, so the walk takes 1), and a - xi c
     is formed with orbit_height's split of xi. The walk reads a row's
-    children unless 2 B_w < T, T the sup so far or the floor; the factor 2
-    covers the rows' rounding. One call of the walk gives the sups; when
-    the cluster search needs the heights, a second call of the same
-    function reads on from the rows the first skipped under the sup alone,
-    not from the root. At infinity (which reads Ball.inf_heights),
-    on a spec without a certificate (PSL(2,Z) and other groups with
-    relations) and where i lies inside a certificate disk, every row's
-    height is computed.
+    children unless 2 B_w < S, S the sup so far; the factor 2 covers the
+    rows' rounding. At infinity (which reads Ball.inf_heights), on a spec
+    without a certificate (PSL(2,Z) and other groups with relations) and
+    where i lies inside a certificate disk, every row's height is computed.
     """
     xi = bp(xi)
     depth = _check_depth(spec, depth)
@@ -261,13 +244,10 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     # stays put, so nothing here grows with the depth itself
     starts = ball._level_starts
     if xi.is_infinity or not _walkable(spec):
-        skipped = None
         heights = ball.inf_heights if xi.is_infinity else orbit_height(ball, xi)
         level_sups = np.maximum.reduceat(heights, starts[:-1]) if heights.size else []
     else:
-        # the cluster search may need every height at or above the floor
-        floor = math.inf if fixing is not None or depth <= UNBOUNDED_RUN else ACCUM_FLOOR
-        level_sups, heights, skipped = _walk(ball, xi, h0, floor)
+        level_sups = _walk(ball, xi, h0)
     top = starts.size - 1
     sups = np.maximum.accumulate(np.concatenate(([h0], level_sups))).tolist()
     sup_height = sups[-1]
@@ -282,14 +262,11 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
             if sup_height >= UNBOUNDED_FACTOR * sups[1]:
                 verdict = LimitVerdict.HOROCYCLIC_EVIDENCE
         else:
-            # no height reaches the floor when the sup does not; otherwise
-            # only the few that do are joined to the identity's
-            if sup_height >= ACCUM_FLOOR:
-                high = [[h0], heights[heights >= ACCUM_FLOOR]]
-                if skipped:  # a second walk reads on from the rows skipped under S alone
-                    more = _walk(ball, xi, sup_height, floor, skipped)[1]
-                    high.append(more[more >= ACCUM_FLOOR])
-                cluster = _find_cluster(np.concatenate(high))
+            # a cluster only without a certificate, where the full pass ran;
+            # no height reaches the floor when the sup does not, and
+            # otherwise only the few that do are joined to the identity's
+            if spec.certificate is None and sup_height >= ACCUM_FLOOR:
+                cluster = _find_cluster(np.append(h0, heights[heights >= ACCUM_FLOOR]))
             verdict = (LimitVerdict.DISCRETE_EVIDENCE if cluster is None
                        else LimitVerdict.IRREGULAR_EVIDENCE)
     return LimitPointEvidence(xi, depth, sup_height, cluster, witness, verdict)

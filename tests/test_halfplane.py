@@ -182,6 +182,59 @@ def test_height_at_extreme_heights():
     assert hf.height(0.0, hf.PointH(1e200, 1e200)) == pytest.approx(0.5e-200, rel=1e-12)
 
 
+def test_differences_past_the_float_range():
+    # the real parts' difference, or the modulus of z - w, overflows: the
+    # distance is 2 asinh(|z - w| / (2 sqrt(Im z Im w))), here from its
+    # quarters, and ln(2x) for asinh(x) where x itself overflows
+    assert hf.dist(hf.PointH(-1e308, 1.0), hf.PointH(1e308, 1.0)) == 2.0 * math.asinh(1e308)
+    assert hf.dist(hf.PointH(-1e308, 1.0), hf.PointH(1e308, 1.0)) == pytest.approx(
+        1419.7787116454, rel=1e-13)
+    assert hf.dist(hf.PointH(-1e308, 1e308), hf.PointH(1e308, 1e308)) == 2.0 * math.asinh(1.0)
+    # against mpmath at 40 digits
+    for z, w, want in [((0.0, 1e308), (1.5e308, 1.0), 710.37486363850771679),
+                       ((-1.7e308, 1.7e308), (1.7e308, 1.0), 711.33627480566234145),
+                       ((-1e308, 0.5), (1e308, 0.5), 1421.1650060065719226),
+                       ((0.0, 1e-300), (1e300, 1e-300), 2763.1021115928548208)]:
+        assert hf.dist(hf.PointH(*z), hf.PointH(*w)) == pytest.approx(want, rel=1e-15)
+    got = hf.busemann(-1e308, hf.PointH(1e308, 1.0), hf.PointH(1e308, 2.0))
+    assert got == pytest.approx(math.log(2.0), abs=1e-12)  # two logs near -1418 cancel
+    level = hf.Horocycle.through(-1e308, hf.PointH(1e308, 1.0)).level
+    assert level == pytest.approx(-math.log(4.0), abs=1e-12)
+    # |p - xi| past the float range at both points: ln(h(w) / h(z)) with
+    # h = Im / |p - xi|^2, in units of 1e308
+    got = hf.busemann(-1.7e308, hf.PointH(1.7e308, 1.7e308), hf.PointH(1.7e308, 0.85e308))
+    assert got == pytest.approx(math.log(0.5 * (3.4 ** 2 + 1.7 ** 2) / (3.4 ** 2 + 0.85 ** 2)),
+                                abs=1e-12)
+
+
+def _dist_in_the_normal_range(z, w):
+    # dist and the log of height before the overflow fallbacks
+    h = z.im * w.im
+    root = math.sqrt(h) if 2.0 ** -1022 <= h < math.inf else math.sqrt(z.im) * math.sqrt(w.im)
+    return 2.0 * math.asinh(abs(z.z - w.z) / (2.0 * root))
+
+
+def _log_height_in_the_normal_range(x, p):
+    dx = p.re - x
+    sq = dx * dx + p.im * p.im
+    log_sq = math.log(sq) if 2.0 ** -1022 <= sq < math.inf else 2.0 * math.log(
+        math.hypot(dx, p.im))
+    return math.log(p.im) - log_sq
+
+
+def test_the_overflow_fallbacks_leave_the_normal_range_bits(rng):
+    # where no difference overflows, dist, height and busemann are the
+    # formulas they were, bit for bit, at scales from 1e-300 to 1e300
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        z, w = (hf.PointH(scale * rng.normal(), scale * rng.exponential()) for _ in range(2))
+        x = scale * rng.normal()
+        assert hf.dist(z, w) == _dist_in_the_normal_range(z, w)
+        log_z, log_w = (_log_height_in_the_normal_range(x, p) for p in (z, w))
+        assert hf.height(x, z) == math.exp(log_z)
+        assert hf.busemann(x, z, w) == log_w - log_z
+
+
 def test_busemann_matrix_entry_oracle(rng, mobius_sampler):
     # B_inf(g(i), i) equals the log squared norm of the bottom matrix row.
     for _ in range(300):

@@ -2,14 +2,16 @@
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import horoflow as hf
@@ -17,7 +19,7 @@ from horoflow.group import Ball, ball_arrays, orbit_height
 from horoflow.halfplane import GEOM_TOL
 from horoflow.limits import (ACCUM_COUNT, ACCUM_FLOOR, ACCUM_WINDOW, UNBOUNDED_FACTOR,
                              UNBOUNDED_RUN, LimitPointEvidence, LimitVerdict, _find_cluster,
-                             _walk, _walkable)
+                             _read, _walk, _walkable)
 
 from conftest import conjugate_spec, stand_in
 
@@ -270,8 +272,9 @@ def _reference_orbit_height(g, xi):
 
 def _reference_classify(spec, xi, depth):
     """classify_boundary_point as a plain scan: the identity's height joined
-    to the ball's, a running maximum read at each length's end, and the
-    isometry rows computed afresh."""
+    to the ball's, a running maximum read at each length's end, the
+    isometry rows computed afresh, and the cluster searched for only
+    without a certificate."""
     xi = hf.bp(xi)
     ball = ball_arrays(spec, depth)
     heights = np.append(_reference_orbit_height(hf.Mobius.identity(), xi),
@@ -298,7 +301,8 @@ def _reference_classify(spec, xi, depth):
                        if sup_by_depth[-1] >= UNBOUNDED_FACTOR * sup_by_depth[0]
                        else LimitVerdict.INCONCLUSIVE)
             return LimitPointEvidence(xi, depth, sup_height, None, None, verdict)
-        cluster = _find_cluster(heights)
+        # a certified spec is geometrically finite: no cluster is searched for
+        cluster = None if spec.certificate is not None else _find_cluster(heights)
         if cluster is not None:
             return LimitPointEvidence(xi, depth, sup_height, cluster, None,
                                       LimitVerdict.IRREGULAR_EVIDENCE)
@@ -527,25 +531,27 @@ def _walk_points(name, spec):
     return points + [0.0, 1.0, -1.0, 1e16, -1e16, 1e200, -1e200, -0.0]
 
 
-def _walk_twice(ball, xi, floor=ACCUM_FLOOR):
-    # the running sups of a first call of the walk, every height it read,
-    # and every height read by a second call resuming from its record
+def _walk_sups(ball, xi):
+    # the running sups of the walk, from the identity's height on
     h0 = orbit_height(hf.Mobius.identity(), xi)
-    level_sups, read, skipped = _walk(ball, xi, h0, floor)
-    sups = np.maximum.accumulate(np.r_[h0, level_sups])
-    return sups, read, _walk(ball, xi, sups[-1], floor, skipped)[1]
+    return np.maximum.accumulate(np.r_[h0, _walk(ball, xi, h0)])
+
+
+def _full_pass_sups(ball, xi):
+    # the same from a pass over every row
+    h = orbit_height(ball, xi)
+    h0 = orbit_height(hf.Mobius.identity(), xi)
+    return np.maximum.accumulate(np.r_[h0, np.maximum.reduceat(h, ball._level_starts[:-1])])
 
 
 @pytest.mark.parametrize("name", sorted(_BENCH_BALLS))
 def test_classify_equals_reference_at_the_bench_depths(name):
     # the hypothesis test above stops at depths 6, 4 and 8; the walk prunes
     # most at the bench balls' depths. Beside the verdicts, which few rows
-    # can move, the walk's running sups and its heights at or above the
-    # floor must be the full pass's, also at off-limit-set points, where
-    # the cluster search takes the second call
+    # can move, the walk's running sups must be the full pass's, also at
+    # off-limit-set points
     spec, depth = _BENCH_BALLS[name]
     ball = ball_arrays(spec, depth)
-    starts = ball._level_starts
     points = _walk_points(name, spec)
     for x in points:
         got = hf.classify_boundary_point(spec, x, depth=depth)
@@ -554,36 +560,44 @@ def test_classify_equals_reference_at_the_bench_depths(name):
         assert _bits(got) == _bits(want), x
     off = [] if name == "gamma2" else list(itertools.islice(
         _off_limit_set_points(spec, depth, 3), 50))
-    resumed = []
     for x in points + off:
         xi = hf.bp(x)
-        sups, read, more = _walk_twice(ball, xi)
-        full = orbit_height(ball, xi)
-        assert np.array_equal(sups, np.maximum.accumulate(
-            np.r_[sups[0], np.maximum.reduceat(full, starts[:-1])])), x
-        read = np.append(read, more)
-        assert np.array_equal(np.sort(read[read >= ACCUM_FLOOR]),
-                              np.sort(full[full >= ACCUM_FLOOR])), x
-        resumed.append(more.size > 0)
-    assert name == "gamma2" or any(resumed[len(points):])
+        assert np.array_equal(_walk_sups(ball, xi), _full_pass_sups(ball, xi)), x
 
 
-def test_a_second_walk_leaves_the_first_ones_record_as_it_was():
-    # the second call reads the record of the first and writes nothing into
-    # it, so the same call twice reads the same rows
-    spec, depth = _BENCH_BALLS["schottky"]
-    ball = ball_arrays(spec, depth)
-    xi = next(_off_limit_set_points(spec, depth, 3))
-    h0 = orbit_height(hf.Mobius.identity(), xi)
-    level_sups, _, skipped = _walk(ball, xi, h0, ACCUM_FLOOR)
-    kept = {k: tuple(a.copy() for a in v) for k, v in skipped.items()}
-    s = max(h0, level_sups.max())
-    first, second = (_walk(ball, xi, s, ACCUM_FLOOR, skipped) for _ in range(2))
-    assert first[1].size and first[2] == second[2] == {}
-    assert all(np.array_equal(a, b) for a, b in zip(first[:2], second[:2]))
-    assert skipped.keys() == kept.keys()
-    for k, arrays in kept.items():
-        assert all(np.array_equal(a, b) for a, b in zip(skipped[k], arrays))
+@st.composite
+def _equal_radii_schottky(draw):
+    # four circles of one radius, paired in any order: each generator's
+    # isometric circles are the two it pairs. The gaps between them run
+    # down to 1e-5, where the subtree bound is tightest
+    r = draw(st.floats(0.05, 1.5))
+    x = draw(st.floats(-8.0, 4.0))
+    centres = [x]
+    for e in draw(st.lists(st.floats(-5.0, 0.5), min_size=3, max_size=3)):
+        centres.append(centres[-1] + 2.0 * r + 10.0 ** e)
+    order = draw(st.permutations(range(4)))
+    spec = hf.schottky_pair([(centres[i], r) for i in order], max_word_length=6)
+    assume(spec.certificate is not None and _walkable(spec))
+    return spec
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec=_equal_radii_schottky(), depth=st.integers(1, 6), x=st.floats(-12.0, 12.0),
+       row=st.integers(0, 2 ** 32), at=st.sampled_from(["x", "g(x)", "fixed point of g"]))
+def test_the_walks_sups_are_the_full_pass_ones_on_random_schottky_groups(
+        spec, depth, x, row, at):
+    # at x, at its image under a row g, which lies in g's nested disks, or
+    # at a fixed point of g, a limit point where the sup grows with
+    # the length
+    try:
+        ball = ball_arrays(spec, depth)
+    except hf.CoefficientOverflow:  # rows whose determinant drifts are refused
+        reject()
+    g = ball[row % len(ball)].mobius
+    xi = {"x": hf.bp(x), "g(x)": hf.apply_boundary(g, hf.bp(x)),
+          "fixed point of g": hf.fixed_points(g)[1]}[at]
+    assume(not xi.is_infinity)
+    assert np.array_equal(_walk_sups(ball, xi), _full_pass_sups(ball, xi))
 
 
 def _orbit_point(a, b, c, d):
@@ -687,17 +701,21 @@ def test_walkable_reads_each_disk_against_i(disk, walked):
     assert _walkable(spec) is walked
 
 
-@pytest.mark.parametrize("name, x, floor, share", [
-    ("schottky", 5.150602, ACCUM_FLOOR, 0.02),
-    ("gamma2", -1.8, math.inf, 0.03),
+@pytest.mark.parametrize("name, x, share", [
+    ("schottky", 5.150602, 0.001),
+    ("gamma2", -1.8, 0.03),
 ])
-def test_the_walk_reads_a_small_share_of_the_ball(name, x, floor, share):
-    # schottky at an ordinary point needs the cluster's rows (a discrete
-    # verdict with its sup above the floor); Gamma(2) at a cusp only the sups
+def test_the_walk_reads_a_small_share_of_the_ball(name, x, share, monkeypatch):
+    # schottky at an ordinary point (a discrete verdict with its sup above
+    # the floor) and Gamma(2) at a cusp both need only the sups
     spec, depth = _BENCH_BALLS[name]
     ball = ball_arrays(spec, depth)
-    _, read, more = _walk_twice(ball, hf.bp(x), floor)
-    assert read.size + more.size < share * len(ball)
+    read = []
+    monkeypatch.setattr(hf.limits, "_read",
+                        lambda x, *split: read.append(x.shape[1]) or _read(x, *split))
+    xi = hf.bp(x)
+    _walk(ball, xi, orbit_height(hf.Mobius.identity(), xi))
+    assert sum(read) < share * len(ball)
     ev = hf.classify_boundary_point(spec, x)
     assert ev.verdict is (LimitVerdict.DISCRETE_EVIDENCE if name == "schottky"
                           else LimitVerdict.PARABOLIC)
@@ -710,13 +728,13 @@ def test_the_walk_reads_a_small_share_of_the_ball(name, x, floor, share):
 # g(x) for a row g of the given length and x at least 1.5 radii from the
 # centre of every certificate disk: x lies outside every disk, so g(x) is an
 # ordinary point, off the limit set, and its truth is discrete. These are
-# the verdicts of today's rules, the audit's table before any rule changes:
-# every irregular and horocyclic count is a false verdict, and on the flute
-# a point of length 6 is as deep as the ball, where the right verdict is
+# the verdicts of today's rules, which search for no cluster on a certified
+# spec: every horocyclic count is a false verdict, and on the flute a point
+# of length 6 is as deep as the ball, where the right verdict is
 # inconclusive.
 _OFF_LIMIT_SET_BEFORE = {
-    ("schottky", 3): {"discrete-evidence": 179, "irregular-evidence": 21},
-    ("schottky", 6): {"discrete-evidence": 143, "irregular-evidence": 57},
+    ("schottky", 3): {"discrete-evidence": 200},
+    ("schottky", 6): {"discrete-evidence": 200},
     ("flute", 3): {"discrete-evidence": 200},
     ("flute", 6): {"discrete-evidence": 8, "horocyclic-evidence": 192},
 }
@@ -748,19 +766,68 @@ def test_off_limit_set_verdicts_before_the_rule_fix(name, length):
     assert _verdict_counts(spec, depth, points) == _OFF_LIMIT_SET_BEFORE[name, length]
 
 
+# A spec with a ping-pong certificate is discrete and finitely generated, so
+# geometrically finite: no limit point is irregular, and classify searches
+# for no cluster there. The depths are the bench balls'; _I_INSIDE is
+# certified but takes the full pass.
+_CERTIFIED = {**_BENCH_BALLS, "cyclic-parabolic": (hf.cyclic_parabolic(), 10),
+              "i-inside": (_I_INSIDE, 6)}
+
+
+@functools.cache
+def _certified_off_points(name):
+    # off-limit-set points of lengths 3 and 6 where the disks are all finite
+    spec, depth = _CERTIFIED[name]
+    if not all(map(math.isfinite, itertools.chain(*spec.certificate))):
+        return ()
+    return tuple(xi for length in (3, 6) for xi in _off_limit_set_points(spec, depth, length))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_CERTIFIED)),
+       point=st.one_of(st.just(math.inf), st.floats(-10.0, 10.0), st.integers(0, 399)))
+@example(name="schottky", point=15)  # read irregular before the certified rule
+def test_no_certified_spec_reads_irregular(name, point):
+    spec, depth = _CERTIFIED[name]
+    assert spec.certificate is not None
+    if isinstance(point, int):
+        off = _certified_off_points(name)
+        assume(off)
+        point = off[point]
+    with mock.patch.object(hf.limits, "_find_cluster", side_effect=AssertionError):
+        ev = hf.classify_boundary_point(spec, point, depth)
+    assert ev.verdict is not LimitVerdict.IRREGULAR_EVIDENCE
+    assert ev.height_accumulation is None
+
+
+@pytest.mark.parametrize("spec, x, depth", [
+    (hf.GroupSpec(tuple(hf.hyperbolic_element(-1.0, 1.0, 1.0 + j * 1e-4) for j in range(6)),
+                  max_word_length=5), math.inf, 5),
+    (hf.cyclic_hyperbolic(), 1.0, 10),
+    (_PSL2Z, math.sqrt(2.0) - 1.0, 20),
+], ids=["six-dilations", "cyclic-hyperbolic", "psl2z"])
+def test_uncertified_specs_still_search_for_a_cluster(spec, x, depth):
+    assert spec.certificate is None
+    with mock.patch.object(hf.limits, "_find_cluster", wraps=_find_cluster) as search:
+        ev = hf.classify_boundary_point(spec, x, depth)
+    assert search.call_count == 1
+    assert _bits(ev) == _bits(_reference_classify(spec, x, depth))
+
+
 # Lattice points, whose truth is known: each rational is a cusp of Gamma(2)
 # and of PSL(2,Z), so its truth is parabolic, and each quadratic irrational
 # is conical, so its truth is horocyclic (Hedlund 1936). The points are
 # every reduced p/q with 1 <= q <= 8 in (-3, 3), as floats, and sqrt(D) -
-# floor(sqrt(D)) for every non-square D <= 100. Today's verdicts, before any
-# rule changes: every horocyclic or irregular rational and every irregular
-# or inconclusive quadratic is a false verdict.
+# floor(sqrt(D)) for every non-square D <= 100. Today's verdicts: every
+# rational other than parabolic and every irregular or inconclusive
+# quadratic is a false verdict. Gamma(2) is certified, so it searches for no
+# cluster.
 _LATTICE_RATIONALS = sorted({Fraction(p, q) for q in range(1, 9) for p in range(1 - 3 * q, 3 * q)})
 _LATTICE_QUADRATICS = [math.sqrt(n) - math.isqrt(n) for n in range(2, 101)
                        if math.isqrt(n) ** 2 != n]
 _LATTICE_POINTS_BEFORE = {
     ("gamma2", "rationals"): {"parabolic": 105, "horocyclic-evidence": 16,
-                              "irregular-evidence": 10},
+                              "discrete-evidence": 10},
     ("gamma2", "quadratics"): {"horocyclic-evidence": 86, "inconclusive": 4},
     ("psl2z", "rationals"): {"parabolic": 103, "horocyclic-evidence": 12,
                              "irregular-evidence": 16},
@@ -788,8 +855,8 @@ def test_lattice_point_verdicts_before_the_rule_fix(name, points):
 # Fixed points of hyperbolic rows: each is a conical limit point, so its
 # truth is horocyclic. Drawn from 2,000 rows chosen with rng seed 1, the
 # first 200 that are hyperbolic; on the flute 166 of them have length 6, as
-# deep as the ball. Today's verdicts, before any rule changes (each discrete
-# count is a false verdict):
+# deep as the ball. Today's verdicts (each discrete count is a false
+# verdict):
 _FIXED_POINT_BEFORE = {
     "schottky": {"horocyclic-evidence": 200},
     "flute": {"horocyclic-evidence": 177, "discrete-evidence": 23},
@@ -816,7 +883,7 @@ def test_hyperbolic_fixed_point_verdicts_before_the_rule_fix(name):
 # definite verdict against a different definite one is false on one side.
 # The points are the lattice points above and, on schottky and flute, the
 # first 60 finite hyperbolic fixed points. Today's count of the pairs whose
-# verdicts differ, before any rule changes:
+# verdicts differ:
 _ORBIT_CONSISTENCY_BEFORE = {
     ("gamma2", "rationals"): (786, 383),
     ("gamma2", "quadratics"): (540, 14),   # each with an inconclusive side
