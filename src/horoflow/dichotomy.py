@@ -11,10 +11,12 @@ geodesic translate lies in the orbit closure, which rules out minimality of
 the complement. Everything is finite-depth evidence, never proof, and the
 verdict tags say so.
 
-A vector aimed at a finite point xi is moved to infinity by the normalizing
-map h = [[0, -1], [1, -xi]]. The group is not conjugated: every row the
-pipeline reads is a row (a, b, c, d) of the group's own ball, turned into
-the row of h g h^-1 by a closed form (``_conjugate``).
+A report depends on a vector u only through its forward endpoint xi:
+every vector aimed at xi is u h_s g_t, and g_-t h_s g_t = h_{s e^-t}, so
+its horocycle orbit is a geodesic-flow translate of u's. The pipeline reads
+the group's own ball through h = [[0, -1], [1, -xi]], which sends xi to
+infinity: a closed form (``_conjugate``) turns each row (a, b, c, d) of g
+into the row of h g h^-1, and the settle tests run at infinity.
 """
 
 from __future__ import annotations
@@ -251,8 +253,8 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
 
     At a finite boundary point ``xi`` (anything ``bp`` takes) the elements
     are the conjugates h g h^-1 of the ball's rows by h = [[0, -1], [1, -xi]],
-    with the ball's words: the group seen from a vector aimed at xi and
-    moved to infinity by h. Their heights height_inf(h g h^-1(i)) are those
+    with the ball's words: the group seen from a vector aimed at xi, read
+    at infinity through h. Their heights height_inf(h g h^-1(i)) are those
     of the orbit of h^-1(i) = xi + i about xi. Those heights are the only
     pass over the whole ball; moduli and elements are formed for the in-band
     rows and the chain only.
@@ -354,29 +356,30 @@ def _log_inverse_heights(a, b, c, d, xi: BoundaryPoint) -> np.ndarray:
     return np.array([math.log(h) if h > 0.0 else -math.inf for h in heights.tolist()])
 
 
-def _settle(u: UnitTangent, rows, a, b, c, d, eps: float, window: int):
+def _settle(xi: BoundaryPoint, rows, a, b, c, d, eps: float, window: int):
     """The settle test of the sequence g_n, given as its (4, n) coefficient
-    rows, against every alpha row (a, b, c, d), in one array pass. The
-    sequence rows must be non-empty and pairwise distinct: the caller checks.
+    rows, against every alpha row (a, b, c, d), in one array pass, at xi: a
+    forward endpoint, all that a report reads of its vector (see the module
+    docstring). The sequence rows must be non-empty and pairwise distinct:
+    the caller checks.
 
-    Per alpha row it returns the Busemann values B_{u(inf)}(g_n^{-1} i, alpha^{-1} i);
+    Per alpha row it returns the Busemann values B_xi(g_n^{-1} i, alpha^{-1} i);
     the elementwise max of the two residual streams, the endpoint stream
-    (g_n(u(inf)) against alpha(u(inf)); convergence to infinity is measured
-    by 1/|p|) and the consecutive differences of the Busemann values (inf for
+    (g_n(xi) against alpha(xi); convergence to infinity is measured by
+    1/|p|) and the consecutive differences of the Busemann values (inf for
     the first term); and whether each stream sat below eps over the trailing
     ``window`` terms, as two rows: endpoint, then Busemann.
     """
-    u_inf = u.forward_endpoint()
-    images, at_inf = _boundary_images(*rows, u_inf)
+    images, at_inf = _boundary_images(*rows, xi)
     images = np.where(at_inf, np.inf, images)
-    log_heights = _log_inverse_heights(*rows, u_inf)
-    targets, target_inf = _boundary_images(a, b, c, d, u_inf)
+    log_heights = _log_inverse_heights(*rows, xi)
+    targets, target_inf = _boundary_images(a, b, c, d, xi)
     streams = np.empty((2, len(targets), len(images)))
     # an image at infinity is inf: 0 from a target there, inf from any other;
     # an infinite log height gives inf or NaN values, which never settle
     with np.errstate(divide="ignore", invalid="ignore"):
         # B_xi(z, w) = ln height_xi(w) - ln height_xi(z)
-        values = _log_inverse_heights(a, b, c, d, u_inf)[:, None] - log_heights
+        values = _log_inverse_heights(a, b, c, d, xi)[:, None] - log_heights
         streams[0] = np.where(target_inf[:, None], 1.0 / np.abs(images),
                               np.abs(images - targets[:, None]))
         streams[1, :, 1:] = np.abs(values[:, 1:] - values[:, :-1])
@@ -400,7 +403,8 @@ def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
         raise ValueError("sequence is empty")
     if len(set(zip(*dedup_keys(rows).tolist()))) != rows.shape[1]:
         raise ValueError("sequence elements must be pairwise distinct")
-    values, residuals, settled = _settle(u, rows, *_coefficients([alpha]), eps, window)
+    values, residuals, settled = _settle(u.forward_endpoint(), rows, *_coefficients([alpha]),
+                                         eps, window)
     unsettled = tuple(name for name, ok in zip(("endpoint", "Busemann"), settled[:, 0])
                       if not ok)
     values = tuple(values[0].tolist())
@@ -436,10 +440,11 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
                   candidate: SequenceCandidate | None = None) -> DiagnosticsReport:
     """Full diagnostic run from a unit tangent vector.
 
-    A vector aimed at a finite point xi is moved to infinity by
-    h = [[0, -1], [1, -xi]], and the group is read through h: the sequence
-    search and the candidate-time scan take the conjugates h g h^-1 of the
-    rows of the spec's own balls in closed form, so no other ball is built.
+    The run reads u only through its forward endpoint xi, whose vectors
+    share one orbit up to the geodesic flow (see the module docstring), and
+    the group through h = [[0, -1], [1, -xi]]: the sequence search and the
+    candidate-time scan take the conjugates h g h^-1 of the rows of the
+    spec's own balls in closed form, and both settle tests run at infinity.
     The verdict follows the settled Busemann value of the inverted sequence:
     near 0 -> recurrence-evidence, a settled t away from 0 ->
     non-minimality-evidence(t), anything unsettled -> inconclusive.
@@ -447,17 +452,15 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     """
     _check_settle(eps, window)
     band = _check_band(band)
-    u_inf = u.forward_endpoint()
-    if not u_inf.is_infinity:
-        if candidate is not None:
-            raise ValueError("injected candidates require a vector aimed at infinity")
-        u = u.transform(Mobius(0.0, -1.0, 1.0, -u_inf.value))
+    xi = u.forward_endpoint()
+    if candidate is not None and not xi.is_infinity:
+        raise ValueError("injected candidates require a vector aimed at infinity")
     if candidate is not None:
         seq = candidate
     else:
         try:
             seq = find_bounded_escaping_sequence(spec, band, depth=depth,
-                                                 min_len=min_len, xi=u_inf)
+                                                 min_len=min_len, xi=xi)
         except NoSequenceFound as exc:
             return DiagnosticsReport(
                 sequence=None, coefficients=None,
@@ -468,7 +471,7 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
             )
     coeffs = check_coefficient_asymptotics(seq, eps=eps, window=window)
     inv = tuple(e.mobius.inverse() for e in seq.elements)
-    main = test_recurrence(u, inv, eps=eps, window=window)
+    main = test_recurrence(BASE_TANGENT, inv, eps=eps, window=window)
     note = None
     if main.converged:
         if abs(main.limit) < eps:
@@ -484,8 +487,8 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     # candidate times: the settled values at least eps from 0 over the alpha
     # ball; test_recurrence has checked inv
     ab = ball_arrays(spec, ALPHA_DEPTH)
-    alphas = _conjugate(ab.a, ab.b, ab.c, ab.d, u_inf)
-    values, _, settled = _settle(u, _coefficients(inv), *alphas, eps, window)
+    alphas = _conjugate(ab.a, ab.b, ab.c, ab.d, xi)
+    values, _, settled = _settle(INFINITY, _coefficients(inv), *alphas, eps, window)
     limits = values[settled.all(axis=0), -1]
     times = sorted(limits[np.abs(limits) >= eps].tolist())
     deduped = []

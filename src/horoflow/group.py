@@ -287,13 +287,14 @@ class Ball(Sequence):
     word_lengths: np.ndarray
     parent: np.ndarray
     letter: np.ndarray
+    _level_starts: np.ndarray = field(repr=False)  # first row of each length, then len
     a: np.ndarray = field(init=False)
     b: np.ndarray = field(init=False)
     c: np.ndarray = field(init=False)
     d: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for arr in (self._coef, self.word_lengths, self.parent, self.letter):
+        for arr in (self._coef, self.word_lengths, self.parent, self.letter, self._level_starts):
             arr.flags.writeable = False
         for name, row in zip("abcd", self._coef):
             object.__setattr__(self, name, row)
@@ -331,15 +332,6 @@ class Ball(Sequence):
         for arr in out:
             arr.flags.writeable = False
         return out
-
-    @functools.cached_property
-    def _level_starts(self) -> np.ndarray:
-        # the first row of each word length 1, 2, ..., top, then len(self)
-        lengths = self.word_lengths
-        top = int(lengths[-1]) if lengths.size else 0
-        starts = np.searchsorted(lengths, np.arange(1, top + 2, dtype=lengths.dtype))
-        starts.flags.writeable = False
-        return starts
 
     @functools.cached_property
     def inf_heights(self) -> np.ndarray:
@@ -478,8 +470,9 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
             break
         bounds.append(n)
     lengths = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))[1:]
+    starts = np.array(bounds[1:], dtype=np.intp) - 1  # buffer row k is ball row k - 1
     if n < cap:  # rows the ball does not keep: copy out the kept ones
-        return Ball(coef[:, 1:n].copy(), lengths, parent[1:n].copy(), letter[1:n].copy())
+        return Ball(coef[:, 1:n].copy(), lengths, parent[1:n].copy(), letter[1:n].copy(), starts)
     # every row kept: the four coefficient rows move down over the identity's
     # column in place (each copy is 1-D and runs toward lower addresses, so
     # NumPy copies it without a temporary), leaving one C-contiguous (4, n - 1)
@@ -487,7 +480,7 @@ def _build_ball(spec: GroupSpec, depth: int, max_elements: int) -> Ball:
     flat = coef.reshape(-1)
     for k in range(4):
         flat[k * (n - 1):(k + 1) * (n - 1)] = flat[k * n + 1:(k + 1) * n]
-    return Ball(flat[:4 * (n - 1)].reshape(4, n - 1), lengths, parent[1:], letter[1:])
+    return Ball(flat[:4 * (n - 1)].reshape(4, n - 1), lengths, parent[1:], letter[1:], starts)
 
 
 @functools.lru_cache(maxsize=64)

@@ -60,17 +60,29 @@ def test_traced_calls_record_their_spans(tracer):
 
 
 def test_finite_endpoint_search_is_traced_inside_its_run(tracer):
-    # a vector aimed at 0 runs the same search function, through its module
-    # global, on the spec's own ball
+    # vectors aimed at finite points run the same search function, through
+    # its module global, on the spec's own ball, and the settle test as a
+    # test_recurrence span of the run, the span the trace's
+    # dichotomy.settle_ms reads: a frame aimed at 0, and a general frame
+    # (n_x a_s k_theta) aimed at xi = 2.016..., whose frame moved by
+    # h = [[0, -1], [1, -xi]] keeps a finite endpoint in floats
     _, t = tracer
     gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)), max_word_length=8)
     aimed = hf.UnitTangent(hf.Mobius(0.0, -1.0, 1.0, 0.0))
-    assert hf.run_dichotomy(gamma2, aimed).sequence is not None
-    spans = t.spans
-    runs = [i for i, s in enumerate(spans) if s["name"] == "run_dichotomy"]
-    searches = [s for s in spans if s["name"] == "find_bounded_escaping_sequence"]
-    assert len(runs) == 1 and spans[runs[0]]["finite"]
-    assert len(searches) == 1 and searches[0]["parent"] == runs[0]
+    general = hf.UnitTangent(hf.Mobius(*map(float.fromhex, (
+        "-0x1.f301ca2978964p-4", "0x1.4099f5271a12cp+3", "-0x1.ef0938ded965ep-5",
+        "-0x1.9e8ff72517abbp+1"))))
+    h = hf.Mobius(0.0, -1.0, 1.0, -general.forward_endpoint().value)
+    assert not general.transform(h).forward_endpoint().is_infinity
+    for u, band in [(aimed, (0.5, 2.0)), (general, (0.1, 10.0))]:
+        t.spans.clear()
+        assert hf.run_dichotomy(gamma2, u, band=band).sequence is not None
+        spans = t.spans
+        runs = [i for i, s in enumerate(spans) if s["name"] == "run_dichotomy"]
+        assert len(runs) == 1 and spans[runs[0]]["finite"]
+        for name in ("find_bounded_escaping_sequence", "test_recurrence"):
+            kids = [s for s in spans if s["name"] == name]
+            assert len(kids) == 1 and kids[0]["parent"] == runs[0], name
 
 
 def test_package_names_leave_no_wrapper_behind(tracer):

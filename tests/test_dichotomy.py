@@ -14,6 +14,7 @@ import horoflow as hf
 from horoflow import dichotomy
 from horoflow.group import _boundary_images, _coefficients, ball_arrays, orbit_height
 from horoflow.halfplane import apply_boundary
+from horoflow.verify import _sample_matrices
 
 from conftest import conjugate_spec
 
@@ -337,8 +338,8 @@ def _loop_return_times(orbit, alpha_ball, eps, window):
 
 def _scan_times(u, rows, alpha_ball, eps, window):
     # the candidate-time scan of run_dichotomy: one settle pass over the ball
-    values, _, settled = dichotomy._settle(u, rows, alpha_ball.a, alpha_ball.b, alpha_ball.c,
-                                           alpha_ball.d, eps, window)
+    values, _, settled = dichotomy._settle(u.forward_endpoint(), rows, alpha_ball.a,
+                                           alpha_ball.b, alpha_ball.c, alpha_ball.d, eps, window)
     limits = values[settled.all(axis=0), -1]
     return limits[np.abs(limits) >= eps].tolist()
 
@@ -403,7 +404,8 @@ def test_settle_equals_the_scalar_reference(name, endpoint):
             want = _return_time(ref_orbit, hf.Mobius.identity(), eps, window)
             assert _bits(hf.test_recurrence(u, inv, eps, window)) == _bits(want)
             values, residuals, ok = dichotomy._settle(
-                u, seq_rows, alpha_ball.a, alpha_ball.b, alpha_ball.c, alpha_ball.d, eps, window)
+                u.forward_endpoint(), seq_rows, alpha_ball.a, alpha_ball.b, alpha_ball.c,
+                alpha_ball.d, eps, window)
             for k, alpha in enumerate(alphas):
                 want = _return_time(ref_orbit, alpha, eps, window)
                 assert _bits(hf.test_return_time(u, alpha, inv, eps, window)) == _bits(want)
@@ -707,6 +709,52 @@ def test_finite_endpoint_equals_the_conjugated_group(name, band):
             for p, q in zip(x, y):
                 assert p == q or abs(p - q) <= 1e-9 * max(1.0, abs(p), abs(q)), (key, p, q)
         assert got["note"] is None or got["note"] == want["note"]
+
+
+def _sampled_frames():
+    # verify's sampler n_x a_s k_theta, seeded: every frame is aimed at a
+    # finite point
+    a, b, c, d = (x.tolist() for x in _sample_matrices(np.random.default_rng(7), 400))
+    return [hf.UnitTangent(hf.Mobius(*g)) for g in zip(a, b, c, d)]
+
+
+def _moved_endpoint(u):
+    # the endpoint of u moved by h = [[0, -1], [1, -xi]]: infinity in exact
+    # arithmetic, but the rounded product can leave a finite point near 1e15
+    h = hf.Mobius(0.0, -1.0, 1.0, -u.forward_endpoint().value)
+    return u.transform(h).forward_endpoint()
+
+
+@pytest.mark.parametrize("band", [(0.1, 10.0), (0.01, 100.0)])
+@pytest.mark.parametrize("name, min_len", [("gamma2", dichotomy.MIN_SEQ_LEN),
+                                           ("flute", dichotomy.MIN_SEQ_LEN), ("flute", 3)])
+def test_report_depends_on_the_forward_endpoint_alone(name, min_len, band):
+    # Vectors aimed at one point xi have horocycle orbits that are
+    # geodesic-flow translates of one another: a general frame gets the
+    # report of the frame Mobius(xi, -1, 1, 0) bit for bit, also where its
+    # moved frame has a finite endpoint, and test_return_time's bits. The
+    # flute's ball holds at most 6 in-band rows at these frames, so only
+    # the shorter sequences reach its settle tests.
+    spec = _REFERENCE_SPECS[name]
+    frames = _sampled_frames()
+    leaky = [u for u in frames if not _moved_endpoint(u).is_infinity]
+    assert len(leaky) >= 10
+    found = 0
+    for u in leaky + [u for u in frames if _moved_endpoint(u).is_infinity][:10]:
+        xi = u.forward_endpoint()
+        aimed = _aimed_at(xi.value)
+        assert not xi.is_infinity and aimed.forward_endpoint() == xi
+        got, want = (hf.run_dichotomy(spec, v, band=band, min_len=min_len) for v in (u, aimed))
+        assert {k: _hexed(v) for k, v in _report_fields(got).items()} == \
+            {k: _hexed(v) for k, v in _report_fields(want).items()}
+        if got.sequence is None:
+            continue
+        found += 1
+        inv = _inverses(got.sequence)
+        for alpha in [hf.Mobius.identity(), *ball_arrays(spec, 1)]:
+            assert _bits(hf.test_return_time(u, alpha, inv)) == \
+                _bits(hf.test_return_time(aimed, alpha, inv))
+    assert found or (name, min_len) == ("flute", dichotomy.MIN_SEQ_LEN)
 
 
 def _exact_word(generators, word):

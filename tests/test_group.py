@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import horoflow as hf
-from horoflow.group import (DEDUP_TOL, Ball, _canonical_sign, _check_det, _split, ball_arrays,
-                            orbit_height)
+from horoflow.group import (DEDUP_TOL, ENUM_CAP, Ball, _build_ball, _canonical_sign, _check_det,
+                            _split, ball_arrays, orbit_height)
 from horoflow.halfplane import DET_TOL, SIGN_TOL, _near_identity
 
 from conftest import conjugate_spec
@@ -249,6 +249,21 @@ def test_ball_arrays_are_c_contiguous_and_read_only(spec, depth):
               ball.letter, ball._level_starts, ball.inf_heights, *ball.isometry_rows,
               *ball.displacement_floor]
     assert not any(x.flags.writeable for x in arrays)
+
+
+@pytest.mark.parametrize("spec, depth", PRESET_BALLS.values(), ids=PRESET_BALLS.keys())
+def test_level_starts_come_from_the_builder(spec, depth):
+    # the first row of each word length, then len(ball), as a search of the
+    # word lengths finds them, at every depth up to the default one; PSL(2,Z)
+    # takes the dedup path, where a level's rows are the new ones only
+    for k in range(depth + 1):
+        ball = _build_ball(spec, k, ENUM_CAP)
+        lengths = ball.word_lengths
+        top = int(lengths[-1]) if lengths.size else 0
+        want = np.searchsorted(lengths, np.arange(1, top + 2, dtype=lengths.dtype))
+        assert ball._level_starts.dtype == np.intp
+        assert ball._level_starts.tolist() == want.tolist()
+        assert ball._level_starts[-1] == len(ball)
 
 
 def _digest(*arrays):

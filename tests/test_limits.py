@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import warnings
@@ -515,6 +516,69 @@ def test_orbit_heights_at_infinity_read_the_balls_cache(name, monkeypatch):
     assert not any(isinstance(g, Ball) for g in passes)  # no second pass over the ball
     assert ball.inf_heights is cache and not cache.flags.writeable
     assert cache.tobytes() == before.tobytes()
+
+
+# Byte pins of classify and of the orbit heights on the benchmark's groups:
+# a change meant to leave the CLI's output alone leaves these alone. They
+# take only IEEE +, -, *, /, compares and sorts, so they hold on every NumPy
+# the package admits. Per point: the verdict, sup_height,
+# height_accumulation and the parabolic witness's word; per group, the
+# sha256 of orbit_heights at infinity and at 0.
+_SQRT2_1, _GOLDEN = math.sqrt(2.0) - 1.0, (math.sqrt(5.0) - 1.0) / 2.0
+_PINNED_SPECS = {**_BENCH_BALLS, "psl2z": (_PSL2Z, 20)}
+_PINNED_CLASSIFY = [
+    ("schottky", "inf", "DISCRETE_EVIDENCE", "0x1.0000000000000p+0", None, None),
+    ("schottky", 0.0, "DISCRETE_EVIDENCE", "0x1.0000000000000p+0", None, None),
+    ("schottky", 5.150602, "DISCRETE_EVIDENCE", "0x1.024cc4ce1235ep-3", None, None),
+    ("schottky", -2.0, "DISCRETE_EVIDENCE", "0x1.999999999999ap-3", None, None),
+    ("schottky", 3.368809, "DISCRETE_EVIDENCE", "0x1.ac46d408f2978p+19", None, None),
+    ("schottky", -1.5641101056, "HOROCYCLIC_EVIDENCE", "0x1.9e1b637c4d54ap+11", None, None),
+    ("flute", "inf", "DISCRETE_EVIDENCE", "0x1.0000000000000p+0", None, None),
+    ("flute", 0.0, "HOROCYCLIC_EVIDENCE", "0x1.3de1654d37c96p+17", None, None),
+    ("flute", 5.693519, "DISCRETE_EVIDENCE", "0x1.ea4d3d72053b7p-6", None, None),
+    ("flute", 2.5, "DISCRETE_EVIDENCE", "0x1.1a7b9611a7b96p-3", None, None),
+    ("gamma2", "inf", "PARABOLIC", "0x1.0000000000000p+0", None, (1,)),
+    ("gamma2", 0.0, "PARABOLIC", "0x1.0000000000000p+0", None, (2,)),
+    ("gamma2", -1.8, "PARABOLIC", "0x1.9000000000068p+3", None, (-1, 2, 2, 1, -2, -2, -2, 1)),
+    ("gamma2", 1 / 3, "PARABOLIC", "0x1.200000000000fp+2", None, (2, 1, -2, -2)),
+    ("gamma2", _SQRT2_1, "HOROCYCLIC_EVIDENCE", "0x1.2699e67ffffffp+25", None, None),
+    ("gamma2", _GOLDEN, "HOROCYCLIC_EVIDENCE", "0x1.48adcfffffd82p+20", None, None),
+    ("psl2z", "inf", "PARABOLIC", "0x1.0000000000000p+0", None, (2,)),
+    ("psl2z", 0.0, "PARABOLIC", "0x1.0000000000000p+0", None, (1, 2, 1)),
+    ("psl2z", 2 / 5, "PARABOLIC", "0x1.9000000000069p+4",
+     None, (1, -2, -2, 1, 2, 1, -2, -2, -2, 1, 2, 2, 1)),
+    ("psl2z", _SQRT2_1, "IRREGULAR_EVIDENCE", "0x1.2981ffffee2d3p+16",
+     "0x1.064d700003ba3p-10", None),
+    ("psl2z", math.e - 2.0, "IRREGULAR_EVIDENCE", "0x1.f40ea8b205f04p+12",
+     "0x1.064c54f5c5d07p-10", None),
+]
+_PINNED_HEIGHTS = {
+    ("schottky", "inf"): "46b6e122709b7042694eeb6acab7d11f984f8dce3cde2bd867002423aba52808",
+    ("schottky", 0.0): "e58b4167a1797228bdb63b8afbe3ff0f6c622658dc3ba15792f4fd6f22bc9c9c",
+    ("flute", "inf"): "0341b29c033f8d6f07764ea43411b4720f376c18c46a42bfb053c0924e722dc2",
+    ("flute", 0.0): "0dbc6c8b3a8c4e33963fced37e98c43522fb333121e14f5783b6c5268131e377",
+    ("gamma2", "inf"): "6444821a484ed0964c5cbeb6d603a037dfd32954854ef7ebdd07a14cb61d7036",
+    ("gamma2", 0.0): "6444821a484ed0964c5cbeb6d603a037dfd32954854ef7ebdd07a14cb61d7036",
+    ("psl2z", "inf"): "d1e331a4554b5a40cd79776f5bb9360dabe766e34df734dd0cf006d555f149ac",
+    ("psl2z", 0.0): "43b986522b8760553799716571f091fe4cfa43132e15616d2ea6f796877bfe6c",
+}
+
+
+@pytest.mark.parametrize("name, x, verdict, sup, accumulation, word", _PINNED_CLASSIFY)
+def test_classify_keeps_its_bytes(name, x, verdict, sup, accumulation, word):
+    spec, depth = _PINNED_SPECS[name]
+    ev = hf.classify_boundary_point(spec, x, depth)
+    assert ev.verdict.name == verdict and ev.sup_height.hex() == sup
+    acc = ev.height_accumulation
+    assert (None if acc is None else acc.hex()) == accumulation
+    assert (None if ev.parabolic_witness is None else ev.parabolic_witness.word) == word
+
+
+@pytest.mark.parametrize("name, x", list(_PINNED_HEIGHTS))
+def test_orbit_heights_keep_their_bytes(name, x):
+    spec, depth = _PINNED_SPECS[name]
+    digest = hashlib.sha256(hf.orbit_heights(spec, x, depth).tobytes()).hexdigest()
+    assert digest == _PINNED_HEIGHTS[name, x]
 
 
 # certified, but the isometric disk of its first generator, (-3, 3), holds i

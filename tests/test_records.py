@@ -38,7 +38,8 @@ SAMPLES = {
     Horocycle: ((INFINITY, 0.5), {"level": 1.5}),
     GroupElement: ((_M, (1, -2)), {"word": None}),
     GroupSpec: (((_M,), 3), {"max_word_length": 4}),
-    Ball: ((np.array([[2.0], [3.0], [1.0], [2.0]]), _int32(1), _int32(-1), _int32(1)),
+    Ball: ((np.array([[2.0], [3.0], [1.0], [2.0]]), _int32(1), _int32(-1), _int32(1),
+            np.array([0, 1], dtype=np.intp)),
            {"letter": _int32(-1)}),
     UnitTangent: ((_M,), {"frame": Mobius.identity()}),
     RayProfile: ((np.array([0.0]), np.array([1.0]), 1.0), {"liminf_estimate": 2.0}),
