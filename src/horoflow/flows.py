@@ -164,7 +164,7 @@ def _c_bound(s: np.ndarray, top: np.ndarray, frame: Mobius) -> np.ndarray:
     T is large the kernel's factor 2 covers them, and where it is small
     the margin (2 - delta) / x, about 1 / sqrt(2) for delta near 1, does.
     """
-    half_inv_y = (0.5 * frame.c ** 2) * s + (0.5 * frame.d ** 2) / s
+    half_inv_y = (0.5 * (frame.c * frame.c)) * s + (0.5 * (frame.d * frame.d)) / s
     return (top + np.sqrt(top * top + 8.0)) * half_inv_y
 
 
@@ -174,39 +174,29 @@ def _blocks(n: int, rows: int):
     return (slice(k, k + w) for k in range(0, n, w))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a NaN or inf U prunes nothing
-def _seed_min(s: np.ndarray, ch, bh, eh) -> np.ndarray:
-    """``_min_2sinh`` over the seed rows, bit for bit, evaluating per chunk
-    of samples (``_blocks``) only the seeds that can be the minimum there.
-
-    A block runs from every _BLOCK-th sample of a chunk to the next, or to
-    the chunk's last sample. On a block s0 <= s <= s1, |c_h s + b_h/s|
-    is largest at an end: if its terms share a sign it is convex, and its
-    rounding is within a few relative ulps; if not, it is monotone, and so
-    is its rounding. So U, the least over the seeds of the larger kernel
-    at the block's ends, bounds the block's minimum from above, and a seed
-    whose ray floor or block floor is above 2U is larger than that minimum
-    at every sample of the block. A seed is evaluated over a chunk unless
-    that holds on every block of it. A U that is NaN or inf, or whose
-    square is below the normal range (where the kernel's rounding is no
-    longer relative), prunes nothing.
+@np.errstate(over="ignore", invalid="ignore")  # a NaN or inf U reads inf
+def _seed_bound(s: np.ndarray, ch, bh, eh) -> np.ndarray:
+    """Per sample, a bound U on the kernel's minimum over the seed rows,
+    evaluating no row. A block runs from every _BLOCK-th sample of a chunk
+    (``_blocks`` over the seeds) to the next, or to the chunk's last
+    sample. On a block s0 <= s <= s1, |c_h s + b_h/s| is largest at an end:
+    if its terms share a sign it is convex, and its rounding is within a
+    few relative ulps; if not, it is monotone, and so is its rounding. So
+    U, the least over the seeds of the larger kernel at the block's ends,
+    is at least the minimum at every sample of the block. A U that is NaN
+    or inf, or whose square is below the normal range (where the kernel's
+    rounding is no longer relative), reads inf.
     """
-    best = np.empty_like(s)
-    low, e2 = _floor(ch, bh, eh), eh * eh
+    bound = np.empty_like(s)
     for blk in _blocks(s.size, ch.size):
         sb = s[blk]
         # (ends, seeds), the seeds the inner axis: block k is ends k and k + 1
         x = np.append(sb[::_BLOCK], sb[-1])[:, None]
-        p, q = ch * x, bh / x
-        end = np.square(p + q)
-        sq = (np.maximum(end[:-1], end[1:]) + e2).min(axis=1, keepdims=True)
-        top = np.where((sq >= _TINY) & (sq < np.inf), 2.0 * np.sqrt(sq), np.inf)
-        # _block_floor's floats, as |c_h| s = |c_h s| and |b_h|/s = |b_h/s| exactly
-        p, q = np.abs(p), np.abs(q)
-        bound = np.maximum(p[:-1] - q[:-1], q[1:] - p[1:])
-        keep = ~(np.maximum(bound, low) > top).all(axis=0)
-        best[blk] = _min_2sinh(sb, ch[keep], bh[keep], eh[keep])
-    return best
+        end = np.square(ch * x + bh / x)
+        sq = (np.maximum(end[:-1], end[1:]) + eh * eh).min(axis=1)
+        u = np.where((sq >= _TINY) & (sq < np.inf), np.sqrt(sq), np.inf)
+        bound[blk] = np.repeat(u, _BLOCK)[:sb.size]
+    return bound
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a NaN bound keeps its row
@@ -214,36 +204,34 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
     """Min over the ball of dist(z, g z), per sample z = frame(i s) of the ray,
     s increasing.
 
-    The seed rows of ``Ball.displacement_floor``, those of least frame-free
-    floor, give each sample an upper bound on its minimum (``_seed_min``,
-    from their stored coefficients); twice it is the sample's threshold T.
-    Two frame-free tests prune the other rows before any is gathered: a
-    floor above the largest T, and a |c| above the largest ``_c_bound`` (a
-    bound that is NaN, or below the normal range as where Y overflows,
-    prunes nothing). They read only the rows shorter than the first word
-    length whose least floor or least |c| over it and every longer length
-    fails them, since each row past it does too. The rows left get their
-    ray terms, and those whose ``_floor`` also is at most the largest T
-    stay. Each block of samples (``_blocks``: a few rows take the whole
-    grid at once, thousands _BLOCK samples) evaluates those whose
-    ``_block_floor`` too is at most the block's largest T, there also at
-    most 2 (r m + r - 1/r) for the minimum m at the block before's last
-    sample s0 and r = s1/s0 at the block's last s1: dist(z, g z) moves by
-    at most 2 |d log s| along the ray, and 2 sinh(x + log r) <= 2 r sinh x
-    + r - 1/r. The factor 2 leaves room for a det up to 2 (the last term's
-    sqrt(det)), for the rounding of the ray terms and for squares that
-    underflow, where the kernel's rounding is no longer relative. A pruned
-    row is larger than a kept one, so the min, an exact selection, is that
-    of the full scan bit for bit. No call's temporaries grow with the
-    samples.
+    Each sample's threshold T is 2U, U the ``_seed_bound`` of the seed rows
+    of ``Ball.displacement_floor``. Two frame-free tests prune rows before
+    any is gathered, reading only the word lengths before the first whose
+    least floor or |c| (over it and every longer one) fails them: a floor
+    above the largest T, and a |c| above the largest ``_c_bound``. The rows
+    left get their ray terms, and stay if their ``_floor`` too is at most
+    the largest T. One loop over blocks of samples (``_blocks``) evaluates
+    the rows whose ``_block_floor`` too is at most the block's largest T,
+    there also at most 2 (r m + r - 1/r) for the minimum m at the block
+    before's last sample s0 and r = s1/s0 at the block's last s1: along the
+    ray dist(z, g z) moves by at most 2 |d log s|, and 2 sinh(x + log r) <=
+    2 r sinh x + r - 1/r. The factor 2 leaves room for a det up to 2, for
+    the rounding of the ray terms and for squares that underflow.
+
+    U is at least the minimum at every sample of its block, so a row whose
+    bound is above 2U is never the minimum there, and the min, an exact
+    selection, is the full scan's bit for bit. Every block keeps a row: the
+    seed that attains U at one of its samples has floors at most its kernel
+    there, so at most U; where the bound of the block before is lower, the
+    row that attains the minimum passes. No call's temporaries grow with
+    the samples.
     """
-    floor, seeds, seed_coef, least_c, least_floor = ball.displacement_floor
-    best = _seed_min(s, *_ray_terms(seed_coef, frame))
-    thresholds = 2.0 * best
-    c_max = _c_bound(s, thresholds, frame)
+    floor, _, seed_coef, least_c, least_floor = ball.displacement_floor
+    bound = _seed_bound(s, *_ray_terms(seed_coef, frame))
+    c_max = _c_bound(s, 2.0 * bound, frame)
     # below the normal range, its rounding is no longer relative
     c_max = c_max.max() if c_max.min() >= _TINY else np.inf
-    top = thresholds.max()
+    top = 2.0 * bound.max()
     # the rows of the first length whose least floor or |c| is above its
     # bound, and of every longer one, are pruned as a whole; a NaN floor is
     # not above top, so it keeps its row and its length
@@ -254,22 +242,21 @@ def _min_displacements(s: np.ndarray, ball, frame: Mobius) -> np.ndarray:
         c = ball.c[:n]
         far |= c > c_max
         far |= c < -c_max
-    far[seeds[:np.searchsorted(seeds, n)]] = True
     ch, bh, eh = _ray_terms(ball._coef.take(np.flatnonzero(~far), axis=1), frame)
     low = _floor(ch, bh, eh)
     rows = np.flatnonzero(~(low > top))
     low, ch, bh, eh = low[rows], ch[rows], bh[rows], eh[rows]
     abs_ch, abs_bh = np.abs(ch), np.abs(bh)
+    best = np.empty_like(s)
     s0, m0 = s[0], np.inf  # the block before's last sample and minimum
     for blk in _blocks(s.size, rows.size):
         sb = s[blk]
         s1 = sb[-1]
         # the bound from the block before, r - 1/r as (s1 - s0)(s1 + s0)/(s0 s1)
-        top = 2.0 * min(best[blk].max(), m0 * (s1 / s0) + (s1 - s0) / s0 * ((s1 + s0) / s1))
+        top = 2.0 * min(bound[blk].max(), m0 * (s1 / s0) + (s1 - s0) / s0 * ((s1 + s0) / s1))
         near = np.flatnonzero(~(low > top))
         keep = near[~(_block_floor(abs_ch[near], abs_bh[near], sb[0], s1) > top)]
-        if keep.size:  # the min over zero rows raises
-            best[blk] = np.minimum(best[blk], _min_2sinh(sb, ch[keep], bh[keep], eh[keep]))
+        best[blk] = _min_2sinh(sb, ch[keep], bh[keep], eh[keep])
         s0, m0 = s1, best[blk][-1]
     # asinh is increasing, so it is taken once per sample, after the min
     return 2.0 * np.arcsinh(0.5 * best)
@@ -282,9 +269,12 @@ def injectivity_profile(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
 
     At each sample time t the estimate is half the minimal displacement
     dist(x_t, g(x_t)) over the non-identity word ball; the liminf estimate is
-    the minimum over the trailing TAIL_FRACTION of the samples.
+    the minimum over the trailing TAIL_FRACTION of the samples. A frame
+    with an entry whose square is past the float range raises ValueError.
     """
     n = sample_count(t_max, step)
+    if not all(x * x < math.inf for x in (u.frame.a, u.frame.b, u.frame.c, u.frame.d)):
+        raise ValueError(f"frame {u.frame} has an entry whose square is past the float range")
     ball = ball_arrays(spec, depth)
     if len(ball) == 0:
         raise EmptyBall("injectivity profile needs a non-empty word ball")

@@ -629,7 +629,10 @@ def fixed_points(g) -> tuple[BoundaryPoint, BoundaryPoint]:
         p = BoundaryPoint((a - d) / (2.0 * c))
         return (p, p)
     tr = a + d
-    s = math.sqrt(max(tr * tr - 4.0, 0.0))
+    if tr * tr < math.inf:
+        s = math.sqrt(max(tr * tr - 4.0, 0.0))
+    else:  # tr^2 overflows, |tr| - 2 and |tr| + 2 do not
+        s = math.sqrt(abs(tr) - 2.0) * math.sqrt(abs(tr) + 2.0)
     diff = a - d
     # Evaluate the benign root directly and recover the other from the root
     # product -b/c, avoiding cancellation when |a - d| ~ sqrt(tr^2 - 4).

@@ -149,9 +149,15 @@ POINT_I = PointH(0.0, 1.0)
 
 @_record
 class BoundaryPoint:
-    """A point of the boundary circle R u {inf}; value None encodes inf."""
+    """A point of the boundary circle R u {inf}; value None (stored for +-inf) is inf."""
 
     value: float | None = None
+
+    def __post_init__(self):
+        if self.value is not None and not math.isfinite(self.value):
+            if math.isnan(self.value):
+                raise InvalidPoint("a boundary point must be a real number or inf, got nan")
+            object.__setattr__(self, "value", None)
 
     @property
     def is_infinity(self) -> bool:

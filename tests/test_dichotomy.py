@@ -757,6 +757,16 @@ def test_report_depends_on_the_forward_endpoint_alone(name, min_len, band):
     assert found or (name, min_len) == ("flute", dichotomy.MIN_SEQ_LEN)
 
 
+def test_an_endpoint_that_overflows_is_infinity():
+    # a / c overflows to inf: the report is the one at BASE_TANGENT
+    spec = _REFERENCE_SPECS["gamma2"]
+    u = hf.UnitTangent(hf.Mobius(1e10, 0.0, 1e-300, 1e-10))
+    got, want = (hf.run_dichotomy(spec, v, depth=8) for v in (u, hf.BASE_TANGENT))
+    assert want.verdict.kind == "recurrence-evidence"
+    assert {k: _hexed(v) for k, v in _report_fields(got).items()} == \
+        {k: _hexed(v) for k, v in _report_fields(want).items()}
+
+
 def _exact_word(generators, word):
     m = (1, 0, 0, 1)
     for letter in word:

@@ -131,6 +131,20 @@ def test_a_bad_grid_is_refused_before_any_ball_is_built(schottky_spec, kwargs):
     assert _cached_ball.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("frame", [hf.Mobius(0.0, -1e-200, 1e200, 0.0),
+                                   hf.Mobius(1e200, 0.0, 0.0, 1e-200)],
+                         ids=["c-1e200", "a-1e200"])
+def test_a_frame_past_the_float_range_is_refused_before_any_ball_is_built(frame):
+    # the ray terms square every frame entry: past about 1.34e154 no
+    # profile is meaningful, where one read inf and the other overflowed
+    # in _c_bound
+    spec = hf.schottky_pair(max_word_length=4)
+    _cached_ball.cache_clear()
+    with pytest.raises(ValueError, match=r"frame Mobius\(.*past the float range"):
+        hf.injectivity_profile(spec, hf.UnitTangent(frame), t_max=1, step=0.5)
+    assert _cached_ball.cache_info().currsize == 0
+
+
 def test_profile_matches_scalar_distances(schottky_spec):
     # several kernel slices
     u = hf.UnitTangent(hf.Mobius(1.0, 0.3, 0.0, 1.0))
@@ -222,17 +236,16 @@ def _full_scan(ball, u, times):
 
 
 def _prefilter(ball, u, times):
-    # (gathered, left): the rows besides the seeds whose ray terms the kernel
-    # gathers, those whose cached floor is at most twice the seeds' largest
-    # min and whose |c| at most the largest _c_bound, and of those the rows
-    # whose _floor too is at most that
-    floor, seeds, seed_coef, *_ = ball.displacement_floor
+    # (gathered, left): the rows whose ray terms the kernel gathers, those
+    # whose cached floor is at most twice the seeds' largest bound U and
+    # whose |c| at most the largest _c_bound, and of those the rows whose
+    # _floor too is at most that
+    floor, _, seed_coef, *_ = ball.displacement_floor
     s = np.exp(times)
-    top = 2.0 * hf.flows._min_2sinh(s, *hf.flows._ray_terms(seed_coef, u.frame))
+    top = 2.0 * hf.flows._seed_bound(s, *hf.flows._ray_terms(seed_coef, u.frame))
     bound = hf.flows._c_bound(s, top, u.frame)
     c_max = bound.max() if bound.min() >= hf.flows._TINY else np.inf
     near = ~(floor > top.max()) & ~(np.abs(ball.c) > c_max)
-    near[seeds] = False
     coef = ball._coef.take(np.flatnonzero(near), axis=1)
     low = hf.flows._floor(*hf.flows._ray_terms(coef, u.frame))
     return int(np.count_nonzero(near)), int(np.count_nonzero(~(low > top.max())))
@@ -260,12 +273,10 @@ def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sample
 
 
 def _seed_rule(s, ch, bh, eh):
-    # per chunk of samples, the seeds that _seed_min must evaluate: those
-    # whose ray floor and block floor are at most 2U on some block, U the
-    # least over the seeds of the larger kernel at the block's ends; a
-    # block runs from its first sample to the next block's first sample,
-    # or to the chunk's last one
-    low = hf.flows._floor(ch, bh, eh)
+    # per sample, U: the least over the seeds of the larger kernel at its
+    # block's ends; a block runs from every _BLOCK-th sample of a chunk to
+    # the next block's first sample, or to the chunk's last one
+    u = np.empty_like(s)
     for blk in hf.flows._blocks(s.size, ch.size):
         sb = s[blk]
         starts = np.arange(0, sb.size, hf.flows._BLOCK)
@@ -274,38 +285,33 @@ def _seed_rule(s, ch, bh, eh):
         with np.errstate(over="ignore", invalid="ignore"):
             ends = [(ch * x + bh / x) ** 2 + eh ** 2 for x in (s0, s1)]
             sq = np.maximum(*ends).min(axis=1)
-            u = np.where((sq >= hf.flows._TINY) & np.isfinite(sq), np.sqrt(sq), np.inf)
-            bound = np.maximum(low, hf.flows._block_floor(np.abs(ch), np.abs(bh), s0, s1))
-            yield sb, ~np.all(bound > 2.0 * u[:, None], axis=0)
+            ub = np.where((sq >= hf.flows._TINY) & np.isfinite(sq), np.sqrt(sq), np.inf)
+        u[blk] = ub[np.arange(sb.size) // hf.flows._BLOCK]
+    return u
 
 
 @_RAY_BALLS
-def test_seed_step_is_bitwise_the_min_over_every_seed(spec, depth, rng, mobius_sampler,
-                                                      monkeypatch):
-    # _seed_min evaluates, per chunk, exactly the seeds that _seed_rule
-    # keeps, and its min is _min_2sinh's over all of them, bit for bit
-    _, _, seed_coef, *_ = hf.ball_arrays(spec, depth).displacement_floor
+def test_seed_bound_is_the_block_rule_and_bounds_the_ball(spec, depth, rng, mobius_sampler,
+                                                          monkeypatch):
+    # _seed_bound is _seed_rule's U bit for bit and at least the ball's
+    # minimum at every sample, and every block of the kernel evaluates a row
+    ball = hf.ball_arrays(spec, depth)
+    _, _, seed_coef, *_ = ball.displacement_floor
     full_min = hf.flows._min_2sinh
-    calls = []
+    rows = []
     monkeypatch.setattr(hf.flows, "_min_2sinh",
-                        lambda s, *terms: calls.append((s, terms)) or full_min(s, *terms))
-    pruned = 0
+                        lambda s, ch, *terms: rows.append(ch.size) or full_min(s, ch, *terms))
     for u in _frames(rng, mobius_sampler):
         terms = hf.flows._ray_terms(seed_coef, u.frame)
+        every = hf.flows._ray_terms(ball._coef, u.frame)
         for t_max, step in _GRIDS:
             s = np.exp(step * np.arange(hf.flows.sample_count(t_max, step)))
-            calls.clear()
-            got = hf.flows._seed_min(s, *terms)
-            want = full_min(s, *terms)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            rule = list(_seed_rule(s, *terms))
-            assert len(calls) == len(rule)
-            for (sb, kept), (sr, keep) in zip(calls, rule):
-                assert np.array_equal(sb, sr)
-                for x, y in zip(kept, terms):
-                    assert np.array_equal(x, y[keep])
-                pruned += int(np.count_nonzero(~keep))
-    assert pruned > 0
+            got = hf.flows._seed_bound(s, *terms)
+            assert np.array_equal(got.view(np.int64), _seed_rule(s, *terms).view(np.int64))
+            assert np.all(got >= full_min(s, *every))
+            rows.clear()
+            hf.flows._min_displacements(s, ball, u.frame)
+            assert rows and min(rows) > 0
 
 
 @_RAY_BALLS

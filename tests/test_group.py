@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -579,6 +580,17 @@ def test_identity_test_is_one_rule_for_an_element_and_for_ball_rows():
     assert mask.tolist() == [_near_identity(*row, tol) for row in rows.tolist()]
     assert mask.tolist() == [True, True, False, False]
     assert [hf.Mobius._admitted(*row).is_identity(tol) for row in rows.tolist()] == mask.tolist()
+
+
+def test_fixed_points_keep_both_roots_where_the_trace_squared_overflows():
+    # tr^2 overflows, yet both roots of c x^2 + (d - a) x - b are floats
+    a, b, c, d = 1e200, 1.0, -1.0, 0.0
+    roots = [p.value for p in hf.fixed_points(hf.Mobius(a, b, c, d))]
+    assert roots == [-1e200, -1e-200]
+    a, b, c, d = map(Fraction, (a, b, c, d))
+    for x in map(Fraction, roots):
+        scale = abs(c) * x * x + abs(d - a) * abs(x) + abs(b)
+        assert abs(c * x * x + (d - a) * x - b) <= Fraction(1, 10 ** 15) * scale
 
 
 def test_fixed_points_elliptic_raises():

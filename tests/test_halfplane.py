@@ -51,6 +51,18 @@ def test_boundary_point_refuses_bools_strings_and_nan(x):
         hf.bp(x)
 
 
+def test_an_infinite_value_is_the_point_at_infinity():
+    for x in (math.inf, -math.inf, np.float64(-np.inf)):
+        p = hf.BoundaryPoint(x)
+        assert p.is_infinity and p == hf.INFINITY and hash(p) == hash(hf.INFINITY)
+    with pytest.raises(hf.InvalidPoint, match="real number or inf"):
+        hf.BoundaryPoint(math.nan)
+    # each map's float value overflows to inf
+    assert hf.UnitTangent(hf.Mobius(1e10, 0.0, 1e-300, 1e-10)).forward_endpoint() == hf.INFINITY
+    assert hf.apply_boundary(hf.Mobius(1e200, 0, 0, 1e-200), 1e200) == hf.INFINITY
+    assert hf.harmonic_conjugate(1e300, -1e300, 0.0) == hf.INFINITY
+
+
 def test_mobius_refuses_bools_and_strings():
     with pytest.raises(ValueError, match="real number"):
         hf.Mobius("2", False, 0, "0.5")
