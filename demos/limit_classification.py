@@ -2,8 +2,8 @@
 
 Enumerates preset groups, looks at how high their orbits climb inside a
 horoball, and classifies boundary points as parabolic, horocyclic-evidence,
-discrete-evidence, or irregular-evidence. Ends with an engineered group
-that genuinely triggers the irregular branch.
+or discrete-evidence. Ends with why no group built here reads
+irregular-evidence: every one is finitely generated.
 """
 
 import horoflow as hf
@@ -53,11 +53,14 @@ for name, spec, depth in [
         verdicts.add(hf.classify_boundary_point(spec, xi, depth=depth).verdict.value)
     print(f"{name:18s} -> {sorted(verdicts)}")
 
-section("An engineered irregular-evidence example")
+section("No finitely generated group reads irregular-evidence")
 # Six dilations along one axis with nearly equal lengths: the orbit stops
-# climbing after depth two while its heights pile up in a narrow cluster.
+# climbing after depth two, so the heights stay bounded.
 gens = tuple(hf.hyperbolic_element(-1.0, 1.0, 1.0 + j * 1e-4) for j in range(6))
 spec = hf.GroupSpec(gens, max_word_length=5)
 ev = hf.classify_boundary_point(spec, hf.INFINITY)
-print(f"verdict: {ev.verdict.value}")
-print(f"sup height {ev.sup_height:g}, cluster level {ev.height_accumulation:.6f}")
+print(f"six dilations, at infinity: {ev.verdict.value}, sup height {ev.sup_height:g}")
+print("(they generate a non-discrete group, with no quotient surface, so no verdict holds there)")
+print("A discrete finitely generated group is geometrically finite: each limit point is")
+print("conical or parabolic, and no horocycle orbit is irregular. irregular-evidence waits")
+print("for a witness on an infinitely generated cover, such as a Z-cover of a schottky surface.")

@@ -5,10 +5,16 @@ supply evidence. Except for an exact parabolic witness, every verdict tag here
 carries an "-evidence" suffix to make that explicit, and verdicts can move as
 the depth grows.
 
-The operational tests mirror three classical criteria: heights along the orbit
-that keep growing witness horocyclic approach; bounded heights accumulating at
-a positive level argue against discreteness of the approach; a parabolic
-element fixing the point settles the matter exactly.
+The operational tests mirror two classical criteria: heights along the orbit
+that keep growing witness horocyclic approach, and a parabolic element fixing
+the point settles the matter exactly. Bounded heights read discrete-evidence.
+
+No spec reads irregular-evidence. A GroupSpec has finitely many generators,
+so a discrete one is geometrically finite (Katok, *Fuchsian Groups*, 4.6):
+each of its limit points is conical or parabolic, and no horocycle orbit is
+irregular (Dal'Bo, *Geodesic and Horocyclic Trajectories*, 2011). A
+non-discrete one has no quotient surface at all. Irregular points exist only
+on infinitely generated groups, such as the Z-covers of a finite-type surface.
 """
 
 from __future__ import annotations
@@ -23,9 +29,6 @@ from .halfplane import _IDENTITY, GEOM_TOL, BoundaryPoint, _check_real, _record,
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
 UNBOUNDED_RUN = 3        # consecutive strictly-increasing depth steps required
-ACCUM_COUNT = 5          # distinct height values forming a cluster
-ACCUM_WINDOW = 1e-3      # cluster width, relative to the cluster level
-ACCUM_FLOOR = 1e-3       # clusters must sit at least this far above 0
 
 
 class LimitVerdict(enum.Enum):
@@ -38,11 +41,14 @@ class LimitVerdict(enum.Enum):
 
 @_record
 class LimitPointEvidence:
-    """The orbit heights' sup and accumulation level at ``point`` over the
-    depth ball, a parabolic element fixing it, and the verdict they give.
+    """The orbit heights' sup at ``point`` over the depth ball, a parabolic
+    element fixing it, and the verdict they give.
 
-    ``height_accumulation`` is None on a spec with a ping-pong certificate,
-    where no cluster is searched for (see classify_boundary_point)."""
+    ``height_accumulation`` is always None: every spec is finitely
+    generated, so no limit point of a discrete one is irregular and no
+    accumulation level is read (see the module docstring). The field and
+    IRREGULAR_EVIDENCE stay for a witness on an infinitely generated
+    cover."""
 
     point: BoundaryPoint
     depth: int
@@ -64,31 +70,6 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
                   orbit_height(_IDENTITY, xi))
     h.sort()
     return h[::-1]
-
-
-def _find_cluster(heights: np.ndarray) -> float | None:
-    """Mean of the first cluster of ACCUM_COUNT distinct values whose spread
-    is within ACCUM_WINDOW relative to their level, all at least ACCUM_FLOOR.
-
-    The window is relative because orbit heights decay geometrically toward
-    0 at every scale: an absolute window always finds spurious clusters just
-    above any floor, and a relative one is also invariant under the global
-    rescaling that moving the base point of the height function causes.
-    """
-    vals = np.sort(heights[heights >= ACCUM_FLOOR])
-    if vals.size:  # its distinct values; np.unique would import numpy.ma
-        vals = vals[np.r_[True, vals[1:] != vals[:-1]]]
-    n = vals.size - ACCUM_COUNT + 1
-    if n < 1:
-        return None
-    # every window's mean at once, with the floats of np.mean on one window:
-    # an add-reduce of fewer than 8 values sums them left to right
-    level = vals[:n] + vals[1:n + 1]
-    for j in range(2, ACCUM_COUNT):
-        level += vals[j:j + n]
-    level /= ACCUM_COUNT
-    hit = vals[ACCUM_COUNT - 1:] - vals[:n] <= ACCUM_WINDOW * level
-    return float(level[hit.argmax()]) if hit.any() else None
 
 
 def _read(x, head, tail):
@@ -180,27 +161,26 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     2. unbounded-height growth (sup strictly rising over the last
        UNBOUNDED_RUN depth steps and past UNBOUNDED_FACTOR times the depth-1
        sup) -> horocyclic-evidence;
-    3. bounded heights with a cluster at a positive level -> irregular-evidence,
-       searched for only on a spec without a ping-pong certificate;
-    4. bounded heights without one -> discrete-evidence;
+    3. bounded heights -> discrete-evidence;
     otherwise inconclusive (depth too shallow to judge growth, or growth that
     has not yet cleared the factor). An element fixes xi when |g(xi) - xi|
     <= tol; tol must be finite and non-negative.
 
-    A spec with a certificate (group._ping_pong_disks) is discrete by
-    ping-pong and finitely generated, so geometrically finite (Katok,
-    *Fuchsian Groups*, 4.6; Beardon, *The Geometry of Discrete Groups*,
-    ch. 10): each of its limit points is conical or parabolic, and none is
-    irregular. There bounded heights read discrete-evidence, and
-    height_accumulation is None. Without a certificate discreteness is
-    unknown, and the cluster search runs on the heights at or above
-    ACCUM_FLOOR.
+    No test reads irregular-evidence, and height_accumulation is None. The
+    spec is finitely generated, so if it is discrete it is geometrically
+    finite (Katok, *Fuchsian Groups*, 4.6; Beardon, *The Geometry of
+    Discrete Groups*, ch. 10): each of its limit points is conical or
+    parabolic, and none is irregular (Dal'Bo, *Geodesic and Horocyclic
+    Trajectories*, 2011). If it is not discrete it has no quotient surface,
+    and no verdict holds there. The rule needs no certificate.
 
-    The tests on a certified spec need only the sup of the heights at each
-    length. At a finite xi, when the certificate's disks all leave i
-    outside their interiors, they come from a walk down the word tree
-    (_walk) that reads only the subtrees that can still raise the sup,
-    with the same result to the bit as a pass over every row. It rests on
+    The tests need only the sup of the heights at each length. On a spec
+    with a certificate (group._ping_pong_disks), at a finite xi, when the
+    certificate's disks all leave i outside their interiors, they come
+    from a walk down the word tree (_walk) that reads only the subtrees
+    that can still raise the sup, with the same result to the bit as a
+    pass over every row. The certificate picks how the sups are read, not
+    the verdict rule. The walk rests on
     a lemma: for a row w = (a, b, c, d) with c != 0, w(i) and the orbit
     point w v(i) of every descendant lie in the closed disk
     |z - a/c| <= sqrt(ad - bc)/|c|, the isometric disk I(w^-1). Proof
@@ -252,7 +232,7 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     sups = np.maximum.accumulate(np.concatenate(([h0], level_sups))).tolist()
     sup_height = sups[-1]
 
-    verdict, cluster, witness = LimitVerdict.INCONCLUSIVE, None, None
+    verdict, witness = LimitVerdict.INCONCLUSIVE, None
     if fixing is not None:
         verdict = LimitVerdict.PARABOLIC
         witness = ball[fixing]
@@ -262,11 +242,5 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
             if sup_height >= UNBOUNDED_FACTOR * sups[1]:
                 verdict = LimitVerdict.HOROCYCLIC_EVIDENCE
         else:
-            # a cluster only without a certificate, where the full pass ran;
-            # no height reaches the floor when the sup does not, and
-            # otherwise only the few that do are joined to the identity's
-            if spec.certificate is None and sup_height >= ACCUM_FLOOR:
-                cluster = _find_cluster(np.append(h0, heights[heights >= ACCUM_FLOOR]))
-            verdict = (LimitVerdict.DISCRETE_EVIDENCE if cluster is None
-                       else LimitVerdict.IRREGULAR_EVIDENCE)
-    return LimitPointEvidence(xi, depth, sup_height, cluster, witness, verdict)
+            verdict = LimitVerdict.DISCRETE_EVIDENCE
+    return LimitPointEvidence(xi, depth, sup_height, None, witness, verdict)

@@ -45,7 +45,7 @@ def test_submodules_resolve_as_attributes():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         hf.no_such_name  # noqa: B018
-    assert getattr(hf, "ACCUM_FLOOR", None) is None  # a module's, not public
+    assert getattr(hf, "UNBOUNDED_RUN", None) is None  # a module's, not public
 
 
 def test_moved_names_still_resolve_where_they_were():
