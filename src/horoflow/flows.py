@@ -183,18 +183,24 @@ def _seed_bound(s: np.ndarray, ch, bh, eh) -> np.ndarray:
     if its terms share a sign it is convex, and its rounding is within a
     few relative ulps; if not, it is monotone, and so is its rounding. So
     U, the least over the seeds of the larger kernel at the block's ends,
-    is at least the minimum at every sample of the block. A U that is NaN
-    or inf, or whose square is below the normal range (where the kernel's
-    rounding is no longer relative), reads inf.
+    is at least the minimum at every sample of the block. A block whose
+    least square is below the normal range, where the rounding of squares
+    is no longer relative, has its U redone with hypot, as ``_min_2sinh``
+    redoes a lost sample. A U that is NaN or inf, or itself below the
+    normal range, reads inf.
     """
     bound = np.empty_like(s)
     for blk in _blocks(s.size, ch.size):
         sb = s[blk]
         # (ends, seeds), the seeds the inner axis: block k is ends k and k + 1
         x = np.append(sb[::_BLOCK], sb[-1])[:, None]
-        end = np.square(ch * x + bh / x)
+        xe = ch * x + bh / x
+        end = np.square(xe)
         sq = (np.maximum(end[:-1], end[1:]) + eh * eh).min(axis=1)
-        u = np.where((sq >= _TINY) & (sq < np.inf), np.sqrt(sq), np.inf)
+        u = np.sqrt(sq)
+        if (lost := sq < _TINY).any():
+            u[lost] = np.hypot(np.maximum(abs(xe[:-1][lost]), abs(xe[1:][lost])), eh).min(axis=1)
+        u[~((u >= _TINY) & (u < np.inf))] = np.inf
         bound[blk] = np.repeat(u, _BLOCK)[:sb.size]
     return bound
 

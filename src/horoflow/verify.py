@@ -5,8 +5,9 @@ dilation, rotation), so all conjugacy types and sign patterns appear, then
 checks every closed-form identity the package leans on: image of i, boundary
 images, the Busemann formula, the displacement formula along the imaginary
 axis, cross-ratio invariance, cocycle additivity and equivariance, and the
-flow renormalization law. Each check reports its worst residual; the suite
-passes when all residuals sit under the tolerance.
+flow renormalization law. Each check is one row, (name, worst residual over
+its draws), of an ordered table; the suite passes when all residuals sit
+under the tolerance.
 
 One check is special: the time substitution t_n = ln|b_n| in the displacement
 formula. The suite evaluates the competing substitution t_n = ln(b_n^2) as
@@ -70,27 +71,84 @@ def _sample_matrices(rng: np.random.Generator, n: int):
     return a, b, c, d
 
 
-def _img_i(a, b, c, d):
-    return (1j * a + b) / (1j * c + d)
+def _rel(got: float, want: float) -> float:
+    return abs(got - want) / max(1.0, abs(want))
 
 
-def _axis_displacement(a, b, c, d, y):
-    """dist(z, g z) at z = i y: 2 asinh(|z - g z| / (2 sqrt(Im z Im g z)))."""
+def _worst(residuals) -> float:
+    """The largest of the residuals, and 0.0 if there are none."""
+    return max([0.0, *residuals])
+
+
+def _displacement_residual(a, b, c, d, t, rad) -> float:
+    """dist(z, g z) at z = i e^t, as 2 asinh(|z - g z| / (2 sqrt(Im z Im g z))),
+    against 2 asinh(sqrt(rad)/2), relative."""
+    y = np.exp(t)
     z = 1j * y
     gz = (a * z + b) / (c * z + d)
-    return 2.0 * np.arcsinh(np.abs(z - gz) / (2.0 * np.sqrt(y * gz.imag)))
-
-
-def _relative_residual(got, want) -> float:
+    got = 2.0 * np.arcsinh(np.abs(z - gz) / (2.0 * np.sqrt(y * gz.imag)))
+    want = 2.0 * np.arcsinh(np.sqrt(np.maximum(rad, 0.0)) / 2.0)
     return float(np.max(np.abs(got - want) / np.maximum(1.0, want)))
 
 
 def _substitution_residual(a, b, c, d, t) -> float:
     """The displacement at i e^t against 2 asinh(sqrt(b^2 c^2 + d^2 + a^2 - 1)/2),
     the closed form the substitution t = ln|b| predicts."""
-    rad = b ** 2 * c ** 2 + d ** 2 + a ** 2 - 1.0
-    want = 2.0 * np.arcsinh(np.sqrt(np.maximum(rad, 0.0)) / 2.0)
-    return _relative_residual(_axis_displacement(a, b, c, d, np.exp(t)), want)
+    return _displacement_residual(a, b, c, d, t, b ** 2 * c ** 2 + d ** 2 + a ** 2 - 1.0)
+
+
+def _point(rng: np.random.Generator) -> PointH:
+    return PointH(float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 5.0)))
+
+
+def _inf_image_residuals(m: Mobius) -> tuple[float, float]:
+    """The images of inf under m and under its inverse against a/c and
+    -d/c, or against inf itself where c = 0."""
+    p, q = apply_boundary(m, INFINITY), apply_boundary(m.inverse(), INFINITY)
+    if m.c == 0.0:
+        return (0.0 if p.is_infinity else math.inf), (0.0 if q.is_infinity else math.inf)
+    return _rel(p.value, m.a / m.c), _rel(q.value, -m.d / m.c)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # a coincident or infinite image is skipped
+def _cross_ratio_residual(m: Mobius, pts: np.ndarray, tol: float) -> float:
+    """The cross-ratio of four points against that of their images under m.
+
+    For inputs off by at most 2^-52 relative, as the rounded images are, a
+    float cross-ratio is off by at most 4 2^-52 sum (|x| + |y|) / |x - y|
+    relative, over its four differences x - y. A draw where that bound, of
+    the points or of their images, exceeds tol, so that no float code can
+    meet tol, is skipped (reads 0.0), as is one with a repeated point; an
+    image at inf or a repeated image leaves the bound NaN or inf.
+    """
+    before = [bp(float(p)) for p in pts]
+    after = [apply_boundary(m, p) for p in before]
+    x = np.array([[p.value for p in before], [p.value for p in after]], dtype=float)
+    lhs, rhs = x[:, [0, 1, 0, 1]], x[:, [2, 3, 3, 2]]
+    bound = 4.0 * 2.0 ** -52 * ((np.abs(lhs) + np.abs(rhs)) / np.abs(lhs - rhs)).sum(axis=1)
+    if len(set(pts.tolist())) < 4 or not np.all(bound <= tol):
+        return 0.0
+    return _rel(cross_ratio(*after), cross_ratio(*before))
+
+
+def _cocycle_residuals(m: Mobius, rng: np.random.Generator) -> tuple[float, float]:
+    """B(z1, z3) against B(z1, z2) + B(z2, z3), and B(z1, z2) against
+    B_{m xi}(m z1, m z2), at a random xi (inf one time in five)."""
+    xi = bp(float(rng.uniform(-20.0, 20.0))) if rng.uniform() < 0.8 else INFINITY
+    zs = [_point(rng) for _ in range(3)]
+    b12 = busemann(xi, zs[0], zs[1])
+    b13 = _rel(b12 + busemann(xi, zs[1], zs[2]), busemann(xi, zs[0], zs[2]))
+    return b13, _rel(busemann(apply_boundary(m, xi), apply(m, zs[0]), apply(m, zs[1])), b12)
+
+
+def _renormalization_residual(rng: np.random.Generator) -> float:
+    """g_{-t} h_s g_t against h_{s exp(-t)}, entrywise."""
+    tk, sk = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-5.0, 5.0))
+    e2 = math.exp(tk / 2.0)
+    lhs = (Mobius(1.0 / e2, 0.0, 0.0, e2) @ Mobius(1.0, sk, 0.0, 1.0)
+           @ Mobius(e2, 0.0, 0.0, 1.0 / e2))
+    rhs = Mobius(1.0, sk * math.exp(-tk), 0.0, 1.0)
+    return max(abs(lhs.a - rhs.a), abs(lhs.b - rhs.b), abs(lhs.c - rhs.c), abs(lhs.d - rhs.d))
 
 
 def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
@@ -103,112 +161,47 @@ def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
     a, b, c, d = _sample_matrices(rng, samples)
     # the sampled maps the scalar checks run on
     ms = [Mobius.normalized(a[k], b[k], c[k], d[k]) for k in range(min(128, samples))]
-    w = _img_i(a, b, c, d)
+    w = (1j * a + b) / (1j * c + d)  # g(i)
     cd = c * c + d * d
-    checks = []
-
-    checks.append(CheckResult(
-        "im-image-of-i", float(np.max(np.abs(w.imag - 1.0 / cd))), tol))
-
     # Re g(i) = a/c - d/(c (c^2+d^2)); cancellation between the two terms is
     # intrinsic, so the residual is scaled by the larger term.
     mask = np.abs(c) > 1e-6
     t1 = a[mask] / c[mask]
     t2 = d[mask] / (c[mask] * cd[mask])
     scale = np.maximum(1.0, np.maximum(np.abs(t1), np.abs(t2)))
-    checks.append(CheckResult(
-        "re-image-of-i", float(np.max(np.abs(w.real[mask] - (t1 - t2)) / scale)), tol))
-
-    # g sends inf to a/c, and its inverse sends it to -d/c
-    bnd_res = inv_res = 0.0
-    for m in ms[:64]:
-        p, q = apply_boundary(m, INFINITY), apply_boundary(m.inverse(), INFINITY)
-        if abs(m.c) > 1e-6:
-            want, want_inv = m.a / m.c, -m.d / m.c
-            bnd_res = max(bnd_res, abs(p.value - want) / max(1.0, abs(want)))
-            inv_res = max(inv_res, abs(q.value - want_inv) / max(1.0, abs(want_inv)))
-        else:
-            bnd_res = max(bnd_res, 0.0 if p.is_infinity else math.inf)
-            inv_res = max(inv_res, 0.0 if q.is_infinity else math.inf)
-    checks.append(CheckResult("boundary-image-of-inf", bnd_res, tol))
-    checks.append(CheckResult("inverse-boundary-image", inv_res, tol))
-
-    busemann_res = 0.0
-    for m in ms:
-        got = busemann(INFINITY, apply(m, PointH(0.0, 1.0)), PointH(0.0, 1.0))
-        busemann_res = max(busemann_res, abs(got - math.log(m.c ** 2 + m.d ** 2)))
-    checks.append(CheckResult("busemann-at-inf", busemann_res, tol))
-
-    # displacement along the imaginary axis at random times
-    t = rng.uniform(-10.0, 10.0, samples)
-    rad = b * b * np.exp(-2.0 * t) + c * c * np.exp(2.0 * t) + d * d + a * a - 2.0
-    rhs = 2.0 * np.arcsinh(np.sqrt(np.maximum(rad, 0.0)) / 2.0)
-    checks.append(CheckResult(
-        "axis-displacement", _relative_residual(_axis_displacement(a, b, c, d, np.exp(t)), rhs),
-        tol))
-
-    # substitution t = ln|b|: radicand collapses to b^2 c^2 + d^2 + a^2 - 1
+    i = PointH(0.0, 1.0)
+    t = rng.uniform(-10.0, 10.0, samples)  # the axis-displacement times
     mb = np.abs(b) > 1e-6
-    checks.append(CheckResult(
-        "substitution-log-abs-b",
-        _substitution_residual(a[mb], b[mb], c[mb], d[mb], np.log(np.abs(b[mb]))), tol))
-
-    # competing substitution t = ln(b^2): recorded, not asserted
     mb2 = b ** 2 > 1e-6
-    alt_res = _substitution_residual(a[mb2], b[mb2], c[mb2], d[mb2], np.log(b[mb2] ** 2))
-
-    # cross-ratio invariance under a sampled map
-    cr_res = 0.0
-    for m in ms[:64]:
-        pts = rng.uniform(-20.0, 20.0, 4)
-        if len(set(pts.tolist())) < 4:
-            continue
-        before = cross_ratio(*(bp(float(p)) for p in pts))
-        after = cross_ratio(*(apply_boundary(m, bp(float(p))) for p in pts))
-        cr_res = max(cr_res, abs(before - after) / max(1.0, abs(before)))
-    checks.append(CheckResult("cross-ratio-invariance", cr_res, tol))
-
-    # cocycle additivity B(z1,z3) = B(z1,z2) + B(z2,z3) and equivariance
-    coc_res = 0.0
-    eqv_res = 0.0
-    for m in ms[:64]:
-        xi = bp(float(rng.uniform(-20.0, 20.0))) if rng.uniform() < 0.8 else INFINITY
-        zs = [PointH(float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 5.0)))
-              for _ in range(3)]
-        b12 = busemann(xi, zs[0], zs[1])
-        b23 = busemann(xi, zs[1], zs[2])
-        b13 = busemann(xi, zs[0], zs[2])
-        coc_res = max(coc_res, abs(b13 - (b12 + b23)) / max(1.0, abs(b13)))
-        before = busemann(xi, zs[0], zs[1])
-        after = busemann(apply_boundary(m, xi), apply(m, zs[0]), apply(m, zs[1]))
-        eqv_res = max(eqv_res, abs(before - after) / max(1.0, abs(before)))
-    checks.append(CheckResult("cocycle-additivity", coc_res, tol))
-    checks.append(CheckResult("cocycle-equivariance", eqv_res, tol))
-
-    # renormalization: g_{-t} h_s g_t = h_{s exp(-t)}
-    ren_res = 0.0
-    for k in range(min(64, samples)):
-        tk = float(rng.uniform(-3.0, 3.0))
-        sk = float(rng.uniform(-5.0, 5.0))
-        e2 = math.exp(tk / 2.0)
-        gt = Mobius(e2, 0.0, 0.0, 1.0 / e2)
-        gmt = Mobius(1.0 / e2, 0.0, 0.0, e2)
-        hs = Mobius(1.0, sk, 0.0, 1.0)
-        lhsm = gmt @ hs @ gt
-        rhsm = Mobius(1.0, sk * math.exp(-tk), 0.0, 1.0)
-        ren_res = max(ren_res, max(abs(lhsm.a - rhsm.a), abs(lhsm.b - rhsm.b),
-                                   abs(lhsm.c - rhsm.c), abs(lhsm.d - rhsm.d)))
-    checks.append(CheckResult("flow-renormalization", ren_res, tol))
-
-    # distance symmetry and triangle sanity on random pairs
-    sym_res = 0.0
-    for k in range(min(64, samples)):
-        z1 = PointH(float(rng.uniform(-5, 5)), float(rng.uniform(0.1, 5)))
-        z2 = PointH(float(rng.uniform(-5, 5)), float(rng.uniform(0.1, 5)))
-        sym_res = max(sym_res, abs(dist(z1, z2) - dist(z2, z1)))
-    checks.append(CheckResult("distance-symmetry", sym_res, tol))
-
+    # in check order, which is also the order of the draws
+    residuals = [
+        ("im-image-of-i", float(np.max(np.abs(w.imag - 1.0 / cd)))),
+        ("re-image-of-i", float(np.max(np.abs(w.real[mask] - (t1 - t2)) / scale))),
+        # g sends inf to a/c, and its inverse sends it to -d/c
+        *zip(("boundary-image-of-inf", "inverse-boundary-image"),
+             map(_worst, zip(*map(_inf_image_residuals, ms[:64])))),
+        ("busemann-at-inf", _worst(abs(busemann(INFINITY, apply(m, i), i)
+                                       - math.log(m.c ** 2 + m.d ** 2)) for m in ms)),
+        ("axis-displacement", _displacement_residual(
+            a, b, c, d, t,
+            b * b * np.exp(-2.0 * t) + c * c * np.exp(2.0 * t) + d * d + a * a - 2.0)),
+        # substitution t = ln|b|: radicand collapses to b^2 c^2 + d^2 + a^2 - 1
+        ("substitution-log-abs-b",
+         _substitution_residual(a[mb], b[mb], c[mb], d[mb], np.log(np.abs(b[mb])))),
+        ("cross-ratio-invariance",
+         _worst(_cross_ratio_residual(m, rng.uniform(-20.0, 20.0, 4), tol) for m in ms[:64])),
+        # one draw per map feeds both cocycle checks
+        *zip(("cocycle-additivity", "cocycle-equivariance"),
+             map(_worst, zip(*(_cocycle_residuals(m, rng) for m in ms[:64])))),
+        # g_{-t} h_s g_t = h_{s exp(-t)}
+        ("flow-renormalization", _worst(_renormalization_residual(rng) for _ in ms[:64])),
+        ("distance-symmetry", _worst(abs(dist(z1, z2) - dist(z2, z1))
+                                     for z1, z2 in ((_point(rng), _point(rng)) for _ in ms[:64]))),
+    ]
     return VerificationReport(
-        samples=samples, seed=seed, tol=tol, checks=tuple(checks),
-        substitution_alternative_residual=alt_res,
+        samples=samples, seed=seed, tol=tol,
+        checks=tuple(CheckResult(name, r, tol) for name, r in residuals),
+        # competing substitution t = ln(b^2): recorded, not asserted
+        substitution_alternative_residual=_substitution_residual(
+            a[mb2], b[mb2], c[mb2], d[mb2], np.log(b[mb2] ** 2)),
     )

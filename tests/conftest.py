@@ -71,6 +71,16 @@ def conjugate_spec(spec, h):
     return dataclasses.replace(spec, generators=tuple(h @ g @ hinv for g in spec.generators))
 
 
+# Four maps h in PSL(2,R) to conjugate a spec by: for each, the truth at
+# (G, xi) or along u is the truth at (hGh^-1, h(xi)) or along h u
+CONJUGATORS = {
+    "translate": hf.Mobius(1.0, 0.37, 0.0, 1.0),
+    "dilate": hf.Mobius.normalized(1.3, 0.0, 0.0, 1.0),
+    "general": hf.Mobius.normalized(1.1, 0.3, 0.2, 1.06 / 1.1),
+    "invert": hf.Mobius(0.0, -1.0, 1.0, 0.0),
+}
+
+
 def stand_in(spec, certificate=None):
     """A stand-in for ``spec`` in group._build_ball, which reads only its
     generators and its certificate: None takes the dedup path and () keeps

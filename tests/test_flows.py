@@ -10,6 +10,8 @@ import pytest
 import horoflow as hf
 from horoflow.group import _cached_ball
 
+from conftest import CONJUGATORS, conjugate_spec
+
 
 def _frame_gap(u, v):
     a = u.frame
@@ -275,7 +277,9 @@ def test_pruned_profile_is_bitwise_the_full_scan(spec, depth, rng, mobius_sample
 def _seed_rule(s, ch, bh, eh):
     # per sample, U: the least over the seeds of the larger kernel at its
     # block's ends; a block runs from every _BLOCK-th sample of a chunk to
-    # the next block's first sample, or to the chunk's last one
+    # the next block's first sample, or to the chunk's last one. A block
+    # whose least square is below the normal range takes the kernel by
+    # hypot, and a U that is not finite or is itself below it reads inf
     u = np.empty_like(s)
     for blk in hf.flows._blocks(s.size, ch.size):
         sb = s[blk]
@@ -283,9 +287,12 @@ def _seed_rule(s, ch, bh, eh):
         s0 = sb[starts][:, None]
         s1 = sb[np.append(starts[1:], sb.size - 1)][:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            ends = [(ch * x + bh / x) ** 2 + eh ** 2 for x in (s0, s1)]
-            sq = np.maximum(*ends).min(axis=1)
-            ub = np.where((sq >= hf.flows._TINY) & np.isfinite(sq), np.sqrt(sq), np.inf)
+            sq = np.maximum(*((ch * x + bh / x) ** 2 + eh ** 2 for x in (s0, s1))).min(axis=1)
+            lost = sq < hf.flows._TINY
+            ub = np.sqrt(sq)
+            ub[lost] = np.maximum(*(np.hypot(ch * x + bh / x, eh)
+                                    for x in (s0[lost], s1[lost]))).min(axis=1)
+            ub = np.where((ub >= hf.flows._TINY) & np.isfinite(ub), ub, np.inf)
         u[blk] = ub[np.arange(sb.size) // hf.flows._BLOCK]
     return u
 
@@ -359,6 +366,37 @@ def test_ray_minimum_grows_at_most_as_its_lipschitz_bound(spec, depth, rng, mobi
         for lag in (1, 8, 100):
             r = s[lag:] / s[:-lag]
             assert np.all(m[lag:] <= (r * m[:-lag] + (r - 1.0 / r)) * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("h", list(CONJUGATORS))
+@pytest.mark.parametrize("spec, depth", [
+    (hf.schottky_pair(max_word_length=10), 10), (hf.truncated_flute(), 6), (GAMMA2, 10),
+], ids=["schottky", "flute", "gamma2"])
+def test_profiles_survive_conjugation(spec, depth, h):
+    # h u on h G h^-1 sees the displacements that u sees on G, so only the
+    # frame's rounding can move a sample: the base frame and three frames
+    # translated along the boundary
+    g = CONJUGATORS[h]
+    conj = conjugate_spec(spec, g)
+    for x in (0.0, -1.3, 0.45, 2.2):
+        u = hf.BASE_TANGENT.transform(hf.Mobius(1.0, x, 0.0, 1.0))
+        want = hf.injectivity_profile(spec, u, depth=depth).inj_estimates
+        got = hf.injectivity_profile(conj, u.transform(g), depth=depth).inj_estimates
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (x, np.max(np.abs(got / want - 1.0)))
+
+
+def test_deep_gamma2_base_ray_keeps_a_finite_seed_bound():
+    # past t ~ 354 the seeds' least end squares underflow; their U, redone
+    # with hypot, is _seed_rule's and stays finite, so the prefilter still
+    # gathers a few rows
+    ball = hf.ball_arrays(GAMMA2, 10)
+    _, _, seed_coef, *_ = ball.displacement_floor
+    times = np.arange(hf.flows.sample_count(420.0, 1.0), dtype=float)
+    terms = hf.flows._ray_terms(seed_coef, hf.BASE_TANGENT.frame)
+    bound = hf.flows._seed_bound(np.exp(times), *terms)
+    assert np.array_equal(bound.view(np.int64), _seed_rule(np.exp(times), *terms).view(np.int64))
+    assert np.all(np.isfinite(bound))
+    assert _prefilter(ball, hf.BASE_TANGENT, times)[0] < 1000
 
 
 def test_deep_gamma2_base_ray_is_bitwise_the_full_scan():

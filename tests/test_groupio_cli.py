@@ -17,6 +17,7 @@ from horoflow import cli
 from horoflow.flows import BASE_TANGENT, MAX_SAMPLES, orbit_points, sample_count
 from horoflow.group import _cached_ball
 from horoflow.groupio import spec_to_data
+from horoflow.verify import _inf_image_residuals
 
 
 def _write_family(path, kind, **params):
@@ -492,6 +493,26 @@ def test_cli_out_is_truncated_even_when_the_run_fails(group_files, tmp_path):
     out.write_text("old")
     r = _cli("classify", "--group", group_files["bad"], "--point", "0", "--out", str(out))
     assert r.returncode == 1 and out.read_text() == ""
+
+
+# (seed, samples) where the suite once failed on exact or correctly rounded
+# values: 204 and 1590 draw a map with 0 < |c| <= 1e-6, whose image of inf
+# is a/c and not inf, and the rest a cross-ratio whose images lie too close
+# for any float implementation to meet 1e-9 (the last two are the verify
+# ops of cold-cli bench seeds 455 and 583)
+@pytest.mark.parametrize("seed, samples", [
+    (204, 1000), (1590, 1000), (217, 1000), (1481, 1000), (1935, 1000), (2088, 1000),
+    (2786, 1000), (2903, 1000), (1575650597, 10000), (1055534359, 10000),
+])
+def test_verify_passes_where_every_value_is_exact_or_correctly_rounded(seed, samples):
+    report = hf.run_verification(samples=samples, seed=seed)
+    assert report.passed, [c for c in report.checks if not c.passed]
+
+
+def test_inf_images_read_inf_only_where_c_is_zero():
+    # a map with c = 0 fixes inf; one with a tiny c sends it to a/c
+    assert _inf_image_residuals(hf.Mobius(2.0, 1.0, 0.0, 0.5)) == (0.0, 0.0)
+    assert _inf_image_residuals(hf.Mobius.normalized(1.0, 0.0, 1e-9, 1.0)) == (0.0, 0.0)
 
 
 def test_verify_seed_and_tol_are_checked_by_name():

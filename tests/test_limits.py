@@ -20,7 +20,7 @@ from horoflow.halfplane import GEOM_TOL
 from horoflow.limits import (UNBOUNDED_FACTOR, UNBOUNDED_RUN, LimitPointEvidence, LimitVerdict,
                              _read, _walk, _walkable)
 
-from conftest import conjugate_spec, sample_mobius, stand_in
+from conftest import CONJUGATORS, conjugate_spec, sample_mobius, stand_in
 
 
 def test_orbit_heights_translation_orbit(parabolic_spec):
@@ -770,7 +770,7 @@ def test_off_limit_set_verdicts_before_the_rule_fix(name, length):
 # no quotient surface. So no spec reads irregular-evidence, certified or
 # not. The depths of the certified specs are the bench balls'; _I_INSIDE is
 # certified but takes the full pass.
-_GENERAL_H = hf.Mobius.normalized(1.1, 0.3, 0.2, 1.06 / 1.1)
+_GENERAL_H = CONJUGATORS["general"]
 _FINITELY_GENERATED = {
     **_BENCH_BALLS, "cyclic-parabolic": (hf.cyclic_parabolic(), 10), "i-inside": (_I_INSIDE, 6),
     "psl2z": (_PSL2Z, 12), "cyclic-hyperbolic": (hf.cyclic_hyperbolic(), 10),
@@ -830,17 +830,12 @@ def test_uncertified_specs_still_search_for_a_cluster(spec, x, depth):
 # For h in PSL(2,R) the truth at (G, xi) is the truth at (hGh^-1, h(xi)), so
 # a verdict that moves under conjugation is an artifact of the frame.
 # Schottky and flute keep their certificates under the translation and the
-# dilation; they lose them under _GENERAL_H, and the flute also under
-# z -> -1/z, so those take the full pass.
-_CONJUGATORS = {
-    "translate": hf.Mobius(1.0, 0.37, 0.0, 1.0),
-    "dilate": hf.Mobius.normalized(1.3, 0.0, 0.0, 1.0),
-    "general": _GENERAL_H,
-    "invert": hf.Mobius(0.0, -1.0, 1.0, 0.0),
-}
+# dilation of conftest's CONJUGATORS; they lose them under the general map
+# (_GENERAL_H), and the flute also under z -> -1/z, so those take the full
+# pass.
 
 
-@pytest.mark.parametrize("h", list(_CONJUGATORS))
+@pytest.mark.parametrize("h", list(CONJUGATORS))
 @pytest.mark.parametrize("name", ["schottky", "flute"])
 def test_classify_verdicts_survive_conjugation(name, h):
     # off-limit-set points of length 3 on both groups, and schottky's
@@ -852,7 +847,7 @@ def test_classify_verdicts_survive_conjugation(name, h):
     points = list(_off_limit_set_points(spec, depth, 3))
     if name == "schottky":
         points += _hyperbolic_fixed_points(ball_arrays(spec, depth))
-    g = _CONJUGATORS[h]
+    g = CONJUGATORS[h]
     conj = conjugate_spec(spec, g)
     moved = [xi for xi in points
              if hf.classify_boundary_point(spec, xi, depth).verdict
