@@ -1,18 +1,18 @@
 """Randomized self-checks of the coefficient identities.
 
 Samples unit-determinant matrices through the n-a-k decomposition (shear,
-dilation, rotation), so all conjugacy types and sign patterns appear, then
-checks every closed-form identity the package leans on: image of i, boundary
-images, the Busemann formula, the displacement formula along the imaginary
-axis, cross-ratio invariance, cocycle additivity and equivariance, and the
-flow renormalization law. Each check is one row, (name, worst residual over
-its draws), of an ordered table; the suite passes when all residuals sit
-under the tolerance.
+dilation, rotation), so all conjugacy types and sign patterns appear, and
+checks the identities the package leans on (image of i, Busemann formula,
+axis displacement, cross-ratio invariance, cocycle additivity and
+equivariance, flow renormalization), each one row (name, worst residual) of
+an ordered table that compares two different computations. A check of the
+code against its own expression, like apply_boundary's image of inf against
+a/c, reads 0.0 on every draw, one IEEE division being correctly rounded, so
+the suite has none.
 
-One check is special: the time substitution t_n = ln|b_n| in the displacement
-formula. The suite evaluates the competing substitution t_n = ln(b_n^2) as
-well and records both residuals, so the report shows which one the identity
-actually supports rather than asserting it blind.
+The time substitution t_n = ln|b_n| in the displacement formula is checked
+beside the competing t_n = ln(b_n^2), whose residual the report records
+but does not assert, so it shows which one the identity supports.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .halfplane import (INFINITY, MAX_SAMPLES, Mobius, PointH, _check_int, _check_real, _record,
-                        apply, apply_boundary, bp, busemann, cross_ratio, dist)
+                        apply, apply_boundary, bp, busemann, cross_ratio)
 
 DEFAULT_SAMPLES = 1000
 DEFAULT_TOL = 1e-9
@@ -92,22 +92,8 @@ def _displacement_residual(a, b, c, d, t, rad) -> float:
 
 
 def _substitution_residual(a, b, c, d, t) -> float:
-    """The displacement at i e^t against 2 asinh(sqrt(b^2 c^2 + d^2 + a^2 - 1)/2),
-    the closed form the substitution t = ln|b| predicts."""
+    """The displacement at i e^t against the closed form t = ln|b| predicts."""
     return _displacement_residual(a, b, c, d, t, b ** 2 * c ** 2 + d ** 2 + a ** 2 - 1.0)
-
-
-def _point(rng: np.random.Generator) -> PointH:
-    return PointH(float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 5.0)))
-
-
-def _inf_image_residuals(m: Mobius) -> tuple[float, float]:
-    """The images of inf under m and under its inverse against a/c and
-    -d/c, or against inf itself where c = 0."""
-    p, q = apply_boundary(m, INFINITY), apply_boundary(m.inverse(), INFINITY)
-    if m.c == 0.0:
-        return (0.0 if p.is_infinity else math.inf), (0.0 if q.is_infinity else math.inf)
-    return _rel(p.value, m.a / m.c), _rel(q.value, -m.d / m.c)
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a coincident or infinite image is skipped
@@ -135,7 +121,7 @@ def _cocycle_residuals(m: Mobius, rng: np.random.Generator) -> tuple[float, floa
     """B(z1, z3) against B(z1, z2) + B(z2, z3), and B(z1, z2) against
     B_{m xi}(m z1, m z2), at a random xi (inf one time in five)."""
     xi = bp(float(rng.uniform(-20.0, 20.0))) if rng.uniform() < 0.8 else INFINITY
-    zs = [_point(rng) for _ in range(3)]
+    zs = [PointH(float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 5.0))) for _ in range(3)]
     b12 = busemann(xi, zs[0], zs[1])
     b13 = _rel(b12 + busemann(xi, zs[1], zs[2]), busemann(xi, zs[0], zs[2]))
     return b13, _rel(busemann(apply_boundary(m, xi), apply(m, zs[0]), apply(m, zs[1])), b12)
@@ -153,6 +139,18 @@ def _renormalization_residual(rng: np.random.Generator) -> float:
 
 def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
                      tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Run the nine checks, in the order they draw from `seed`; each compares got with want:
+
+    im-image-of-i: Im g(i) by complex division with 1/(c^2 + d^2);
+    re-image-of-i: Re g(i) with a/c - d/(c (c^2 + d^2)), scaled by the larger term, as they cancel;
+    busemann-at-inf: B_inf(g i, i) through apply with log(c^2 + d^2);
+    axis-displacement: dist(z, g z) at z = i e^t with its closed form in a, b, c, d and t;
+    substitution-log-abs-b: the same at t = ln|b| with the collapsed closed form;
+    cross-ratio-invariance: the cross-ratio of four boundary points with that of their images;
+    cocycle-additivity: B(z1, z2) + B(z2, z3) with B(z1, z3);
+    cocycle-equivariance: B_{g xi}(g z1, g z2) with B_xi(z1, z2), on the same draw;
+    flow-renormalization: the product g_{-t} h_s g_t with h_{s exp(-t)}, entrywise.
+    """
     samples = _check_int("samples", samples, 1)
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
@@ -163,8 +161,6 @@ def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
     ms = [Mobius.normalized(a[k], b[k], c[k], d[k]) for k in range(min(128, samples))]
     w = (1j * a + b) / (1j * c + d)  # g(i)
     cd = c * c + d * d
-    # Re g(i) = a/c - d/(c (c^2+d^2)); cancellation between the two terms is
-    # intrinsic, so the residual is scaled by the larger term.
     mask = np.abs(c) > 1e-6
     t1 = a[mask] / c[mask]
     t2 = d[mask] / (c[mask] * cd[mask])
@@ -173,35 +169,25 @@ def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
     t = rng.uniform(-10.0, 10.0, samples)  # the axis-displacement times
     mb = np.abs(b) > 1e-6
     mb2 = b ** 2 > 1e-6
-    # in check order, which is also the order of the draws
     residuals = [
         ("im-image-of-i", float(np.max(np.abs(w.imag - 1.0 / cd)))),
         ("re-image-of-i", float(np.max(np.abs(w.real[mask] - (t1 - t2)) / scale))),
-        # g sends inf to a/c, and its inverse sends it to -d/c
-        *zip(("boundary-image-of-inf", "inverse-boundary-image"),
-             map(_worst, zip(*map(_inf_image_residuals, ms[:64])))),
         ("busemann-at-inf", _worst(abs(busemann(INFINITY, apply(m, i), i)
                                        - math.log(m.c ** 2 + m.d ** 2)) for m in ms)),
         ("axis-displacement", _displacement_residual(
             a, b, c, d, t,
             b * b * np.exp(-2.0 * t) + c * c * np.exp(2.0 * t) + d * d + a * a - 2.0)),
-        # substitution t = ln|b|: radicand collapses to b^2 c^2 + d^2 + a^2 - 1
         ("substitution-log-abs-b",
          _substitution_residual(a[mb], b[mb], c[mb], d[mb], np.log(np.abs(b[mb])))),
         ("cross-ratio-invariance",
          _worst(_cross_ratio_residual(m, rng.uniform(-20.0, 20.0, 4), tol) for m in ms[:64])),
-        # one draw per map feeds both cocycle checks
         *zip(("cocycle-additivity", "cocycle-equivariance"),
              map(_worst, zip(*(_cocycle_residuals(m, rng) for m in ms[:64])))),
-        # g_{-t} h_s g_t = h_{s exp(-t)}
         ("flow-renormalization", _worst(_renormalization_residual(rng) for _ in ms[:64])),
-        ("distance-symmetry", _worst(abs(dist(z1, z2) - dist(z2, z1))
-                                     for z1, z2 in ((_point(rng), _point(rng)) for _ in ms[:64]))),
     ]
     return VerificationReport(
         samples=samples, seed=seed, tol=tol,
         checks=tuple(CheckResult(name, r, tol) for name, r in residuals),
-        # competing substitution t = ln(b^2): recorded, not asserted
         substitution_alternative_residual=_substitution_residual(
             a[mb2], b[mb2], c[mb2], d[mb2], np.log(b[mb2] ** 2)),
     )

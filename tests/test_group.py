@@ -267,6 +267,21 @@ def test_level_starts_come_from_the_builder(spec, depth):
         assert ball._level_starts[-1] == len(ball)
 
 
+@pytest.mark.parametrize("spec, depth", PRESET_BALLS.values(), ids=PRESET_BALLS.keys())
+def test_a_shallower_ball_is_a_prefix_of_the_default_ball(spec, depth):
+    # the rows of a depth-d build are the first rows of the default-depth
+    # ball, bit for bit, so one ball grown in place can serve every depth by
+    # prefix; PSL(2,Z) takes the dedup path
+    full = ball_arrays(spec, depth)
+    for d in range(depth):
+        ball = _build_ball(spec, d, ENUM_CAP)
+        n = len(ball)
+        assert ball._coef.tobytes() == full._coef[:, :n].tobytes()
+        for name in ("word_lengths", "parent", "letter"):
+            assert getattr(ball, name).tobytes() == getattr(full, name)[:n].tobytes(), name
+        assert ball._level_starts.tolist() == full._level_starts[:d + 1].tolist()
+
+
 def _digest(*arrays):
     # floats as little-endian float64 and integers as little-endian int64,
     # so that the digest does not depend on the platform's intp or byte order

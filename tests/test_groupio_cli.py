@@ -13,11 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horoflow as hf
-from horoflow import cli
+from horoflow import cli, verify
 from horoflow.flows import BASE_TANGENT, MAX_SAMPLES, orbit_points, sample_count
 from horoflow.group import _cached_ball
 from horoflow.groupio import spec_to_data
-from horoflow.verify import _inf_image_residuals
 
 
 def _write_family(path, kind, **params):
@@ -496,10 +495,11 @@ def test_cli_out_is_truncated_even_when_the_run_fails(group_files, tmp_path):
 
 
 # (seed, samples) where the suite once failed on exact or correctly rounded
-# values: 204 and 1590 draw a map with 0 < |c| <= 1e-6, whose image of inf
-# is a/c and not inf, and the rest a cross-ratio whose images lie too close
-# for any float implementation to meet 1e-9 (the last two are the verify
-# ops of cold-cli bench seeds 455 and 583)
+# values: 204 and 1590 put a map with 0 < |c| <= 1e-6, which sends inf to
+# a/c and not to inf, among the maps of the cross-ratio and cocycle checks;
+# the rest draw a cross-ratio whose images lie too close for any float
+# implementation to meet 1e-9 (the last two are the verify ops of cold-cli
+# bench seeds 455 and 583)
 @pytest.mark.parametrize("seed, samples", [
     (204, 1000), (1590, 1000), (217, 1000), (1481, 1000), (1935, 1000), (2088, 1000),
     (2786, 1000), (2903, 1000), (1575650597, 10000), (1055534359, 10000),
@@ -509,10 +509,21 @@ def test_verify_passes_where_every_value_is_exact_or_correctly_rounded(seed, sam
     assert report.passed, [c for c in report.checks if not c.passed]
 
 
-def test_inf_images_read_inf_only_where_c_is_zero():
-    # a map with c = 0 fixes inf; one with a tiny c sends it to a/c
-    assert _inf_image_residuals(hf.Mobius(2.0, 1.0, 0.0, 0.5)) == (0.0, 0.0)
-    assert _inf_image_residuals(hf.Mobius.normalized(1.0, 0.0, 1e-9, 1.0)) == (0.0, 0.0)
+@pytest.mark.parametrize("seed", [0, 1, 2, 455])
+def test_verify_catches_a_wrong_boundary_image(monkeypatch, seed):
+    # every finite image x goes to x + 1e-6 x^2; a uniform scaling would go
+    # unseen, as it is itself a Moebius map and keeps every cross-ratio
+    exact = verify.apply_boundary
+
+    def bent(m, x):
+        y = exact(m, x)
+        return y if y.is_infinity else hf.bp(y.value + 1e-6 * y.value ** 2)
+
+    monkeypatch.setattr(verify, "apply_boundary", bent)
+    report = hf.run_verification(samples=1000, seed=seed)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert {"cross-ratio-invariance", "cocycle-equivariance"} <= failed
+    assert not report.passed
 
 
 def test_verify_seed_and_tol_are_checked_by_name():

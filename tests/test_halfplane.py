@@ -121,6 +121,17 @@ def test_apply_boundary_exact_infinity_handling():
     assert hf.apply_boundary(m.inverse(), hf.INFINITY).value == -0.5
 
 
+def test_apply_boundary_fixes_inf_only_where_c_is_zero():
+    # a map with c = 0 fixes inf, and so does its inverse
+    m = hf.Mobius(2.0, 1.0, 0.0, 0.5)
+    assert hf.apply_boundary(m, hf.INFINITY).is_infinity
+    assert hf.apply_boundary(m.inverse(), hf.INFINITY).is_infinity
+    # one with a tiny c sends inf to a/c, and its inverse sends it to -d/c
+    m = hf.Mobius.normalized(1.0, 0.0, 1e-9, 1.0)
+    assert hf.apply_boundary(m, hf.INFINITY).value == m.a / m.c
+    assert hf.apply_boundary(m.inverse(), hf.INFINITY).value == -m.d / m.c
+
+
 # ---------------------------------------------------------------------------
 # hyperbolic distance
 
