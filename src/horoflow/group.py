@@ -649,16 +649,14 @@ def fixed_points(g) -> tuple[BoundaryPoint, BoundaryPoint]:
 def _polish_root(a: float, b: float, c: float, d: float, x: float) -> float:
     # Newton steps on q(x) = c x^2 + (d - a) x - b. Large word coefficients
     # make the closed-form roots lose up to half their digits; two steps
-    # push |g(x) - x| back down to evaluation noise.
+    # push |g(x) - x| back down to evaluation noise. A step past the float
+    # range lands on +-inf, the point at infinity, as the root it aims at.
     for _ in range(2):
         q = c * x * x + (d - a) * x - b
         dq = 2.0 * c * x + (d - a)
         if dq == 0.0 or not math.isfinite(q):
             return x
-        step = q / dq
-        if not math.isfinite(step):
-            return x
-        x -= step
+        x -= q / dq
     return x
 
 

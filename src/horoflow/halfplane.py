@@ -64,7 +64,8 @@ def _record(cls=None, /, *, eq: bool = True):
     every record shares. ``dataclass`` keeps the field metadata (``fields``,
     ``replace``) but writes and ``exec``s no code: its six methods a class
     cost about 0.5 ms of each import. The closures below act as they would;
-    a wrong call raises the TypeError of ``__init__.__signature__``."""
+    a wrong call raises the TypeError of ``__init__.__signature__``. Setting
+    or deleting any attribute raises FrozenInstanceError, on a record or a subclass."""
     if cls is None:
         return lambda cls: _record(cls, eq=eq)
     cls = dataclass(cls, init=False, repr=False, eq=False)
@@ -82,7 +83,6 @@ def _record(cls=None, /, *, eq: bool = True):
     key = operator.attrgetter(*compared)  # a tuple, but for one name
     if len(compared) == 1:
         key = lambda self, get=key: (get(self),)
-    frozen = frozenset(f.name for f in own)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
@@ -108,14 +108,10 @@ def _record(cls=None, /, *, eq: bool = True):
         return hash(key(self))
 
     def __setattr__(self, name, value):
-        if type(self) is cls or name in frozen:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        super(cls, self).__setattr__(name, value)
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        if type(self) is cls or name in frozen:
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
-        super(cls, self).__delattr__(name)
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     __init__.__signature__ = sig
     methods = [__init__, __setattr__, __delattr__] + [__eq__, __hash__] * eq

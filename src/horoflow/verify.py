@@ -3,12 +3,12 @@
 Samples unit-determinant matrices through the n-a-k decomposition (shear,
 dilation, rotation), so all conjugacy types and sign patterns appear, and
 checks the identities the package leans on (image of i, Busemann formula,
-axis displacement, cross-ratio invariance, cocycle additivity and
-equivariance, flow renormalization), each one row (name, worst residual) of
-an ordered table that compares two different computations. A check of the
-code against its own expression, like apply_boundary's image of inf against
-a/c, reads 0.0 on every draw, one IEEE division being correctly rounded, so
-the suite has none.
+axis displacement, cross-ratio invariance, cocycle equivariance, flow
+renormalization), each one row (name, worst residual) of an ordered table
+that compares two different computations. A check that cannot fail has no
+row: apply_boundary's image of inf against a/c reads 0.0 on every draw, one
+IEEE division being correctly rounded, and cocycle additivity telescopes,
+busemann being a difference of two log heights.
 
 The time substitution t_n = ln|b_n| in the displacement formula is checked
 beside the competing t_n = ln(b_n^2), whose residual the report records
@@ -76,8 +76,8 @@ def _rel(got: float, want: float) -> float:
 
 
 def _worst(residuals) -> float:
-    """The largest of the residuals, and 0.0 if there are none."""
-    return max([0.0, *residuals])
+    """The largest of the residuals, 0.0 if there are none, and NaN if one is NaN."""
+    return float(np.max([0.0, *residuals]))
 
 
 def _displacement_residual(a, b, c, d, t, rad) -> float:
@@ -117,14 +117,12 @@ def _cross_ratio_residual(m: Mobius, pts: np.ndarray, tol: float) -> float:
     return _rel(cross_ratio(*after), cross_ratio(*before))
 
 
-def _cocycle_residuals(m: Mobius, rng: np.random.Generator) -> tuple[float, float]:
-    """B(z1, z3) against B(z1, z2) + B(z2, z3), and B(z1, z2) against
-    B_{m xi}(m z1, m z2), at a random xi (inf one time in five)."""
+def _equivariance_residual(m: Mobius, rng: np.random.Generator) -> float:
+    """B_xi(z1, z2) against B_{m xi}(m z1, m z2), at a random xi (inf one time in five)."""
     xi = bp(float(rng.uniform(-20.0, 20.0))) if rng.uniform() < 0.8 else INFINITY
-    zs = [PointH(float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 5.0))) for _ in range(3)]
-    b12 = busemann(xi, zs[0], zs[1])
-    b13 = _rel(b12 + busemann(xi, zs[1], zs[2]), busemann(xi, zs[0], zs[2]))
-    return b13, _rel(busemann(apply_boundary(m, xi), apply(m, zs[0]), apply(m, zs[1])), b12)
+    z1, z2 = (PointH(float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 5.0))) for _ in range(2))
+    rng.random(2)  # a third point, unread, so the later checks keep their draws and bits
+    return _rel(busemann(apply_boundary(m, xi), apply(m, z1), apply(m, z2)), busemann(xi, z1, z2))
 
 
 def _renormalization_residual(rng: np.random.Generator) -> float:
@@ -139,7 +137,7 @@ def _renormalization_residual(rng: np.random.Generator) -> float:
 
 def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
                      tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Run the nine checks, in the order they draw from `seed`; each compares got with want:
+    """Run the eight checks, in the order they draw from `seed`; each compares got with want:
 
     im-image-of-i: Im g(i) by complex division with 1/(c^2 + d^2);
     re-image-of-i: Re g(i) with a/c - d/(c (c^2 + d^2)), scaled by the larger term, as they cancel;
@@ -147,7 +145,6 @@ def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
     axis-displacement: dist(z, g z) at z = i e^t with its closed form in a, b, c, d and t;
     substitution-log-abs-b: the same at t = ln|b| with the collapsed closed form;
     cross-ratio-invariance: the cross-ratio of four boundary points with that of their images;
-    cocycle-additivity: B(z1, z2) + B(z2, z3) with B(z1, z3);
     cocycle-equivariance: B_{g xi}(g z1, g z2) with B_xi(z1, z2), on the same draw;
     flow-renormalization: the product g_{-t} h_s g_t with h_{s exp(-t)}, entrywise.
     """
@@ -181,8 +178,7 @@ def run_verification(samples: int = DEFAULT_SAMPLES, seed: int = 0,
          _substitution_residual(a[mb], b[mb], c[mb], d[mb], np.log(np.abs(b[mb])))),
         ("cross-ratio-invariance",
          _worst(_cross_ratio_residual(m, rng.uniform(-20.0, 20.0, 4), tol) for m in ms[:64])),
-        *zip(("cocycle-additivity", "cocycle-equivariance"),
-             map(_worst, zip(*(_cocycle_residuals(m, rng) for m in ms[:64])))),
+        ("cocycle-equivariance", _worst(_equivariance_residual(m, rng) for m in ms[:64])),
         ("flow-renormalization", _worst(_renormalization_residual(rng) for _ in ms[:64])),
     ]
     return VerificationReport(

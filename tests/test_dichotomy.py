@@ -459,6 +459,17 @@ def test_candidate_times_of_run_dichotomy(name, band):
     assert _same_floats(report.candidate_times, times)
 
 
+def test_candidate_times_drop_a_time_within_eps_of_the_one_before():
+    # ten alphas settle, at two times 1.6 apart, and eps = 2 merges them all
+    spec = hf.GroupSpec(tuple(hf.Mobius(*g) for g in _GENERATORS["gamma2"]), max_word_length=10)
+    eps, window = 2.0, 1
+    report = hf.run_dichotomy(spec, band=(0.01, 100.0), eps=eps, window=window)
+    times = sorted(_scan_times(hf.BASE_TANGENT, _coefficients(_inverses(report.sequence)),
+                               ball_arrays(spec, dichotomy.ALPHA_DEPTH), eps, window))
+    assert len(times) == 10 and times[-1] - times[0] <= eps
+    assert _same_floats(report.candidate_times, times[:1])
+
+
 def _synthetic_orbits(n):
     # the last n of the synthetic matrices, inverted as run_dichotomy does
     inv = _inverses(hf.synthetic_candidate(_synthetic_matrices()[-n:], (0.1, 2.0)))

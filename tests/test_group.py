@@ -587,6 +587,17 @@ def test_fixed_points_of_the_identity_and_of_a_parabolic_with_c_nonzero():
     assert hf.fixed_points(hf.Mobius(1, 0, 1, 1)) == (hf.bp(0.0), hf.bp(0.0))
 
 
+def test_fixed_points_past_the_float_range_are_infinity():
+    # the exact roots are about +-1.0012e309: the closed-form root overflows,
+    # the root product -b/c then gives -0.0, and Newton's step from -0.0
+    # leaves the float range toward -inf; -0.0 itself is no fixed point
+    a, c, d = math.nextafter(1.005, 2.0), 1e-310, 1.005
+    m = hf.Mobius(a, (a * d - 1.0) / c, c, d)
+    points = hf.fixed_points(m)
+    assert points == (hf.INFINITY, hf.INFINITY)
+    assert all(hf.apply_boundary(m, p) == p for p in points)
+
+
 def test_identity_test_is_one_rule_for_an_element_and_for_ball_rows():
     tol = 1e-9
     rows = np.array([[1.0, 0.0, 0.0, 1.0], [1.0 + tol / 2, -tol / 2, tol, 1.0 - tol / 2],

@@ -126,6 +126,11 @@ def test_parse_errors():
         hf.parse_group_spec({"family": {"kind": "cyclic-parabolic", "spin": 3}})
     with pytest.raises(hf.ParseError):
         hf.parse_group_spec({"generators": [[1, 1, 0, 1]], "max_word_length": True})
+    for data, message in [({"generators": [[[1, 2, 3], [4, 5, 6]]]}, "expected a 2x2 matrix"),
+                          ({"family": 3}, "'family' must be an object"),
+                          ({"generators": []}, "non-empty list")]:
+        with pytest.raises(hf.ParseError, match=message):
+            hf.parse_group_spec(data)
 
 
 def test_load_rejects_malformed_json(tmp_path):
@@ -353,9 +358,10 @@ def test_cli_orbit_csv(tmp_path):
 
 
 def test_cli_orbit_validates_range():
-    r = _cli("orbit", "--flow", "geodesic", "--start", "2", "--end", "1")
-    assert r.returncode == 1
-    assert r.stderr.strip()
+    for start in ("2", "1"):
+        r = _cli("orbit", "--flow", "geodesic", "--start", start, "--end", "1")
+        assert r.returncode == 1
+        assert "need start < end" in r.stderr
 
 
 def test_cli_inj_writes_csv_and_summary(group_files, tmp_path):
@@ -523,6 +529,19 @@ def test_verify_catches_a_wrong_boundary_image(monkeypatch, seed):
     report = hf.run_verification(samples=1000, seed=seed)
     failed = {c.name for c in report.checks if not c.passed}
     assert {"cross-ratio-invariance", "cocycle-equivariance"} <= failed
+    assert not report.passed
+
+
+@pytest.mark.parametrize("name, checks", [
+    ("busemann", {"busemann-at-inf", "cocycle-equivariance"}),
+    ("cross_ratio", {"cross-ratio-invariance"}),
+], ids=["busemann", "cross_ratio"])
+def test_verify_fails_a_check_whose_residual_is_nan(monkeypatch, name, checks):
+    # max() never picks NaN over 0.0, so a NaN residual must not go through it
+    monkeypatch.setattr(verify, name, lambda *args: math.nan)
+    report = hf.run_verification(samples=1000, seed=0)
+    assert {c.name for c in report.checks if not c.passed} == checks
+    assert all(math.isnan(c.max_residual) for c in report.checks if c.name in checks)
     assert not report.passed
 
 

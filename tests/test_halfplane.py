@@ -45,10 +45,18 @@ def test_boundary_point_coercion():
     assert hf.bp("inf") is hf.INFINITY and hf.bp(np.float64(0.5)).value == 0.5
 
 
-@pytest.mark.parametrize("x", [True, False, "1", "0.5", float("nan")])
+@pytest.mark.parametrize("x", [True, False, "1", "0.5", float("nan"),
+                               pytest.param(10**400, id="int-past-the-float-range")])
 def test_boundary_point_refuses_bools_strings_and_nan(x):
     with pytest.raises(hf.InvalidPoint, match="real number or inf"):
         hf.bp(x)
+
+
+def test_a_record_is_not_equal_to_another_type():
+    # __eq__ returns NotImplemented, so == falls back to identity and is False
+    assert (hf.INFINITY == 3) is False and hf.INFINITY != 3
+    assert (hf.Mobius.identity() == (1.0, 0.0, 0.0, 1.0)) is False
+    assert hf.Mobius.identity() != (1.0, 0.0, 0.0, 1.0)
 
 
 def test_an_infinite_value_is_the_point_at_infinity():
@@ -445,6 +453,10 @@ def test_cross_ratio_past_the_float_range_saturates():
     assert hf.cross_ratio(1e300, 1e-300, 2e-300, big) == -math.inf
     assert hf.cross_ratio(1e-300, 1e300, 2e-300, big) == 0.0
     assert hf.cross_ratio(0.0024, -1.4e-200, 8.4e205, 1.8e120) == pytest.approx(1.0)
+    # 1e308 - (-1e308) overflows; its halves do not
+    a, b, c, d = map(Fraction, (1e308, 0.0, -1e308, 1.0))
+    exact = (a - c) * (b - d) / ((a - d) * (b - c))
+    assert hf.cross_ratio(1e308, 0.0, -1e308, 1.0) == float(exact) == -2e-308
 
 
 def _exact_angle(a, b, c, d):
