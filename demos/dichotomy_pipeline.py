@@ -19,7 +19,7 @@ def section(title):
 section("Recurrence on a cusp group")
 report = hf.run_dichotomy(hf.cyclic_parabolic())
 print(f"verdict: {report.verdict.kind}, t = {report.verdict.t}")
-print(f"sequence words: {[e.word for e in report.sequence.elements][:4]} ...")
+print(f"sequence words: {list(report.sequence.words[:4])} ...")
 print(f"Busemann stream converged: {report.busemann_limit.converged}, "
       f"limit {report.busemann_limit.limit}")
 
@@ -53,7 +53,7 @@ gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)), max_word_l
 xi = math.sqrt(2.0) - 1.0
 report = hf.run_dichotomy(gamma2, hf.UnitTangent(hf.Mobius(xi, -1.0, 1.0, 0.0)))
 seq = report.sequence
-print(f"{len(seq)}-term sequence, words {[e.word for e in seq.elements][:3]} ...")
+print(f"{len(seq)}-term sequence, words {list(seq.words[:3])} ...")
 print(f"heights of the orbit of xi + i about xi: "
       f"{', '.join(f'{h:.6f}' for h in seq.heights[:4])} ...")
 print(f"verdict: {report.verdict.kind}")

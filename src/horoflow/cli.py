@@ -211,8 +211,7 @@ def _cmd_diagnose(args, out) -> int:
     else:
         data["sequence"] = {
             "length": len(seq),
-            "words": [list(e.word) if e.word is not None else None
-                      for e in seq.elements],
+            "words": [list(w) for w in seq.words],
             "heights": list(seq.heights),
             "endpoint_images": [_bp_data(p) for p in seq.endpoint_images],
             "coefficients": [list(c) for c in seq.coefficients],
@@ -226,7 +225,6 @@ def _cmd_diagnose(args, out) -> int:
             "a_abs": list(co.a_abs), "c": list(co.c_values), "d": list(co.d_values),
             "a_diverging": co.a_diverging, "c_limit_zero": co.c_limit_zero,
             "d_limit": co.d_limit, "min_cd_norm": co.min_cd_norm,
-            "cd_bound_ok": co.cd_bound_ok,
         }
     bl = report.busemann_limit
     data["busemann"] = {

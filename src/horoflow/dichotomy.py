@@ -28,10 +28,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NoSequenceFound
-from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _coefficients,
-                    _minus_xi, _split, ball_arrays, dedup_keys, orbit_height)
+from .group import (GroupElement, GroupSpec, _boundary_images, _canonical_sign, _check_depth,
+                    _coefficients, _minus_xi, _split, ball_arrays, dedup_keys, orbit_height)
 from .halfplane import (_IDENTITY, BASE_TANGENT, INFINITY, BoundaryPoint, Mobius, UnitTangent,
-                        _check_int, _check_real, _record, apply_boundary, bp)
+                        _check_int, _check_real, _record, bp)
 
 EPS = 1e-6          # default convergence tolerance for the settle rules
 WINDOW = 5          # trailing terms that must sit below eps to settle
@@ -43,54 +43,69 @@ NON_MINIMALITY = "non-minimality-evidence"
 INCONCLUSIVE = "inconclusive"
 
 
-@_record
+@_record(eq=False)
 class SequenceCandidate:
     """A bounded escaping sequence drawn from (or injected into) a group.
 
-    The elements are the whole sequence; its heights, endpoint images and
-    coefficients are read off them. ``heights_nonconstant`` records whether
-    the height list actually varies; constant-height sequences (e.g. pure
-    translation chains) are admitted but flagged, since some of the classical
-    criteria want non-constant heights.
+    ``rows`` holds its unit-determinant coefficient rows (a, b, c, d) as a
+    read-only, C-contiguous (4, n) array: a copy of the rows given, signed
+    by Mobius's rule. ``words`` holds their ball words, None when injected.
+    Heights, endpoint images and coefficients are array reads of the rows;
+    ``elements`` builds their GroupElements. ``heights_nonconstant`` flags
+    constant-height sequences (e.g. pure translation chains), admitted
+    though some of the classical criteria want non-constant heights.
     """
 
-    elements: tuple[GroupElement, ...]
+    rows: np.ndarray
+    words: tuple[tuple[int, ...], ...] | None
     height_band: tuple[float, float]
 
     def __post_init__(self):
         m, M = _check_band(self.height_band)
-        object.__setattr__(self, "height_band", (m, M))
-        if not self.elements:
+        rows = np.array(self.rows, dtype=float, order="C", ndmin=2)
+        n = rows.shape[1]
+        words = None if self.words is None else tuple(map(tuple, self.words))
+        if rows.shape != (4, n) or words is not None and len(words) != n:
+            raise ValueError(f"rows must be a (4, n) array with n words or None, got {rows.shape}")
+        _canonical_sign(rows)
+        rows.flags.writeable = False
+        self.__dict__.update(rows=rows, words=words, height_band=(m, M))
+        if not n:
             raise ValueError("sequence is empty")
         slack = 1e-12 * max(1.0, M)
-        for h in self.heights:
-            if not (m - slack <= h <= M + slack):
-                raise ValueError(f"height {h} falls outside the band ({m}, {M})")
-        moduli = [_modulus_sq(a, b, c, d) for a, b, c, d in self.coefficients]
-        for r0, r1 in zip(moduli, moduli[1:]):
-            if not r1 > r0:
-                raise ValueError("moduli |g(i)| must strictly increase")
-        words = [e.word for e in self.elements]
-        if all(w is not None for w in words):
-            for w0, w1 in zip(words, words[1:]):
-                if not len(w1) > len(w0):
-                    raise ValueError("word lengths must strictly increase")
+        h = np.array(self.heights)
+        out = h[~((m - slack <= h) & (h <= M + slack))]
+        if out.size:
+            raise ValueError(f"height {out[0]} falls outside the band ({m}, {M})")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            moduli = _modulus_sq(*rows)
+        if not (moduli[1:] > moduli[:-1]).all():
+            raise ValueError("moduli |g(i)| must strictly increase")
+        if words is not None and not (np.diff([len(w) for w in words]) > 0).all():
+            raise ValueError("word lengths must strictly increase")
 
     def __len__(self):
-        return len(self.elements)
+        return self.rows.shape[1]
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        words = self.words or (None,) * len(self)
+        return tuple(map(GroupElement, map(Mobius._admitted, *self.rows.tolist()), words))
 
     @cached_property
     def heights(self) -> tuple[float, ...]:
         """height_inf(g_n(i)), the same floats as the ball's height pass."""
-        return tuple(orbit_height(e.mobius, INFINITY) for e in self.elements)
+        a, b, c, d = self.rows
+        return tuple(orbit_height(SimpleNamespace(a=a, b=b, c=c, d=d), INFINITY).tolist())
 
     @cached_property
     def endpoint_images(self) -> tuple[BoundaryPoint, ...]:
-        return tuple(apply_boundary(e.mobius, INFINITY) for e in self.elements)
+        values, at_inf = _boundary_images(*self.rows, INFINITY)
+        return tuple(INFINITY if x else BoundaryPoint(v) for v, x in zip(values.tolist(), at_inf))
 
     @cached_property
     def coefficients(self) -> tuple[tuple[float, float, float, float], ...]:
-        return tuple((e.mobius.a, e.mobius.b, e.mobius.c, e.mobius.d) for e in self.elements)
+        return tuple(map(tuple, self.rows.T.tolist()))
 
     @cached_property
     def heights_nonconstant(self) -> bool:
@@ -120,7 +135,7 @@ class ConvergenceVerdict:
 class CoefficientAsymptotics:
     """Report on the coefficient behavior of an escaping sequence: |a_n|,
     c_n and d_n as streams, whether |a_n| diverges and c_n tends to 0, and
-    the least c_n^2 + d_n^2 against the band's bound 1/M.
+    the least c_n^2 + d_n^2, at least 1/M as every height is in the band.
     """
 
     a_abs: tuple[float, ...]
@@ -130,7 +145,6 @@ class CoefficientAsymptotics:
     c_limit_zero: bool
     d_limit: float
     min_cd_norm: float
-    cd_bound_ok: bool
 
 
 @_record
@@ -256,8 +270,8 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     with the ball's words: the group seen from a vector aimed at xi, read
     at infinity through h. Their heights height_inf(h g h^-1(i)) are those
     of the orbit of h^-1(i) = xi + i about xi. Those heights are the only
-    pass over the whole ball; moduli and elements are formed for the in-band
-    rows and the chain only.
+    pass over the whole ball; moduli are formed for the in-band rows only,
+    and the candidate holds the chain's rows and words.
     """
     m, M = _check_band(band)
     min_len = _check_int("min_len", min_len, 1)
@@ -293,16 +307,14 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
         raise NoSequenceFound(
             f"only {len(chain)} qualifying elements (need {min_len}) in the depth-{depth} ball",
             found=len(chain))
-    # at infinity these are the ball's own rows, so the elements ball[i] gives
-    elements = (GroupElement(Mobius._admitted(*(x[p] for x in coeffs)), ball.word(i))
-                for p, i in zip(picks, chain))
-    return SequenceCandidate(tuple(elements), (m, M))
+    # at infinity these are the ball's own rows, those of the elements ball[i]
+    return SequenceCandidate([x[picks] for x in coeffs], tuple(map(ball.word, chain)), (m, M))
 
 
 def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidate:
     """Wrap explicit Moebius values as an injected sequence (words unknown)."""
     ms = [m if isinstance(m, Mobius) else Mobius.from_matrix(m) for m in matrices]
-    return SequenceCandidate(tuple(GroupElement(m, None) for m in ms), band)
+    return SequenceCandidate(_coefficients(ms), None, band)
 
 
 # ---------------------------------------------------------------------------
@@ -315,32 +327,19 @@ def _check_settle(eps: float, window: int) -> None:
     _check_int("window", window, 1)
 
 
-def _strictly_increasing_tail(values, window: int) -> bool:
-    steps = min(window, len(values) - 1)
-    if steps < 1:
-        return False
-    return all(values[-j] > values[-j - 1] for j in range(1, steps + 1))
-
-
 def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
                                   window: int = WINDOW) -> CoefficientAsymptotics:
     """Coefficient-stream evidence: |a_n| divergence over the trailing
-    window, c_n -> 0 within eps, and the bound c_n^2 + d_n^2 >= 1/M."""
+    window, c_n -> 0 within eps, and the least c_n^2 + d_n^2."""
     _check_settle(eps, window)
-    a, _, c, d = _coefficients(seq.elements)
-    n = len(seq.elements)
+    a, _, c, d = seq.rows
     a_abs = np.abs(a)
-    a_div = _strictly_increasing_tail(a_abs, window)
-    c_zero = n >= window and bool(np.all(np.abs(c[-window:]) < eps))
-    cd = c * c + d * d
-    M = seq.height_band[1]
-    bound = 1.0 / M
-    min_cd = float(cd.min())
-    cd_ok = min_cd >= bound - 1e-12 * max(1.0, bound)
+    a_div = len(seq) > 1 and bool((np.diff(a_abs[-window - 1:]) > 0).all())
+    c_zero = len(seq) >= window and bool(np.all(np.abs(c[-window:]) < eps))
     return CoefficientAsymptotics(
         a_abs=tuple(a_abs), c_values=tuple(c), d_values=tuple(d),
         a_diverging=a_div, c_limit_zero=c_zero, d_limit=float(d[-1]),
-        min_cd_norm=min_cd, cd_bound_ok=bool(cd_ok),
+        min_cd_norm=float((c * c + d * d).min()),
     )
 
 
@@ -395,10 +394,12 @@ def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
     Stream one: boundary images g_n(u(inf)) against the target alpha(u(inf)).
     Stream two: Busemann values B_{u(inf)}(g_n^{-1} i, alpha^{-1} i), whose
     settled value is the candidate time. Converged means both streams sit
-    below eps over the trailing window.
+    below eps over the trailing window. ``seq`` is a SequenceCandidate, a
+    (4, n) array of coefficient rows, or GroupElements or Mobius values.
     """
     _check_settle(eps, window)
-    rows = _coefficients(seq.elements if isinstance(seq, SequenceCandidate) else seq)
+    rows = seq.rows if isinstance(seq, SequenceCandidate) else seq
+    rows = rows if isinstance(rows, np.ndarray) else _coefficients(rows)
     if not rows.size:
         raise ValueError("sequence is empty")
     if len(set(zip(*dedup_keys(rows).tolist()))) != rows.shape[1]:
@@ -470,25 +471,25 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
                 note=f"no qualifying sequence: {exc}",
             )
     coeffs = check_coefficient_asymptotics(seq, eps=eps, window=window)
-    inv = tuple(e.mobius.inverse() for e in seq.elements)
+    # the inverses' rows (d, -b, -c, a), signed as Mobius.inverse signs them
+    inv = np.array([seq.rows[3], -seq.rows[1], -seq.rows[2], seq.rows[0]])
+    _canonical_sign(inv)
     main = test_recurrence(BASE_TANGENT, inv, eps=eps, window=window)
     note = None
     if main.converged:
-        if abs(main.limit) < eps:
-            verdict = DichotomyVerdict(RECURRENCE, main.limit)
-        else:
-            verdict = DichotomyVerdict(NON_MINIMALITY, main.limit)
+        verdict = DichotomyVerdict(RECURRENCE if abs(main.limit) < eps else NON_MINIMALITY,
+                                   main.limit)
     else:
         verdict = DichotomyVerdict(INCONCLUSIVE)
         streams = " and ".join(main.unsettled)
         note = (f"the {streams} stream{'s' if len(main.unsettled) > 1 else ''} of the "
-                f"{len(inv)}-term sequence did not stay below eps={eps:g} "
+                f"{len(seq)}-term sequence did not stay below eps={eps:g} "
                 f"over the trailing {window} terms")
     # candidate times: the settled values at least eps from 0 over the alpha
     # ball; test_recurrence has checked inv
     ab = ball_arrays(spec, ALPHA_DEPTH)
     alphas = _conjugate(ab.a, ab.b, ab.c, ab.d, xi)
-    values, _, settled = _settle(INFINITY, _coefficients(inv), *alphas, eps, window)
+    values, _, settled = _settle(INFINITY, inv, *alphas, eps, window)
     limits = values[settled.all(axis=0), -1]
     times = sorted(limits[np.abs(limits) >= eps].tolist())
     deduped = []

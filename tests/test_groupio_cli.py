@@ -430,8 +430,21 @@ def test_cli_diagnose_coefficient_keys(group_files):
     r = _cli("diagnose", "--group", group_files["parabolic"])
     assert r.returncode == 0
     assert list(json.loads(r.stdout)["coefficients"]) == [
-        "a_abs", "c", "d", "a_diverging", "c_limit_zero", "d_limit", "min_cd_norm",
-        "cd_bound_ok"]
+        "a_abs", "c", "d", "a_diverging", "c_limit_zero", "d_limit", "min_cd_norm"]
+
+
+@pytest.mark.parametrize("value, want", [(np.float64(math.nan), '"nan"'), ({}, "{}"),
+                                         (object(), TypeError)],
+                         ids=["nan", "empty-dict", "unsupported"])
+def test_dumps_17g_paths_no_report_reaches(value, want):
+    # no report the CLI prints holds these today; the output stays valid JSON
+    # or refuses, rather than print Python's repr
+    if want is TypeError:
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            cli.dumps_17g(value)
+    else:
+        assert cli.dumps_17g(value) == want
+        assert json.loads(cli.dumps_17g({"x": [value]})) == {"x": [json.loads(want)]}
 
 
 def test_cli_exit_codes(group_files, tmp_path):
