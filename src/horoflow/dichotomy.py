@@ -16,14 +16,14 @@ every vector aimed at xi is u h_s g_t, and g_-t h_s g_t = h_{s e^-t}, so
 its horocycle orbit is a geodesic-flow translate of u's. The pipeline reads
 the group's own ball through h = [[0, -1], [1, -xi]], which sends xi to
 infinity: a closed form (``_conjugate``) turns each row (a, b, c, d) of g
-into the row of h g h^-1, and the settle tests run at infinity.
+into the row of h g h^-1, and the settle tests run at infinity. A sequence
+records the xi of its rows' frame, and is read for vectors aimed there only.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class SequenceCandidate:
     ``rows`` holds its unit-determinant coefficient rows (a, b, c, d) as a
     read-only, C-contiguous (4, n) array: a copy of the rows given, signed
     by Mobius's rule. ``words`` holds their ball words, None when injected.
+    ``point`` (anything ``bp`` takes) is the xi whose frame h g h^-1 the rows
+    are in (see the module docstring); at xi = inf, the group's own rows.
     Heights, endpoint images and coefficients are array reads of the rows;
     ``elements`` builds their GroupElements. ``heights_nonconstant`` flags
     constant-height sequences (e.g. pure translation chains), admitted
@@ -59,6 +61,7 @@ class SequenceCandidate:
     rows: np.ndarray
     words: tuple[tuple[int, ...], ...] | None
     height_band: tuple[float, float]
+    point: BoundaryPoint = INFINITY
 
     def __post_init__(self):
         m, M = _check_band(self.height_band)
@@ -69,7 +72,7 @@ class SequenceCandidate:
             raise ValueError(f"rows must be a (4, n) array with n words or None, got {rows.shape}")
         _canonical_sign(rows)
         rows.flags.writeable = False
-        self.__dict__.update(rows=rows, words=words, height_band=(m, M))
+        self.__dict__.update(rows=rows, words=words, height_band=(m, M), point=bp(self.point))
         if not n:
             raise ValueError("sequence is empty")
         slack = 1e-12 * max(1.0, M)
@@ -95,8 +98,7 @@ class SequenceCandidate:
     @cached_property
     def heights(self) -> tuple[float, ...]:
         """height_inf(g_n(i)), the same floats as the ball's height pass."""
-        a, b, c, d = self.rows
-        return tuple(orbit_height(SimpleNamespace(a=a, b=b, c=c, d=d), INFINITY).tolist())
+        return tuple(orbit_height(self.rows, INFINITY).tolist())
 
     @cached_property
     def endpoint_images(self) -> tuple[BoundaryPoint, ...]:
@@ -271,7 +273,7 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
     at infinity through h. Their heights height_inf(h g h^-1(i)) are those
     of the orbit of h^-1(i) = xi + i about xi. Those heights are the only
     pass over the whole ball; moduli are formed for the in-band rows only,
-    and the candidate holds the chain's rows and words.
+    and the candidate holds the chain's rows and words, and xi as its point.
     """
     m, M = _check_band(band)
     min_len = _check_int("min_len", min_len, 1)
@@ -308,7 +310,7 @@ def find_bounded_escaping_sequence(spec: GroupSpec, band: tuple[float, float],
             f"only {len(chain)} qualifying elements (need {min_len}) in the depth-{depth} ball",
             found=len(chain))
     # at infinity these are the ball's own rows, those of the elements ball[i]
-    return SequenceCandidate([x[picks] for x in coeffs], tuple(map(ball.word, chain)), (m, M))
+    return SequenceCandidate([x[picks] for x in coeffs], tuple(map(ball.word, chain)), (m, M), xi)
 
 
 def synthetic_candidate(matrices, band: tuple[float, float]) -> SequenceCandidate:
@@ -351,7 +353,7 @@ def _log_inverse_heights(a, b, c, d, xi: BoundaryPoint) -> np.ndarray:
     """ln height_xi(g^{-1}(i)) for every row (a, b, c, d), with math.log per
     value, so that one row gives the floats of the scalar formula. A height
     that reads 0 (past the float range) has log -inf."""
-    heights = orbit_height(SimpleNamespace(a=d, b=-b, c=-c, d=a), xi)
+    heights = orbit_height((d, -b, -c, a), xi)
     return np.array([math.log(h) if h > 0.0 else -math.inf for h in heights.tolist()])
 
 
@@ -394,10 +396,13 @@ def test_return_time(u: UnitTangent, alpha, seq, eps: float = EPS,
     Stream one: boundary images g_n(u(inf)) against the target alpha(u(inf)).
     Stream two: Busemann values B_{u(inf)}(g_n^{-1} i, alpha^{-1} i), whose
     settled value is the candidate time. Converged means both streams sit
-    below eps over the trailing window. ``seq`` is a SequenceCandidate, a
-    (4, n) array of coefficient rows, or GroupElements or Mobius values.
+    below eps over the trailing window. ``seq`` is a SequenceCandidate at
+    infinity, a (4, n) array of coefficient rows, or GroupElements or Mobius
+    values; a SequenceCandidate at a finite point holds conjugates: ValueError.
     """
     _check_settle(eps, window)
+    if isinstance(seq, SequenceCandidate) and not seq.point.is_infinity:
+        raise ValueError(f"a sequence at {seq.point} holds conjugates, not group elements")
     rows = seq.rows if isinstance(seq, SequenceCandidate) else seq
     rows = rows if isinstance(rows, np.ndarray) else _coefficients(rows)
     if not rows.size:
@@ -449,13 +454,15 @@ def run_dichotomy(spec: GroupSpec, u: UnitTangent = BASE_TANGENT,
     The verdict follows the settled Busemann value of the inverted sequence:
     near 0 -> recurrence-evidence, a settled t away from 0 ->
     non-minimality-evidence(t), anything unsettled -> inconclusive.
-    ``candidate`` injects a prebuilt sequence in place of the ball search.
+    ``candidate`` injects a prebuilt sequence in place of the ball search;
+    it is read at its own point, which must be xi, else ValueError.
     """
     _check_settle(eps, window)
     band = _check_band(band)
     xi = u.forward_endpoint()
-    if candidate is not None and not xi.is_infinity:
-        raise ValueError("injected candidates require a vector aimed at infinity")
+    if candidate is not None and candidate.point != xi:
+        raise ValueError(f"a candidate is read at its own point: its rows are at "
+                         f"{candidate.point}, the vector aims at {xi}")
     if candidate is not None:
         seq = candidate
     else:

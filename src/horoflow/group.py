@@ -335,9 +335,9 @@ class Ball(Sequence):
 
     @functools.cached_property
     def inf_heights(self) -> np.ndarray:
-        """height_inf(g(i)) per row, the floats of orbit_height(self,
+        """height_inf(g(i)) per row, the floats of orbit_height(self._coef,
         INFINITY). Computed once per ball, as a read-only array."""
-        h = orbit_height(self, INFINITY)
+        h = orbit_height(self._coef, INFINITY)
         h.flags.writeable = False
         return h
 
@@ -506,10 +506,10 @@ def enumerate_ball(spec: GroupSpec, depth: int | None = None) -> Ball:
     return _cached_ball(spec, _check_depth(spec, depth))
 
 
-def orbit_height(g, xi: BoundaryPoint):
+def orbit_height(rows, xi: BoundaryPoint) -> np.ndarray:
     """height_xi(g(i)) = 1/((a - xi c)^2 + (b - xi d)^2), which is 1/(c^2 + d^2)
-    at infinity, for one Mobius g or per row of a Ball (or of any a, b, c, d
-    arrays).
+    at infinity, per coefficient row (a, b, c, d): ``rows`` is a (4, n)
+    array, such as a Ball's ``_coef``, or the four arrays a, b, c, d.
 
     Unlike Im g(i) after a complex division, the closed form has no ad - bc
     to cancel. xi is split into a 26-bit head and a tail (Dekker), so that
@@ -521,39 +521,28 @@ def orbit_height(g, xi: BoundaryPoint):
     # entry and inf - inf leaves NaN: then |xi c| or |xi d| is past 2^26
     # times the float range, and the height is below 1e-600. A sum of
     # squares that underflows to 0 gives a height past the float range: inf.
-    if isinstance(g, Mobius):
-        try:
-            h = _orbit_height(g, xi)
-        except ZeroDivisionError:
-            return math.inf
-        return 0.0 if math.isnan(h) else h
+    a, b, c, d = rows
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        h = _orbit_height(g, xi)
+        if xi.is_infinity:
+            u = c * c
+            u += d * d
+        else:
+            head, tail = _split(xi.value)
+            u, _ = _minus_xi(a, c, head, tail)
+            v, _ = _minus_xi(b, d, head, tail)
+            u *= u
+            v *= v
+            u += v
+        h = 1.0 / u
     return np.fmax(h, 0.0, out=h)
-
-
-def _orbit_height(g, xi: BoundaryPoint):
-    # updated in place when g is a Ball (a float just rebinds): the same
-    # operations in the same order, so the same bits, with fewer temporaries
-    if xi.is_infinity:
-        u = g.c * g.c
-        u += g.d * g.d
-        return 1.0 / u
-    head, tail = _split(xi.value)
-    u, _ = _minus_xi(g.a, g.c, head, tail)
-    v, _ = _minus_xi(g.b, g.d, head, tail)
-    u *= u
-    v *= v
-    u += v
-    return 1.0 / u
 
 
 def _minus_xi(x, y, head: float, tail: float):
     # x - xi y as (x - head y) - tail y, for xi = head + tail as _split gives
-    # it, per entry of arrays or for floats; also the array that held
-    # -tail y, free for reuse. y * -h is -(h y) exactly and x + -z is x - z,
-    # so these are the bits of the subtractions; but past the two products
-    # every pass writes one of its inputs, the kind NumPy runs fastest.
+    # it, per entry of arrays; also the array that held -tail y, free for
+    # reuse. y * -h is -(h y) exactly and x + -z is x - z, so these are the
+    # bits of the subtractions; but past the two products every pass writes
+    # one of its inputs, the kind NumPy runs fastest.
     u = y * -head
     u += x
     w = y * -tail

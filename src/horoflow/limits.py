@@ -25,7 +25,7 @@ import numpy as np
 
 from .group import (GroupElement, GroupSpec, _boundary_images, _check_depth, _minus_xi, _split,
                     ball_arrays, orbit_height)
-from .halfplane import _IDENTITY, GEOM_TOL, BoundaryPoint, _check_real, _record, bp
+from .halfplane import GEOM_TOL, BoundaryPoint, _check_real, _record, bp
 
 UNBOUNDED_FACTOR = 10.0  # growth factor over the depth-1 sup for the unbounded call
 UNBOUNDED_RUN = 3        # consecutive strictly-increasing depth steps required
@@ -66,14 +66,14 @@ def orbit_heights(spec: GroupSpec, xi, depth: int | None = None) -> np.ndarray:
     xi = bp(xi)
     ball = ball_arrays(spec, depth)
     # at infinity the ball's cache; np.append copies it, so it is never written
-    h = np.append(ball.inf_heights if xi.is_infinity else orbit_height(ball, xi),
-                  orbit_height(_IDENTITY, xi))
+    h = np.append(ball.inf_heights if xi.is_infinity else orbit_height(ball._coef, xi),
+                  1.0 if xi.is_infinity else 1.0 / (1.0 + xi.value * xi.value))
     h.sort()
     return h[::-1]
 
 
 def _read(x, head, tail):
-    # the heights of the columns (a, b, c, d) of x, by _orbit_height's
+    # the heights of the columns (a, b, c, d) of x, by orbit_height's
     # operations on the (a, b) and (c, d) pairs at once, so the same bits;
     # and |c|, q = (a - xi c)^2 - 1 and c, so that 2 B_w < S reads
     # |c| < q S / 2
@@ -215,7 +215,9 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
         raise ValueError(f"depth must be at least 1, got {depth}")
     tol = _check_real("tol", tol, 0.0)
     ball = ball_arrays(spec, depth)
-    h0 = orbit_height(_IDENTITY, xi)
+    # height_xi(i), orbit_height's floats for the row (1, 0, 0, 1): its
+    # products by 0 and 1 are exact, and xi's split sums back to xi
+    h0 = 1.0 if xi.is_infinity else 1.0 / (1.0 + xi.value * xi.value)
     fixing = _fixing_row(ball, xi, tol)
 
     # sups[k]: the sup over word lengths <= k, from the identity's height on.
@@ -224,7 +226,7 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     # stays put, so nothing here grows with the depth itself
     starts = ball._level_starts
     if xi.is_infinity or not _walkable(spec):
-        heights = ball.inf_heights if xi.is_infinity else orbit_height(ball, xi)
+        heights = ball.inf_heights if xi.is_infinity else orbit_height(ball._coef, xi)
         level_sups = np.maximum.reduceat(heights, starts[:-1]) if heights.size else []
     else:
         level_sups = _walk(ball, xi, h0)

@@ -85,6 +85,24 @@ def test_finite_endpoint_search_is_traced_inside_its_run(tracer):
             assert len(kids) == 1 and kids[0]["parent"] == runs[0], name
 
 
+def test_an_injected_candidate_at_a_finite_point_is_traced_without_a_search(tracer):
+    # a sequence found at xi and injected again for a vector aimed at xi:
+    # the run reads it at its own point, with one test_recurrence span under
+    # the run (the span of dichotomy.settle_ms) and no search span
+    _, t = tracer
+    gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)), max_word_length=8)
+    u = hf.UnitTangent(hf.Mobius(0.37, -1.0, 1.0, 0.0))
+    seq = hf.find_bounded_escaping_sequence(gamma2, (0.01, 100.0), xi=0.37)
+    t.spans.clear()
+    assert hf.run_dichotomy(gamma2, u, band=(0.01, 100.0), candidate=seq).sequence is seq
+    spans = t.spans
+    runs = [i for i, s in enumerate(spans) if s["name"] == "run_dichotomy"]
+    assert len(runs) == 1 and spans[runs[0]]["finite"]
+    settle = [s for s in spans if s["name"] == "test_recurrence"]
+    assert len(settle) == 1 and settle[0]["parent"] == runs[0]
+    assert not [s for s in spans if s["name"] == "find_bounded_escaping_sequence"]
+
+
 def test_package_names_leave_no_wrapper_behind(tracer):
     # the package stores no name it resolves, so a name first read while the
     # wrappers are in reads the plain function again once they are out

@@ -3,7 +3,6 @@
 import math
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -283,10 +282,15 @@ def test_return_time_exact_on_translations(parabolic_spec):
 # the orbit as BoundaryPoints and log heights, then one alpha at a time
 
 
+def _height(m, xi):
+    # height_xi(m(i)), the one row (a, b, c, d) of m read alone
+    return float(orbit_height(_coefficients([m]), xi)[0])
+
+
 def _reference_orbit(u, ms):
     u_inf = u.forward_endpoint()
     return (u_inf, [apply_boundary(m, u_inf) for m in ms],
-            [math.log(orbit_height(m.inverse(), u_inf)) for m in ms])
+            [math.log(_height(m.inverse(), u_inf)) for m in ms])
 
 
 def _residual_to(p, target):
@@ -309,7 +313,7 @@ def _return_time(orbit, alpha, eps, window):
     am = alpha.mobius if isinstance(alpha, hf.GroupElement) else alpha
     target = apply_boundary(am, u_inf)
     s1 = [_residual_to(p, target) for p in images]
-    log_alpha = math.log(orbit_height(am.inverse(), u_inf))
+    log_alpha = math.log(_height(am.inverse(), u_inf))
     values = [log_alpha - h for h in log_heights]
     s2 = [math.inf] + [abs(v1 - v0) for v0, v1 in zip(values, values[1:])]
     unsettled = tuple(name for name, s in (("endpoint", s1), ("Busemann", s2))
@@ -512,8 +516,8 @@ def test_candidate_fields_come_from_the_elements():
     for seq in (hf.find_bounded_escaping_sequence(gamma2, (1e-3, 1e3)),
                 hf.synthetic_candidate(_synthetic_matrices(), (0.1, 2.0))):
         coeffs = [(e.mobius.a, e.mobius.b, e.mobius.c, e.mobius.d) for e in seq.elements]
-        a, b, c, d = np.array(coeffs).T
-        heights = orbit_height(SimpleNamespace(a=a, b=b, c=c, d=d), hf.INFINITY).tolist()
+        a, b, c, d = rows = np.array(coeffs).T
+        heights = orbit_height(rows, hf.INFINITY).tolist()
         values, at_inf = _boundary_images(a, b, c, d, hf.INFINITY)
         assert _same_floats(seq.heights, heights)
         assert [p.is_infinity for p in seq.endpoint_images] == at_inf.tolist()
@@ -909,7 +913,7 @@ def _masked_search(spec, band, depth, xi):
     h = [[0, -1], [1, 0]] is a signed permutation: h g h^-1 has the row
     (d, -c, -b, a), and its height 1/(a^2 + b^2) is orbit_height's at 0."""
     ball = ball_arrays(spec, depth)
-    heights = orbit_height(ball, xi)
+    heights = orbit_height(ball._coef, xi)
     rows = np.nonzero((heights >= band[0]) & (heights <= band[1]))[0]
     a, b, c, d = (x[rows] for x in (ball.a, ball.b, ball.c, ball.d))
     if not xi.is_infinity:
@@ -956,7 +960,7 @@ def test_search_at_infinity_takes_the_masked_rows(name, xi, band):
         assert exc.found == 0 and want == []
     else:
         assert [e.word for e in seq.elements] == want
-    heights = set(orbit_height(ball_arrays(spec, depth), xi).tolist())
+    heights = set(orbit_height(ball_arrays(spec, depth)._coef, xi).tolist())
     if name == "gamma2":
         assert {1.0, 0.2} <= heights
         assert bool(want) == (band != (1.5, 1.9))
@@ -980,3 +984,107 @@ def test_diagnose_prints_the_words_of_the_rows():
     for e in report.sequence.elements:
         i = next(i for i in range(len(ball)) if ball.word(i) == e.word)
         assert ball[i] == e
+
+
+# ---------------------------------------------------------------------------
+# a sequence is read at its own point
+
+_GRID_SPECS = [
+    _REFERENCE_SPECS["gamma2"],
+    hf.GroupSpec(tuple(hf.Mobius(*g) for g in _GENERATORS["psl2z"]), max_word_length=16),
+    _REFERENCE_SPECS["schottky"], _REFERENCE_SPECS["flute"],
+    hf.cyclic_hyperbolic(), hf.cyclic_parabolic(),
+]
+_GRID_POINTS = [math.inf] + np.random.default_rng(5).uniform(-3.0, 3.0, 7).tolist()
+
+
+def test_a_found_sequence_injected_again_reproduces_its_run():
+    # 6 groups x 8 points x 3 bands: every run that finds a sequence, run
+    # again with that sequence as its candidate, gives the same report, bit
+    # for bit, at infinity and at the finite points alike
+    found = finite = 0
+    for spec in _GRID_SPECS:
+        for x in _GRID_POINTS:
+            u = _aimed_at("inf" if x == math.inf else x)
+            for band in [(0.5, 2.0), (0.1, 10.0), (0.01, 100.0)]:
+                report = hf.run_dichotomy(spec, u, band=band)
+                if report.sequence is None:
+                    continue
+                assert report.sequence.point == u.forward_endpoint()
+                again = hf.run_dichotomy(spec, u, band=band, candidate=report.sequence)
+                assert again.sequence is report.sequence
+                assert {k: _hexed(v) for k, v in _report_fields(again).items()} == \
+                    {k: _hexed(v) for k, v in _report_fields(report).items()}
+                found += 1
+                finite += x != math.inf
+    assert found == 49 and finite > 0
+
+
+def test_a_candidate_at_another_point_names_both_points():
+    spec = _REFERENCE_SPECS["gamma2"]
+    seq = hf.find_bounded_escaping_sequence(spec, (0.01, 100.0), xi=0.0)
+    assert seq.point == hf.bp(0.0)
+    with pytest.raises(ValueError, match=r"BoundaryPoint\(0\.0\).*BoundaryPoint\(0\.37\)"):
+        hf.run_dichotomy(spec, _aimed_at(0.37), band=(0.01, 100.0), candidate=seq)
+
+
+def test_return_time_refuses_a_record_of_conjugates():
+    # a record found at xi holds the rows of h g h^-1: reading them about xi
+    # again would conjugate twice (its Busemann stream would end 7.9767,
+    # 8.3152). Its rows, passed as an array, read as group elements at inf
+    spec, xi = _REFERENCE_SPECS["gamma2"], 0.41421356237309515
+    rec = hf.find_bounded_escaping_sequence(spec, (0.5, 2.0), xi=xi)
+    assert rec.point == hf.bp(xi)
+    with pytest.raises(ValueError, match=re.escape(f"BoundaryPoint({xi!r})")):
+        hf.test_recurrence(_aimed_at(xi), rec)
+    with pytest.raises(ValueError, match="holds conjugates"):
+        hf.test_return_time(hf.BASE_TANGENT, hf.Mobius.identity(), rec)
+    verdict = hf.test_recurrence(hf.BASE_TANGENT, rec.rows)
+    assert verdict.values[-2:] == pytest.approx((6.2857, 6.5902), abs=1e-4)
+    at_inf = hf.find_bounded_escaping_sequence(spec, (0.5, 2.0))
+    assert at_inf.point == hf.INFINITY
+    assert _bits(hf.test_recurrence(hf.BASE_TANGENT, at_inf)) == \
+        _bits(hf.test_recurrence(hf.BASE_TANGENT, at_inf.rows))
+
+
+def _product(m, n):
+    a, b, c, d = m
+    p, q, r, s = n
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+
+def test_a_stabilizer_family_at_a_finite_point_runs_through_candidate():
+    # h = AB = [[5, 2], [2, 1]] on Gamma(2) fixes 1 + sqrt 2; g_k = h^k B h^-k
+    # for k = 1..8 in integers (below 2^53), conjugated exactly by
+    # [[0, -1], [1, -X]] at X = float(1 + sqrt 2) and rounded once. X is a
+    # dyadic rational, not the fixed point, so the heights level off near
+    # 11.6569 and then drift, and the run is inconclusive
+    h, h_inv, y = (5, 2, 2, 1), (1, -2, -2, 5), (1, 0, 2, 1)
+    power, power_inv, family = (1, 0, 0, 1), (1, 0, 0, 1), []
+    for _ in range(8):
+        power, power_inv = _product(power, h), _product(power_inv, h_inv)
+        family.append(_product(_product(power, y), power_inv))
+    assert max(abs(v) for g in family for v in g) == 443365544448
+    xi = float(1.0 + math.sqrt(2.0))
+    x = Fraction(xi)
+    exact = [_product(_product((0, -1, 1, -x), g), (-x, 1, -1, 0)) for g in family]
+    rows = np.array([[float(v) for v in e] for e in exact]).T
+    u = hf.UnitTangent(hf.Mobius(xi, -1.0, 1.0, 0.0))
+    candidate = hf.SequenceCandidate(rows, None, (1.0, 100.0), point=xi)
+    report = hf.run_dichotomy(_REFERENCE_SPECS["gamma2"], u, band=(1.0, 100.0),
+                              candidate=candidate)
+    assert report.sequence.rows.tobytes() == rows.tobytes()
+    for got, (_, _, c, d) in zip(report.sequence.heights, exact):
+        want = 1 / (c * c + d * d)
+        assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 12) * want
+    assert report.sequence.heights[:4] == pytest.approx(
+        (6.7941, 11.9319, 11.6652, 11.65710), abs=1e-4)
+    assert report.verdict.kind == dichotomy.INCONCLUSIVE
+    assert report.busemann_limit.unsettled == ("endpoint", "Busemann")
+    assert "endpoint and Busemann streams" in report.note
+    assert report.candidate_times == ()
+    # the closed form on the integer rows, against the exact conjugates
+    conj = dichotomy._conjugate(*np.array(family, dtype=float).T, hf.bp(xi))
+    for k, e in enumerate(exact):
+        err = max(abs(Fraction(float(conj[j][k])) - e[j]) for j in range(4))
+        assert err <= Fraction(81, 10 ** 17) * max(map(abs, e))

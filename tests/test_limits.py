@@ -15,13 +15,14 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import horoflow as hf
-from horoflow.group import Ball, ball_arrays, orbit_height
+from horoflow.group import Ball, _coefficients, ball_arrays, orbit_height
 from horoflow.halfplane import GEOM_TOL
 from horoflow.limits import (UNBOUNDED_FACTOR, UNBOUNDED_RUN, LimitPointEvidence, LimitVerdict,
                              _read, _walk, _walkable)
 
 from conftest import CONJUGATORS, conjugate_spec, sample_mobius, stand_in
 
+_ID = np.array([[1.0], [0.0], [0.0], [1.0]])  # the identity's column (a, b, c, d)
 
 def test_orbit_heights_translation_orbit(parabolic_spec):
     # Translations fix every height at infinity; identity is included.
@@ -74,7 +75,7 @@ def test_orbit_heights_match_exact_composition(flute_spec, xi):
         for sign, m in ((1, g), (-1, g.inverse())):
             letters[sign * (k + 1)] = [Fraction(v) for v in (m.a, m.b, m.c, m.d)]
     ball = ball_arrays(flute_spec, 6)
-    heights = orbit_height(ball, xi)
+    heights = orbit_height(ball._coef, xi)
     rows = np.random.default_rng(6).choice(len(ball), 300, replace=False)
     for i in rows.tolist() + [len(ball) - 1]:
         a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
@@ -95,7 +96,7 @@ def test_orbit_heights_keep_digits_near_an_irrational(x):
     # cancels; the integer entries make the exact heights computable.
     gamma2 = hf.GroupSpec((hf.Mobius(1, 2, 0, 1), hf.Mobius(1, 0, 2, 1)))
     ball = ball_arrays(gamma2)
-    heights = orbit_height(ball, hf.bp(x))
+    heights = orbit_height(ball._coef, hf.bp(x))
     X = Fraction(x)
     for i in np.argsort(heights)[-20:].tolist():
         a, b, c, d = (Fraction(float(v[i])) for v in (ball.a, ball.b, ball.c, ball.d))
@@ -351,13 +352,33 @@ def test_classify_equals_reference_when_the_ball_ends_early(hyperbolic_spec):
 @pytest.mark.parametrize("xi", [hf.INFINITY, hf.bp(0.3), hf.bp(-2.7)])
 def test_orbit_height_of_a_ball_is_its_rows_heights(schottky_spec, xi):
     ball = ball_arrays(schottky_spec, 6)
-    heights = orbit_height(ball, xi)
+    heights = orbit_height(ball._coef, xi)
     assert np.array_equal(heights, _reference_orbit_height(ball, xi))
     rows = np.random.default_rng(3).choice(len(ball), 50, replace=False)
     for i in rows.tolist() + [0, len(ball) - 1]:
-        one = orbit_height(ball[i].mobius, xi)
-        assert isinstance(one, float)
-        assert one.hex() == float(heights[i]).hex()
+        # a row read alone: the floats of the ball's pass
+        one = orbit_height(_coefficients([ball[i]]), xi)
+        assert one.shape == (1,) and float(one[0]).hex() == float(heights[i]).hex()
+
+
+_IDENTITY_EDGES = [0.0, -0.0, 5e-324, 1e-170, 3e-162, 2.0 ** 27 + 1, 1e8 + 0.1, 1e154, 1.4e154,
+                   1e200, 1.3e300, 1.4e300, -1e300, 1.7e308, -1.7e308, math.sqrt(2.0) - 1.0,
+                   -0.37, math.inf]
+
+
+@pytest.mark.parametrize("x", _IDENTITY_EDGES)
+def test_the_identitys_height_is_its_columns_bit_for_bit(x):
+    # limits reads height_xi(i) in closed form, 1 at infinity and
+    # 1 / (1 + x^2) elsewhere: the floats orbit_height gives for the column
+    # (1, 0, 0, 1), past the split's range and at the float range's ends too
+    xi = hf.bp(x)
+    want = float(orbit_height(_ID, xi)[0])
+    closed = 1.0 if xi.is_infinity else 1.0 / (1.0 + x * x)
+    assert closed.hex() == want.hex()
+    spec = hf.cyclic_hyperbolic()
+    joined = np.append(orbit_height(ball_arrays(spec, 2)._coef, xi), want)
+    joined.sort()
+    assert hf.orbit_heights(spec, x, 2).tobytes() == joined[::-1].tobytes()
 
 
 @pytest.mark.parametrize("spec", [_GAMMA2, _PSL2Z, _CUSP], ids=["gamma2", "psl2z", "cusp"])
@@ -373,9 +394,9 @@ def test_a_depth_past_max_word_length_reads_the_deeper_spec(spec, x):
 
 
 def test_a_height_whose_sum_of_squares_underflows_is_inf():
-    # c^2 + d^2 = 1e-340 underflows to 0, on the scalar and the array path
+    # c^2 + d^2 = 1e-340 underflows to 0, on the row alone and on the ball
     g = hf.Mobius(0, -1e170, 1e-170, 0)
-    assert orbit_height(g, hf.INFINITY) == math.inf
+    assert orbit_height(_coefficients([g]), hf.INFINITY).tolist() == [math.inf]
     spec = hf.GroupSpec((g, hf.Mobius(1, 2, 0, 1)), max_word_length=3)
     assert math.inf in hf.orbit_heights(spec, hf.INFINITY).tolist()
     assert hf.classify_boundary_point(spec, hf.INFINITY).sup_height == math.inf
@@ -387,7 +408,7 @@ def test_heights_where_the_split_overflows_read_zero(x):
     # inf - inf, though the height is below 1e-600
     huge = hf.Mobius(1, 0, 1e150, 1)
     spec = hf.GroupSpec((hf.Mobius(1, 0, 1e-8, 1), huge), max_word_length=2)
-    assert orbit_height(huge, hf.bp(x)) == 0.0
+    assert orbit_height(_coefficients([huge]), hf.bp(x)).tolist() == [0.0]
     heights = hf.orbit_heights(spec, x)
     assert not np.isnan(heights).any()
     assert hf.classify_boundary_point(spec, x).sup_height == 0.0
@@ -403,7 +424,7 @@ def test_orbit_heights_at_infinity_equal_the_joined_sort(spec, depth):
     # PSL(2,Z) ties the identity's height 1 (S and T), the order-3 ball ends
     # before its depth, and the far dilation reads heights inf and 0
     ball = ball_arrays(spec, depth)
-    joined = np.append(orbit_height(ball, hf.INFINITY), 1.0)
+    joined = np.append(orbit_height(ball._coef, hf.INFINITY), 1.0)
     joined.sort()
     got = hf.orbit_heights(spec, hf.INFINITY, depth)
     assert got.tobytes() == joined[::-1].tobytes()
@@ -445,14 +466,13 @@ def test_orbit_heights_at_infinity_read_the_balls_cache(name, monkeypatch):
     ball = ball_arrays(spec, depth)
     cache = ball.inf_heights
     before = cache.copy()
-    want = np.append(orbit_height(ball, hf.INFINITY),
-                     orbit_height(hf.Mobius.identity(), hf.INFINITY))
+    want = np.append(orbit_height(ball._coef, hf.INFINITY), orbit_height(_ID, hf.INFINITY))
     want.sort()
     passes = []
     monkeypatch.setattr(hf.limits, "orbit_height",
-                        lambda g, xi: passes.append(g) or orbit_height(g, xi))
+                        lambda rows, xi: passes.append(rows) or orbit_height(rows, xi))
     assert hf.orbit_heights(spec, hf.INFINITY, depth).tobytes() == want[::-1].tobytes()
-    assert not any(isinstance(g, Ball) for g in passes)  # no second pass over the ball
+    assert not passes  # no second pass over the ball, and none for the identity
     assert ball.inf_heights is cache and not cache.flags.writeable
     assert cache.tobytes() == before.tobytes()
 
@@ -534,14 +554,14 @@ def _walk_points(name, spec):
 
 def _walk_sups(ball, xi):
     # the running sups of the walk, from the identity's height on
-    h0 = orbit_height(hf.Mobius.identity(), xi)
+    h0 = float(orbit_height(_ID, xi)[0])
     return np.maximum.accumulate(np.r_[h0, _walk(ball, xi, h0)])
 
 
 def _full_pass_sups(ball, xi):
     # the same from a pass over every row
-    h = orbit_height(ball, xi)
-    h0 = orbit_height(hf.Mobius.identity(), xi)
+    h = orbit_height(ball._coef, xi)
+    h0 = float(orbit_height(_ID, xi)[0])
     return np.maximum.accumulate(np.r_[h0, np.maximum.reduceat(h, ball._level_starts[:-1])])
 
 
@@ -640,7 +660,7 @@ def test_descendants_lie_in_their_ancestors_disks(name, depth):
     a, b, c, d = ball.a, ball.b, ball.c, ball.d
     x, y = _orbit_point(a, b, c, d)
     points = [hf.bp(v) for v in (-7.2, -2.36, 0.3, 5.15, 5.69, 8.24)]
-    heights = [orbit_height(ball, xi) for xi in points]
+    heights = [orbit_height(ball._coef, xi) for xi in points]
     checked = 0
     for r in range(len(ball)):
         for w in _ancestors(ball, r):
@@ -715,7 +735,7 @@ def test_the_walk_reads_a_small_share_of_the_ball(name, x, share, monkeypatch):
     monkeypatch.setattr(hf.limits, "_read",
                         lambda x, *split: read.append(x.shape[1]) or _read(x, *split))
     xi = hf.bp(x)
-    _walk(ball, xi, orbit_height(hf.Mobius.identity(), xi))
+    _walk(ball, xi, float(orbit_height(_ID, xi)[0]))
     assert sum(read) < share * len(ball)
     ev = hf.classify_boundary_point(spec, x)
     assert ev.verdict is (LimitVerdict.DISCRETE_EVIDENCE if name == "schottky"

@@ -44,7 +44,7 @@ SAMPLES = {
     UnitTangent: ((_M,), {"frame": Mobius.identity()}),
     RayProfile: ((np.array([0.0]), np.array([1.0]), 1.0), {"liminf_estimate": 2.0}),
     SequenceCandidate: ((np.array([[1.0, 1.0], [1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]),
-                         ((1,), (1, 1)), (0.5, 2.0)),
+                         ((1,), (1, 1)), (0.5, 2.0), bp(0.0)),
                         {"height_band": (0.25, 4.0)}),
     ConvergenceVerdict: ((True, 0.5, (1e-3,), (0.5,), ("endpoint",)), {"converged": False}),
     CoefficientAsymptotics: (((1.0, 2.0), (0.1, 0.01), (1.0, 1.0), True, True, 1.0, 1.0),
