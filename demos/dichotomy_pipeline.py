@@ -35,7 +35,8 @@ report = hf.run_dichotomy(hf.cyclic_hyperbolic(), candidate=candidate, band=(0.1
 print(f"verdict: {report.verdict.kind}, t = {report.verdict.t:.12f} "
       f"(ln 4 = {math.log(4.0):.12f})")
 coef = report.coefficients
-print(f"coefficient evidence: c_n -> 0: {coef.c_limit_zero}, d_n -> {coef.d_limit}")
+print(f"coefficient evidence: c_n -> 0: {coef.c_limit_zero}, "
+      f"last term d_n = {report.sequence.coefficients[-1][3]}")
 
 section("A vector aimed at a finite limit point")
 # Frame turning the upward ray toward 0; the group is a parabolic fixing 0.

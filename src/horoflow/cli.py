@@ -119,17 +119,12 @@ def _cmd_verify(args, out) -> int:
 
     _defaults(args, samples=DEFAULT_SAMPLES, tol=DEFAULT_TOL)
     report = run_verification(samples=args.samples, seed=args.seed, tol=args.tol)
-    match = next(c for c in report.checks if c.name == "substitution-log-abs-b")
     data = _header("verify", {"samples": args.samples, "seed": args.seed,
                               "tol": args.tol})
     data["checks"] = [{"name": c.name, "max_residual": c.max_residual,
                        "tol": c.tol, "passed": c.passed} for c in report.checks]
-    data["substitution"] = {
-        "matching": "log-abs-b",
-        "matching_residual": match.max_residual,
-        "alternative": "log-b-squared",
-        "alternative_residual": report.substitution_alternative_residual,
-    }
+    data["substitution"] = {"alternative": "log-b-squared",
+                            "alternative_residual": report.substitution_alternative_residual}
     data["passed"] = report.passed
     out.write(dumps_17g(data) + "\n")
     return 0 if report.passed else 1
@@ -146,7 +141,7 @@ def _cmd_classify(args, out) -> int:
     witness = None
     if ev.parabolic_witness is not None:
         g = ev.parabolic_witness
-        witness = {"word": list(g.word) if g.word is not None else None,
+        witness = {"word": list(g.word),
                    "matrix": [[g.mobius.a, g.mobius.b], [g.mobius.c, g.mobius.d]]}
     data = _header("classify", {"group": args.group,
                                 "point": _bp_data(bp(args.point)),
@@ -210,7 +205,6 @@ def _cmd_diagnose(args, out) -> int:
         data["sequence"] = None
     else:
         data["sequence"] = {
-            "length": len(seq),
             "words": [list(w) for w in seq.words],
             "heights": list(seq.heights),
             "endpoint_images": [_bp_data(p) for p in seq.endpoint_images],
@@ -218,14 +212,9 @@ def _cmd_diagnose(args, out) -> int:
             "heights_nonconstant": seq.heights_nonconstant,
         }
     co = report.coefficients
-    if co is None:
-        data["coefficients"] = None
-    else:
-        data["coefficients"] = {
-            "a_abs": list(co.a_abs), "c": list(co.c_values), "d": list(co.d_values),
-            "a_diverging": co.a_diverging, "c_limit_zero": co.c_limit_zero,
-            "d_limit": co.d_limit, "min_cd_norm": co.min_cd_norm,
-        }
+    data["coefficients"] = None if co is None else {
+        "a_diverging": co.a_diverging, "c_limit_zero": co.c_limit_zero,
+        "min_cd_norm": co.min_cd_norm}
     bl = report.busemann_limit
     data["busemann"] = {
         "converged": bl.converged,

@@ -51,7 +51,10 @@ class SequenceCandidate:
     read-only, C-contiguous (4, n) array: a copy of the rows given, signed
     by Mobius's rule. ``words`` holds their ball words, None when injected.
     ``point`` (anything ``bp`` takes) is the xi whose frame h g h^-1 the rows
-    are in (see the module docstring); at xi = inf, the group's own rows.
+    are in (see the module docstring); at xi = inf, the group's own rows. At
+    a finite xi the rows, words and elements belong to h Gamma h^-1, each word
+    spelling its element over the conjugated generators h s h^-1, and they
+    are read at infinity, never at xi.
     Heights, endpoint images and coefficients are array reads of the rows;
     ``elements`` builds their GroupElements. ``heights_nonconstant`` flags
     constant-height sequences (e.g. pure translation chains), admitted
@@ -135,17 +138,13 @@ class ConvergenceVerdict:
 
 @_record
 class CoefficientAsymptotics:
-    """Report on the coefficient behavior of an escaping sequence: |a_n|,
-    c_n and d_n as streams, whether |a_n| diverges and c_n tends to 0, and
-    the least c_n^2 + d_n^2, at least 1/M as every height is in the band.
+    """Report on the coefficient streams of an escaping sequence, its rows:
+    whether |a_n| diverges and c_n tends to 0, and the least c_n^2 + d_n^2,
+    at least 1/M as every height is in the band.
     """
 
-    a_abs: tuple[float, ...]
-    c_values: tuple[float, ...]
-    d_values: tuple[float, ...]
     a_diverging: bool
     c_limit_zero: bool
-    d_limit: float
     min_cd_norm: float
 
 
@@ -335,14 +334,9 @@ def check_coefficient_asymptotics(seq: SequenceCandidate, eps: float = EPS,
     window, c_n -> 0 within eps, and the least c_n^2 + d_n^2."""
     _check_settle(eps, window)
     a, _, c, d = seq.rows
-    a_abs = np.abs(a)
-    a_div = len(seq) > 1 and bool((np.diff(a_abs[-window - 1:]) > 0).all())
+    a_div = len(seq) > 1 and bool((np.diff(np.abs(a[-window - 1:])) > 0).all())
     c_zero = len(seq) >= window and bool(np.all(np.abs(c[-window:]) < eps))
-    return CoefficientAsymptotics(
-        a_abs=tuple(a_abs), c_values=tuple(c), d_values=tuple(d),
-        a_diverging=a_div, c_limit_zero=c_zero, d_limit=float(d[-1]),
-        min_cd_norm=float((c * c + d * d).min()),
-    )
+    return CoefficientAsymptotics(a_div, c_zero, float((c * c + d * d).min()))
 
 
 # ---------------------------------------------------------------------------

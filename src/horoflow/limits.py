@@ -227,7 +227,7 @@ def classify_boundary_point(spec: GroupSpec, xi, depth: int | None = None,
     starts = ball._level_starts
     if xi.is_infinity or not _walkable(spec):
         heights = ball.inf_heights if xi.is_infinity else orbit_height(ball._coef, xi)
-        level_sups = np.maximum.reduceat(heights, starts[:-1]) if heights.size else []
+        level_sups = np.maximum.reduceat(heights, starts[:-1])
     else:
         level_sups = _walk(ball, xi, h0)
     top = starts.size - 1

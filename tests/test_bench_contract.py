@@ -1,12 +1,15 @@
-"""What the benchmark's tracer needs from horoflow: one distinct public
-function per traced name, called through its module globals.
+"""What the benchmark needs from horoflow: one distinct public function per
+traced name, called through its module globals, and every report key that
+its checks read.
 
 ``bench/trace.py`` keys its targets by function object and wraps them
 wherever horoflow's modules bind them, so an alias (one function under two
 traced names) or a call that bypasses the module global records no span.
+``bench/checks.py`` reads the CLI's reports through ``parse_cli``.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -17,14 +20,19 @@ import horoflow.cli  # noqa: F401  (binds hf.cli, which the tracer wraps)
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture
-def tracer(monkeypatch):
-    # trace.py imports its sibling modules by bare name, and its own name
-    # would shadow the standard library's trace module
+def _bench_module(monkeypatch, name):
+    # bench modules import their siblings by bare name, and trace.py's own
+    # name would shadow the standard library's trace module
     monkeypatch.syspath_prepend(str(BENCH))
-    spec = importlib.util.spec_from_file_location("bench_trace", BENCH / "trace.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    module = _bench_module(monkeypatch, "trace")
     t = module.Tracer(hf)
     t.install()
     yield module, t
@@ -115,3 +123,35 @@ def test_package_names_leave_no_wrapper_behind(tracer):
     assert hf.run_dichotomy is hf.dichotomy.run_dichotomy is plain
     assert not hasattr(hf.run_dichotomy, "__wrapped__")
     assert "run_dichotomy" not in vars(hf)
+
+
+def test_cli_reports_hold_every_key_the_checks_read(monkeypatch, tmp_path, capsys):
+    # parse_cli raises KeyError on a missing top-level key; the nested keys
+    # the checks read from what it passes through are asserted here
+    checks = _bench_module(monkeypatch, "checks")
+    files = {"parabolic": {"family": {"kind": "cyclic-parabolic"}},
+             "gamma2": {"generators": [[[1, 2], [0, 1]], [[1, 0], [2, 1]]]},
+             "schottky": {"family": {"kind": "schottky-pair"}}}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+
+    def run(op, *argv):
+        assert hf.cli.main([op, *argv]) == 0
+        return checks.parse_cli({"op": op}, capsys.readouterr().out)
+
+    out = run("classify", "--group", str(tmp_path / "parabolic.json"), "--point", "inf")
+    assert out["verdict"] == "parabolic" and out["sup_height"] == 1.0
+    assert set(out["witness"]) >= {"word", "matrix"}
+    found = run("diagnose", "--group", str(tmp_path / "gamma2.json"), "--depth", "8",
+                "--band", "0.5", "2")
+    none = run("diagnose", "--group", str(tmp_path / "schottky.json"), "--depth", "4")
+    assert found["sequence"] is not None and found["values"] is not None
+    assert none["sequence"] is None and none["note"]
+    for out in (found, none):
+        assert set(out["verdict"]) >= {"kind", "t"}
+    out = run("verify", "--samples", "100")
+    assert out["passed"] and all(set(c) >= {"name", "passed"} for c in out["checks"])
+    out = run("inj", "--group", str(tmp_path / "parabolic.json"), "--tmax", "1")
+    assert out["header"] == "t,inj_estimate" and out["times"].shape == out["inj"].shape
+    out = run("orbit", "--flow", "horocycle", "--end", "1")
+    assert out["header"] == "s_or_t,re,im" and out["rows"].shape == (11, 3)

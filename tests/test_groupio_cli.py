@@ -262,7 +262,7 @@ def test_cli_verify_passes_and_is_deterministic():
     assert a.stdout == b.stdout
     report = json.loads(a.stdout)
     assert report["passed"] is True
-    assert {"matching", "alternative"} <= set(report["substitution"])
+    assert list(report["substitution"]) == ["alternative", "alternative_residual"]
 
 
 def test_cli_classify(group_files):
@@ -430,7 +430,7 @@ def test_cli_diagnose_coefficient_keys(group_files):
     r = _cli("diagnose", "--group", group_files["parabolic"])
     assert r.returncode == 0
     assert list(json.loads(r.stdout)["coefficients"]) == [
-        "a_abs", "c", "d", "a_diverging", "c_limit_zero", "d_limit", "min_cd_norm"]
+        "a_diverging", "c_limit_zero", "min_cd_norm"]
 
 
 @pytest.mark.parametrize("value, want", [(np.float64(math.nan), '"nan"'), ({}, "{}"),

@@ -841,7 +841,7 @@ def test_no_certified_spec_reads_irregular(name, point):
     (hf.cyclic_hyperbolic(), 1.0, 10),
     (_PSL2Z, math.sqrt(2.0) - 1.0, 20),
 ], ids=["six-dilations", "cyclic-hyperbolic", "psl2z"])
-def test_uncertified_specs_still_search_for_a_cluster(spec, x, depth):
+def test_uncertified_specs_equal_the_reference_classifier(spec, x, depth):
     assert spec.certificate is None
     ev = hf.classify_boundary_point(spec, x, depth)
     assert _bits(ev) == _bits(_reference_classify(spec, x, depth))

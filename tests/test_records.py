@@ -47,8 +47,7 @@ SAMPLES = {
                          ((1,), (1, 1)), (0.5, 2.0), bp(0.0)),
                         {"height_band": (0.25, 4.0)}),
     ConvergenceVerdict: ((True, 0.5, (1e-3,), (0.5,), ("endpoint",)), {"converged": False}),
-    CoefficientAsymptotics: (((1.0, 2.0), (0.1, 0.01), (1.0, 1.0), True, True, 1.0, 1.0),
-                             {"d_limit": 2.0}),
+    CoefficientAsymptotics: ((True, True, 1.0), {"min_cd_norm": 2.0}),
     DichotomyVerdict: (("recurrence-evidence", 0.5), {"t": None}),
     DiagnosticsReport: ((None, None, _CONVERGED, (0.5,), DichotomyVerdict("inconclusive"),
                          "a note"), {"note": None}),
